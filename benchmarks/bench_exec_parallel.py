@@ -24,8 +24,8 @@ from repro.core import mergeability
 from repro.core.merger import MergeOptions
 from repro.exec import Supervisor, SupervisorConfig
 
-#: Generated design C: 12 modes -> 66 pair checks, each a real mock
-#: merge on a multi-domain netlist (~0.5 s of scan work at scale 1.0).
+#: Generated design C: 12 modes -> 66 pair checks on a multi-domain
+#: netlist, 22 of them mock merges (~0.1 s of warm scan work at scale 1.0).
 DESIGN = "C"
 
 
@@ -36,10 +36,11 @@ def scan_workload():
     options = MergeOptions()
     pairs = [(i, j) for i in range(len(modes))
              for j in range(i + 1, len(modes))]
+    tables = mergeability._mode_tables(workload.netlist, modes, pairs)
     # The scan task function reads fork-inherited worker state; set it
     # up in this process so the bare loop and jobs=1 runs see it too.
-    mergeability._pool_init(workload.netlist, modes, options)
-    return workload, modes, options, pairs
+    mergeability._pool_init(workload.netlist, modes, tables, options)
+    return workload, modes, (tables, options), pairs
 
 
 def _best_of(fn, repeats=3):
@@ -51,24 +52,25 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def _engine_run(jobs, workload, modes, options, pairs):
+def _engine_run(jobs, workload, modes, state, pairs):
     supervisor = Supervisor(SupervisorConfig(jobs=jobs,
                                              use_env_chaos=False))
+    tables, options = state
     return supervisor.run(
         mergeability._pool_check, [(pair,) for pair in pairs],
         initializer=mergeability._pool_init,
-        initargs=(workload.netlist, modes, options),
+        initargs=(workload.netlist, modes, tables, options),
         label="bench.scan")
 
 
 def test_supervision_overhead_bound(benchmark, scan_workload):
-    workload, modes, options, pairs = scan_workload
+    workload, modes, state, pairs = scan_workload
 
     def bare():
         return [mergeability._pool_check(pair) for pair in pairs]
 
     def supervised():
-        return _engine_run(1, workload, modes, options, pairs)
+        return _engine_run(1, workload, modes, state, pairs)
 
     # Same verdicts, same order, before any timing matters.
     assert [o.value for o in supervised()] == bare()
@@ -94,14 +96,14 @@ def test_supervision_overhead_bound(benchmark, scan_workload):
 
 
 def test_parallel_scan_speedup(benchmark, scan_workload):
-    workload, modes, options, pairs = scan_workload
+    workload, modes, state, pairs = scan_workload
 
-    serial = _engine_run(1, workload, modes, options, pairs)
+    serial = _engine_run(1, workload, modes, state, pairs)
     serial_s = _best_of(
-        lambda: _engine_run(1, workload, modes, options, pairs))
+        lambda: _engine_run(1, workload, modes, state, pairs))
     parallel_s = _best_of(
-        lambda: _engine_run(2, workload, modes, options, pairs))
-    parallel = _engine_run(2, workload, modes, options, pairs)
+        lambda: _engine_run(2, workload, modes, state, pairs))
+    parallel = _engine_run(2, workload, modes, state, pairs)
 
     # The headline invariant: verdicts are identical at any job count.
     assert [o.value for o in parallel] == [o.value for o in serial]
@@ -123,4 +125,4 @@ def test_parallel_scan_speedup(benchmark, scan_workload):
                      speedup_jobs2=speedup)
 
     once(benchmark,
-         lambda: _engine_run(2, workload, modes, options, pairs))
+         lambda: _engine_run(2, workload, modes, state, pairs))

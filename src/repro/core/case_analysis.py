@@ -11,12 +11,10 @@ mode temporarily gains extra valid paths, which the refinement of Section
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import MergeContext, StepReport, group_rows
 from repro.obs.explain import get_decisions
 from repro.obs.provenance import RULE_DERIVED, RULE_INTERSECTION
-from repro.sdc.commands import ObjectRef, PathSpec, SetCaseAnalysis, SetFalsePath
+from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
 
 
 def merge_case_analysis(context: MergeContext) -> StepReport:
@@ -25,17 +23,11 @@ def merge_case_analysis(context: MergeContext) -> StepReport:
     mode_count = len(context.modes)
 
     # key (object set) -> list of (mode name, constraint)
-    groups: Dict[Tuple, List[Tuple[str, SetCaseAnalysis]]] = {}
-    order: List[Tuple] = []
-    for mode in context.modes:
-        for constraint in mode.case_analyses():
-            key = constraint.key()
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append((mode.name, constraint))
+    groups = group_rows((mode.name, constraint, constraint.key())
+                        for mode in context.modes
+                        for constraint in mode.case_analyses())
 
-    for key in order:
-        entries = groups[key]
+    for entries in groups.values():
         values = {c.value for _, c in entries}
         present_modes = {name for name, _ in entries}
         sample = entries[0][1]

@@ -12,9 +12,16 @@ mergeability conflict (the paper's "incompatible values" rule).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set
 
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import (
+    Conflict,
+    MergeContext,
+    Row,
+    RuleVerdict,
+    StepReport,
+    group_rows,
+)
 from repro.obs.provenance import RULE_INTERSECTION, RULE_TOLERANCE
 from repro.sdc.commands import (
     CLOCK_ATTACHED_TYPES,
@@ -49,16 +56,53 @@ def _constraint_clock_names(constraint: Constraint) -> List[str]:
     return names
 
 
+def clock_constraint_verdicts(mode_names: Sequence[str],
+                              rows: Iterable[Row],
+                              mode_clocks: Mapping[str, Set[str]],
+                              tolerance: float = DEFAULT_TOLERANCE
+                              ) -> Iterator[RuleVerdict]:
+    """Step 3.1.2's rule over clock-mapped rows, set by set.
+
+    ``mode_clocks`` holds each mode's clocks in merged names.  A
+    constraint is expected in every mode that has all the clocks it
+    refers to.
+    """
+    modes = tuple(mode_names)
+    for key, entries in group_rows(rows).items():
+        sample = entries[0][1]
+        referenced = _constraint_clock_names(sample)
+        present = {name for name, _ in entries}
+        missing = [name for name in modes if name not in present
+                   and all(c in mode_clocks[name] for c in referenced)]
+        if isinstance(sample, SetPropagatedClock):
+            # Presence-only constraint: kept once if every relevant mode
+            # has it; a partial presence is a conflict (ideal vs
+            # propagated clocking differs between modes).
+            if missing:
+                yield RuleVerdict(key, entries, missing, [Conflict(
+                    modes, f"{sample.command} on "
+                           f"{referenced or sample.objects} missing in "
+                           f"modes {missing}")], None)
+            else:
+                yield RuleVerdict(key, entries, missing, [], sample)
+            continue
+        values = [c.value for _, c in entries]
+        conflicts = []
+        if not values_within_tolerance(values, tolerance):
+            conflicts.append(Conflict(
+                modes, f"{sample.command} values {sorted(values)} exceed "
+                       f"tolerance {tolerance:.0%} (key={key})"))
+        yield RuleVerdict(key, entries, missing, conflicts, sample)
+
+
 def merge_clock_constraints(context: MergeContext,
                             tolerance: float = DEFAULT_TOLERANCE
                             ) -> StepReport:
     """Run step 3.1.2 over all clock-attached constraint classes."""
     report = context.report("clock-based constraints (3.1.2)")
 
-    # Collect mapped constraints per identity key.
-    groups: Dict[Tuple, List[Tuple[str, Constraint]]] = {}
-    order: List[Tuple] = []
-    mode_clocks: Dict[str, set] = {}
+    rows: List[Row] = []
+    mode_clocks: Dict[str, Set[str]] = {}
     for mode in context.modes:
         mapping = context.clock_maps[mode.name]
         mode_clocks[mode.name] = {
@@ -66,48 +110,26 @@ def merge_clock_constraints(context: MergeContext,
         for constraint in mode.of_type(*CLOCK_ATTACHED_TYPES,
                                        SetPropagatedClock):
             mapped = constraint.rename_clocks(mapping)
-            key = mapped.key()
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append((mode.name, mapped))
+            rows.append((mode.name, mapped, mapped.key()))
 
-    for key in order:
-        entries = groups[key]
+    for key, entries, missing, conflicts, kept in clock_constraint_verdicts(
+            context.mode_names(), rows, mode_clocks, tolerance):
         sample = entries[0][1]
-        referenced = _constraint_clock_names(sample)
-        if referenced:
-            relevant = [m for m in context.modes
-                        if all(c in mode_clocks[m.name] for c in referenced)]
-        else:
-            relevant = list(context.modes)
         present_modes = {name for name, _ in entries}
-        missing = [m.name for m in relevant if m.name not in present_modes]
-
+        report.conflicts.extend(conflicts)
         if isinstance(sample, SetPropagatedClock):
-            # Presence-only constraint: add once if every relevant mode has
-            # it; a partial presence is a conflict (ideal vs propagated
-            # clocking differs between modes).
-            if missing:
-                report.conflict(
-                    context.mode_names(),
-                    f"{sample.command} on {referenced or sample.objects} "
-                    f"missing in modes {missing}")
+            if kept is None:
                 for name, constraint in entries:
                     report.drop(name, constraint)
             else:
-                report.add(context.merged.add(sample))
+                report.add(context.merged.add(kept))
                 context.provenance.record(
-                    sample, RULE_INTERSECTION, sorted(present_modes),
+                    kept, RULE_INTERSECTION, sorted(present_modes),
                     step="clock_constraints",
                     detail="present in every relevant mode")
             continue
 
         values = [c.value for _, c in entries]
-        if not values_within_tolerance(values, tolerance):
-            report.conflict(
-                context.mode_names(),
-                f"{sample.command} values {sorted(values)} exceed tolerance "
-                f"{tolerance:.0%} (key={key})")
         if missing:
             report.note(
                 f"{sample.command} (key={key}) missing in modes {missing}; "

@@ -7,18 +7,22 @@ merged mode already has a clock with the same *sources and waveform*
 uniquified with ``_1``-style suffixes, and a two-way map between
 individual and merged clock names is recorded on the context — every later
 step uses those maps to correlate clock-based constraints.
+
+The maps follow from each mode's clock signatures alone
+(:func:`clock_signatures`, :func:`union_clocks`), which is what lets the
+mergeability pre-check derive a pair's maps from per-mode tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from dataclasses import replace
 
 from repro.obs.provenance import RULE_UNION
 from repro.sdc.commands import CreateClock, CreateGeneratedClock, ObjectRef
 from repro.sdc.mode import Mode
-from repro.sdc.object_query import ObjectResolver, resolver_for
+from repro.sdc.object_query import resolver_for
 from repro.core.steps import MergeContext, StepReport
 
 
@@ -42,22 +46,7 @@ def _clock_signature(netlist, clock: CreateClock) -> Tuple:
     )
 
 
-def _generated_signature(netlist, clock: CreateGeneratedClock,
-                         mapped_master: str) -> Tuple:
-    own = _source_key(netlist, clock.sources) if clock.sources \
-        else _source_key(netlist, clock.source)
-    return (
-        "generated",
-        own,
-        _source_key(netlist, clock.source),
-        mapped_master,
-        clock.divide_by,
-        clock.multiply_by,
-        clock.invert,
-    )
-
-
-def _unique_name(base: str, taken: Dict[str, object]) -> str:
+def _unique_name(base: str, taken: Set[str]) -> str:
     if base not in taken:
         return base
     suffix = 1
@@ -66,74 +55,118 @@ def _unique_name(base: str, taken: Dict[str, object]) -> str:
     return f"{base}_{suffix}"
 
 
+class ClockSignatures(NamedTuple):
+    """One mode's clocks with what duplicate detection compares."""
+
+    #: (clock, (sources, period, waveform)) per create_clock
+    primary: List[Tuple[CreateClock, Tuple]]
+    #: (clock, own sources, master source) per create_generated_clock;
+    #: the mapped master completes the signature once it is known
+    generated: List[Tuple[CreateGeneratedClock, Tuple, Tuple]]
+
+
+def clock_signatures(netlist, mode: Mode) -> ClockSignatures:
+    """The clock signatures of ``mode`` against ``netlist``."""
+    generated = []
+    for clock in mode.generated_clocks():
+        own = _source_key(netlist, clock.sources) if clock.sources \
+            else _source_key(netlist, clock.source)
+        generated.append((clock, own, _source_key(netlist, clock.source)))
+    return ClockSignatures(
+        [(clock, _clock_signature(netlist, clock))
+         for clock in mode.clocks()],
+        generated)
+
+
+class UnionEntry(NamedTuple):
+    """Where one individual-mode clock lands in the merged mode."""
+
+    mode: str
+    clock: CreateClock
+    merged_name: str
+    #: an earlier clock with the same signature already took the name
+    duplicate: bool
+    #: the mapped master of a generated clock ("" for a primary clock)
+    master: str
+
+
+def union_clocks(signatures: Sequence[Tuple[str, ClockSignatures]],
+                 clock_maps: Dict[str, Dict[str, str]]
+                 ) -> List[UnionEntry]:
+    """Step 3.1.1's clock union over (mode name, signatures) in mode order.
+
+    Fills ``clock_maps`` (mode name -> original -> merged clock name) and
+    returns every clock's placement: primary clocks of all modes first,
+    then generated clocks, whose signature includes the mapped master.
+    """
+    by_signature: Dict[Tuple, str] = {}
+    taken: Set[str] = set()
+    entries: List[UnionEntry] = []
+
+    def place(mode_name: str, clock, signature: Tuple, master: str) -> None:
+        mapping = clock_maps[mode_name]
+        existing = by_signature.get(signature)
+        if existing is not None:
+            mapping[clock.name] = existing
+            entries.append(UnionEntry(mode_name, clock, existing, True,
+                                      master))
+            return
+        merged_name = _unique_name(clock.name, taken)
+        by_signature[signature] = merged_name
+        taken.add(merged_name)
+        mapping[clock.name] = merged_name
+        entries.append(UnionEntry(mode_name, clock, merged_name, False,
+                                  master))
+
+    for mode_name, signed in signatures:
+        for clock, signature in signed.primary:
+            place(mode_name, clock, signature, "")
+    for mode_name, signed in signatures:
+        for clock, own, source in signed.generated:
+            mapping = clock_maps[mode_name]
+            master = mapping.get(clock.master_clock, clock.master_clock)
+            place(mode_name, clock,
+                  ("generated", own, source, master, clock.divide_by,
+                   clock.multiply_by, clock.invert),
+                  master)
+    return entries
+
+
 def merge_clocks(context: MergeContext) -> StepReport:
     """Run the clock-union step, filling ``context.clock_maps``."""
     report = context.report("clock union (3.1.1)")
-    netlist = context.netlist
-    # signature -> merged clock name
-    by_signature: Dict[Tuple, str] = {}
+    signatures = [(mode.name, clock_signatures(context.netlist, mode))
+                  for mode in context.modes]
     # merged clock name -> constraint added
     merged_clocks: Dict[str, object] = {}
-
-    for mode in context.modes:
-        mapping = context.clock_maps[mode.name]
-        for clock in mode.clocks():
-            signature = _clock_signature(netlist, clock)
-            existing = by_signature.get(signature)
-            if existing is not None:
-                mapping[clock.name] = existing
-                context.reverse_clock_map[existing].append(
-                    (mode.name, clock.name))
-                context.provenance.record(
-                    merged_clocks[existing], RULE_UNION, [mode.name],
-                    step="clock_union")
-                report.note(
-                    f"clock {clock.name!r} of mode {mode.name!r} is a "
-                    f"duplicate of merged clock {existing!r}")
-                continue
-            merged_name = _unique_name(clock.name, merged_clocks)
-            if merged_name != clock.name:
-                report.note(
-                    f"clock {clock.name!r} of mode {mode.name!r} renamed to "
-                    f"{merged_name!r} in the merged mode")
-            merged = replace(clock, name=merged_name, add=True)
-            context.merged.add(merged)
-            report.add(merged)
+    for entry in union_clocks(signatures, context.clock_maps):
+        clock, name = entry.clock, entry.merged_name
+        generated = isinstance(clock, CreateGeneratedClock)
+        if entry.duplicate:
+            context.reverse_clock_map[name].append((entry.mode, clock.name))
             context.provenance.record(
-                merged, RULE_UNION, [mode.name], step="clock_union",
-                detail=f"from clock {clock.name!r}")
-            by_signature[signature] = merged_name
-            merged_clocks[merged_name] = merged
-            mapping[clock.name] = merged_name
-            context.reverse_clock_map[merged_name] = [(mode.name, clock.name)]
-
-    # Generated clocks: union by signature, after mapping masters.
-    for mode in context.modes:
-        mapping = context.clock_maps[mode.name]
-        for clock in mode.generated_clocks():
-            mapped_master = mapping.get(clock.master_clock,
-                                        clock.master_clock)
-            signature = _generated_signature(netlist, clock, mapped_master)
-            existing = by_signature.get(signature)
-            if existing is not None:
-                mapping[clock.name] = existing
-                context.reverse_clock_map[existing].append(
-                    (mode.name, clock.name))
-                context.provenance.record(
-                    merged_clocks[existing], RULE_UNION, [mode.name],
-                    step="clock_union")
-                continue
-            merged_name = _unique_name(clock.name, merged_clocks)
-            merged = replace(clock, name=merged_name,
-                             master_clock=mapped_master, add=True)
-            context.merged.add(merged)
-            report.add(merged)
-            context.provenance.record(
-                merged, RULE_UNION, [mode.name], step="clock_union",
-                detail=f"from generated clock {clock.name!r}")
-            by_signature[signature] = merged_name
-            merged_clocks[merged_name] = merged
-            mapping[clock.name] = merged_name
-            context.reverse_clock_map[merged_name] = [(mode.name, clock.name)]
-
+                merged_clocks[name], RULE_UNION, [entry.mode],
+                step="clock_union")
+            if not generated:
+                report.note(
+                    f"clock {clock.name!r} of mode {entry.mode!r} is a "
+                    f"duplicate of merged clock {name!r}")
+            continue
+        if generated:
+            merged = replace(clock, name=name, master_clock=entry.master,
+                             add=True)
+        else:
+            if name != clock.name:
+                report.note(
+                    f"clock {clock.name!r} of mode {entry.mode!r} renamed "
+                    f"to {name!r} in the merged mode")
+            merged = replace(clock, name=name, add=True)
+        context.merged.add(merged)
+        report.add(merged)
+        kind = "generated clock" if generated else "clock"
+        context.provenance.record(
+            merged, RULE_UNION, [entry.mode], step="clock_union",
+            detail=f"from {kind} {clock.name!r}")
+        merged_clocks[name] = merged
+        context.reverse_clock_map[name] = [(entry.mode, clock.name)]
     return report

@@ -7,26 +7,17 @@ the merged mode must keep them alive — the superset invariant).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import MergeContext, StepReport, group_rows
 from repro.obs.provenance import RULE_INTERSECTION
-from repro.sdc.commands import SetDisableTiming
 
 
 def merge_disable_timing(context: MergeContext) -> StepReport:
     report = context.report("disable timing (3.1.5)")
     mode_count = len(context.modes)
-    groups: Dict[Tuple, List[Tuple[str, SetDisableTiming]]] = {}
-    order: List[Tuple] = []
-    for mode in context.modes:
-        for constraint in mode.disable_timings():
-            key = constraint.key()
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append((mode.name, constraint))
-    for key in order:
-        entries = groups[key]
+    groups = group_rows((mode.name, constraint, constraint.key())
+                        for mode in context.modes
+                        for constraint in mode.disable_timings())
+    for entries in groups.values():
         present = {name for name, _ in entries}
         if len(present) == mode_count:
             report.add(context.merged.add(entries[0][1]))

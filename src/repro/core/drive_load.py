@@ -10,63 +10,82 @@ max-type), anything else is a mergeability conflict.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.clock_constraints import (
     DEFAULT_TOLERANCE,
     values_within_tolerance,
 )
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import (
+    Conflict,
+    MergeContext,
+    Row,
+    RuleVerdict,
+    StepReport,
+    group_rows,
+)
 from repro.obs.provenance import RULE_TOLERANCE
 from repro.sdc.commands import DRIVE_LOAD_TYPES, SetDrivingCell
+
+
+def drive_load_verdicts(mode_names: Sequence[str], rows: Iterable[Row],
+                        tolerance: float = DEFAULT_TOLERANCE
+                        ) -> Iterator[RuleVerdict]:
+    """Step 3.1.6's rule, set by set: every mode must have the
+    constraint, with one driving cell or values within tolerance."""
+    modes = tuple(mode_names)
+    for key, entries in group_rows(rows).items():
+        sample = entries[0][1]
+        present = {name for name, _ in entries}
+        missing = []
+        conflicts = []
+        if len(present) != len(modes):
+            missing = [name for name in modes if name not in present]
+            conflicts.append(Conflict(
+                modes, f"{sample.command} on {sample.objects} missing in "
+                       f"modes {missing}"))
+        if isinstance(sample, SetDrivingCell):
+            cells = {(c.lib_cell, c.pin) for _, c in entries}
+            if len(cells) > 1:
+                conflicts.append(Conflict(
+                    modes, f"set_driving_cell on {sample.objects} uses "
+                           f"different cells {sorted(cells)}"))
+                yield RuleVerdict(key, entries, missing, conflicts, None)
+                continue
+        else:
+            values = [c.value for _, c in entries]
+            if not values_within_tolerance(values, tolerance):
+                conflicts.append(Conflict(
+                    modes, f"{sample.command} values {sorted(values)} on "
+                           f"{sample.objects} exceed tolerance "
+                           f"{tolerance:.0%}"))
+        yield RuleVerdict(key, entries, missing, conflicts, sample)
 
 
 def merge_drive_load(context: MergeContext,
                      tolerance: float = DEFAULT_TOLERANCE) -> StepReport:
     report = context.report("drive/load constraints (3.1.6)")
-    mode_count = len(context.modes)
-    groups: Dict[Tuple, List[Tuple[str, object]]] = {}
-    order: List[Tuple] = []
-    for mode in context.modes:
-        for constraint in mode.of_type(*DRIVE_LOAD_TYPES):
-            key = constraint.key()
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append((mode.name, constraint))
-
-    for key in order:
-        entries = groups[key]
+    rows = [(mode.name, constraint, constraint.key())
+            for mode in context.modes
+            for constraint in mode.of_type(*DRIVE_LOAD_TYPES)]
+    for _key, entries, _missing, conflicts, kept in drive_load_verdicts(
+            context.mode_names(), rows, tolerance):
         sample = entries[0][1]
         present = {name for name, _ in entries}
-        if len(present) != mode_count:
-            missing = [m.name for m in context.modes
-                       if m.name not in present]
-            report.conflict(
-                context.mode_names(),
-                f"{sample.command} on {sample.objects} missing in modes "
-                f"{missing}")
+        report.conflicts.extend(conflicts)
+        if len(present) != len(context.modes):
             report.note(
                 f"{sample.command} on {sample.objects} not common to all "
                 f"modes; added with present values (worst case)")
+        if kept is None:
+            continue
         if isinstance(sample, SetDrivingCell):
-            cells = {(c.lib_cell, c.pin) for _, c in entries}
-            if len(cells) > 1:
-                report.conflict(
-                    context.mode_names(),
-                    f"set_driving_cell on {sample.objects} uses different "
-                    f"cells {sorted(cells)}")
-                continue
             report.add(context.merged.add(sample))
             context.provenance.record(
                 sample, RULE_TOLERANCE, sorted(present),
                 step="drive_load", detail="same driving cell in all modes")
             continue
         values = [c.value for _, c in entries]
-        if not values_within_tolerance(values, tolerance):
-            report.conflict(
-                context.mode_names(),
-                f"{sample.command} values {sorted(values)} on "
-                f"{sample.objects} exceed tolerance {tolerance:.0%}")
         merged_value = min(values) if getattr(sample, "is_min", False) \
             else max(values)
         merged = replace(sample, value=merged_value)

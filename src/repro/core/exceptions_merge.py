@@ -23,9 +23,17 @@ clock set is disjoint from the other modes' clocks; when it is not:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import (
+    Conflict,
+    MergeContext,
+    Row,
+    RuleVerdict,
+    StepReport,
+    group_rows,
+)
 from repro.obs.explain import get_decisions
 from repro.obs.metrics import get_metrics
 from repro.obs.provenance import RULE_INTERSECTION, RULE_UNIQUIFIED
@@ -35,15 +43,6 @@ from repro.sdc.commands import (
     PathSpec,
     SetFalsePath,
 )
-from repro.sdc.mode import Mode
-
-
-def _mapped_mode_clocks(context: MergeContext) -> Dict[str, Set[str]]:
-    out: Dict[str, Set[str]] = {}
-    for mode in context.modes:
-        mapping = context.clock_maps[mode.name]
-        out[mode.name] = {mapping.get(n, n) for n in mode.clock_names()}
-    return out
 
 
 def _split_refs(refs) -> Tuple[List[ObjectRef], List[ObjectRef]]:
@@ -120,31 +119,68 @@ def uniquify_exception(constraint: Constraint,
     return None
 
 
+def _own_and_other_clocks(mode_names: Sequence[str],
+                          mode_clocks: Mapping[str, Set[str]],
+                          present: Set[str]) -> Tuple[Set[str], Set[str]]:
+    """Clocks of the modes that have an exception, and of those that do not."""
+    own: Set[str] = set()
+    other: Set[str] = set()
+    for name in mode_names:
+        (own if name in present else other).update(mode_clocks[name])
+    return own, other
+
+
+def exception_verdicts(mode_names: Sequence[str], rows: Iterable[Row],
+                       mode_clocks: Mapping[str, Set[str]]
+                       ) -> Iterator[RuleVerdict]:
+    """Step 3.1.9/3.1.10's rule over clock-mapped rows, set by set.
+
+    An exception in every mode is kept as is; one in some modes is kept
+    uniquified, or dropped when no sound rewrite exists -- a conflict
+    unless it is a false path, which refinement can re-derive.
+    ``mode_clocks`` holds each mode's clocks in merged names.
+    """
+    modes = tuple(mode_names)
+    for key, entries in group_rows(rows).items():
+        present = {name for name, _ in entries}
+        sample = entries[0][1]
+        if len(present) == len(modes):
+            yield RuleVerdict(key, entries, [], [], sample)
+            continue
+        missing = [name for name in modes if name not in present]
+        uniquified = uniquify_exception(
+            sample, *_own_and_other_clocks(modes, mode_clocks, present))
+        conflicts = []
+        if uniquified is None and not isinstance(sample, SetFalsePath):
+            conflicts.append(Conflict(
+                tuple(sorted(present) + missing),
+                f"{sample.command} of modes {sorted(present)} not "
+                f"uniquifiable and not recoverable by false paths alone"))
+        yield RuleVerdict(key, entries, missing, conflicts, uniquified)
+
+
 def merge_exceptions(context: MergeContext) -> StepReport:
     report = context.report("exceptions (3.1.9/3.1.10)")
     metrics = get_metrics()
     ledger = get_decisions()
     mode_count = len(context.modes)
-    mode_clocks = _mapped_mode_clocks(context)
+    mode_clocks = {mode.name: set(context.mapped_clocks(mode))
+                   for mode in context.modes}
 
     def _subject(constraint: Constraint) -> str:
         from repro.sdc.writer import write_constraint
 
         return f"constraint:{write_constraint(constraint)}"
 
-    groups: Dict[Tuple, List[Tuple[str, Constraint]]] = {}
-    order: List[Tuple] = []
+    rows: List[Row] = []
     for mode in context.modes:
         mapping = context.clock_maps[mode.name]
         for constraint in mode.exceptions():
             mapped = constraint.rename_clocks(mapping)
-            key = mapped.key()
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append((mode.name, mapped))
+            rows.append((mode.name, mapped, mapped.key()))
 
-    for key in order:
-        entries = groups[key]
+    for _key, entries, missing, conflicts, uniquified in \
+            exception_verdicts(context.mode_names(), rows, mode_clocks):
         present = {name for name, _ in entries}
         sample = entries[0][1]
         if len(present) == mode_count:
@@ -161,14 +197,10 @@ def merge_exceptions(context: MergeContext) -> StepReport:
                     modes=sorted(present))
             continue
 
-        own_clocks: Set[str] = set()
-        other_clocks: Set[str] = set()
-        for mode in context.modes:
-            target = own_clocks if mode.name in present else other_clocks
-            target.update(mode_clocks[mode.name])
-
-        uniquified = uniquify_exception(sample, own_clocks, other_clocks)
         if uniquified is not None:
+            own_clocks, other_clocks = _own_and_other_clocks(
+                context.mode_names(), mode_clocks, present)
+            restrict = sorted(own_clocks - other_clocks)
             report.add(context.merged.add(uniquified))
             context.provenance.record(
                 uniquified, RULE_UNIQUIFIED, sorted(present),
@@ -181,8 +213,7 @@ def merge_exceptions(context: MergeContext) -> StepReport:
                 ledger.decide(
                     "exception.merge", _subject(sample),
                     verdict="uniquified",
-                    evidence=[f"restricted to clocks "
-                              f"{sorted(own_clocks - other_clocks)} of "
+                    evidence=[f"restricted to clocks {restrict} of "
                               f"modes {sorted(present)}"
                               if uniquified is not sample
                               else "already unique through its clocks",
@@ -191,12 +222,11 @@ def merge_exceptions(context: MergeContext) -> StepReport:
             if uniquified is not sample:
                 report.note(
                     f"{sample.command} of modes {sorted(present)} uniquified "
-                    f"by restricting to clocks "
-                    f"{sorted(own_clocks - other_clocks)}")
+                    f"by restricting to clocks {restrict}")
             continue
 
         # No sound rewrite.
-        missing = [m.name for m in context.modes if m.name not in present]
+        report.conflicts.extend(conflicts)
         for name, constraint in entries:
             report.drop(name, constraint)
         metrics.inc("exceptions.dropped", len(entries))
@@ -213,10 +243,6 @@ def merge_exceptions(context: MergeContext) -> StepReport:
                 f"false path of modes {sorted(present)} not uniquifiable "
                 f"(clock overlap with {missing}); dropped for refinement")
         else:
-            report.conflict(
-                tuple(sorted(present) + missing),
-                f"{sample.command} of modes {sorted(present)} not "
-                f"uniquifiable and not recoverable by false paths alone")
             report.note(
                 f"{sample.command} of modes {sorted(present)} dropped; "
                 f"refinement will attempt clock/endpoint-restricted fixes")

@@ -9,6 +9,11 @@ clocking (a register clocked in an individual mode losing that clock in
 the merged mode).  Mergeable pairs form the **mergeability graph**; merge
 groups are its cliques, found greedily ("as the number of modes is
 small").
+
+Most pairs never reach the mock merge: per-mode tables
+(:class:`ModeTable`) feed the three conflicting Section 3.1 rules the
+steps themselves run, and a conflict found there is the mock merge's
+first conflict (:func:`table_conflict`).
 """
 
 from __future__ import annotations
@@ -20,16 +25,19 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.core.case_analysis import merge_case_analysis
-from repro.core.clock_constraints import merge_clock_constraints
+from repro.core.clock_constraints import (
+    clock_constraint_verdicts,
+    merge_clock_constraints,
+)
 from repro.core.clock_groups import merge_clock_exclusivity
 from repro.core.clock_refinement import refine_clock_network
-from repro.core.clock_union import merge_clocks
+from repro.core.clock_union import clock_signatures, merge_clocks, union_clocks
 from repro.core.disable_timing import merge_disable_timing
-from repro.core.drive_load import merge_drive_load
-from repro.core.exceptions_merge import merge_exceptions
+from repro.core.drive_load import drive_load_verdicts, merge_drive_load
+from repro.core.exceptions_merge import exception_verdicts, merge_exceptions
 from repro.core.external_delays import merge_external_delays
 from repro.core.merger import MergeOptions, MergeResult, merge_modes
-from repro.core.steps import MergeContext
+from repro.core.steps import Conflict, MergeContext, Row, first_conflict
 from repro.diagnostics import (
     DegradationPolicy,
     Diagnostic,
@@ -48,19 +56,18 @@ from repro.obs.explain import (
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
+from repro.sdc.commands import (
+    CLOCK_ATTACHED_TYPES,
+    DRIVE_LOAD_TYPES,
+    SetPropagatedClock,
+)
 from repro.sdc.mode import Mode
 from repro.timing.clocks import ClockPropagation
 
 
 def _preliminary_merge(netlist: Netlist, modes: Sequence[Mode],
-                       options: MergeOptions,
-                       skip_clock_refinement: bool = False) -> MergeContext:
-    """Run only the Section 3.1 steps (the paper's "mock run").
-
-    ``skip_clock_refinement`` defers the one step that needs a full merged
-    binding; the mergeability scan uses it to short-circuit pairs that
-    already conflict on cheap constraint comparisons.
-    """
+                       options: MergeOptions) -> MergeContext:
+    """Run only the Section 3.1 steps (the paper's "mock run")."""
     context = MergeContext(netlist, list(modes))
     merge_clocks(context)
     merge_clock_constraints(context, options.tolerance)
@@ -69,10 +76,95 @@ def _preliminary_merge(netlist: Netlist, modes: Sequence[Mode],
     merge_disable_timing(context)
     merge_drive_load(context, options.tolerance)
     merge_clock_exclusivity(context)
-    if not skip_clock_refinement:
-        refine_clock_network(context)
+    refine_clock_network(context)
     merge_exceptions(context)
     return context
+
+
+#: Step 3.1.8's code object: a mock merge that raised inside it is
+#: reported as a clock refinement failure.
+_REFINEMENT_CODE = refine_clock_network.__code__
+
+
+def _failed_stage(exc: BaseException) -> str:
+    """The stage a pair verdict names for ``exc``: clock refinement when
+    step 3.1.8, which binds the modes to the design, raised it, else the
+    preliminary merge."""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is _REFINEMENT_CODE:
+            return "clock refinement"
+        tb = tb.tb_next
+    return "preliminary merge"
+
+
+class ModeTable:
+    """One mode's rows for the mergeability pre-check.
+
+    Built once per mode per scan: the clock signatures from which each
+    pair's clock maps follow, and the clock-attached, drive/load and
+    exception constraints with their identity keys.  These are all that
+    the three Section 3.1 rules that can conflict (3.1.2, 3.1.6, 3.1.9)
+    read from a mode.
+    """
+
+    def __init__(self, netlist: Netlist, mode: Mode):
+        self.name = mode.name
+        self.clock_names = mode.clock_names()
+        self.signatures = clock_signatures(netlist, mode)
+        self.clock_rows = self._rows(
+            mode.of_type(*CLOCK_ATTACHED_TYPES, SetPropagatedClock))
+        self.drive_load_rows = self._rows(mode.of_type(*DRIVE_LOAD_TYPES))
+        self.exception_rows = self._rows(mode.exceptions())
+
+    def _rows(self, constraints) -> List[Row]:
+        return [(self.name, c, c.key()) for c in constraints]
+
+    def mapped(self, rows: List[Row], mapping: Dict[str, str]) -> List[Row]:
+        """``rows`` with clock names rewritten through ``mapping``.
+
+        A mapping that renames nothing leaves every row, key included,
+        as it is.
+        """
+        if all(old == new for old, new in mapping.items()):
+            return rows
+        out = []
+        for name, constraint, _key in rows:
+            mapped = constraint.rename_clocks(mapping)
+            out.append((name, mapped, mapped.key()))
+        return out
+
+
+def table_conflict(tables: Sequence[ModeTable],
+                   tolerance: float) -> Optional[Conflict]:
+    """The first conflict the preliminary merge of the tables' modes
+    would record, or None.
+
+    The clock maps come from :func:`union_clocks` as in step 3.1.1, and
+    the rules of steps 3.1.2, 3.1.6 and 3.1.9 run in step order on the
+    same rows their steps build, so the conflict is the mock merge's
+    first one.  The other steps never record a conflict.
+    """
+    names = tuple(table.name for table in tables)
+    clock_maps: Dict[str, Dict[str, str]] = {name: {} for name in names}
+    union_clocks([(t.name, t.signatures) for t in tables], clock_maps)
+    mode_clocks = {t.name: {clock_maps[t.name].get(n, n)
+                            for n in t.clock_names} for t in tables}
+    conflict = first_conflict(clock_constraint_verdicts(
+        names, [row for t in tables
+                for row in t.mapped(t.clock_rows, clock_maps[t.name])],
+        mode_clocks, tolerance))
+    if conflict is None:
+        conflict = first_conflict(drive_load_verdicts(
+            names, [row for t in tables for row in t.drive_load_rows],
+            tolerance))
+    if conflict is None:
+        conflict = first_conflict(exception_verdicts(
+            names, [row for t in tables
+                    for row in t.mapped(t.exception_rows,
+                                        clock_maps[t.name])],
+            mode_clocks))
+    return conflict
 
 
 def clock_blocking_reason(context: MergeContext) -> Optional[str]:
@@ -98,35 +190,40 @@ def clock_blocking_reason(context: MergeContext) -> Optional[str]:
 
 
 def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
-                   options: Optional[MergeOptions] = None
+                   options: Optional[MergeOptions] = None,
+                   tables: Optional[Tuple[ModeTable, ModeTable]] = None
                    ) -> Tuple[bool, str]:
-    """Mock-merge two modes; (mergeable?, reason when not).
+    """Decide whether two modes can merge; (mergeable?, reason when not).
 
-    Cheap constraint-comparison conflicts short-circuit before the
-    merged-mode binding that the clock refinement / clock blocking checks
-    need — this is what keeps the O(modes^2) scan fast on mode-rich
-    designs like the paper's design A (95 modes, 4465 pairs).
+    The modes' tables (``tables``, built here when not given) decide
+    first: a pair they reject gets exactly the reason the mock merge
+    would give, without a :class:`MergeContext` -- this is what keeps the
+    O(modes^2) scan fast on mode-rich designs like the paper's design A
+    (95 modes, 4465 pairs).  The pairs left are mock-merged and checked
+    for blocked clocks.  A table that cannot be built or read leaves its
+    pairs to the mock merge, which raises the same way and names it.
     """
     opts = options or MergeOptions()
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.inc("profile.mock_merges")
     # Mock merges must not pollute the decision ledger: the scan's own
     # pair verdicts are the queryable record, and the serial and pooled
     # paths must produce identical ledgers.
     with muted():
         try:
-            context = _preliminary_merge(netlist, [mode_a, mode_b], opts,
-                                         skip_clock_refinement=True)
-        except Exception as exc:  # malformed constraints etc.
-            return False, f"preliminary merge failed: {exc}"
-        conflicts = context.all_conflicts()
-        if conflicts:
-            return False, str(conflicts[0])
+            if tables is None:
+                tables = (ModeTable(netlist, mode_a),
+                          ModeTable(netlist, mode_b))
+            conflict = table_conflict(tables, opts.tolerance)
+        except Exception:
+            conflict = None
+        if conflict is not None:
+            return False, str(conflict)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("profile.mock_merges")
         try:
-            refine_clock_network(context)
-        except Exception as exc:
-            return False, f"clock refinement failed: {exc}"
+            context = _preliminary_merge(netlist, [mode_a, mode_b], opts)
+        except Exception as exc:  # malformed constraints etc.
+            return False, f"{_failed_stage(exc)} failed: {exc}"
         conflicts = context.all_conflicts()
         if conflicts:
             return False, str(conflicts[0])
@@ -165,18 +262,33 @@ class MergeabilityAnalysis:
 _POOL_STATE: dict = {}
 
 
-def _pool_init(netlist, modes, options) -> None:
+def _pool_init(netlist, modes, tables, options) -> None:
     _POOL_STATE["netlist"] = netlist
     _POOL_STATE["modes"] = modes
+    _POOL_STATE["tables"] = tables
     _POOL_STATE["options"] = options
 
 
 def _pool_check(pair):
     i, j = pair
-    modes = _POOL_STATE["modes"]
+    modes, tables = _POOL_STATE["modes"], _POOL_STATE["tables"]
     ok, reason = pair_mergeable(_POOL_STATE["netlist"], modes[i], modes[j],
-                                _POOL_STATE["options"])
+                                _POOL_STATE["options"],
+                                (tables[i], tables[j]))
     return i, j, ok, reason
+
+
+def _mode_tables(netlist: Netlist, modes: Sequence[Mode],
+                 pairs: Sequence[Tuple[int, int]]) -> List[Optional[ModeTable]]:
+    """The table of every mode in ``pairs`` (None where it cannot be built,
+    or where no pair needs it)."""
+    tables: List[Optional[ModeTable]] = [None] * len(modes)
+    for index in sorted({i for pair in pairs for i in pair}):
+        try:
+            tables[index] = ModeTable(netlist, modes[index])
+        except Exception:
+            pass  # its pairs go to the mock merge, which names the error
+    return tables
 
 
 def _engine_config(options: MergeOptions, jobs: int,
@@ -213,9 +325,13 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                              jobs: int = 1,
                              collector: Optional[DiagnosticCollector] = None,
                              cache=None) -> MergeabilityAnalysis:
-    """Pairwise mock merges -> mergeability graph -> greedy clique groups.
+    """Pairwise verdicts -> mergeability graph -> greedy clique groups.
 
-    ``jobs > 1`` distributes the O(#modes^2) mock merges over the
+    The :class:`ModeTable` of every mode with a pair to decide is built
+    once, and each pair is decided by :func:`pair_mergeable` on its two
+    tables.
+
+    ``jobs > 1`` distributes the O(#modes^2) pair checks over the
     supervised execution engine (the paper ran its engine on 4 cores):
     a hung, crashed, or corrupted pair check is retried and, as a last
     resort, the pair is conservatively recorded non-mergeable with an
@@ -225,9 +341,9 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     is identical at any job count.
 
     ``cache`` (a :class:`~repro.cache.ResultCache`) memoizes per-pair
-    verdicts by content fingerprint: pairs with a verified entry skip
-    the mock merge entirely (``cache.pair_hits``), and only pairs that
-    actually ran count into ``mergeability.pairs_scanned`` — editing
+    verdicts by content fingerprint: pairs with a verified entry are not
+    checked at all (``cache.pair_hits``), and only pairs that were
+    checked count into ``mergeability.pairs_scanned`` — editing
     one mode re-scans only its own pairs.  Engine-failure fallbacks are
     never cached (they describe the run, not the content).
     """
@@ -278,12 +394,25 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
             keys = ["scan:" + "+".join(sorted((mode_list[i].name,
                                                mode_list[j].name)))
                     for i, j in pending]
+            tables = _mode_tables(netlist, mode_list, pending)
+            if jobs > 1:
+                check, setup = _pool_check, dict(
+                    initializer=_pool_init,
+                    initargs=(netlist, mode_list, tables, options))
+            else:
+                # In process: no module state outlives the scan.
+                def check(pair):
+                    i, j = pair
+                    ok, reason = pair_mergeable(
+                        netlist, mode_list[i], mode_list[j], options,
+                        (tables[i], tables[j]))
+                    return i, j, ok, reason
+
+                setup = {}
             outcomes = supervisor.run(
-                _pool_check, [(pair,) for pair in pending], keys=keys,
-                validate=_scan_payload_error,
-                initializer=_pool_init,
-                initargs=(netlist, mode_list, options),
-                label="mergeability.scan")
+                check, [(pair,) for pair in pending], keys=keys,
+                validate=_scan_payload_error, label="mergeability.scan",
+                **setup)
             for outcome, (i, j) in zip(outcomes, pending):
                 if outcome.ok:
                     computed[(i, j)] = tuple(outcome.value)

@@ -314,6 +314,9 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
             mframe.evidence.append(
                 f"{len(context.merged)} constraints from "
                 f"{len(mode_names)} mode(s)")
+    # The result keeps its context, which must not pin the last binding
+    # (a whole bound view of the merged mode) for the result's lifetime.
+    context.release_binding()
     if opts.strict and not result.ok:
         problems = outcome.residuals + result.validation_mismatches
         raise RefinementError(

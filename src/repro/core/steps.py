@@ -6,18 +6,26 @@ merged mode under construction) and records what it did in a
 :class:`StepReport`.  Conflicts recorded by a step are the signals the
 mergeability analysis (Section 3's mock run) uses to declare mode pairs
 non-mergeable.
+
+The three steps that can conflict (3.1.2, 3.1.6, 3.1.9) judge each set of
+corresponding constraints with a *rule*: a generator of
+:class:`RuleVerdict` that the step acts on and that the mergeability
+pre-check reads only up to its first conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.netlist.netlist import Netlist
 from repro.obs.provenance import ProvenanceLedger
 from repro.sdc.commands import Constraint
 from repro.sdc.mode import Mode
 from repro.timing.graph import TimingGraph, build_graph
+
+#: (mode name, constraint, identity key) -- one rule input row
+Row = Tuple[str, Constraint, Tuple]
 
 
 @dataclass
@@ -60,8 +68,38 @@ class StepReport:
                 f"{len(self.conflicts)} conflicts")
 
 
-#: Process-wide cache of bound individual modes (see bound_individuals).
-_BOUND_MODE_CACHE: Dict[Tuple[int, int], object] = {}
+class RuleVerdict(NamedTuple):
+    """A Section 3.1 rule's verdict on one set of corresponding constraints."""
+
+    key: Tuple
+    #: (mode name, constraint) in mode order
+    entries: List[Tuple[str, Constraint]]
+    #: modes the rule expected the constraint in that lack it
+    missing: List[str]
+    conflicts: List[Conflict]
+    #: what the step carries into the merged mode (before any value
+    #: merging); None when it drops the set
+    kept: Optional[Constraint]
+
+
+def group_rows(rows: Iterable[Row]) -> Dict[Tuple, List[Tuple[str, Constraint]]]:
+    """Key -> its (mode name, constraint) entries, keys in first-seen order."""
+    groups: Dict[Tuple, List[Tuple[str, Constraint]]] = {}
+    for mode_name, constraint, key in rows:
+        entries = groups.get(key)
+        if entries is None:
+            groups[key] = [(mode_name, constraint)]
+        else:
+            entries.append((mode_name, constraint))
+    return groups
+
+
+def first_conflict(verdicts: Iterable[RuleVerdict]) -> Optional[Conflict]:
+    """The first conflict a rule records, judging no further sets."""
+    for verdict in verdicts:
+        if verdict.conflicts:
+            return verdict.conflicts[0]
+    return None
 
 
 class MergeContext:
@@ -86,35 +124,53 @@ class MergeContext:
         self.dropped_cases: List[Tuple[str, Constraint]] = []
         #: lineage of every merged-mode constraint (source modes + rule)
         self.provenance = ProvenanceLedger()
+        #: the last binding of the merged mode (see bind_merged)
+        self._binding = None
 
     def bound_individuals(self):
         """Bound (resolved) views of the individual modes.
 
-        Cached per (netlist, mode) pair process-wide: individual modes are
-        never mutated by the merge pipeline, and the mergeability analysis
-        re-binds the same modes for every pairwise mock merge.
+        Cached on the netlist per mode, so a binding lives as long as its
+        netlist: individual modes are never mutated by the merge
+        pipeline, and the mergeability analysis re-binds the same modes
+        for every pairwise mock merge.
         """
         if not hasattr(self, "_bound_individuals"):
             from repro.timing.context import BoundMode
 
+            cache = self.netlist.derived.setdefault("bound_modes", {})
             bound = []
             for mode in self.modes:
-                key = (id(self.netlist), id(mode))
-                cached = _BOUND_MODE_CACHE.get(key)
+                cached = cache.get(id(mode))
                 if cached is None or cached.mode is not mode \
-                        or cached.netlist is not self.netlist \
-                        or len(cached.mode) != len(mode):
+                        or cached.graph is not self.graph:
                     cached = BoundMode(self.netlist, mode, self.graph)
-                    _BOUND_MODE_CACHE[key] = cached
+                    cache[id(mode)] = cached
                 bound.append(cached)
             self._bound_individuals = bound
         return self._bound_individuals
 
     def bind_merged(self):
-        """Fresh bound view of the merged mode (it grows step by step)."""
+        """A new bound view of the merged mode (it grows step by step).
+
+        When the merged mode only grew since the last call, the view is
+        the last one extended by the appended constraints
+        (:meth:`~repro.timing.context.BoundMode.extended`), which skips
+        constant propagation; otherwise the mode is bound afresh.
+        """
         from repro.timing.context import BoundMode
 
-        return BoundMode(self.netlist, self.merged, self.graph)
+        bound = None
+        if self._binding is not None:
+            bound = self._binding.extended(self.merged)
+        if bound is None:
+            bound = BoundMode(self.netlist, self.merged, self.graph)
+        self._binding = bound
+        return bound
+
+    def release_binding(self) -> None:
+        """Forget the last merged binding; the next one starts afresh."""
+        self._binding = None
 
     def report(self, name: str) -> StepReport:
         report = StepReport(name)

@@ -169,6 +169,10 @@ class Netlist:
         self._ports: Dict[str, Port] = {}
         self._instances: Dict[str, Instance] = {}
         self._nets: Dict[str, Net] = {}
+        #: structures derived from this netlist (timing graph, name
+        #: resolver, bound modes), cached here so that they live exactly
+        #: as long as the netlist does
+        self.derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # construction

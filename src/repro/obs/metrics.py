@@ -51,7 +51,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
     "mergeability.pairs_checked": (
         "counter", "mode pairs the mergeability scan had to answer"),
     "mergeability.pairs_scanned": (
-        "counter", "mode pairs actually mock-merged (cache misses)"),
+        "counter", "mode pairs the scan decided itself (cache misses)"),
     "mergeability.pairs_mergeable": (
         "counter", "mode pairs found mergeable"),
     "mergeability.groups": (
@@ -183,7 +183,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "per-job flight-recorder artifacts kept for failed jobs"),
     # -- profiler hot-loop counters (repro.obs.profile) ----------------
     "profile.mock_merges": (
-        "counter", "mock merges attempted by the mergeability scan"),
+        "counter", "scanned pairs the mode tables left to a mock merge"),
     "profile.relationship_comparisons": (
         "counter", "relationship keys compared by the 3-pass passes"),
     "profile.bfs_expansions": (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.errors import SdcLookupError
 from repro.netlist.netlist import Instance, Netlist, Pin, Port
@@ -215,27 +215,23 @@ def _stable_unique(names: List[str]) -> List[str]:
     return out
 
 
-#: Netlist-level resolver cache (no clock namespace); cf. build_graph.
-_RESOLVER_CACHE: Dict[int, "ObjectResolver"] = {}
-
-
 def resolver_for(netlist: Netlist) -> "ObjectResolver":
     """A cached clockless resolver for ``netlist``.
 
     Building a resolver sorts every object name in the design; callers
     that only need design-object resolution (no clock namespace) should
-    share one instance per netlist.  The cache invalidates when the
-    design's object counts change (netlists are append-only).
+    share one instance per netlist.  It is cached on the netlist itself
+    (cf. build_graph) and invalidates when the design's object counts
+    change (netlists are append-only).
     """
-    key = id(netlist)
-    cached = _RESOLVER_CACHE.get(key)
+    cached = netlist.derived.get("resolver")
     expected = (len(netlist.ports), len(netlist.instances),
                 len(netlist.nets))
-    if cached is None or cached.netlist is not netlist \
+    if cached is None \
             or (len(cached._port_names), len(cached._cell_names),
                 len(cached._net_names)) != expected:
         cached = ObjectResolver(netlist)
-        _RESOLVER_CACHE[key] = cached
+        netlist.derived["resolver"] = cached
     return cached
 
 

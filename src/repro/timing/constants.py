@@ -43,6 +43,21 @@ class ConstantAnalysis:
         self._live_cache: Dict[int, bool] = {}
         self._propagate()
 
+    def with_disabled_arcs(self, disabled_arcs: Set[int]
+                           ) -> "ConstantAnalysis":
+        """The same analysis under other disabled arcs.
+
+        Constant values depend on the case values alone, so they are
+        shared, not propagated again; only arc liveness starts afresh.
+        """
+        clone = object.__new__(ConstantAnalysis)
+        clone.graph = self.graph
+        clone.case_values = self.case_values
+        clone.disabled_arcs = set(disabled_arcs)
+        clone.values = self.values
+        clone._live_cache = {}
+        return clone
+
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------

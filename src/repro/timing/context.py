@@ -11,6 +11,7 @@ BoundMode rather than raw SDC.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -207,15 +208,58 @@ class BoundMode:
         #: (from_clock, to_clock) -> setup uncertainty  ("" = any)
         self.uncertainty: Dict[Tuple[str, str], float] = {}
 
-        self._bind()
+        #: the constraints this binding resolved, in mode order
+        self._constraints: List[Constraint] = mode.constraints
+        self._bind(self._constraints)
         self.constants = ConstantAnalysis(self.graph, self.case_values,
                                           self.disabled_arcs)
+
+    def extended(self, mode: Mode) -> Optional["BoundMode"]:
+        """This binding plus the constraints appended to ``mode`` since.
+
+        Returns a new binding equal to ``BoundMode(netlist, mode, graph)``
+        without resolving the old constraints again, or None when that
+        cannot be done: ``mode`` is another mode, lost or changed a bound
+        constraint, or gained a clock definition or a
+        ``set_case_analysis``.  Those two are the only constraints that
+        change the resolver's clock namespace or the constant values, so
+        every other appended constraint binds onto a copy of this binding
+        exactly as a fresh binding would bind it, and the constant values
+        are shared.
+        """
+        bound = self._constraints
+        current = mode.constraints
+        if mode is not self.mode or current[:len(bound)] != bound:
+            return None
+        appended = current[len(bound):]
+        if any(isinstance(c, (CreateClock, CreateGeneratedClock,
+                              SetCaseAnalysis)) for c in appended):
+            return None
+        clone = copy.copy(self)
+        clone.__dict__.pop("_clock_prop", None)
+        clone.disabled_arcs = set(self.disabled_arcs)
+        clone.clock_stops = {node: set(names)
+                             for node, names in self.clock_stops.items()}
+        clone.exceptions = list(self.exceptions)
+        clone.input_delays = {node: list(rows)
+                              for node, rows in self.input_delays.items()}
+        clone.output_delays = {node: list(rows)
+                               for node, rows in self.output_delays.items()}
+        clone.exclusive_pairs = set(self.exclusive_pairs)
+        clone.clock_latency = dict(self.clock_latency)
+        clone.uncertainty = dict(self.uncertainty)
+        clone._constraints = current
+        clone._bind(appended)
+        if clone.disabled_arcs != self.disabled_arcs:
+            clone.constants = self.constants.with_disabled_arcs(
+                clone.disabled_arcs)
+        return clone
 
     # ------------------------------------------------------------------
     # binding
     # ------------------------------------------------------------------
-    def _bind(self) -> None:
-        for constraint in self.mode:
+    def _bind(self, constraints: Sequence[Constraint]) -> None:
+        for constraint in constraints:
             if isinstance(constraint, CreateClock):
                 self._bind_clock(constraint)
             elif isinstance(constraint, CreateGeneratedClock):

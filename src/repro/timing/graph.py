@@ -225,21 +225,17 @@ class TimingGraph:
                 f"endpoints={len(self.seq_data_nodes) + len(self.output_port_nodes)})")
 
 
-_GRAPH_CACHE: Dict[int, TimingGraph] = {}
-
-
 def build_graph(netlist: Netlist) -> TimingGraph:
-    """Build (or fetch a cached) timing graph for ``netlist``.
+    """Build (or fetch the cached) timing graph of ``netlist``.
 
-    The cache is keyed by object identity: netlists are append-only in this
-    library, and every caller that mutates a netlist builds a new one.
+    The graph is cached on the netlist itself, so it is freed with it.
+    Netlists are append-only in this library; a netlist that grew since
+    its graph was built gets a new one.
     """
-    key = id(netlist)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None or graph.netlist is not netlist \
-            or graph.node_count != _expected_nodes(netlist):
+    graph = netlist.derived.get("timing_graph")
+    if graph is None or graph.node_count != _expected_nodes(netlist):
         graph = TimingGraph(netlist)
-        _GRAPH_CACHE[key] = graph
+        netlist.derived["timing_graph"] = graph
     return graph
 
 

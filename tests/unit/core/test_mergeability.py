@@ -1,5 +1,8 @@
 """Unit tests for mergeability analysis and greedy clique cover."""
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
@@ -9,7 +12,9 @@ from repro.core import (
     merge_all,
     pair_mergeable,
 )
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.sdc import parse_mode
+from repro.workloads.families import build_family
 
 CLK = "create_clock -name c -period 10 [get_ports clk]\n"
 
@@ -103,3 +108,28 @@ class TestAnalysisAndMergeAll:
         modes = [parse_mode(CLK, "A")]
         run = merge_all(pipeline_netlist, modes)
         assert [m.name for m in run.merged_modes()] == ["A"]
+
+    def test_only_pairs_the_tables_leave_are_mock_merged(
+            self, pipeline_netlist):
+        modes = [
+            parse_mode(CLK + "set_input_transition 0.1 [get_ports in1]", "A"),
+            parse_mode(CLK + "set_input_transition 0.1 [get_ports in1]", "B"),
+            parse_mode(CLK + "set_input_transition 0.9 [get_ports in1]", "C"),
+        ]
+        registry = MetricsRegistry()
+        with collecting(registry):
+            build_mergeability_graph(pipeline_netlist, modes)
+        assert registry.counter("mergeability.pairs_scanned") == 3
+        assert registry.counter("profile.mock_merges") == 1
+
+
+class TestLifetime:
+    def test_netlist_and_modes_are_freed_after_merge_all(self):
+        design = build_family("genclock-deep", 0)
+        refs = [weakref.ref(design.netlist)]
+        refs.extend(weakref.ref(mode) for mode in design.modes)
+        run = merge_all(design.netlist, design.modes)
+        assert run.outcomes
+        del design, run
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,8 +1,11 @@
 """Unit tests for the merge orchestrator."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core import MergeOptions, merge_modes
+from repro.core import MergeContext, MergeOptions, merge_modes
 from repro.errors import RefinementError
 from repro.sdc import parse_mode, write_mode
 
@@ -26,6 +29,24 @@ class TestMergeModes:
         modes = [parse_mode(CLK, "A"), parse_mode(CLK, "B")]
         result = merge_modes(pipeline_netlist, modes, name="super")
         assert result.merged.name == "super"
+
+    def test_result_keeps_no_merged_binding(self, pipeline_netlist,
+                                            monkeypatch):
+        bindings = []
+        bind_merged = MergeContext.bind_merged
+
+        def recorded(self):
+            bound = bind_merged(self)
+            bindings.append(weakref.ref(bound))
+            return bound
+
+        monkeypatch.setattr(MergeContext, "bind_merged", recorded)
+        modes = [parse_mode(CLK + "set_false_path -to [get_pins rB/D]", "A"),
+                 parse_mode(CLK, "B")]
+        result = merge_modes(pipeline_netlist, modes)
+        gc.collect()
+        assert bindings and result.ok
+        assert [ref() for ref in bindings] == [None] * len(bindings)
 
     def test_empty_mode_list_rejected(self, pipeline_netlist):
         with pytest.raises(ValueError):
