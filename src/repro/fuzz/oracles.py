@@ -213,8 +213,10 @@ class OracleBattery:
                     policy=DegradationPolicy.PERMISSIVE)
             individual = [by_name[name] for name in outcome.mode_names
                           if name in by_name]
-            report = check_mode_equivalence(netlist, individual,
-                                            candidate)
+            # The merge may rename clocks (a same-named clock with another
+            # period becomes CLK1_1), so match clocks through its maps.
+            report = check_mode_equivalence(netlist, individual, candidate,
+                                            outcome.result.clock_maps)
             if not report.equivalent:
                 sample = "; ".join(str(m) for m
                                    in list(report.mismatches)[:3])

@@ -187,7 +187,8 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
     "profile.relationship_comparisons": (
         "counter", "relationship keys compared by the 3-pass passes"),
     "profile.bfs_expansions": (
-        "counter", "timing-graph BFS frontier expansions (clock walks)"),
+        "counter",
+        "clock labels set by clock and launch-clock propagation"),
     "profile.tag_propagations": (
         "counter", "relationship tags pushed across fanout arcs"),
     # -- diagnostics / run-level ---------------------------------------

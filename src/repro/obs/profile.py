@@ -15,9 +15,9 @@ pipeline's existing trace spans:
   phase gets its own top-N function table instead of one blended
   profile;
 * **hot-loop counters** — the pipeline's innermost loops count mock
-  merges, relationship comparisons, BFS frontier expansions and tag
-  propagations under stable ``profile.*`` metric names; the export
-  snapshots them next to the timings.
+  merges, relationship comparisons, clock labels set by clock
+  propagation and tag propagations under stable ``profile.*`` metric
+  names; the export snapshots them next to the timings.
 
 Like tracing and metrics, profiling is **ambient**
 (:func:`get_profiler` / :func:`set_profiler` / :func:`profiling`): the

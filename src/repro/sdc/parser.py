@@ -207,6 +207,12 @@ def parse_mode(text: str, mode_name: str = "mode",
 # ---------------------------------------------------------------------------
 # argument scanning
 # ---------------------------------------------------------------------------
+def _is_flag(tok: Token) -> bool:
+    """A bare word that names an option (``-clock``), not a number."""
+    return tok.kind is TokenKind.WORD and tok.value.startswith("-") \
+        and not _is_number(tok.value)
+
+
 class _Args:
     """Scanned arguments of one command."""
 
@@ -222,8 +228,7 @@ class _Args:
         i = 0
         while i < len(tokens):
             tok = tokens[i]
-            if tok.kind is TokenKind.WORD and tok.value.startswith("-") \
-                    and not _is_number(tok.value):
+            if _is_flag(tok):
                 opt = tok.value[1:]
                 if opt in flag_set:
                     self.options[opt] = True
@@ -235,6 +240,11 @@ class _Args:
                             command.name, f"option -{opt} needs a value",
                             tok.line)
                     value_tok = tokens[i + 1]
+                    if _is_flag(value_tok):
+                        raise SdcCommandError(
+                            command.name,
+                            f"option -{opt} needs a value, got the flag "
+                            f"{value_tok.value}", tok.line)
                     if opt in self.multi_options:
                         self.multi_options[opt].append(value_tok)
                     else:

@@ -11,6 +11,7 @@ generated one, as sign-off tools do.
 *Launch-clock propagation* is the data-network image of the same idea: the
 clocks present at a register's CP pin enter the data network through the
 CP -> Q launch arc, and input-port clocks enter via ``set_input_delay``.
+It is one topological sweep that carries every clock at once.
 The merged-mode *data refinement* (paper Section 3.2, first step) compares
 exactly these per-node launch-clock sets.
 """
@@ -18,7 +19,7 @@ exactly these per-node launch-clock sets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.obs.metrics import get_metrics
 from repro.timing.context import BoundMode, Clock
@@ -113,57 +114,61 @@ def propagate_launch_clocks(bound: BoundMode,
 
     A clock is "present" at a data node when some register clocked by it
     (or some input port with a matching ``set_input_delay``) can launch a
-    transition that reaches the node through live arcs.
+    transition that reaches the node through live arcs.  One sweep in
+    topological order carries every clock at once, each clock as one bit
+    of a per-node mask.
     """
     if clock_prop is None:
         clock_prop = bound.clock_propagation()
     graph = bound.graph
     constants = bound.constants
-    node_clocks: Dict[int, Set[str]] = {}
+    bits: Dict[str, int] = {}
+    masks: List[int] = [0] * graph.node_count
 
-    # Seeds.
-    seeds: List[Tuple[int, str]] = []
-    for inst_name, (cp_node, _data, out_nodes) in graph.seq_info.items():
+    def seed(node: int, clock_name: str) -> None:
+        bit = bits.get(clock_name)
+        if bit is None:
+            bit = bits[clock_name] = 1 << len(bits)
+        masks[node] |= bit
+
+    for inst_name, (cp_node, _data, _outs) in graph.seq_info.items():
         clocks = clock_prop.register_clocks.get(inst_name)
         if not clocks:
             continue
         for arc in graph.fanout[cp_node]:
-            if arc.kind != ARC_LAUNCH:
-                continue
-            if not constants.arc_is_live(arc):
-                continue
-            for clock_name in clocks:
-                seeds.append((arc.dst, clock_name))
+            if arc.kind == ARC_LAUNCH and constants.arc_is_live(arc):
+                for clock_name in clocks:
+                    seed(arc.dst, clock_name)
     for port_node, delays in bound.input_delays.items():
         if constants.is_constant(port_node):
             continue
         for delay in delays:
             if delay.clock and delay.clock in bound.clocks:
-                seeds.append((port_node, delay.clock))
+                seed(port_node, delay.clock)
 
-    # Forward closure per clock (BFS; the graph is a DAG so this is linear).
-    by_clock: Dict[str, Set[int]] = {}
-    for node, clock_name in seeds:
-        by_clock.setdefault(clock_name, set()).add(node)
-    expansions = 0
-    for clock_name, start_nodes in by_clock.items():
-        visited: Set[int] = set()
-        queue = deque(start_nodes)
-        while queue:
-            node = queue.popleft()
-            if node in visited:
-                continue
-            visited.add(node)
-            expansions += 1
-            node_clocks.setdefault(node, set()).add(clock_name)
-            for arc in graph.fanout[node]:
-                if arc.kind == ARC_LAUNCH:
-                    continue
-                if not constants.arc_is_live(arc):
-                    continue
-                if arc.dst not in visited:
-                    queue.append(arc.dst)
+    fanout = graph.fanout
+    is_live = constants.arc_is_live
+    for node in graph.topo_order:
+        mask = masks[node]
+        if not mask:
+            continue
+        for arc in fanout[node]:
+            if arc.kind != ARC_LAUNCH and is_live(arc):
+                masks[arc.dst] |= mask
+
+    names_of: Dict[int, FrozenSet[str]] = {}
+    node_clocks: Dict[int, Set[str]] = {}
+    labels = 0
+    for node, mask in enumerate(masks):
+        if not mask:
+            continue
+        names = names_of.get(mask)
+        if names is None:
+            names = names_of[mask] = frozenset(
+                name for name, bit in bits.items() if mask & bit)
+        node_clocks[node] = set(names)
+        labels += len(names)
     metrics = get_metrics()
-    if metrics.enabled and expansions:
-        metrics.inc("profile.bfs_expansions", expansions)
+    if metrics.enabled and labels:
+        metrics.inc("profile.bfs_expansions", labels)
     return node_clocks

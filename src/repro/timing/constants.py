@@ -15,22 +15,21 @@ as *extra propagated clocks*, which the paper's refinement steps detect.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.netlist.cells import LOGIC_X
-from repro.netlist.netlist import Pin
-from repro.timing.graph import (
-    ARC_CELL,
-    ARC_LAUNCH,
-    ARC_NET,
-    Arc,
-    TimingGraph,
-)
+from repro.timing.graph import Arc, TimingGraph, sensitizable
 
 
 class ConstantAnalysis:
-    """Ternary constants + arc liveness for one mode's case analysis."""
+    """Ternary constants + arc liveness for one mode's case analysis.
+
+    Both run over the graph's compiled tables: the values are one pass
+    over :attr:`TimingGraph.const_plan`, and an arc's liveness is
+    memoized in a flat per-arc list.  Only a cell arc with a constant
+    side input brute-forces its sensitization; any other cell arc takes
+    the graph's all-sides-unknown answer.
+    """
 
     def __init__(self, graph: TimingGraph,
                  case_values: Optional[Mapping[int, int]] = None,
@@ -40,7 +39,8 @@ class ConstantAnalysis:
         self.disabled_arcs: Set[int] = set(disabled_arcs or ())
         #: node -> 0 | 1 | "X"
         self.values: List[object] = [LOGIC_X] * graph.node_count
-        self._live_cache: Dict[int, bool] = {}
+        #: arc index -> liveness (None until first asked)
+        self._live: List[Optional[bool]] = [None] * graph.arc_count
         self._propagate()
 
     def with_disabled_arcs(self, disabled_arcs: Set[int]
@@ -55,45 +55,30 @@ class ConstantAnalysis:
         clone.case_values = self.case_values
         clone.disabled_arcs = set(disabled_arcs)
         clone.values = self.values
-        clone._live_cache = {}
+        clone._live = [None] * self.graph.arc_count
         return clone
 
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
     def _propagate(self) -> None:
-        graph = self.graph
         values = self.values
-        for node in graph.topo_order:
-            forced = self.case_values.get(node)
-            if forced is not None:
-                values[node] = forced
+        case = self.case_values
+        for node, value in case.items():
+            values[node] = value
+        for node, driver, func, names, inputs, idle in self.graph.const_plan:
+            if node in case:
                 continue
-            obj = graph.node_obj[node]
-            if isinstance(obj, Pin) and obj.is_output:
-                inst = obj.instance
-                cell = inst.cell
-                if cell.is_sequential and obj.name in cell.output_pins_seq \
-                        and not cell.is_latch:
-                    # FF outputs toggle (unless case-forced above).
-                    values[node] = LOGIC_X
-                    continue
-                if cell.functions.get(obj.name) is not None:
-                    inputs = {
-                        pin.name: values[graph.node_index[pin.full_name]]
-                        for pin in inst.input_pins()
-                    }
-                    values[node] = cell.evaluate(obj.name, inputs)
-                    continue
-                values[node] = LOGIC_X
+            if driver >= 0:
+                values[node] = values[driver]
                 continue
-            # Input pins / ports: take the driver's value through the net.
-            fanin = graph.fanin[node]
-            net_arcs = [a for a in fanin if a.kind == ARC_NET]
-            if net_arcs:
-                values[node] = values[net_arcs[0].src]
+            for input_node in inputs:
+                if values[input_node] != LOGIC_X:
+                    values[node] = func(dict(zip(
+                        names, [values[i] for i in inputs])))
+                    break
             else:
-                values[node] = LOGIC_X
+                values[node] = idle
 
     # ------------------------------------------------------------------
     # queries
@@ -106,11 +91,9 @@ class ConstantAnalysis:
 
     def arc_is_live(self, arc: Arc) -> bool:
         """Can a transition propagate along ``arc`` in this mode?"""
-        cached = self._live_cache.get(arc.index)
-        if cached is not None:
-            return cached
-        live = self._compute_live(arc)
-        self._live_cache[arc.index] = live
+        live = self._live[arc.index]
+        if live is None:
+            live = self._live[arc.index] = self._compute_live(arc)
         return live
 
     def _compute_live(self, arc: Arc) -> bool:
@@ -121,46 +104,15 @@ class ConstantAnalysis:
             return False
         if values[arc.dst] != LOGIC_X:
             return False
-        if arc.kind != ARC_CELL:
+        sides = self.graph.arc_sides[arc.index]
+        if sides is None:
             return True
-        return self._sensitizable(arc)
-
-    def _sensitizable(self, arc: Arc) -> bool:
-        """Check whether toggling ``arc.src`` can toggle ``arc.dst``.
-
-        Brute-forces the unknown side inputs (library cells have at most
-        three), holding known-constant inputs at their values.
-        """
-        inst = arc.instance
-        if inst is None:
-            return True
-        cell = inst.cell
-        graph = self.graph
-        out_name = graph.node_obj[arc.dst].name
-        func = cell.functions.get(out_name)
-        if func is None:
-            return True  # no function: assume propagating (e.g. latches)
-        in_name = graph.node_obj[arc.src].name
-        side_inputs: List[str] = []
-        fixed: Dict[str, object] = {}
-        for pin in inst.input_pins():
-            if pin.name == in_name:
-                continue
-            value = self.values[graph.node_index[pin.full_name]]
-            if value == LOGIC_X:
-                side_inputs.append(pin.name)
-            else:
-                fixed[pin.name] = value
-        for assignment in product((0, 1), repeat=len(side_inputs)):
-            inputs = dict(fixed)
-            inputs.update(zip(side_inputs, assignment))
-            inputs[in_name] = 0
-            low = func(inputs)
-            inputs[in_name] = 1
-            high = func(inputs)
-            if low != high:
-                return True
-        return False
+        func, in_name, names, nodes, idle_live = sides
+        fixed = {name: values[node] for name, node in zip(names, nodes)
+                 if values[node] != LOGIC_X}
+        if not fixed:
+            return idle_live
+        return sensitizable(func, in_name, names, fixed)
 
     def constant_nodes(self) -> Dict[int, int]:
         """All nodes with a known constant value."""

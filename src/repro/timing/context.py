@@ -208,6 +208,10 @@ class BoundMode:
         #: (from_clock, to_clock) -> setup uncertainty  ("" = any)
         self.uncertainty: Dict[Tuple[str, str], float] = {}
 
+        #: (startpoint, endpoint) -> nodes on a live path between them,
+        #: memoized by relationship extraction walking this binding
+        self.between: Dict[Tuple[int, int], FrozenSet[int]] = {}
+
         #: the constraints this binding resolved, in mode order
         self._constraints: List[Constraint] = mode.constraints
         self._bind(self._constraints)
@@ -237,6 +241,7 @@ class BoundMode:
             return None
         clone = copy.copy(self)
         clone.__dict__.pop("_clock_prop", None)
+        clone.between = {}
         clone.disabled_arcs = set(self.disabled_arcs)
         clone.clock_stops = {node: set(names)
                              for node, names in self.clock_stops.items()}

@@ -10,14 +10,22 @@ Nodes are integer indices into flat arrays for speed; names are kept in a
 parallel list.  The graph is built once per netlist and shared by every
 mode's analysis (constants, clock propagation, relationships, STA all take
 the graph plus per-mode state).
+
+Building the graph also compiles the static structure the per-mode
+analyses would otherwise re-derive from the netlist objects for every
+binding: the constant-propagation plan (:attr:`TimingGraph.const_plan`)
+and, per cell arc, its side inputs and whether it is sensitizable with
+every side input unknown (:attr:`TimingGraph.arc_sides`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.errors import CombinationalLoopError
-from repro.netlist.cells import ArcKind, Unateness
+from repro.netlist.cells import LOGIC_X, ArcKind, Unateness
 from repro.netlist.netlist import Instance, Netlist, Pin, Port
 
 # Arc kinds in the graph.
@@ -35,6 +43,39 @@ _SENSE_OF = {
     Unateness.NEGATIVE: SENSE_NEG,
     Unateness.NON_UNATE: SENSE_NON_UNATE,
 }
+
+
+#: One constant-propagation step: (node, net driver, cell function, input
+#: pin names, input nodes, value with every input unknown).  The driver is
+#: -1 for a cell output that evaluates its function; otherwise the node
+#: copies the driver's value and the other fields are empty.
+PlanStep = Tuple[int, int, Optional[Callable], Tuple[str, ...],
+                 Tuple[int, ...], object]
+
+#: A cell arc's sensitization data: (cell function of the arc's output,
+#: input pin name, side-input pin names, side-input nodes, whether the arc
+#: is sensitizable with every side input unknown).
+ArcSides = Tuple[Callable, str, Tuple[str, ...], Tuple[int, ...], bool]
+
+
+def sensitizable(func: Callable, in_name: str, side_names: Sequence[str],
+                 fixed: Mapping[str, object]) -> bool:
+    """Can toggling input ``in_name`` toggle ``func``'s output?
+
+    Brute-forces the side inputs not in ``fixed`` (library cells have at
+    most three inputs), holding the ``fixed`` ones at their values.
+    """
+    free = [name for name in side_names if name not in fixed]
+    for assignment in product((0, 1), repeat=len(free)):
+        inputs = dict(fixed)
+        inputs.update(zip(free, assignment))
+        inputs[in_name] = 0
+        low = func(inputs)
+        inputs[in_name] = 1
+        high = func(inputs)
+        if low != high:
+            return True
+    return False
 
 
 class Arc:
@@ -63,6 +104,10 @@ class TimingGraph:
     * ``seq_clock_nodes`` — clock input pins of sequential cells.
     * ``seq_data_nodes`` — data input pins of sequential cells (endpoints).
     * ``topo_order`` — topological order over all propagation arcs.
+    * ``const_plan`` — the constant-propagation steps, in topological
+      order, of every node that is not always X (see :data:`PlanStep`).
+    * ``arc_sides[a]`` — :data:`ArcSides` of a cell arc whose output has
+      a function; None for every other arc.
     """
 
     def __init__(self, netlist: Netlist):
@@ -86,6 +131,9 @@ class TimingGraph:
         self.topo_rank: List[int] = [0] * len(self.node_names)
         for rank, node in enumerate(self.topo_order):
             self.topo_rank[node] = rank
+        self.const_plan: List[PlanStep] = self._compile_plan()
+        self.arc_sides: List[Optional[ArcSides]] = [
+            self._compile_sides(arc) for arc in self.arcs]
 
     # ------------------------------------------------------------------
     # construction
@@ -174,6 +222,56 @@ class TimingGraph:
             stuck = [self.node_names[i] for i in range(n) if indegree[i] > 0]
             raise CombinationalLoopError(stuck[:10])
         return order
+
+    # ------------------------------------------------------------------
+    # compiled tables
+    # ------------------------------------------------------------------
+    def _compile_plan(self) -> List[PlanStep]:
+        """How each node's constant value follows from its inputs.
+
+        A flip-flop output toggles, and a cell output without a function
+        or a node without a net driver is unknown: such a node is always
+        X unless case-forced, and has no step.
+        """
+        plan: List[PlanStep] = []
+        node_index = self.node_index
+        for node in self.topo_order:
+            obj = self.node_obj[node]
+            if isinstance(obj, Pin) and obj.is_output:
+                inst = obj.instance
+                cell = inst.cell
+                if cell.is_sequential and obj.name in cell.output_pins_seq \
+                        and not cell.is_latch:
+                    continue
+                func = cell.functions.get(obj.name)
+                if func is None:
+                    continue
+                pins = inst.input_pins()
+                names = tuple(pin.name for pin in pins)
+                idle = func({name: LOGIC_X for name in names})
+                plan.append((node, -1, func, names,
+                             tuple(node_index[pin.full_name] for pin in pins),
+                             idle))
+                continue
+            for arc in self.fanin[node]:
+                if arc.kind == ARC_NET:
+                    plan.append((node, arc.src, None, (), (), LOGIC_X))
+                    break
+        return plan
+
+    def _compile_sides(self, arc: Arc) -> Optional[ArcSides]:
+        if arc.kind != ARC_CELL or arc.instance is None:
+            return None
+        inst = arc.instance
+        func = inst.cell.functions.get(self.node_obj[arc.dst].name)
+        if func is None:
+            return None  # no function: assume propagating (e.g. latches)
+        in_name = self.node_obj[arc.src].name
+        sides = [pin for pin in inst.input_pins() if pin.name != in_name]
+        names = tuple(pin.name for pin in sides)
+        return (func, in_name, names,
+                tuple(self.node_index[pin.full_name] for pin in sides),
+                sensitizable(func, in_name, names, {}))
 
     # ------------------------------------------------------------------
     # lookup helpers

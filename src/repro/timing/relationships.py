@@ -130,6 +130,8 @@ class RelationshipExtractor:
         extension of the path, so its entry is removed and tags that differ
         only in doomed exceptions merge.
         """
+        if not active:
+            return active
         exceptions = self.bound.exceptions
         changed = False
         out = []
@@ -227,9 +229,18 @@ class RelationshipExtractor:
                 seeds.setdefault(inject_node, set()).add(
                     (sp, lc_key, active_t, seed_alive, edge))
 
-        for inst_name, (cp_node, _data, _outs) in graph.seq_info.items():
-            if sp_filter is not None and cp_node not in sp_filter:
-                continue
+        if sp_filter is None:
+            registers = [(inst_name, info[0])
+                         for inst_name, info in graph.seq_info.items()]
+            ports = list(walk.input_delays.items())
+        else:
+            named = sorted(sp_filter)
+            registers = [(graph.node_obj[node].instance.name, node)
+                         for node in named if node in graph.seq_clock_nodes]
+            ports = [(node, walk.input_delays[node]) for node in named
+                     if node in walk.input_delays]
+
+        for inst_name, cp_node in registers:
             walk_clocks = self._walk_prop.register_clocks.get(inst_name)
             if not walk_clocks:
                 continue
@@ -248,9 +259,7 @@ class RelationshipExtractor:
                     add_seed(arc.dst, cp_node, lc_key, own_lc, alive,
                              (cp_node, arc.dst),
                              from_edge_of=lambda _edge, _le=launch_edge: _le)
-        for port_node, delays in walk.input_delays.items():
-            if sp_filter is not None and port_node not in sp_filter:
-                continue
+        for port_node, delays in ports:
             if walk.constants.is_constant(port_node):
                 continue
             own_constant = bound.constants.is_constant(port_node)
@@ -277,8 +286,8 @@ class RelationshipExtractor:
         own_constants = self.bound.constants
         aligned = self.structure is not None
         tags: Dict[int, Set[Tag]] = {n: set(s) for n, s in seeds.items()}
-        order = graph.topo_order if subgraph is None else [
-            n for n in graph.topo_order if n in subgraph]
+        order = graph.topo_order if subgraph is None else sorted(
+            subgraph, key=graph.topo_rank.__getitem__)
         pushed = 0
         for node in order:
             node_tags = tags.get(node)
@@ -489,9 +498,7 @@ class RelationshipExtractor:
         constants = self._walk.constants
         graph = self.graph
         result = []
-        for node in graph.topo_order:
-            if node not in subgraph:
-                continue
+        for node in sorted(subgraph, key=graph.topo_rank.__getitem__):
             live_out = 0
             for arc in graph.fanout[node]:
                 if arc.kind == ARC_LAUNCH:
@@ -517,7 +524,7 @@ class RelationshipExtractor:
                 pins.append(arc.dst)
         return pins
 
-    def subgraph_between(self, sp: int, ep: int) -> Set[int]:
+    def subgraph_between(self, sp: int, ep: int) -> FrozenSet[int]:
         return self._between(sp, ep)
 
     # ------------------------------------------------------------------
@@ -559,8 +566,16 @@ class RelationshipExtractor:
                     stack.append(arc.dst)
         return visited
 
-    def _between(self, sp: int, ep: int) -> Set[int]:
-        """Nodes on any live path from startpoint sp to endpoint ep."""
+    def _between(self, sp: int, ep: int) -> FrozenSet[int]:
+        """Nodes on any live path from startpoint sp to endpoint ep.
+
+        Memoized on the walked binding, so every extractor that walks the
+        same structure computes each cone once.
+        """
+        memo = self._walk.between
+        nodes = memo.get((sp, ep))
+        if nodes is not None:
+            return nodes
         graph = self.graph
         starts: Set[int] = {sp}
         # For a register startpoint, enter the data network through Q.
@@ -571,7 +586,8 @@ class RelationshipExtractor:
                     starts.add(arc.dst)
         forward = self._forward_cone(starts)
         backward = self._backward_cone([ep])
-        return (forward & backward) | {sp, ep}
+        nodes = memo[sp, ep] = frozenset((forward & backward) | {sp, ep})
+        return nodes
 
 
 def named_endpoint_rows(bound: BoundMode, rows: EndpointRows,

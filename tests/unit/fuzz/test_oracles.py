@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.merger import MergeResult
 from repro.fuzz import BREAK_ENV, ORACLE_NAMES
 from repro.fuzz.generator import FuzzCase, generate_case
 from repro.fuzz.oracles import OracleBattery, Violation
@@ -75,6 +76,45 @@ class TestInjectedBreakage:
         verdict = battery.run(generate_case(3, 0, "scan-pairs"),
                               oracles=("permutation", "cache"))
         assert verdict.ok
+
+
+class TestEquivalenceClockMaps:
+    """The equivalence oracle matches clocks through the merge's maps."""
+
+    NETLIST = """module pipe (clk, in1, out1);
+  input clk, in1;
+  output out1;
+  wire n_inv1_Z, n_rA_Q;
+  DFF rA (.D(in1), .CP(clk), .Q(n_rA_Q));
+  INV inv1 (.A(n_rA_Q), .Z(n_inv1_Z));
+  DFF rB (.D(n_inv1_Z), .CP(clk), .Q(out1));
+endmodule
+"""
+
+    @pytest.fixture
+    def renamed_clock_case(self):
+        # Both modes call their clock CLK1, with other periods: the merge
+        # keeps CLK1 for m0 and renames m1's to CLK1_1.
+        return FuzzCase(
+            case_id="clock-rename-0000", family="hand", root_seed=0,
+            case_seed=0, netlist_text=self.NETLIST,
+            mode_texts=(
+                ("m0", "create_clock -name CLK1 -period 10 [get_ports clk]"),
+                ("m1", "create_clock -name CLK1 -period 100 "
+                       "[get_ports clk]")))
+
+    def test_renamed_clock_is_matched_through_the_maps(
+            self, battery, renamed_clock_case):
+        verdict = battery.run(renamed_clock_case, oracles=("equivalence",))
+        assert verdict.ok
+
+    def test_wrong_clock_map_is_still_reported(
+            self, battery, renamed_clock_case, monkeypatch):
+        by_name = {"m0": {"CLK1": "CLK1"}, "m1": {"CLK1": "CLK1"}}
+        monkeypatch.setattr(MergeResult, "clock_maps",
+                            property(lambda result: by_name))
+        verdict = battery.run(renamed_clock_case, oracles=("equivalence",))
+        assert [v.oracle for v in verdict.violations] == ["equivalence"]
 
 
 class TestViolation:

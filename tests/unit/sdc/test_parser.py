@@ -243,6 +243,20 @@ class TestParserInfrastructure:
         delay = one("set_input_delay -0.5 -clock c [get_ports in1]")
         assert delay.value == -0.5
 
+    @pytest.mark.parametrize("text", [
+        "set_output_delay 0.5 -clock -clock [get_clocks CLK0] "
+        "[get_ports out0]",
+        "create_generated_clock -name -name -source [get_ports clk] "
+        "-divide_by 2 [get_pins r/Q]",
+    ])
+    def test_flag_is_not_an_option_value(self, text):
+        with pytest.raises(SdcCommandError, match="got the flag"):
+            parse_mode(text)
+
+    def test_negative_number_is_an_option_value(self):
+        clock = one("create_clock -name c -period -5 [get_ports clk]")
+        assert clock.period == -5
+
     def test_role_queries(self):
         fp = one("set_false_path -from [all_inputs] -to [all_outputs]")
         assert fp.spec.from_refs[0].patterns == ("<all_inputs>",)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.netlist import LOGIC_X, NetlistBuilder
+from repro.netlist.cells import (ArcSpec, CellType, PinDirection, PinSpec,
+                                 Unateness, generic_library)
+from repro.netlist.netlist import Netlist
 from repro.timing import ConstantAnalysis, build_graph
 
 
@@ -133,3 +136,26 @@ class TestArcLiveness:
         b.dff("r1", d="d", clk=icg.out)
         graph, consts = analysis(b.build(), {"en": 0})
         assert not consts.arc_is_live(self.find_arc(graph, "g1/CP", "g1/ECK"))
+
+    def test_redundant_input_is_dead_with_every_side_unknown(self):
+        # Z = A whatever B is: B -> Z never toggles Z, even with A unknown.
+        library = generic_library()
+        library.add(CellType(
+            name="PASSA",
+            pins=[PinSpec("A", PinDirection.INPUT),
+                  PinSpec("B", PinDirection.INPUT),
+                  PinSpec("Z", PinDirection.OUTPUT)],
+            arcs=[ArcSpec("A", "Z", Unateness.POSITIVE),
+                  ArcSpec("B", "Z", Unateness.POSITIVE)],
+            functions={"Z": lambda i: i.get("A", LOGIC_X)}))
+        netlist = Netlist("t", library)
+        for name in ("a", "b"):
+            netlist.add_port(name, PinDirection.INPUT)
+        netlist.add_port("z", PinDirection.OUTPUT)
+        netlist.add_instance("p", "PASSA")
+        netlist.connect("na", "a", "p/A")
+        netlist.connect("nb", "b", "p/B")
+        netlist.connect("nz", "p/Z", "z")
+        graph, consts = analysis(netlist)
+        assert consts.arc_is_live(self.find_arc(graph, "p/A", "p/Z"))
+        assert not consts.arc_is_live(self.find_arc(graph, "p/B", "p/Z"))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netlist import NetlistBuilder
 from repro.sdc import parse_mode
-from repro.timing import BoundMode
+from repro.timing import BoundMode, RelationshipExtractor
 
 
 def bind(netlist, sdc, name="m"):
@@ -156,3 +156,48 @@ class TestIoDelaysAndGroups:
         node = bound.graph.node("mux1/Z")
         assert bound.stops_clock(node, "cA")
         assert not bound.stops_clock(node, "other")
+
+
+class TestExtendedBindingMemos:
+    """An extended binding never answers from its parent's memos."""
+
+    BASE = """
+        create_clock -name c -period 10 [get_ports clk]
+        set_input_delay 1 -clock c [get_ports in1]
+    """
+
+    def views(self, bound):
+        """Arc liveness, clock propagation and the rA -> rB cone."""
+        graph = bound.graph
+        extractor = RelationshipExtractor(bound)
+        return (
+            [bound.constants.arc_is_live(arc) for arc in graph.arcs],
+            bound.clock_propagation().node_clocks,
+            extractor.subgraph_between(graph.node("rA/CP"),
+                                       graph.node("rB/D")),
+        )
+
+    def extend(self, netlist, line):
+        mode = parse_mode(self.BASE, "m")
+        bound = BoundMode(netlist, mode)
+        before = self.views(bound)  # fills every memo of the parent
+        mode.add(parse_mode(line, "x").constraints[0])
+        extended = bound.extended(mode)
+        assert extended is not None
+        return before, self.views(extended), \
+            self.views(BoundMode(netlist, mode))
+
+    def test_disable_timing_that_cuts_a_path(self, pipeline_netlist):
+        before, got, fresh = self.extend(
+            pipeline_netlist, "set_disable_timing [get_cells inv1]")
+        assert got == fresh
+        assert got[0] != before[0]
+        assert got[2] != before[2]
+
+    def test_clock_sense_stop_propagation(self, pipeline_netlist):
+        before, got, fresh = self.extend(
+            pipeline_netlist,
+            "set_clock_sense -stop_propagation -clocks [get_clocks c] "
+            "[get_pins rB/CP]")
+        assert got == fresh
+        assert got[1] != before[1]
