@@ -17,7 +17,6 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.checkpoint import MergeCheckpoint
 from repro.core import (
     MergeOptions,
     MergeResult,
@@ -63,7 +62,6 @@ __all__ = [
     "DegradationPolicy",
     "Diagnostic",
     "DiagnosticCollector",
-    "MergeCheckpoint",
     "MergeOptions",
     "MergeResult",
     "MergingRun",

@@ -9,22 +9,28 @@ expensive products of a merge run:
 * **pair verdicts** — the mergeability scan's mock-merge result for one
   unordered mode pair, keyed by the two modes' content fingerprints;
 * **group results** — the serialized :class:`~repro.core.mergeability.GroupOutcome`
-  list of one analysis group (the proven byte-identical checkpoint
-  representation), keyed by the sorted member fingerprints.
+  list of one analysis group (:func:`serialize_outcome`, whose SDC text
+  plus report record round-trips byte-identically), keyed by the sorted
+  member fingerprints.
 
-Keys extend the checkpoint's two-level content hashing: every key mixes
-the netlist fingerprint, the result-affecting merge options
-(:meth:`~repro.core.merger.MergeOptions.result_fingerprint`) and the
-member modes' canonical SDC text — so editing one mode re-scans only
-its pairs and re-merges only its clique, and a semantically identical
-rewrite (comments, whitespace) still hits.
+Every key mixes the netlist fingerprint, the result-affecting merge
+options (:meth:`~repro.core.merger.MergeOptions.result_fingerprint`)
+and the member modes' canonical SDC text — so editing one mode
+re-scans only its pairs and re-merges only its clique, and a
+semantically identical rewrite (comments, whitespace) still hits.
+
+The cache is also the resume mechanism: ``merge_all`` stores each group
+as soon as it flushes it, so a run killed mid-flight keeps every
+finished group, and rerunning it against the same root replays them
+(``CAC006``) and recomputes only the rest.
 
 Robustness contract (the headline):
 
 * every entry is one JSON file carrying a schema version and a
-  self-checksum (the checkpoint's crc), written atomically — temp file,
-  ``fsync``, ``os.replace``, directory ``fsync`` — so a torn write can
-  never shadow good bytes with garbage that parses;
+  self-checksum (:func:`~repro.durable.record_crc`), written with
+  :func:`~repro.durable.write_atomic` — temp file, ``fsync``,
+  ``os.replace``, directory ``fsync`` — so a torn write can never
+  shadow good bytes with garbage that parses;
 * every read re-verifies kind/version/key/crc; any mismatch moves the
   entry to ``<root>/quarantine/`` (``CAC002``, ``cache.quarantined``)
   and the caller recomputes — a fully corrupted or version-skewed store
@@ -56,6 +62,7 @@ are skipped but touched) and :meth:`ResultCache.clear`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -63,17 +70,16 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.checkpoint import (
-    _record_crc,
-    content_hash,
-    mode_fingerprint,
-    netlist_fingerprint,
-)
-from repro.diagnostics import DiagnosticCollector, Severity
+from repro.diagnostics import Diagnostic, DiagnosticCollector, Severity
+from repro.durable import record_crc, write_atomic
 from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
+from repro.netlist.netlist import Netlist
 from repro.obs.explain import get_decisions
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
+from repro.sdc.mode import Mode
+from repro.sdc.parser import parse_mode
+from repro.sdc.writer import write_mode
 
 #: Version of the cache entry layout.  Bump on any incompatible change;
 #: entries with a different version are quarantined, never guessed at.
@@ -91,6 +97,121 @@ _SPACE_DIRS = {"pair": "pairs", "group": "groups"}
 
 #: Advisory write-lock file name inside the cache root.
 LOCK_NAME = "cache.lock"
+
+#: Age after which an empty lock file counts as a dead writer's.
+EMPTY_LOCK_GRACE_SECONDS = 1.0
+
+
+def content_hash(*parts: str) -> str:
+    """Stable hex digest of any number of text fragments."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode("utf-8", "replace"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def netlist_fingerprint(netlist: Netlist) -> str:
+    """Content hash of a netlist via its canonical Verilog emission."""
+    from repro.netlist.verilog import write_verilog
+
+    return content_hash(write_verilog(netlist))
+
+
+def mode_fingerprint(mode: Mode) -> str:
+    """Content hash of one mode: its name plus canonical SDC text.
+
+    The canonical (header-free) emission means a semantically identical
+    rewrite — reordered comments, whitespace — fingerprints the same,
+    so cache entries survive cosmetic edits.
+    """
+    return content_hash(mode.name, write_mode(mode, header=False))
+
+
+# ----------------------------------------------------------------------
+# group-record codec
+# ----------------------------------------------------------------------
+def serialize_outcome(outcome) -> dict:
+    """One ``GroupOutcome`` as a JSON-ready group record entry.
+
+    Shared by the cache's group store and the parallel execution path,
+    where forked workers serialize their outcomes before shipping them
+    over the result pipe (a ``MergeResult`` holds a full ``Mode``; the
+    SDC text + report record round-trip is the proven byte-identical
+    representation).
+    """
+    result = outcome.result
+    entry = {
+        "modes": list(outcome.mode_names),
+        "error": outcome.error,
+        "repaired": getattr(outcome, "repaired", False),
+        "result": None,
+    }
+    if result is not None:
+        entry["result"] = {
+            "name": result.merged.name,
+            "sdc": write_mode(result.merged),
+            "ok": result.ok,
+            "runtime_seconds": result.runtime_seconds,
+            "validated": result.validated,
+            "validation_mismatches":
+                list(result.validation_mismatches),
+            "dict": result.to_dict(),
+        }
+    return entry
+
+
+class RestoredMergeResult:
+    """Duck-typed stand-in for a ``MergeResult`` loaded from a record.
+
+    Exposes exactly the surface the reporting/CLI layer consumes:
+    ``merged`` (a re-parsed :class:`Mode`), ``ok``, ``runtime_seconds``,
+    ``validated``, ``validation_mismatches``, ``to_dict()`` (the stored
+    record, replayed verbatim) and ``summary()``.
+    """
+
+    def __init__(self, merged: Mode, ok: bool, runtime_seconds: float,
+                 validated: bool, validation_mismatches: List[str],
+                 record: dict):
+        self.merged = merged
+        self.ok = ok
+        self.runtime_seconds = runtime_seconds
+        self.validated = validated
+        self.validation_mismatches = list(validation_mismatches)
+        self._record = record
+
+    def to_dict(self) -> dict:
+        return self._record
+
+    def summary(self) -> str:
+        return (f"merged mode {self.merged.name!r} restored from "
+                f"the result cache ({len(self.merged)} constraints)")
+
+    def __repr__(self) -> str:
+        return f"RestoredMergeResult({self.merged.name!r})"
+
+
+def restore_outcome(stored: dict):
+    """(mode_names, result-or-None, error, repaired) from one entry."""
+    result = None
+    record = stored.get("result")
+    if record is not None:
+        result = RestoredMergeResult(
+            merged=parse_mode(record["sdc"], record["name"]),
+            ok=record["ok"],
+            runtime_seconds=record["runtime_seconds"],
+            validated=record["validated"],
+            validation_mismatches=record["validation_mismatches"],
+            record=record["dict"],
+        )
+    return (list(stored["modes"]), result, stored.get("error", ""),
+            stored.get("repaired", False))
+
+
+def restore_diagnostics(entry: dict) -> List[Diagnostic]:
+    """The diagnostics a group record stored, rebuilt."""
+    return [Diagnostic.from_dict(record)
+            for record in entry.get("diagnostics", ())]
 
 
 def _boot_id() -> str:
@@ -112,29 +233,18 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _fsync_dir(path: Path) -> None:
-    """Make a rename durable; best-effort on filesystems without it."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 class CacheLock:
     """Advisory file lock with stale-owner detection.
 
     The lock file is created with ``O_CREAT | O_EXCL`` and holds the
     owner's pid and boot id.  An owner is *stale* when its boot id
     differs from ours (the machine rebooted) or its pid no longer
-    exists (``kill -9`` mid-write); stale locks are reclaimed.  A live
-    owner is waited on for ``timeout`` seconds, then the caller
-    degrades (the cache skips its writes — never blocks the merge).
+    exists (``kill -9`` mid-write); stale locks are reclaimed.  An
+    empty lock file is an owner between its create and its payload
+    write — live — until it has stayed empty for
+    :data:`EMPTY_LOCK_GRACE_SECONDS`.  A live owner is waited on for
+    ``timeout`` seconds, then the caller degrades (the cache skips its
+    writes — never blocks the merge).
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -145,23 +255,33 @@ class CacheLock:
         self.last_outcome = ""
 
     def _try_acquire(self) -> bool:
+        payload = json.dumps({"pid": os.getpid(),
+                              "boot_id": _boot_id()}) + "\n"
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return False
-        payload = json.dumps({"pid": os.getpid(),
-                              "boot_id": _boot_id()}) + "\n"
         os.write(fd, payload.encode("utf-8"))
         self._fd = fd
         return True
 
     def _owner_stale(self) -> bool:
         try:
-            owner = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            # Unreadable or torn lock payload: if it stays unreadable
-            # it is garbage from a dead writer; treat as stale.
+            text = self.path.read_text()
+        except OSError:
             return self.path.exists()
+        if not text:
+            # An owner between its create and its payload write; only a
+            # lock that stays empty was left by a writer killed there.
+            try:
+                age = time.time() - self.path.stat().st_mtime
+            except OSError:
+                return False
+            return age > EMPTY_LOCK_GRACE_SECONDS
+        try:
+            owner = json.loads(text)
+        except ValueError:
+            return True  # torn payload: garbage from a dead writer
         pid = owner.get("pid")
         if not isinstance(pid, int):
             return True
@@ -333,11 +453,12 @@ class ResultCache:
     # ------------------------------------------------------------------
     # entry I/O
     # ------------------------------------------------------------------
-    def _entry_bytes(self, space: str, key: str, payload: dict) -> bytes:
+    def _entry_bytes(self, space: str, key: str, payload: dict,
+                     crc: str = "") -> bytes:
         entry = {"kind": CACHE_KIND,
                  "schema_version": CACHE_SCHEMA_VERSION,
                  "space": space, "key": key, "payload": payload}
-        entry["crc"] = _record_crc(entry)
+        entry["crc"] = crc or record_crc(entry)
         return (json.dumps(entry, sort_keys=True,
                            separators=(",", ":")) + "\n").encode("utf-8")
 
@@ -364,7 +485,7 @@ class ResultCache:
                           f"{CACHE_SCHEMA_VERSION}")
             elif entry.get("key") != key or entry.get("space") != space:
                 reason = "entry key does not match its file name"
-            elif entry.get("crc") != _record_crc(entry):
+            elif entry.get("crc") != record_crc(entry):
                 reason = "checksum mismatch (corrupt entry)"
         if reason:
             self._quarantine(path, reason, label)
@@ -419,25 +540,15 @@ class ResultCache:
             pass
         fault = self._cache_fault(f"cache:store:{space}")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             if fault == "cache-torn":
                 # Simulate a writer dying mid-write with the *final*
                 # path open: truncated bytes land where readers look.
+                path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(data[:max(1, len(data) // 2)])
                 return
             if fault == "cache-corrupt":
-                entry = json.loads(data)
-                entry["crc"] = "0" * 16
-                data = (json.dumps(entry, sort_keys=True,
-                                   separators=(",", ":"))
-                        + "\n").encode("utf-8")
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
+                data = self._entry_bytes(space, key, payload, crc="0" * 16)
+            write_atomic(path, data)
         except OSError as exc:
             self._write_failed(label, exc)
             return
@@ -531,8 +642,9 @@ class ResultCache:
     # ------------------------------------------------------------------
     def lookup_group(self, key: str, label: str,
                      modes: Sequence[str] = ()) -> Optional[dict]:
-        """One verified group entry (the checkpoint representation:
-        ``{"outcomes": [...], "diagnostics": [...]}``), or None."""
+        """One verified group entry (``{"outcomes": [...],
+        "diagnostics": [...]}``, see :func:`serialize_outcome`), or
+        None."""
         if not self._enabled:
             return None
         metrics = get_metrics()
@@ -742,12 +854,10 @@ class ResultCache:
                       "schema_version": CACHE_SCHEMA_VERSION}
             for name in deltas:
                 merged[name] = int(stats.get(name, 0)) + deltas[name]
-            target = self.root / "stats.json"
-            tmp = target.with_name(f"stats.json.tmp{os.getpid()}")
             try:
-                tmp.write_text(json.dumps(merged, sort_keys=True,
-                                          indent=2) + "\n")
-                os.replace(tmp, target)
+                write_atomic(self.root / "stats.json",
+                             json.dumps(merged, sort_keys=True, indent=2)
+                             + "\n")
             except OSError:
                 pass
 
@@ -813,7 +923,12 @@ __all__ = [
     "CACHE_KIND",
     "CACHE_SCHEMA_VERSION",
     "CacheLock",
+    "RestoredMergeResult",
     "ResultCache",
     "content_hash",
     "mode_fingerprint",
+    "netlist_fingerprint",
+    "restore_diagnostics",
+    "restore_outcome",
+    "serialize_outcome",
 ]

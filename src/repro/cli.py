@@ -26,14 +26,15 @@ raw traceback.
 
 ``merge`` additionally accepts ``--signoff-guard`` (localize and repair a
 merge that fails its equivalence validation), ``--budget-seconds`` (a
-watchdog on each merge's refinement engines), ``--max-repair-attempts``
-and ``--checkpoint run.ckpt`` (save completed groups after every group;
-a re-run with the same inputs resumes instead of recomputing).
+watchdog on each merge's refinement engines) and
+``--max-repair-attempts``.
 
 ``--cache DIR`` (on ``merge``, ``report`` and ``serve``) opens a
 persistent content-addressed result cache: pair verdicts and completed
 group merges are memoized by mode *content*, so a rerun — or a run
 where only one mode changed — recomputes only what that change touches.
+Each group is stored as soon as it completes, so rerunning a killed
+``merge`` against the same cache resumes it.
 The cache is crash-safe and self-healing: corrupt or version-skewed
 entries are quarantined (``CAC002``) and recomputed, an unusable or
 full disk degrades the run to uncached (``CAC001``/``CAC005``), and
@@ -96,7 +97,7 @@ artifact::
 (``repro.fuzz``): deterministic adversarial workloads from ``--seed``,
 five metamorphic invariant oracles (Section 2 equivalence under the
 sign-off guard, mode-permutation invariance, ``--jobs`` byte-identity,
-cache byte-identity, checkpoint kill/resume identity), automatic
+cache byte-identity, kill/resume identity), automatic
 delta-debug minimization and a signature-deduped failure corpus of
 self-contained repro bundles::
 
@@ -245,18 +246,9 @@ def cmd_merge(args: argparse.Namespace, policy: DegradationPolicy,
         max_repair_attempts=args.max_repair_attempts,
         budget_seconds=args.budget_seconds,
     )
-    checkpoint = None
-    if args.checkpoint:
-        from repro.checkpoint import MergeCheckpoint, content_hash
-
-        texts = [_read_text(args.netlist, collector)]
-        texts.extend(_read_text(path, collector) for path in args.sdc)
-        checkpoint = MergeCheckpoint.open(
-            args.checkpoint, input_hash=content_hash(*texts),
-            collector=collector)
     cache = _open_cache(args, collector)
     run = merge_all(netlist, modes, options, collector=collector,
-                    checkpoint=checkpoint, jobs=args.jobs, cache=cache)
+                    jobs=args.jobs, cache=cache)
     if cache is not None:
         cache.flush_stats()
     args._run = run  # for --report-html / --explain artifact writing
@@ -307,8 +299,8 @@ def cmd_merge(args: argparse.Namespace, policy: DegradationPolicy,
 def _print_provenance(result) -> None:
     """Print one merged mode's constraint lineage.
 
-    Works for live ``MergeResult`` objects and checkpoint-restored
-    results alike by reading the serialized record.
+    Works for live ``MergeResult`` objects and cache-restored results
+    alike by reading the serialized record.
     """
     records = result.to_dict().get("provenance", [])
     name = result.merged.name
@@ -394,8 +386,8 @@ def cmd_serve(args: argparse.Namespace, policy: DegradationPolicy,
 
     Startup resumes any jobs the journal shows as non-terminal
     (``SRV005``); shutdown drains gracefully — in-flight jobs abort at
-    the next engine boundary with their checkpoints intact and resume
-    byte-identically on the next start.
+    the next engine boundary with their finished groups cached and
+    resume byte-identically on the next start.
     """
     import signal as signal_mod
 
@@ -612,11 +604,10 @@ def _artifact_schema_versions() -> dict:
     """Every artifact kind's schema version, for ``--version`` output.
 
     Bug reports quoting ``--version`` pin the full format surface —
-    which checkpoint/journal/cache/profile/trends/blackbox layouts the
+    which journal/cache/profile/trends/blackbox layouts the
     build emits — not just the package version.
     """
     from repro.cache import CACHE_SCHEMA_VERSION
-    from repro.checkpoint import CHECKPOINT_SCHEMA_VERSION
     from repro.obs.blackbox import BLACKBOX_SCHEMA_VERSION
     from repro.obs.explain import DECISIONS_SCHEMA_VERSION
     from repro.obs.metrics import METRICS_SCHEMA_VERSION
@@ -634,7 +625,6 @@ def _artifact_schema_versions() -> dict:
         "blackbox": BLACKBOX_SCHEMA_VERSION,
         "fuzz": FUZZ_SCHEMA_VERSION,
         "cache": CACHE_SCHEMA_VERSION,
-        "checkpoint": CHECKPOINT_SCHEMA_VERSION,
         "decisions": DECISIONS_SCHEMA_VERSION,
         "diagnostics": DIAGNOSTICS_SCHEMA_VERSION,
         "journal": JOURNAL_SCHEMA_VERSION,
@@ -742,16 +732,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock watchdog budget for the "
                               "refinement engines of each merge "
                               "(default: unbounded)")
-    p_merge.add_argument("--checkpoint", default="", metavar="CKPT",
-                         help="checkpoint file: completed merge groups "
-                              "are saved here after every group and "
-                              "replayed on a re-run with unchanged inputs")
     p_merge.add_argument("--cache", default="", metavar="DIR",
                          help="persistent result-cache directory: pair "
                               "verdicts and group merges are memoized by "
-                              "mode content and reused across runs "
-                              "(created if missing; corrupt entries are "
-                              "quarantined and recomputed)")
+                              "mode content and reused across runs, so a "
+                              "killed run resumes (created if missing; "
+                              "corrupt entries are quarantined and "
+                              "recomputed)")
     p_merge.add_argument("--provenance", action="store_true",
                          help="print every merged-mode constraint's "
                               "lineage: source modes and merge rule")
@@ -797,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the durable batch merge service (JSON API over HTTP)")
     p_serve.add_argument("--root", default="serve-root", metavar="DIR",
                          help="service state directory: job journal, "
-                              "per-job inputs, checkpoints and artifacts "
+                              "per-job inputs, caches and artifacts "
                               "(default ./serve-root); reusing a root "
                               "resumes its interrupted jobs")
     p_serve.add_argument("--host", default="127.0.0.1",

@@ -368,7 +368,7 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
         pair_keys: Dict[Tuple[int, int], str] = {}
         pair_labels: Dict[Tuple[int, int], str] = {}
         if cache is not None and cache.enabled and pairs:
-            from repro.checkpoint import mode_fingerprint
+            from repro.cache import mode_fingerprint
 
             space = cache.space(netlist, options or MergeOptions())
             fingerprints = [mode_fingerprint(m) for m in mode_list]
@@ -511,7 +511,7 @@ class GroupOutcome:
     error: str = ""
     #: the sign-off guard changed something to produce this outcome
     repaired: bool = False
-    #: this outcome was replayed from a checkpoint, not recomputed
+    #: this outcome was replayed from the result cache, not recomputed
     restored: bool = False
 
     @property
@@ -545,7 +545,7 @@ class MergingRun:
 
     @property
     def restored_count(self) -> int:
-        """Outcomes replayed from a checkpoint."""
+        """Outcomes replayed from the result cache."""
         return sum(1 for o in self.outcomes if o.restored)
 
     @property
@@ -644,14 +644,14 @@ def _group_task(names):
     The worker installs *fresh* observability collectors — the forked
     copies of the parent's would die with the process — runs the same
     :func:`run_merge_group` the serial path uses, and ships everything
-    back as plain JSON-ready data: serialized outcomes (the checkpoint
-    representation, whose SDC round-trip is proven byte-identical),
+    back as plain JSON-ready data: serialized outcomes (the cache's
+    group records, whose SDC round-trip is proven byte-identical),
     diagnostics, decision records and the metrics payload, for the
     parent to graft into its own ambient stack.
     """
     from contextlib import ExitStack
 
-    from repro.checkpoint import serialize_outcome
+    from repro.cache import serialize_outcome
     from repro.obs.blackbox import BlackboxRecorder, get_blackbox, recording
     from repro.obs.explain import DecisionLedger, explaining
     from repro.obs.metrics import MetricsRegistry, collecting
@@ -855,7 +855,6 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
               options: Optional[MergeOptions] = None,
               analysis: Optional[MergeabilityAnalysis] = None,
               collector: Optional[DiagnosticCollector] = None,
-              checkpoint: Optional["MergeCheckpoint"] = None,
               jobs: int = 1, cache=None) -> MergingRun:
     """The end-to-end flow: analyze mergeability, then merge every group.
 
@@ -882,21 +881,13 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
     its modes are kept individual (``SGN006``) rather than retrying the
     expensive merge once per member.
 
-    ``checkpoint`` (a :class:`~repro.checkpoint.MergeCheckpoint`) makes
-    the run resumable: every completed analysis group is serialized
-    immediately, and groups whose content hash still matches are
-    replayed from the file instead of recomputed.  A checkpoint save
-    that fails with an :class:`OSError` (full disk) degrades the run to
-    unpersisted (``CAC005``) instead of crashing it.
-
     ``cache`` (a :class:`~repro.cache.ResultCache`) memoizes completed
-    group merges *across* runs, keyed by mode content: a group whose
+    group merges keyed by mode content, and makes the run resumable:
+    each group is stored as soon as it is flushed, and a group whose
     sorted mode fingerprints match a verified cache entry is restored
     (``restored=True``, ``CAC006``, decision kind ``cache.hit``)
-    without recomputation, and — when a checkpoint is also open — is
-    recorded straight into it so the two layers compose.  Only
-    cleanly-computed groups are stored; engine-failure demotions are
-    never cached.
+    without recomputation.  Only cleanly-computed groups are stored;
+    engine-failure demotions are never cached.
 
     ``jobs > 1`` distributes the independent group merges (and, when the
     analysis is built here, the pairwise scan) over the supervised
@@ -944,16 +935,20 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
         exec_gate_client=opts.exec_gate_client,
     )
 
-    from repro.checkpoint import MergeCheckpoint as _Checkpoint
-    from repro.checkpoint import mode_fingerprint, serialize_outcome
+    from repro.cache import (
+        mode_fingerprint,
+        restore_diagnostics,
+        restore_outcome,
+        serialize_outcome,
+    )
 
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span("merge_all", groups=len(analysis.groups),
                      modes=len(list(modes))):
-        # Plan every analysis group up front (checkpoint lookups
-        # included), then flush results strictly in analysis order — the
-        # cursor only advances over a group whose work is done, so the
+        # Plan every analysis group up front (cache lookups included),
+        # then flush results strictly in analysis order — the cursor
+        # only advances over a group whose work is done, so the
         # outcome/diagnostic/decision sequence is identical at any job
         # count and any completion order.
         use_cache = cache is not None and cache.enabled
@@ -966,109 +961,35 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
         plans: List[dict] = []
         for group in analysis.groups:
             names = list(group)
-            group_hash = ""
-            entry = None
-            if checkpoint is not None:
-                group_hash = checkpoint.group_hash(
-                    netlist, [by_name[n] for n in names], group_opts)
-                entry = checkpoint.lookup("+".join(names), group_hash)
             cache_key = ""
-            cache_entry = None
+            entry = None
             if use_cache:
                 cache_key = cache.group_key(
                     cache_space, [mode_fps[n] for n in names])
-                if entry is None:
-                    # The checkpoint already replays this group; only
-                    # consult the cross-run cache when it does not.
-                    cache_entry = cache.lookup_group(
-                        cache_key, group_subject(names), modes=names)
+                entry = cache.lookup_group(
+                    cache_key, group_subject(names), modes=names)
             plans.append({"names": names, "key": "+".join(names),
-                          "hash": group_hash, "entry": entry,
-                          "cache_key": cache_key,
-                          "cache_entry": cache_entry,
+                          "cache_key": cache_key, "entry": entry,
                           "outcome": None, "done": False})
-        pending = [plan for plan in plans
-                   if plan["entry"] is None and plan["cache_entry"] is None]
+        pending = [plan for plan in plans if plan["entry"] is None]
         state = {"cursor": 0, "diag_cursor": len(sink.diagnostics)}
-        ckpt_state = {"down": False}
-
-        def save_checkpoint() -> None:
-            # A full disk (ENOSPC) mid-run must degrade to an
-            # unpersisted checkpoint, never a traceback.
-            if checkpoint is None or ckpt_state["down"]:
-                return
-            try:
-                checkpoint.save()
-            except OSError as exc:
-                ckpt_state["down"] = True
-                sink.report(
-                    "CAC005",
-                    f"checkpoint save failed ({exc}); this run's groups "
-                    f"will recompute on a resumed run",
-                    severity=Severity.WARNING,
-                    source=str(checkpoint.path))
-
-        def persist(plan: dict, outcomes_serialized,
-                    diagnostics_serialized, store_cache: bool) -> None:
-            """Record one finished group into the resume layers."""
-            if checkpoint is not None:
-                checkpoint.record_serialized(
-                    plan["key"], plan["hash"], outcomes_serialized,
-                    diagnostics_serialized)
-                save_checkpoint()
-            if store_cache and use_cache and plan["cache_key"]:
-                cache.store_group(
-                    plan["cache_key"], group_subject(plan["names"]),
-                    outcomes_serialized, diagnostics_serialized)
 
         def restore(plan: dict) -> None:
+            """Replay a group from the result cache.
+
+            The ``cache.hit`` decision was recorded at lookup time;
+            here the restored outcomes get the group's frame/span shape
+            plus a ``CAC006`` diagnostic.
+            """
             names = plan["names"]
             entry = plan["entry"]
             with tracer.span(f"group:{'+'.join(names)}", modes=names), \
                     ledger.frame("merge.group", group_subject(names),
                                  modes=names):
                 for stored in entry["outcomes"]:
-                    o_names, o_result, o_error, o_repaired = \
-                        checkpoint.restore_outcome(stored)
                     run.outcomes.append(GroupOutcome(
-                        o_names, o_result, error=o_error,
-                        repaired=o_repaired, restored=True))
-                sink.extend(checkpoint.restore_diagnostics(entry))
-                sink.report(
-                    "SGN007",
-                    f"group {{{', '.join(names)}}} restored from "
-                    f"checkpoint",
-                    severity=Severity.INFO, source=plan["key"])
-                ledger.decide(
-                    "checkpoint.restore", group_subject(names),
-                    verdict="restored",
-                    evidence=[f"content hash {plan['hash'][:12]} "
-                              f"matched checkpoint"],
-                    modes=names)
-                if tracer.enabled:
-                    tracer.annotate(restored=True)
-
-        def restore_cached(plan: dict) -> None:
-            """Replay a group from the cross-run result cache.
-
-            The ``cache.hit`` decision was recorded at lookup time;
-            here the restored outcomes get the same frame/span shape a
-            checkpoint restore does, plus a ``CAC006`` diagnostic, and
-            are recorded through into the open checkpoint so a
-            subsequent resume replays them without the cache.
-            """
-            names = plan["names"]
-            entry = plan["cache_entry"]
-            with tracer.span(f"group:{'+'.join(names)}", modes=names), \
-                    ledger.frame("merge.group", group_subject(names),
-                                 modes=names):
-                for stored in entry["outcomes"]:
-                    o_names, o_result, o_error, o_repaired = \
-                        _Checkpoint.restore_outcome(stored)
-                    run.outcomes.append(GroupOutcome(
-                        o_names, o_result, error=o_error,
-                        repaired=o_repaired, restored=True))
-                sink.extend(_Checkpoint.restore_diagnostics(entry))
+                        *restore_outcome(stored), restored=True))
+                sink.extend(restore_diagnostics(entry))
                 sink.report(
                     "CAC006",
                     f"group {{{', '.join(names)}}} restored from the "
@@ -1076,10 +997,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                     severity=Severity.INFO, source=plan["key"])
                 if tracer.enabled:
                     tracer.annotate(restored=True, cached=True)
-            persist(plan, list(entry["outcomes"]),
-                    list(entry.get("diagnostics", [])), store_cache=False)
 
-        def demote(plan: dict, task_outcome) -> List[GroupOutcome]:
+        def demote(plan: dict, task_outcome) -> None:
             """A group whose engine task failed even after retries:
             demote it to individual modes instead of losing the run."""
             names = plan["names"]
@@ -1096,23 +1015,24 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                     "merge.demotion", group_subject(names),
                     verdict="demoted", evidence=[task_outcome.error],
                     modes=names)
-            produced: List[GroupOutcome] = []
             for name in names:
-                produced.extend(run_merge_group(
+                run.outcomes.extend(run_merge_group(
                     netlist, by_name, [name], group_opts, sink))
-            run.outcomes.extend(produced)
-            return produced
 
         def apply(plan: dict) -> None:
             task_outcome = plan["outcome"]
-            names, key = plan["names"], plan["key"]
-            if jobs > 1 and task_outcome.ok:
+            names = plan["names"]
+            if not task_outcome.ok:
+                # An engine-failure demotion describes this run's
+                # environment, not the modes' content: never cached.
+                demote(plan, task_outcome)
+                return
+            if jobs > 1:
                 # Graft the worker's bundle: decisions under the current
                 # frame (span names preserved), diagnostics appended raw
                 # (the worker already bridged them into its own ledger
                 # and metrics — re-adding would double-count), metrics
-                # folded, outcomes rebuilt from the checkpoint
-                # representation.
+                # folded, outcomes rebuilt from the group records.
                 bundle = task_outcome.value
                 with tracer.span(f"group:{'+'.join(names)}",
                                  modes=names):
@@ -1131,36 +1051,27 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
 
                         get_blackbox().merge_payload(bundle["blackbox"])
                     for stored in bundle["outcomes"]:
-                        o_names, o_result, o_error, o_repaired = \
-                            _Checkpoint.restore_outcome(stored)
-                        run.outcomes.append(GroupOutcome(
-                            o_names, o_result, error=o_error,
-                            repaired=o_repaired))
-                persist(plan, bundle["outcomes"], bundle["diagnostics"],
-                        store_cache=True)
+                        run.outcomes.append(
+                            GroupOutcome(*restore_outcome(stored)))
+                if use_cache:
+                    cache.store_group(
+                        plan["cache_key"], group_subject(names),
+                        bundle["outcomes"], bundle["diagnostics"])
                 return
-            if task_outcome.ok:
-                produced = list(task_outcome.value)
-                run.outcomes.extend(produced)
-            else:
-                produced = demote(plan, task_outcome)
-            if checkpoint is not None or (use_cache and task_outcome.ok):
-                serialized = [serialize_outcome(o) for o in produced]
-                diags = [d.to_dict() for d in
-                         sink.diagnostics[state["diag_cursor"]:]]
-                # Engine-failure demotions describe this run's
-                # environment, not the modes' content: checkpoint them
-                # (same-run resume) but never cache them across runs.
-                persist(plan, serialized, diags,
-                        store_cache=task_outcome.ok)
+            produced = list(task_outcome.value)
+            run.outcomes.extend(produced)
+            if use_cache:
+                cache.store_group(
+                    plan["cache_key"], group_subject(names),
+                    [serialize_outcome(o) for o in produced],
+                    [d.to_dict() for d in
+                     sink.diagnostics[state["diag_cursor"]:]])
 
         def flush() -> None:
             while state["cursor"] < len(plans):
                 plan = plans[state["cursor"]]
                 if plan["entry"] is not None:
                     restore(plan)
-                elif plan["cache_entry"] is not None:
-                    restore_cached(plan)
                 elif plan["done"]:
                     apply(plan)
                 else:

@@ -73,38 +73,36 @@ class MergeOptions:
     #: or scan pair under ``--jobs``) may run before its worker is killed
     #: and the task retried; None derives a deadline from
     #: ``budget_seconds`` when set, else no deadline.  Not part of the
-    #: checkpoint group hash: it tunes execution, not results.
+    #: result fingerprint: it tunes execution, not results.
     exec_deadline_seconds: Optional[float] = None
     #: attempts the execution engine spends per task (infra faults only)
     exec_max_attempts: int = 3
     #: optional stop signal (duck-typed ``is_set()``/``wait(timeout)``)
     #: handed to the execution engine: a set event aborts the batch
     #: cleanly between attempts (``ExecInterrupted``) instead of
-    #: demoting work — the serve drain path.  Not part of the checkpoint
-    #: group hash: it tunes execution, not results.
+    #: demoting work — the serve drain path.  Not part of the result
+    #: fingerprint: it tunes execution, not results.
     exec_stop_event: Any = None
     #: optional shared slot gate (duck-typed ``acquire``/``release``,
     #: e.g. :class:`repro.exec.gate.FairSlotGate`) bounding this run's
     #: concurrent task attempts; lets several merge runs multiplex one
-    #: worker budget fairly.  Not part of the checkpoint group hash.
+    #: worker budget fairly.  Not part of the result fingerprint.
     exec_slot_gate: Any = None
     #: identity this run contends under at the slot gate ("" = batch
     #: label); the serve scheduler sets it to the job id
     exec_gate_client: str = ""
     #: optional ``progress(done, total)`` callback ``merge_all`` invokes
     #: after every analysis group flushed in analysis order; the serve
-    #: layer journals it as per-job progress.  Not part of the
-    #: checkpoint group hash: it observes execution, not results.
+    #: layer journals it as per-job progress.  Not part of the result
+    #: fingerprint: it observes execution, not results.
     progress: Any = None
 
     def result_fingerprint(self) -> str:
         """Stable key of every tunable that can change merge *results*.
 
-        The checkpoint group hash and the persistent result cache both
-        key on this, so the two stores invalidate identically.  The
-        ``exec_*`` knobs (and ``strict``, which ``merge_all`` coerces
-        per group) are deliberately excluded: they tune execution, not
-        output bytes.
+        The persistent result cache keys on this.  The ``exec_*`` knobs
+        (and ``strict``, which ``merge_all`` coerces per group) are
+        deliberately excluded: they tune execution, not output bytes.
         """
         return "|".join(str(v) for v in (
             self.tolerance, self.max_iterations, self.validate,

@@ -83,7 +83,7 @@ def format_merging_run(run: MergingRun) -> str:
     if run.restored_count:
         lines.append("")
         lines.append(f"{run.restored_count} outcome(s) restored from "
-                     f"checkpoint")
+                     f"the result cache")
     failed = run.failed_outcomes
     if failed:
         lines.append("")

@@ -48,10 +48,9 @@ break across releases:
 ``SGN004``   sign-off guard demoted mode(s) after exhausting repairs
 ``SGN005``   sign-off guard repair-attempt budget exhausted
 ``SGN006``   watchdog budget exceeded; the group degraded per policy
-``SGN007``   merge group restored from a checkpoint
-``SGN008``   checkpoint entry discarded (stale input hash / unreadable)
-``SGN009``   checkpoint tail torn by a crash; longest valid prefix
-             recovered, only the torn records recompute
+``SGN007``   retired with the checkpoint file (group restored); never reuse
+``SGN008``   retired with the checkpoint file (file discarded); never reuse
+``SGN009``   retired with the checkpoint file (torn tail); never reuse
 ``EXE001``   a supervised task exceeded its wall-clock deadline (retried)
 ``EXE002``   a worker process crashed / was killed by a signal (retried)
 ``EXE003``   a task returned a corrupted payload (rejected and retried)
@@ -74,8 +73,8 @@ break across releases:
 ``CAC002``   corrupt/version-skewed cache entry quarantined, recomputed
 ``CAC003``   stale cache lock reclaimed from a dead owner
 ``CAC004``   cache lock held by a live process; writes skipped this run
-``CAC005``   cache/checkpoint write failed (ENOSPC etc.); result was
-             computed but not persisted
+``CAC005``   cache write failed (ENOSPC etc.); result was computed
+             but not persisted
 ``CAC006``   merge group restored from the result cache
 ===========  ==============================================================
 """
@@ -247,7 +246,6 @@ _CODE_HINTS = {
     "SGN004": "the demoted mode is kept as its own sign-off mode",
     "SGN005": "raise --max-repair-attempts or fix the culprit constraint",
     "SGN006": "raise --budget-seconds or run under --policy strict to abort",
-    "SGN008": "re-run from scratch or delete the checkpoint file",
     "EXE001": "raise --budget-seconds / exec_deadline_seconds if the task "
               "legitimately needs longer",
     "EXE005": "the run continues serially; results are unaffected, only "
@@ -255,17 +253,18 @@ _CODE_HINTS = {
     "EXE006": "the failed task's work unit is demoted, not lost; see the "
               "accompanying MRG002 diagnostics",
     "EXE007": "unset REPRO_CHAOS to disable fault injection",
-    "EXE008": "the batch stopped cleanly; resume replays from the "
-              "checkpoint with byte-identical results",
+    "EXE008": "the batch stopped cleanly; a resume replays finished "
+              "groups from the result cache with byte-identical "
+              "results",
     "EXE009": "fix the REPRO_CHAOS spec: kind@key-glob@attempt[@seconds] "
               "or seed:<int>[:<rate>], ';'-separated",
-    "SGN009": "no action needed; the torn groups recompute on this run",
     "SRV001": "retry after a running job finishes, or raise --max-queue",
     "SRV002": "split the workload or raise --max-payload-bytes",
     "SRV003": "check the journal directory is writable; the submission "
               "was not acknowledged and is safe to retry",
     "SRV004": "no action needed; unacknowledged tail records recompute",
-    "SRV005": "no action needed; the job resumes from its checkpoint",
+    "SRV005": "no action needed; the job resumes from its cached "
+              "groups",
     "SRV006": "resubmit to the replacement server after the drain",
     "SRV008": "the retry is automatic; check the job's diagnostics if "
               "it ultimately fails",
@@ -278,8 +277,8 @@ _CODE_HINTS = {
     "CAC003": "no action needed; the dead owner's lock was reclaimed",
     "CAC004": "another run holds the cache lock; results are "
               "unaffected, this run just did not persist new entries",
-    "CAC005": "check disk space on the cache/checkpoint path; the "
-              "result was recomputed, not lost",
+    "CAC005": "check disk space on the cache path; the result was "
+              "recomputed, not lost",
     "CAC006": "no action needed; delete the cache entry or run without "
               "--cache to force a recompute",
 }

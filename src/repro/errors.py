@@ -202,8 +202,8 @@ class ExecInterrupted(ExecError):
 
     Raised by the :class:`~repro.exec.supervisor.Supervisor` when its
     ``stop_event`` fires: the batch stops cleanly between attempts
-    instead of demoting in-flight tasks, so checkpoint state stays
-    exactly as a killed run would leave it and a resume replays
+    instead of demoting in-flight tasks, so the result cache holds
+    exactly what a killed run would leave and a resume replays
     byte-identically.  Never raised by a task body.
     """
 

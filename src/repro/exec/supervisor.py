@@ -100,8 +100,8 @@ class SupervisorConfig:
     #: e.g. a ``threading.Event``): backoff sleeps become interruptible
     #: waits on it, and once set the batch aborts cleanly between
     #: attempts with :class:`~repro.errors.ExecInterrupted` (``EXE008``)
-    #: — in-flight work is *not* demoted, so checkpoint state resumes
-    #: byte-identically
+    #: — in-flight work is *not* demoted, so a resume from the result
+    #: cache replays byte-identically
     stop_event: Any = None
     #: optional shared concurrency gate (duck-typed
     #: ``acquire(client, timeout) -> bool`` / ``release(client)``, e.g.

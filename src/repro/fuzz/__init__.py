@@ -18,9 +18,9 @@ adversarial generated workloads:
     a cold-cache run, the warm rerun and an uncached run are
     byte-identical;
 ``checkpoint``
-    killing a run mid-checkpoint (simulated by truncating the
-    checkpoint journal) and resuming reproduces the uninterrupted
-    run's bytes.
+    killing a run midway (simulated by deleting the later half of its
+    cached group entries) and resuming from the cache reproduces the
+    uninterrupted run's bytes.
 
 Layout: :mod:`~repro.fuzz.generator` derives deterministic adversarial
 workloads (the ``repro.workloads`` families plus an SDC token mutator)

@@ -267,27 +267,20 @@ class OracleBattery:
 
     def _oracle_checkpoint(self, case, netlist, modes, baseline
                            ) -> List[Violation]:
-        from repro.checkpoint import MergeCheckpoint, content_hash
+        from repro.cache import ResultCache
 
         base, _ = baseline
-        input_hash = content_hash(case.netlist_text,
-                                  *(t for _, t in case.mode_texts))
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") \
                 as tmp:
-            path = Path(tmp) / "run.ckpt"
-            self._merged(netlist, modes,
-                         checkpoint=MergeCheckpoint.open(
-                             str(path), input_hash=input_hash))
-            # Simulated kill: keep the header plus roughly half of the
-            # completed-group records, exactly what a SIGKILL between
-            # appends leaves behind.
-            lines = path.read_text().splitlines(keepends=True)
-            keep = 1 + max(0, (len(lines) - 1) // 2)
-            path.write_text("".join(lines[:keep]))
-            resumed, _ = self._merged(
-                netlist, modes,
-                checkpoint=MergeCheckpoint.open(
-                    str(path), input_hash=input_hash))
+            root = Path(tmp) / "cache"
+            self._merged(netlist, modes, cache=ResultCache.open(root))
+            # Simulated kill: keep roughly the first half of the group
+            # entries, as a SIGKILL between group stores leaves them.
+            entries = sorted((root / "groups").glob("*.json"))
+            for entry in entries[len(entries) // 2:]:
+                entry.unlink()
+            resumed, _ = self._merged(netlist, modes,
+                                      cache=ResultCache.open(root))
         return self._diff("checkpoint", base,
                           self._broken("checkpoint", resumed),
                           "after checkpoint kill/resume")

@@ -20,15 +20,16 @@ run with no flags, fed by
 * **span open/close** events mirrored from a real tracer when one is
   installed (the recorder implements the tracer-listener protocol);
 * explicit chokepoint events: watchdog budget trips, chaos strikes,
-  execution-engine faults, checkpoint/cache state notes.
+  execution-engine faults, cache state notes.
 
-On abnormal exit the ring is flushed atomically (tmp + fsync + rename,
-like ``repro.cache``) as a schema-versioned ``blackbox.json`` carrying
-the ring contents, the open frame/span stacks, last checkpoint/cache
-state, an environment fingerprint and — when a registry is ambient — a
-metrics snapshot.  ``repro-merge doctor blackbox.json`` renders the
-forensic report; ``python -m repro.obs.validate --blackbox`` checks the
-artifact.  A clean run writes nothing.
+On abnormal exit the ring is flushed atomically
+(:func:`repro.durable.write_atomic`) as a schema-versioned
+``blackbox.json`` carrying the ring contents, the open frame/span
+stacks, the last cache state, an environment fingerprint and — when a
+registry is ambient — a metrics snapshot.  ``repro-merge doctor
+blackbox.json`` renders the forensic report; ``python -m
+repro.obs.validate --blackbox`` checks the artifact.  A clean run
+writes nothing.
 
 Workers fold their ring into the supervisor's via the existing
 payload-merge path (``to_payload`` / ``merge_payload``), exactly like
@@ -49,6 +50,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
+from repro.durable import write_atomic
 from repro.obs.explain import NullDecisions
 
 #: Version of the blackbox.json artifact.  Bump on incompatible layout
@@ -185,7 +187,7 @@ class BlackboxRecorder(NullBlackbox):
         #: atomic event numbering; ``dropped`` derives from it at export
         self._counter = itertools.count()
         self._extra_dropped = 0
-        #: last-write-wins keyed state (checkpoint, cache, run summary)
+        #: last-write-wins keyed state (cache, run summary)
         self._state: Dict[str, Any] = {}
         #: open pipeline frames as (kind, subject), outermost first
         self._frames: List[tuple] = []
@@ -227,7 +229,7 @@ class BlackboxRecorder(NullBlackbox):
         self._ring.append(fields)
 
     def note_state(self, key: str, value: Any) -> None:
-        """Record keyed last-write-wins state (checkpoint/cache/run)."""
+        """Record keyed last-write-wins state (cache/run)."""
         with self._lock:
             self._state[key] = value
 
@@ -395,23 +397,15 @@ class BlackboxRecorder(NullBlackbox):
 
     def flush(self, path, reason: Optional[dict] = None,
               metrics=None) -> bool:
-        """Atomically write ``blackbox.json`` (tmp + fsync + rename).
+        """Atomically write ``blackbox.json`` (:func:`write_atomic`).
 
         Crash-path code: failures are reported on stderr, never raised —
         the flight recorder must not mask the error it is documenting.
         """
         try:
             payload = self.export(reason=reason, metrics=metrics)
-            target = os.fspath(path)
-            directory = os.path.dirname(target) or "."
-            os.makedirs(directory, exist_ok=True)
-            tmp = target + f".tmp.{os.getpid()}"
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle, indent=2, default=repr)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
+            write_atomic(path, json.dumps(payload, indent=2, default=repr)
+                         + "\n")
             return True
         except Exception as exc:  # noqa: BLE001 — crash path
             print(f"cannot write blackbox to {path}: {exc}",

@@ -77,7 +77,6 @@ DECISION_KINDS: Dict[str, str] = {
     # -- run-level fault handling --------------------------------------
     "merge.demotion": "mode(s) demoted from a group by fault recovery",
     "merge.budget": "a group degraded after exceeding a watchdog budget",
-    "checkpoint.restore": "a group replayed from a checkpoint",
     # -- result cache (repro.cache) ------------------------------------
     "cache.hit": "a pair verdict or group result restored from the "
                  "result cache",

@@ -2,7 +2,7 @@
 
 The registry is the single sink for every quantitative fact the pipeline
 emits — modes merged, constraints uniquified or dropped, exceptions
-intersected, repair attempts, clock-graph nodes visited, checkpoint hits.
+intersected, repair attempts, clock-graph nodes visited, cache hits.
 Names follow a **stable-name contract**: every name the pipeline emits is
 declared in :data:`METRIC_CONTRACT` with its kind and meaning, and names
 never change across releases (tooling that matches on them must not
@@ -94,7 +94,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "fix constraints synthesized by the 3-pass comparison"),
     "three_pass.residuals": (
         "counter", "unresolved mismatches left by the 3-pass comparison"),
-    # -- sign-off guard / watchdog / checkpoint ------------------------
+    # -- sign-off guard / watchdog -------------------------------------
     "signoff.guard_engaged": (
         "counter", "groups handed to the sign-off guard"),
     "signoff.repair_attempts": (
@@ -105,13 +105,6 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "modes the guard demoted to their own group"),
     "watchdog.budget_exceeded": (
         "counter", "watchdog budget trips (wall-clock/pass/graph)"),
-    "checkpoint.hits": (
-        "counter", "analysis groups replayed from a checkpoint"),
-    "checkpoint.misses": (
-        "counter", "analysis groups recomputed (absent or stale entry)"),
-    "checkpoint.saves": ("counter", "checkpoint file writes"),
-    "checkpoint.torn_tail_recoveries": (
-        "counter", "checkpoints whose torn tail was recovered (SGN009)"),
     # -- result cache (repro.cache) -------------------------------------
     "cache.pair_hits": (
         "counter", "pair verdicts served from the result cache"),

@@ -4,7 +4,7 @@ Long-running companion to the one-shot CLI verbs: jobs (one netlist +
 N SDC modes each) are submitted over a JSON API or in-process, queued
 under admission control, executed over the shared supervised execution
 engine, and survive crashes of the hosting process via an append-only
-job journal plus the per-job merge checkpoint.
+job journal plus the result cache each job resumes from.
 
 Layers:
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.durable import write_atomic
 from repro.errors import AdmissionError
 
 #: journal event -> state it moves the job to
@@ -241,12 +241,6 @@ def replay(records: List[dict], root: Path,
 
 def dump_payload(directory: Path, payload: dict) -> Path:
     """Durably write the submission inputs next to the job."""
-    directory.mkdir(parents=True, exist_ok=True)
     target = directory / "input.json"
-    tmp = directory / "input.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
+    write_atomic(target, json.dumps(payload, sort_keys=True))
     return target

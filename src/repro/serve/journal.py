@@ -3,15 +3,18 @@
 Every job state transition the service acknowledges is first appended
 here and pushed to disk (``flush`` + ``os.fsync``) before the caller
 proceeds — kill -9 at any instant loses at most the record being
-written, never an acked one.  The format mirrors the v2 merge
-checkpoint: a header line naming the schema, then one JSON object per
-line carrying a content checksum.  A torn tail (partial last line from
-a crash mid-write) is detected on recovery, reported (``SRV004``), and
-truncated away so appends continue on a clean boundary.
+written, never an acked one.  The format is a header line naming the
+schema, then one JSON object per line carrying a content checksum
+(:func:`~repro.durable.record_crc`).  A torn tail (partial last line
+from a crash mid-write) is detected on recovery, reported
+(``SRV004``), and truncated away so appends continue on a clean
+boundary.
 
 Chaos: under ``REPRO_CHAOS`` the append path itself is a strike point
 (key ``serve:journal:<event>``) — any matching fault is surfaced as a
 :class:`JournalError` (``SRV003``), modelling a failed journal write.
+The ``chaos`` records that arm service strikes are exempt: failing
+them would count a one-shot fault without ever applying it.
 The service fails *closed* on acknowledgement records (the client is
 told, nothing is acked) and *open* on progress records (the job keeps
 running; a diagnostic is recorded).
@@ -19,12 +22,12 @@ running; a diagnostic is recorded).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.durable import record_crc
 from repro.errors import ServeError
 from repro.exec.chaos import ChaosPlan
 from repro.obs.metrics import get_metrics
@@ -42,12 +45,6 @@ class JournalError(ServeError):
         super().__init__(f"journal write failed for {event!r}: {detail}")
         self.event = event
         self.detail = detail
-
-
-def _record_crc(record: dict) -> str:
-    payload = json.dumps({k: v for k, v in record.items() if k != "crc"},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 class JobJournal:
@@ -126,7 +123,7 @@ class JobJournal:
                     f"unsupported journal schema "
                     f"{record.get('schema_version')!r} in {self.path}")
             return record
-        if record.get("crc") != _record_crc(record):
+        if record.get("crc") != record_crc(record):
             return None
         return record
 
@@ -163,12 +160,13 @@ class JobJournal:
         because append attempts are necessarily process-local).
         """
         self.open()
-        self._strike(event)
+        if event != "chaos":
+            self._strike(event)
         record = dict(fields)
         record["event"] = event
         if job is not None:
             record["job"] = job
-        record["crc"] = _record_crc(record)
+        record["crc"] = record_crc(record)
         try:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._flush()

@@ -11,16 +11,18 @@ inputs and ``submit`` record are fsync'd (fail *closed* — a journal
 fault rejects the submission with ``SRV003``); later progress events
 fail *open* (the job keeps running, a diagnostic records the miss,
 and the journal replay still lands in a legal state because every
-recovery path re-runs from the per-job merge checkpoint).  kill -9
+recovery path re-runs the merge from the job's result cache).  kill -9
 at any instant therefore loses no acked job, and a restart reproduces
-byte-identical merged SDC artifacts: the checkpoint replays finished
-groups, and merge results are deterministic given inputs.
+byte-identical merged SDC artifacts: each job resumes from the
+service's cache when it is usable, else from a private
+``jobs/<id>/cache`` that keeps finished groups only; either replays
+finished groups, and merge results are deterministic given inputs.
 
-Chaos strike points (``REPRO_CHAOS``): ``serve:admit`` (after a runner
-claims a job), ``serve:ckpt`` (around every checkpoint save) and
-``serve:finalize`` (before artifact writes).  A strike is *armed* in
-the journal before it fires, so a one-shot crash clause does not
-re-fire after the restart it caused.
+Chaos strike points (``REPRO_CHAOS``): ``serve:admit`` (at the start
+of every merge attempt), ``serve:ckpt`` (after every group a merge
+flushes, once it is cached) and ``serve:finalize`` (before artifact
+writes).  A strike is *armed* in the journal before it fires, so a
+one-shot crash clause does not re-fire after the restart it caused.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.cache import ResultCache
 from repro.core.merger import MergeOptions
 from repro.diagnostics import (
     DegradationPolicy,
@@ -174,6 +176,23 @@ class ServeChaos:
                 f"chaos corrupt at {key} attempt {attempt}")
 
 
+class _JobResumeStore(ResultCache):
+    """A job's private ``jobs/<id>/cache`` on a server without a usable
+    result cache: it keeps finished groups only.
+
+    Pair verdicts are neither looked up nor stored.  Each would be one
+    fsync'd file, thousands per job for a design with a hundred modes,
+    while a resumed attempt rescans the pairs in a fraction of the time
+    its group merges take.
+    """
+
+    def lookup_pairs(self, items):
+        return [None] * len(items)
+
+    def store_pairs(self, items) -> None:
+        return None
+
+
 class MergeService:
     """Crash-safe job queue + scheduler over the merge pipeline."""
 
@@ -237,8 +256,6 @@ class MergeService:
                              fast_window=self.config.slo_fast_window,
                              slow_window=self.config.slo_slow_window)
         if self.config.cache_root:
-            from repro.cache import ResultCache
-
             # One cache shared by every runner thread and job; an
             # unusable root degrades to uncached (CAC001), never down.
             self.cache = ResultCache.open(
@@ -292,7 +309,7 @@ class MergeService:
         """Graceful shutdown: stop admitting, interrupt in-flight work.
 
         In-flight jobs abort cleanly between engine attempts
-        (``ExecInterrupted``) with their checkpoints intact and are
+        (``ExecInterrupted``) with their finished groups cached and are
         resumed — byte-identically — by the next ``start()``.
         """
         with self._lock:
@@ -468,11 +485,6 @@ class MergeService:
                 continue  # cancelled while queued
             self._journal_progress("admit", job)
             try:
-                try:
-                    self.chaos.strike("serve:admit")
-                except (OSError, JournalError) as exc:
-                    self._fail_or_retry(job, exc)
-                    continue
                 self._run_job(job)
             except Exception as exc:  # noqa: BLE001 — runner must survive
                 self.collector.capture(exc, source=job.id)
@@ -486,6 +498,7 @@ class MergeService:
             job.attempts += 1
             self._journal_progress("start", job, attempt=job.attempts)
             try:
+                self.chaos.strike("serve:admit")
                 self._execute(job, stop)
             except ExecInterrupted:
                 if job.cancel_event.is_set():
@@ -565,15 +578,6 @@ class MergeService:
         self.collector.capture(exc, source=job.id)
         self._finish_metrics(job, "serve.jobs_failed")
 
-    def _fail_or_retry(self, job: Job, exc: BaseException) -> None:
-        """Entry for faults before the attempt loop (admit strike)."""
-        stop = _StopSignal(self._stop, job.cancel_event)
-        job.attempts += 1
-        if self._retryable(job) and self._backoff(job, stop):
-            self._run_job(job)
-        elif not job.terminal:
-            self._fail(job, exc)
-
     def _finish_metrics(self, job: Job, counter: str) -> None:
         get_metrics().inc(counter)
         self._update_depth_gauge()
@@ -596,7 +600,7 @@ class MergeService:
     # -- execution ---------------------------------------------------------
 
     def _execute(self, job: Job, stop: _StopSignal) -> None:
-        """One merge attempt: checkpointed merge_all + artifact writes."""
+        """One merge attempt: cached merge_all + artifact writes."""
         from repro.core.mergeability import merge_all
 
         payload = json.loads((job.directory / "input.json").read_text())
@@ -622,6 +626,7 @@ class MergeService:
 
         def _progress(done: int, total: int) -> None:
             self._journal_progress("progress", job, done=done, total=total)
+            self.chaos.strike("serve:ckpt")
 
         options.progress = _progress
         tracer = Tracer()
@@ -656,28 +661,17 @@ class MergeService:
                                         collector=job_collector,
                                         source=name)
                              for name, text in sorted(sdc_texts.items())]
+                    cache = self.cache
+                    if cache is None or not cache.enabled:
+                        cache = _JobResumeStore.open(
+                            job.directory / "cache",
+                            collector=job_collector, chaos=self.chaos.plan)
                     with tracer.span("serve:job", job=job.id,
                                      modes=[m.name for m in modes],
                                      attempt=job.attempts):
-                        checkpoint = MergeCheckpoint.open(
-                            job.directory / "run.ckpt",
-                            input_hash=content_hash(
-                                netlist_text,
-                                *(sdc_texts[k]
-                                  for k in sorted(sdc_texts))),
-                            collector=job_collector)
-                        chaos, original_save = self.chaos, checkpoint.save
-
-                        def striking_save():
-                            chaos.strike("serve:ckpt")
-                            original_save()
-
-                        checkpoint.save = striking_save
                         run = merge_all(netlist, modes, options,
                                         collector=job_collector,
-                                        checkpoint=checkpoint,
-                                        jobs=self.config.jobs,
-                                        cache=self.cache)
+                                        jobs=self.config.jobs, cache=cache)
                 finally:
                     if profiler is not None:
                         profiler.stop()

@@ -6,8 +6,8 @@ one self-contained run, with no test framework:
 1. generate a synthetic workload and compute the reference merge
    (uninterrupted, in-process, serial);
 2. start ``repro serve`` as a subprocess with a chaos kill clause
-   (default ``crash@serve:ckpt@1``: SIGKILL the server mid-merge, at
-   the first checkpoint save) appended to any inherited ``REPRO_CHAOS``;
+   (default ``crash@serve:ckpt@1``: SIGKILL the server mid-merge, once
+   the first group is cached) appended to any inherited ``REPRO_CHAOS``;
 3. submit the workload over the JSON API, retrying through chaos
    rejections (``SRV003``) and server deaths;
 4. every time the server dies, restart it on the same root — resumed
@@ -79,6 +79,12 @@ class ServerHandle:
         self.base_url = ""
 
     def start(self) -> None:
+        """Launch the server and wait for its banner.
+
+        A server killed before it prints the banner (a chaos strike on
+        a resumed job can fire first) returns with :meth:`alive` False,
+        so the caller counts it as one more death.
+        """
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).parents[2])
         if self.chaos_spec:
@@ -86,6 +92,7 @@ class ServerHandle:
         else:
             env.pop("REPRO_CHAOS", None)
         log_fh = open(self.log, "ab")
+        self.base_url = ""
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "--jobs", "2",
              "serve", "--root", str(self.root), "--port", "0",
@@ -96,9 +103,8 @@ class ServerHandle:
         while time.monotonic() < deadline:
             line = self.proc.stdout.readline().decode()
             if not line:
-                raise RuntimeError(
-                    f"server exited during startup "
-                    f"(code {self.proc.poll()}); see {self.log}")
+                self.proc.wait()
+                return
             log_fh.write(line.encode())
             log_fh.flush()
             if "listening on http://" in line:
@@ -146,6 +152,7 @@ def run_smoke(seed: int, chaos_clause: str, keep_root: str = "",
 
     root = Path(keep_root) if keep_root \
         else Path(tempfile.mkdtemp(prefix="repro-smoke-"))
+    root.mkdir(parents=True, exist_ok=True)
     inherited = os.environ.get("REPRO_CHAOS", "")
     chaos_spec = ";".join(part for part in (inherited, chaos_clause)
                           if part)
@@ -193,7 +200,14 @@ def run_smoke(seed: int, chaos_clause: str, keep_root: str = "",
             if not metrics_checked and state in ("running",
                                                  "checkpointing"):
                 # Scrape the live telemetry while the job is in flight.
-                problems.extend(_check_metrics_endpoint(server))
+                # A failed scrape of a server its chaos clause killed
+                # (given a poll to be reaped) is retried after restart.
+                found = _check_metrics_endpoint(server)
+                if found:
+                    time.sleep(POLL_SECONDS)
+                    if not server.alive():
+                        continue
+                problems.extend(found)
                 metrics_checked = True
             if state in ("done", "failed", "cancelled"):
                 break
@@ -377,8 +391,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--chaos-clause", default="crash@serve:ckpt@1",
                         help="chaos clause appended to REPRO_CHAOS for "
-                             "the server (default kills it at its first "
-                             "checkpoint save; '' disables)")
+                             "the server (default kills it once the "
+                             "first group is cached; '' disables)")
     parser.add_argument("--root", default="",
                         help="keep service state here instead of a "
                              "temporary directory")

@@ -9,7 +9,7 @@ The cache's core invariant, asserted from every angle:
 Covers the chaos kinds (``cache-corrupt``, ``cache-torn``,
 ``cache-lockhold`` — inert for the execution engine, applied only at
 the cache's own strike points), full-disk degradation of both the
-checkpoint (``CAC005``) and the serve journal (``SRV003`` fails the
+cache (``CAC005``) and the serve journal (``SRV003`` fails the
 submission closed), all through the real CLI / service surfaces.
 """
 
@@ -25,10 +25,9 @@ from repro.serve.service import MergeService, ServeConfig
 pytestmark = pytest.mark.faultinject
 
 
-def _merge(netlist, modes, out, cache, extra=()):
-    argv = ["merge", str(netlist), str(modes[0]), str(modes[1]),
-            "-o", str(out), "--cache", str(cache)]
-    return main(argv + list(extra))
+def _merge(netlist, modes, out, cache):
+    return main(["merge", str(netlist), str(modes[0]), str(modes[1]),
+                 "-o", str(out), "--cache", str(cache)])
 
 
 def _bytes(directory):
@@ -129,25 +128,6 @@ class TestFullDisk:
         err = capsys.readouterr().err
         assert "CAC005" in err and "computed but not cached" in err
         monkeypatch.setattr(cache_mod.os, "replace", real_replace)
-        assert _bytes(tmp / "out") == reference
-
-    def test_enospc_on_checkpoint_save_degrades_with_cac005(self, cli_files,
-                                                            monkeypatch,
-                                                            capsys,
-                                                            reference):
-        # The checkpoint journal hits a full disk mid-run: the merge
-        # still completes (groups just will not replay next time) and
-        # says so precisely.
-        from repro.checkpoint import MergeCheckpoint
-        tmp, netlist, mode_a, mode_b = cli_files
-
-        def full_disk(self):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(MergeCheckpoint, "save", full_disk)
-        assert _merge(netlist, (mode_a, mode_b), tmp / "out", tmp / "cache",
-                      extra=("--checkpoint", str(tmp / "run.ckpt"))) == 1
-        assert "CAC005" in capsys.readouterr().err
         assert _bytes(tmp / "out") == reference
 
     def test_enospc_on_journal_fails_submission_closed(self, tmp_path,

@@ -70,8 +70,7 @@ def files(tmp_path):
     return tmp_path, netlist, paths
 
 
-def merge_cli(netlist, paths, out, cache, metrics=None, extra=(),
-              policy=None):
+def merge_cli(netlist, paths, out, cache, metrics=None, policy=None):
     argv = []
     if metrics is not None:
         argv += ["--metrics", str(metrics)]
@@ -79,7 +78,6 @@ def merge_cli(netlist, paths, out, cache, metrics=None, extra=(),
         argv += ["--policy", policy]
     argv += ["merge", str(netlist)] + [str(p) for p in paths]
     argv += ["-o", str(out), "--cache", str(cache)]
-    argv += list(extra)
     return main(argv)
 
 
@@ -150,24 +148,6 @@ class TestColdWarmIdentical:
         assert sdc_bytes(tmp / "warm") == sdc_bytes(tmp / "cold")
         quarantined = list((croot / "quarantine").glob("*.json"))
         assert len(quarantined) == 5  # 3 pairs + 2 groups
-
-    def test_cache_composes_with_checkpoint(self, files):
-        tmp, netlist, paths = files
-        croot = tmp / "cache"
-        ckpt = ["--checkpoint", str(tmp / "run.ckpt")]
-        assert merge_cli(netlist, paths, tmp / "cold", croot,
-                         extra=ckpt) == 0
-        # The cache-restored groups were recorded through into the
-        # checkpoint, so a checkpoint-only rerun replays them.
-        (tmp / "run.ckpt").unlink()
-        assert merge_cli(netlist, paths, tmp / "warm", croot,
-                         extra=ckpt) == 0
-        assert (tmp / "run.ckpt").exists()
-        warm_metrics = tmp / "ckpt.json"
-        assert merge_cli(netlist, paths, tmp / "ckpt", tmp / "fresh",
-                         warm_metrics, extra=ckpt) == 0
-        assert counters(warm_metrics)["checkpoint.hits"] == 2
-        assert sdc_bytes(tmp / "ckpt") == sdc_bytes(tmp / "cold")
 
     def test_stale_lock_from_killed_run_is_reclaimed(self, files,
                                                      capsys):

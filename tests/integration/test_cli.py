@@ -127,7 +127,7 @@ class TestDiagnosticsArtifact:
 
 
 #: An out-of-tolerance clock uncertainty makes mode C non-mergeable with
-#: A and B, so checkpoint runs always contain two analysis groups.
+#: A and B, so resume runs always contain two analysis groups.
 MODE_A_CKPT = MODE_A + "set_clock_uncertainty 0.1 [get_clocks CK]\n"
 MODE_B_CKPT = MODE_B + "set_clock_uncertainty 0.1 [get_clocks CK]\n"
 MODE_C_CKPT = """
@@ -135,24 +135,22 @@ create_clock -name CK -period 10 [get_ports clk]
 set_clock_uncertainty 5 [get_clocks CK]
 """
 
-#: Driver for the kill-resume test: runs ``merge_all`` with a checkpoint
-#: but SIGKILLs its own process when the second group (mode c) starts,
-#: simulating a run dying mid-flight after completing the first group.
+#: Script for the kill-resume test: runs ``merge_all`` with a result
+#: cache but SIGKILLs its own process when the second group (mode c)
+#: starts, simulating a run dying mid-flight after completing the first.
 KILLED_DRIVER = """\
 import os, signal, sys
 
 import repro.core.mergeability as mergeability
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.cache import ResultCache
 from repro.core.merger import MergeOptions
 from repro.netlist import read_verilog
 from repro.sdc import parse_mode
 
-netlist_path, a_path, b_path, c_path, ckpt_path = sys.argv[1:6]
-netlist_text = open(netlist_path).read()
-sdc_texts = [open(p).read() for p in (a_path, b_path, c_path)]
-netlist = read_verilog(netlist_text)
-modes = [parse_mode(text, name)
-         for text, name in zip(sdc_texts, ("a", "b", "c"))]
+netlist_path, a_path, b_path, c_path, cache_root = sys.argv[1:6]
+netlist = read_verilog(open(netlist_path).read())
+modes = [parse_mode(open(path).read(), name)
+         for path, name in zip((a_path, b_path, c_path), ("a", "b", "c"))]
 
 real_merge = mergeability.merge_modes
 
@@ -162,14 +160,14 @@ def killing_merge(netlist, modes, name=None, options=None):
     return real_merge(netlist, modes, name=name, options=options)
 
 mergeability.merge_modes = killing_merge
-checkpoint = MergeCheckpoint.open(
-    ckpt_path, input_hash=content_hash(netlist_text, *sdc_texts))
 mergeability.merge_all(netlist, modes, MergeOptions(),
-                       checkpoint=checkpoint)
+                       cache=ResultCache.open(cache_root))
 """
 
 
 class TestCheckpointResume:
+    """A killed ``merge`` resumes from its ``--cache`` root."""
+
     @pytest.fixture
     def ckpt_files(self, tmp_path):
         netlist = tmp_path / "chip.v"
@@ -182,32 +180,32 @@ class TestCheckpointResume:
             paths.append(path)
         return tmp_path, netlist, paths
 
-    def _merge_args(self, netlist, paths, out, ckpt=None):
+    def _merge_args(self, netlist, paths, out, cache=None):
         args = ["merge", str(netlist)] + [str(p) for p in paths] + \
             ["-o", str(out)]
-        if ckpt is not None:
-            args += ["--checkpoint", str(ckpt)]
+        if cache is not None:
+            args += ["--cache", str(cache)]
         return args
 
     def test_rerun_restores_all_groups(self, ckpt_files, capsys):
         tmp, netlist, paths = ckpt_files
-        ckpt = tmp / "run.ckpt"
+        cache = tmp / "cache"
         assert main(self._merge_args(netlist, paths, tmp / "out1",
-                                     ckpt)) == 0
-        assert ckpt.exists()
+                                     cache)) == 0
+        assert len(list((cache / "groups").glob("*.json"))) == 2
         capsys.readouterr()
         assert main(self._merge_args(netlist, paths, tmp / "out2",
-                                     ckpt)) == 0
+                                     cache)) == 0
         captured = capsys.readouterr()
         assert "[restored]" in captured.out
-        assert "SGN007" in captured.err
+        assert "CAC006" in captured.err
         first = {p.name: p.read_bytes() for p in (tmp / "out1").glob("*.sdc")}
         second = {p.name: p.read_bytes() for p in (tmp / "out2").glob("*.sdc")}
         assert first == second
 
-    def test_killed_run_resumes_byte_identically(self, ckpt_files, capsys):
-        """A run SIGKILLed mid-flight resumes from its checkpoint and
-        produces byte-identical outputs to an uninterrupted run."""
+    def _kill_at_group_c(self, tmp, netlist, paths, cache, chaos=""):
+        """Run merge_all on ``cache`` in a subprocess SIGKILLed when
+        group ``c`` starts, after group {a, b} has finished."""
         import signal
         import subprocess
         import sys
@@ -215,52 +213,71 @@ class TestCheckpointResume:
 
         import repro
 
-        tmp, netlist, paths = ckpt_files
-        # Reference: an uninterrupted run, no checkpoint involved.
-        assert main(self._merge_args(netlist, paths, tmp / "fresh")) == 0
-
         driver = tmp / "killed_driver.py"
         driver.write_text(KILLED_DRIVER)
-        ckpt = tmp / "run.ckpt"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        if chaos:
+            env["REPRO_CHAOS"] = chaos
         proc = subprocess.run(
             [sys.executable, str(driver), str(netlist)]
-            + [str(p) for p in paths] + [str(ckpt)],
+            + [str(p) for p in paths] + [str(cache)],
             env=env, capture_output=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL
-        # The first group survived the kill; the second never completed.
-        from repro.checkpoint import MergeCheckpoint
 
-        groups = MergeCheckpoint.open(ckpt).groups
-        assert "a+b" in groups
-        assert "c" not in groups
-
+    def _resume_matches_fresh(self, tmp, netlist, paths, cache, capsys):
+        """Resume on ``cache``; returns its stderr once its merged SDCs
+        are checked byte-identical to an uninterrupted uncached run."""
+        assert main(self._merge_args(netlist, paths, tmp / "fresh")) == 0
         capsys.readouterr()
-        code = main(self._merge_args(netlist, paths, tmp / "resumed", ckpt))
+        code = main(self._merge_args(netlist, paths, tmp / "resumed", cache))
         assert code == 0
         captured = capsys.readouterr()
-        assert "SGN007" in captured.err  # group {a, b} was replayed
         fresh = {p.name: p.read_bytes()
                  for p in (tmp / "fresh").glob("*.sdc")}
         resumed = {p.name: p.read_bytes()
                    for p in (tmp / "resumed").glob("*.sdc")}
         assert fresh == resumed
         assert len(fresh) == 2  # merged a+b, individual c
+        return captured.err
 
-    def test_edited_input_invalidates_the_checkpoint(self, ckpt_files,
-                                                     capsys):
+    def test_killed_run_resumes_byte_identically(self, ckpt_files, capsys):
+        """A run SIGKILLed mid-flight resumes from its cache and
+        produces byte-identical outputs to an uninterrupted run."""
         tmp, netlist, paths = ckpt_files
-        ckpt = tmp / "run.ckpt"
-        assert main(self._merge_args(netlist, paths, tmp / "out1",
-                                     ckpt)) == 0
-        paths[0].write_text(MODE_A_CKPT + "# edited\n")
-        capsys.readouterr()
-        assert main(self._merge_args(netlist, paths, tmp / "out2",
-                                     ckpt)) == 0
-        captured = capsys.readouterr()
-        assert "SGN008" in captured.err  # stale checkpoint discarded
-        assert "[restored]" not in captured.out
+        cache = tmp / "cache"
+        self._kill_at_group_c(tmp, netlist, paths, cache)
+        # The first group survived the kill; the second never completed.
+        assert len(list((cache / "groups").glob("*.json"))) == 1
+        err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys)
+        assert "CAC006" in err  # group {a, b} was replayed
+
+    def test_group_whose_store_was_skipped_recomputes(self, ckpt_files,
+                                                      capsys):
+        """A finished group whose store was skipped (here the cache
+        lock stays held past its bounded wait, CAC004) is lost with the
+        killed run: the resume recomputes it, byte-identically."""
+        tmp, netlist, paths = ckpt_files
+        cache = tmp / "cache"
+        # Lock attempt 1 stores the pair verdicts, attempt 2 group {a, b}.
+        self._kill_at_group_c(tmp, netlist, paths, cache,
+                              chaos="cache-lockhold@cache:lock@2")
+        assert len(list((cache / "pairs").glob("*.json"))) == 3
+        assert not list((cache / "groups").glob("*.json"))
+        err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys)
+        assert "CAC006" not in err  # nothing to replay: {a, b} recomputed
+        assert len(list((cache / "groups").glob("*.json"))) == 2
+
+    def test_checkpoint_option_is_gone(self, ckpt_files, capsys):
+        # The result cache is the one resume mechanism: --checkpoint is
+        # an unknown option now, rejected like any other (exit 2).
+        tmp, netlist, paths = ckpt_files
+        with pytest.raises(SystemExit) as exc:
+            main(self._merge_args(netlist, paths, tmp / "out")
+                 + ["--checkpoint", str(tmp / "run.ckpt")])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (tmp / "run.ckpt").exists()
 
 
 class TestArgumentErrorRouting:

@@ -3,7 +3,7 @@
 The engine's headline guarantee: a parallel run is *observably
 indistinguishable* from a serial one — byte-identical merged SDC,
 identical decision ledgers — and a run killed mid-parallel-merge
-resumes from its checkpoint (even at a different job count) to the
+resumes from its result cache (even at a different job count) to the
 same bytes an uninterrupted serial run produces.
 """
 
@@ -128,53 +128,45 @@ class TestParallelEquivalence:
 
 
 #: Driver for the parallel kill-resume test.  Runs ``merge_all`` at
-#: --jobs 2 with a checkpoint; merging mode "c" blocks until the a+b
-#: group has been checkpointed, then SIGKILLs the hosting process.
+#: --jobs 2 with a result cache; merging mode "c" blocks until the a+b
+#: group has landed under ``groups/``, then SIGKILLs the hosting process.
 #: Pooled attempts kill only disposable workers (the supervisor retries
 #: and eventually falls back in-process), so the process that finally
-#: dies is the run itself — mid-flight, with exactly one group saved.
+#: dies is the run itself — mid-flight, with exactly one group stored.
 KILLED_PARALLEL_DRIVER = """\
-import json, os, signal, sys, time
+import os, signal, sys, time
+from pathlib import Path
 
 import repro.core.mergeability as mergeability
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.cache import ResultCache
 from repro.core.merger import MergeOptions
 from repro.netlist import read_verilog
 from repro.sdc import parse_mode
 
-netlist_path, a_path, b_path, c_path, ckpt_path = sys.argv[1:6]
-netlist_text = open(netlist_path).read()
-sdc_texts = [open(p).read() for p in (a_path, b_path, c_path)]
-netlist = read_verilog(netlist_text)
-modes = [parse_mode(text, name)
-         for text, name in zip(sdc_texts, ("a", "b", "c"))]
+netlist_path, a_path, b_path, c_path, cache_root = sys.argv[1:6]
+netlist = read_verilog(open(netlist_path).read())
+modes = [parse_mode(open(path).read(), name)
+         for path, name in zip((a_path, b_path, c_path), ("a", "b", "c"))]
 
 real_merge = mergeability.merge_modes
 
-def wait_for_ab_checkpoint():
-    input_hash = content_hash(netlist_text, *sdc_texts)
+def wait_for_ab_group():
     deadline = time.monotonic() + 240
     while time.monotonic() < deadline:
-        try:
-            if "a+b" in MergeCheckpoint.open(ckpt_path,
-                                             input_hash=input_hash).groups:
-                return
-        except Exception:
-            pass
+        if list(Path(cache_root, "groups").glob("*.json")):
+            return
         time.sleep(0.05)
-    raise RuntimeError("a+b never reached the checkpoint")
+    raise RuntimeError("a+b never reached the cache")
 
 def killing_merge(netlist, modes, name=None, options=None):
     if any(m.name == "c" for m in modes):
-        wait_for_ab_checkpoint()
+        wait_for_ab_group()
         os.kill(os.getpid(), signal.SIGKILL)
     return real_merge(netlist, modes, name=name, options=options)
 
 mergeability.merge_modes = killing_merge
-checkpoint = MergeCheckpoint.open(
-    ckpt_path, input_hash=content_hash(netlist_text, *sdc_texts))
 mergeability.merge_all(netlist, modes, MergeOptions(),
-                       checkpoint=checkpoint, jobs=2)
+                       cache=ResultCache.open(cache_root), jobs=2)
 """
 
 
@@ -186,33 +178,30 @@ class TestParallelCheckpointResume:
         import repro
 
         tmp, netlist, paths = files
-        # Reference: uninterrupted serial run, no checkpoint involved.
+        # Reference: uninterrupted serial run, no cache involved.
         assert _merge(netlist, paths, tmp / "fresh") == 0
 
         driver = tmp / "killed_parallel_driver.py"
         driver.write_text(KILLED_PARALLEL_DRIVER)
-        ckpt = tmp / "run.ckpt"
+        cache = tmp / "cache"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
         env.pop("REPRO_CHAOS", None)
         proc = subprocess.run(
             [sys.executable, str(driver), str(netlist)]
-            + [str(p) for p in paths] + [str(ckpt)],
+            + [str(p) for p in paths] + [str(cache)],
             env=env, capture_output=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
-        from repro.checkpoint import MergeCheckpoint
-        groups = MergeCheckpoint.open(ckpt).groups
-        assert "a+b" in groups
-        assert "c" not in groups
+        # The a+b group survived the kill; c never completed.
+        assert len(list((cache / "groups").glob("*.json"))) == 1
 
         capsys.readouterr()
         code = main(["--jobs", "3", "merge", str(netlist)]
                     + [str(p) for p in paths]
-                    + ["-o", str(tmp / "resumed"),
-                       "--checkpoint", str(ckpt)])
+                    + ["-o", str(tmp / "resumed"), "--cache", str(cache)])
         assert code == 0
         captured = capsys.readouterr()
-        assert "SGN007" in captured.err  # group {a, b} was replayed
+        assert "CAC006" in captured.err  # group {a, b} was replayed
         fresh = _sdc_bytes(tmp / "fresh")
         assert _sdc_bytes(tmp / "resumed") == fresh
         assert len(fresh) == 2

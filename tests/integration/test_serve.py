@@ -92,6 +92,60 @@ class TestConcurrentJobs:
         assert jobs[submitted["id"]].state == "done"
 
 
+class TestAdmitFault:
+    def test_admit_fault_takes_the_retry_ladder(self, tmp_path, workload,
+                                                reference):
+        # A fault at serve:admit strikes inside the attempt loop: the
+        # attempt fails, is retried, and the job still finishes.
+        from repro.exec.chaos import ChaosPlan
+        from repro.serve.jobs import replay
+
+        root = tmp_path / "root"
+        service = MergeService(
+            root, ServeConfig(runners=1, jobs=1, backoff_base=0.05),
+            chaos=ChaosPlan.from_spec("corrupt@serve:admit@1"))
+        service.start()
+        try:
+            submitted = service.submit(payload_for(workload))
+            status = wait_terminal(service, submitted["id"], timeout=30)
+            assert status["state"] == "done", status["error"]
+            assert status["attempts"] == 2
+            base = service.artifact_path(submitted["id"],
+                                         "merge_report.json").parent
+            for name, want in reference.items():
+                assert (base / name).read_bytes() == want
+        finally:
+            service.drain()
+        records, torn = JobJournal(root / "journal.jsonl").recover()
+        assert torn == 0
+        jobs = replay(records, root, strict=True)
+        assert jobs[submitted["id"]].state == "done"
+
+
+class TestJobResumeStore:
+    def test_uncached_server_keeps_finished_groups_only(
+            self, tmp_path, workload, reference):
+        # With no service cache a job resumes from its private store:
+        # one entry per merge group, no pair verdicts.
+        root = tmp_path / "root"
+        service = MergeService(root, ServeConfig(runners=1, jobs=1),
+                               chaos=None)
+        service.start()
+        try:
+            submitted = service.submit(payload_for(workload))
+            status = wait_terminal(service, submitted["id"])
+            assert status["state"] == "done", status["error"]
+        finally:
+            service.drain()
+        job_dir = root / "jobs" / submitted["id"]
+        report = json.loads(
+            (job_dir / "artifacts" / "merge_report.json").read_text())
+        store = job_dir / "cache"
+        assert len(list((store / "groups").glob("*.json"))) \
+            == len(report["groups"])
+        assert not list((store / "pairs").glob("*.json"))
+
+
 class TestAdmission:
     def test_queue_full_rejects_with_srv001(self, tmp_path, workload):
         # no runners started: submissions stay pending

@@ -1,12 +1,13 @@
 """Crash-safety tests: kill -9 the serve process at each journal phase.
 
 The service is run as a real subprocess with a one-shot chaos kill
-clause at one of three phases — right after admission (``serve:admit``),
-mid-merge at the first checkpoint save (``serve:ckpt``), and after the
-merge but before artifacts (``serve:finalize``).  The restart must
-complete every acked job with merged SDCs byte-identical to an
-uninterrupted serial run, and the journal must replay through the
-strict state machine: no lost and no duplicated transitions.
+clause at one of three phases — right after the merge attempt starts
+(``serve:admit``), mid-merge once the first group is cached
+(``serve:ckpt``), and after the merge but before artifacts
+(``serve:finalize``).  The restart must complete every acked job with
+merged SDCs byte-identical to an uninterrupted serial run, and the
+journal must replay through the strict state machine: no lost and no
+duplicated transitions.
 """
 
 import json
@@ -24,7 +25,7 @@ from repro.serve.smoke import ServerHandle, _netlist_text, _reference_sdcs
 from repro.workloads.generator import ModeGroupSpec, WorkloadSpec, generate
 
 PHASES = [
-    ("crash@serve:admit@1", "pre_start"),
+    ("crash@serve:admit@1", "post_start"),
     ("crash@serve:ckpt@1", "mid_run"),
     ("crash@serve:finalize@1", "pre_finalize"),
 ]
@@ -68,6 +69,7 @@ def test_kill9_then_restart_completes_byte_identically(
     root = tmp_path / "serve"
     server = ServerHandle(root, clause, tmp_path / "server.log")
     server.start()
+    assert server.alive(), "server exited during startup"
     status, body = _post(f"{server.base_url}/api/jobs",
                          {"netlist": netlist_text, "modes": sdc_texts})
     assert status == 201
@@ -83,6 +85,7 @@ def test_kill9_then_restart_completes_byte_identically(
     # the acked job survives: same root, same chaos env (the armed
     # strike count in the journal stops the clause from re-firing)
     server.start()
+    assert server.alive(), "server exited during startup after the kill"
     try:
         deadline = time.monotonic() + 240
         state = ""

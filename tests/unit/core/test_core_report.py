@@ -58,7 +58,7 @@ class TestMergingRunReport:
         run.outcomes[0].restored = True
         text = format_merging_run(run)
         assert "OK [restored]" in text
-        assert "1 outcome(s) restored from checkpoint" in text
+        assert "1 outcome(s) restored from the result cache" in text
 
     def test_both_markers_stack(self, pipeline_netlist):
         modes = [parse_mode(CLK, "A"), parse_mode(CLK, "B")]

@@ -141,3 +141,15 @@ class TestJournalChaos:
         with pytest.raises(JournalError, match="chaos crash"):
             journal.append("admit", job="j1")
         journal.close()
+
+    def test_chaos_arming_records_are_never_struck(self, path):
+        # failing the record that arms a service strike would count a
+        # one-shot fault without ever applying it
+        plan = ChaosPlan.from_spec("corrupt@serve:journal:chaos@1")
+        journal = JobJournal(path, chaos=plan)
+        journal.append("chaos", key="serve:ckpt", attempt=1, kind="crash")
+        journal.close()
+        records, torn = JobJournal(path).recover()
+        assert torn == 0
+        assert [(r["event"], r["key"], r["attempt"], r["kind"])
+                for r in records] == [("chaos", "serve:ckpt", 1, "crash")]

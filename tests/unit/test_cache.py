@@ -6,6 +6,8 @@ entries), the advisory lock's stale-owner takeover and live-owner
 contention, ENOSPC write degradation, and the deterministic
 ``cache-*`` chaos kinds.  The invariant throughout: a damaged or
 unusable cache changes *performance*, never results and never bytes.
+The content hashes that key every entry and the group-record codec
+that replays a cached group byte-identically are tested here too.
 """
 
 import errno
@@ -13,19 +15,39 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from repro.cache import (
     CACHE_KIND,
     CACHE_SCHEMA_VERSION,
+    EMPTY_LOCK_GRACE_SECONDS,
     CacheLock,
     ResultCache,
+    content_hash,
+    mode_fingerprint,
+    netlist_fingerprint,
+    restore_diagnostics,
+    restore_outcome,
+    serialize_outcome,
 )
-from repro.checkpoint import mode_fingerprint
-from repro.diagnostics import DiagnosticCollector
+from repro.core import merge_all, merge_modes
+from repro.core.merger import MergeOptions
+from repro.diagnostics import Diagnostic, DiagnosticCollector, Severity
+from repro.durable import record_crc
 from repro.exec.chaos import ALL_FAULT_KINDS, CACHE_FAULT_KINDS, ChaosPlan
-from repro.sdc import parse_mode
+from repro.sdc import parse_mode, write_mode
+
+MODE_A = """
+create_clock -name CK -period 10 [get_ports clk]
+set_false_path -to [get_pins rB/D]
+"""
+
+MODE_B = """
+create_clock -name CK -period 10 [get_ports clk]
+"""
 
 
 def open_cache(tmp_path, **kwargs):
@@ -38,6 +60,114 @@ def open_cache(tmp_path, **kwargs):
 
 def codes(cache):
     return [d.code for d in cache.collector.diagnostics]
+
+
+def pipeline_modes():
+    return [parse_mode(MODE_A, "A"), parse_mode(MODE_B, "B")]
+
+
+class TestContentHash:
+    def test_stable(self):
+        assert content_hash("a", "b") == content_hash("a", "b")
+
+    def test_order_and_boundaries_matter(self):
+        assert content_hash("a", "b") != content_hash("b", "a")
+        assert content_hash("ab", "c") != content_hash("a", "bc")
+
+    def test_netlist_fingerprint_tracks_content(self, pipeline_netlist,
+                                                reconvergent_netlist):
+        assert netlist_fingerprint(pipeline_netlist) == \
+            netlist_fingerprint(pipeline_netlist)
+        assert netlist_fingerprint(pipeline_netlist) != \
+            netlist_fingerprint(reconvergent_netlist)
+
+
+class TestSpace:
+    def test_sensitive_to_options(self, pipeline_netlist):
+        assert ResultCache.space(pipeline_netlist, MergeOptions()) != \
+            ResultCache.space(pipeline_netlist,
+                              MergeOptions(budget_seconds=5.0))
+
+    def test_exec_options_leave_the_space_unchanged(self, pipeline_netlist):
+        # exec_* knobs tune execution, not results: a rerun at another
+        # deadline or attempt count must still hit the cache.
+        assert ResultCache.space(pipeline_netlist, MergeOptions()) == \
+            ResultCache.space(pipeline_netlist,
+                              MergeOptions(exec_deadline_seconds=9.0,
+                                           exec_max_attempts=7,
+                                           exec_gate_client="job-1"))
+
+    def test_group_key_stable_across_reparses(self, pipeline_netlist):
+        space = ResultCache.space(pipeline_netlist, MergeOptions())
+
+        def key():
+            return ResultCache.group_key(
+                space, [mode_fingerprint(m) for m in pipeline_modes()])
+
+        assert key() == key()
+
+    def test_group_key_sensitive_to_mode_text(self, pipeline_netlist):
+        space = ResultCache.space(pipeline_netlist, MergeOptions())
+        edited = [parse_mode(MODE_A + "set_false_path -from rA/CP\n", "A"),
+                  parse_mode(MODE_B, "B")]
+        assert ResultCache.group_key(
+            space, [mode_fingerprint(m) for m in pipeline_modes()]) != \
+            ResultCache.group_key(
+                space, [mode_fingerprint(m) for m in edited])
+
+
+class TestOutcomeCodec:
+    def test_outcome_round_trips_byte_identically(self, pipeline_netlist):
+        result = merge_modes(pipeline_netlist, pipeline_modes())
+
+        class Outcome:
+            mode_names = ["A", "B"]
+            error = ""
+            repaired = False
+
+        Outcome.result = result
+        diag = Diagnostic(code="SGN003", message="m",
+                          severity=Severity.WARNING, source="A")
+        # Through JSON, as a cache entry stores it.
+        entry = json.loads(json.dumps({
+            "outcomes": [serialize_outcome(Outcome())],
+            "diagnostics": [diag.to_dict()]}))
+        names, restored, error, repaired = \
+            restore_outcome(entry["outcomes"][0])
+        assert names == ["A", "B"]
+        assert error == ""
+        assert not repaired
+        assert restored.ok
+        assert restored.validated
+        assert write_mode(restored.merged) == write_mode(result.merged)
+        assert restored.to_dict() == result.to_dict()
+        assert restore_diagnostics(entry) == [diag]
+
+
+class TestMergeAllResume:
+    def test_second_run_restores_and_matches(self, pipeline_netlist,
+                                             tmp_path):
+        first = merge_all(pipeline_netlist, pipeline_modes(),
+                          MergeOptions(), cache=open_cache(tmp_path))
+        assert first.restored_count == 0
+
+        resumed = merge_all(pipeline_netlist, pipeline_modes(),
+                            MergeOptions(), cache=open_cache(tmp_path))
+        assert resumed.restored_count == len(resumed.outcomes) == 1
+        assert any(d.code == "CAC006" for d in resumed.diagnostics)
+        assert write_mode(resumed.outcomes[0].result.merged) == \
+            write_mode(first.outcomes[0].result.merged)
+        assert resumed.to_dict()["groups"][0]["restored"]
+
+    def test_changed_mode_invalidates_only_its_group(self, pipeline_netlist,
+                                                     tmp_path):
+        merge_all(pipeline_netlist, pipeline_modes(), MergeOptions(),
+                  cache=open_cache(tmp_path))
+        edited = [parse_mode(MODE_A + "set_false_path -from rA/CP\n", "A"),
+                  parse_mode(MODE_B, "B")]
+        resumed = merge_all(pipeline_netlist, edited, MergeOptions(),
+                            cache=open_cache(tmp_path))
+        assert resumed.restored_count == 0
 
 
 class TestKeys:
@@ -108,8 +238,7 @@ class TestRoundTrip:
         assert entry["kind"] == CACHE_KIND
         assert entry["schema_version"] == CACHE_SCHEMA_VERSION
         assert entry["key"] == key
-        from repro.checkpoint import _record_crc
-        assert entry["crc"] == _record_crc(entry)
+        assert entry["crc"] == record_crc(entry)
 
 
 class TestQuarantine:
@@ -143,9 +272,8 @@ class TestQuarantine:
         key, path = self.store_one(cache)
         entry = json.loads(path.read_text())
         entry["schema_version"] = CACHE_SCHEMA_VERSION + 1
-        from repro.checkpoint import _record_crc
         entry.pop("crc")
-        entry["crc"] = _record_crc(entry)
+        entry["crc"] = record_crc(entry)
         path.write_text(json.dumps(entry))
         self.assert_quarantined(cache, key, path)
 
@@ -213,6 +341,49 @@ class TestLock:
         assert lock.acquire(0.1)
         lock.release()
 
+    def test_empty_lock_is_an_owner_mid_create(self, tmp_path):
+        # A waiter that reads the lock between its owner's create and
+        # payload write must wait, not take the lock over.
+        (tmp_path / "l").write_text("")
+        lock = CacheLock(tmp_path / "l")
+        assert not lock.acquire(0.1)
+        assert lock.last_outcome == "contended"
+
+    def test_lock_left_empty_by_a_killed_writer_is_stale(self, tmp_path):
+        path = tmp_path / "l"
+        path.write_text("")
+        old = time.time() - EMPTY_LOCK_GRACE_SECONDS - 5
+        os.utime(path, (old, old))
+        lock = CacheLock(path)
+        assert lock.acquire(0.1)
+        assert lock.last_outcome == "takeover"
+        lock.release()
+
+    def test_threads_never_hold_the_lock_together(self, tmp_path):
+        path = tmp_path / "l"
+        state = {"holders": 0, "overlaps": 0, "takeovers": 0}
+        guard = threading.Lock()
+
+        def worker():
+            for _ in range(150):
+                lock = CacheLock(path)
+                assert lock.acquire(5.0)
+                with guard:
+                    state["holders"] += 1
+                    state["overlaps"] += state["holders"] > 1
+                    state["takeovers"] += lock.last_outcome == "takeover"
+                time.sleep(0.0005)
+                with guard:
+                    state["holders"] -= 1
+                lock.release()
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert state == {"holders": 0, "overlaps": 0, "takeovers": 0}
+
     def test_contended_cache_skips_writes_with_cac004(self, tmp_path):
         cache = open_cache(tmp_path, lock_timeout=0.1)
         holder = CacheLock(cache.root / "cache.lock")
@@ -276,6 +447,21 @@ class TestDiskFailure:
         cache.store_pairs([("k", "pair:A,B", True, "")])
         # Nothing landed, so the lookup is an honest miss — not garbage.
         assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+
+    def test_failed_writes_leave_no_temp_files(self, tmp_path, monkeypatch):
+        # A store that dies at the rename must take its temp file with
+        # it: stats, verify, prune and clear never see such debris.
+        cache = open_cache(tmp_path)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.durable.os.replace", full_disk)
+        cache.store_pairs([("k", "pair:A,B", True, "")])
+        cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
+                          [])
+        assert codes(cache).count("CAC005") == 2
+        assert [p for p in cache.root.rglob("*") if p.is_file()] == []
 
 
 class TestChaosKinds:
