@@ -16,6 +16,8 @@ from repro.core.steps import MergeContext
 from repro.core.three_pass import ThreePassRefiner
 from repro.core.watchdog import WatchdogBudget
 from repro.netlist.netlist import Netlist
+from repro.obs.metrics import get_metrics
+from repro.obs.trace import get_tracer
 from repro.sdc.mode import Mode
 
 
@@ -53,9 +55,19 @@ class EquivalenceReport:
 def check_equivalence(context: MergeContext,
                       budget: Optional[WatchdogBudget] = None
                       ) -> EquivalenceReport:
-    """Check a merge context's merged mode against its individual modes."""
+    """Check a merge context's merged mode against its individual modes.
+
+    The individual modes' rows left on the context by the 3-pass are
+    reused while they still hold (only path exceptions were added to the
+    merged mode since); the enclosing span is annotated ``rows=reused``
+    or ``rows=rebuilt``.  The merged mode's rows are always recomputed.
+    """
     refiner = ThreePassRefiner(context, max_iterations=1, apply_fixes=False,
                                budget=budget)
+    get_tracer().annotate(
+        rows="reused" if refiner.rows_reused else "rebuilt")
+    if refiner.rows_reused:
+        get_metrics().inc("three_pass.rows_reused")
     outcome = refiner.run()
     return EquivalenceReport(
         equivalent=not outcome.residuals,
@@ -73,7 +85,8 @@ def check_mode_equivalence(netlist: Netlist, individual_modes: Sequence[Mode],
 
     ``clock_maps`` maps each individual mode's clock names to the candidate
     mode's names; omitted entries are matched by name (the common case when
-    the candidate was written by hand against the same clock names).
+    the candidate was written by hand against the same clock names).  The
+    check builds a fresh context, so it computes every row itself.
     """
     context = MergeContext(netlist, list(individual_modes),
                            merged_mode.name)

@@ -126,6 +126,10 @@ class MergeContext:
         self.provenance = ProvenanceLedger()
         #: the last binding of the merged mode (see bind_merged)
         self._binding = None
+        #: the 3-pass's individual-mode rows and the merged binding they
+        #: are aligned to (:class:`~repro.core.three_pass.IndividualRows`);
+        #: the equivalence validation adopts them while they still hold
+        self.individual_rows = None
 
     def bound_individuals(self):
         """Bound (resolved) views of the individual modes.
@@ -169,8 +173,10 @@ class MergeContext:
         return bound
 
     def release_binding(self) -> None:
-        """Forget the last merged binding; the next one starts afresh."""
+        """Forget the last merged binding and the individual rows aligned
+        to a merged binding; the next ones start afresh."""
         self._binding = None
+        self.individual_rows = None
 
     def report(self, name: str) -> StepReport:
         report = StepReport(name)

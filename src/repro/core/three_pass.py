@@ -38,6 +38,7 @@ from repro.obs.provenance import RULE_DERIVED
 from repro.obs.trace import get_tracer
 from repro.sdc.commands import (
     Constraint,
+    EXCEPTION_TYPES,
     ObjectRef,
     PathSpec,
     SetFalsePath,
@@ -45,6 +46,7 @@ from repro.sdc.commands import (
     SetMinDelay,
     SetMulticyclePath,
 )
+from repro.sdc.mode import Mode
 from repro.timing.clocks import ClockPropagation
 from repro.timing.graph import ARC_LAUNCH
 from repro.timing.relationships import RelationshipExtractor
@@ -252,6 +254,153 @@ class ThreePassOutcome:
         return not self.residuals
 
 
+class IndividualRows:
+    """The individual modes' relationship rows of one merge group.
+
+    Keys are in merged clock names.  The extractors walk one binding of
+    the merged mode, the *structure*, so their rows align path for path
+    with the merged mode's rows (paths the merged mode has but a mode
+    kills contribute FALSE -- see :mod:`repro.timing.relationships`).
+    The rows therefore depend only on the individual bindings and on the
+    structure's liveness, clock network, register clocks, I/O delays and
+    clock groups.  A path exception binds only into
+    ``BoundMode.exceptions`` and changes none of these, so the rows stay
+    exact while the merged mode grows by path exceptions alone
+    (:meth:`describes`): across the fix loop's iterations, and into the
+    equivalence validation that follows it.  Each query is computed once.
+    """
+
+    def __init__(self, context: MergeContext):
+        self.graph = context.graph
+        self.count = len(context.modes)
+        #: the merged binding the extractors walk, and its mode's
+        #: constraints when it was bound
+        self.structure = context.bind_merged()
+        self._merged = context.merged
+        self._constraints = context.merged.constraints
+        self.extractors = [
+            RelationshipExtractor(bound, structure=self.structure,
+                                  clock_map=context.clock_maps[mode.name])
+            for mode, bound in zip(context.modes,
+                                   context.bound_individuals())
+        ]
+        #: frozen: the aligned comparison cannot see these paths
+        self.structural = self._structural_residuals(context)
+        self._pass1: Optional[Dict] = None
+        #: endpoint name -> that endpoint's pass-2 rows
+        self._pass2: Dict[str, Dict] = {}
+        #: (startpoint, endpoint, chain, edge filter) -> pass-3 rows
+        self._through: Dict[Tuple, Dict] = {}
+
+    def describes(self, merged: Mode) -> bool:
+        """Do the rows still hold for ``merged``?
+
+        True when ``merged`` is the mode the structure was bound from and
+        every constraint it gained since is a path exception.
+        """
+        if merged is not self._merged:
+            return False
+        current = merged.constraints
+        bound = len(self._constraints)
+        return current[:bound] == self._constraints and all(
+            isinstance(c, EXCEPTION_TYPES) for c in current[bound:])
+
+    def _structural_residuals(self, context: MergeContext) -> List[str]:
+        """The merged mode must reach at least what every mode reaches.
+
+        The aligned extraction walks the merged structure, so a path alive
+        in an individual mode but killed in the merged mode would silently
+        drop out of the comparison.  The pipeline's own merges guarantee
+        the superset by construction (cases are intersected, disables are
+        intersected or constant-everywhere); this check protects the
+        equivalence audit of arbitrary candidate modes.
+        """
+        structure = self.structure
+        graph = self.graph
+        residuals: List[str] = []
+        for mode, bound in zip(context.modes, context.bound_individuals()):
+            mapping = context.clock_maps[mode.name]
+            for arc in graph.arcs:
+                if bound.constants.arc_is_live(arc) \
+                        and not structure.constants.arc_is_live(arc):
+                    residuals.append(
+                        f"merged mode kills arc "
+                        f"{graph.name(arc.src)} -> {graph.name(arc.dst)} "
+                        f"which is live in mode {mode.name}")
+            own_prop = bound.clock_propagation()
+            merged_prop = structure.clock_propagation()
+            for inst, clocks in own_prop.register_clocks.items():
+                merged_clocks = merged_prop.register_clocks.get(inst, set())
+                for clock_name in clocks:
+                    if mapping.get(clock_name, clock_name) \
+                            not in merged_clocks:
+                        residuals.append(
+                            f"clock {clock_name} of mode {mode.name} does "
+                            f"not reach register {inst} in the merged mode")
+        return sorted(set(residuals))
+
+    def endpoint_rows(self) -> Dict[Tuple[str, str, str], List[StateSet]]:
+        """Pass 1: (endpoint, launch, capture) -> per-mode states."""
+        if self._pass1 is not None:
+            return self._pass1
+        rows: Dict[Tuple[str, str, str], List[StateSet]] = {}
+        for idx, extractor in enumerate(self.extractors):
+            for (ep, lc, cc), states in \
+                    extractor.endpoint_relationships().items():
+                key = (self.graph.name(ep), lc, cc)
+                bucket = rows.setdefault(key, [EMPTY] * self.count)
+                bucket[idx] = bucket[idx] | states
+        self._pass1 = rows
+        return rows
+
+    def pair_rows(self, endpoints: FrozenSet[str]
+                  ) -> Dict[Tuple[str, str, str, str], List[StateSet]]:
+        """Pass 2: (startpoint, endpoint, launch, capture) -> per-mode
+        states, for the given endpoints.
+
+        Memoized per endpoint: propagation for an endpoint set stays
+        inside the union of the endpoints' backward cones, so an
+        endpoint's rows are the same whichever set they were computed in,
+        and only endpoints not seen before are propagated.
+        """
+        memo = self._pass2
+        missing = [name for name in endpoints if name not in memo]
+        if missing:
+            for name in missing:
+                memo[name] = {}
+            ep_nodes = {self.graph.node(name) for name in missing}
+            for idx, extractor in enumerate(self.extractors):
+                for (sp, ep, lc, cc), states in \
+                        extractor.pair_relationships(ep_nodes).items():
+                    ep_name = self.graph.name(ep)
+                    bucket = memo[ep_name].setdefault(
+                        (self.graph.name(sp), ep_name, lc, cc),
+                        [EMPTY] * self.count)
+                    bucket[idx] = bucket[idx] | states
+        rows: Dict[Tuple[str, str, str, str], List[StateSet]] = {}
+        for name in endpoints:
+            rows.update(memo[name])
+        return rows
+
+    def through_rows(self, sp: int, ep: int, chain: Tuple[int, ...],
+                     edge: Optional[str] = None
+                     ) -> Dict[Tuple[str, str], List[StateSet]]:
+        """Pass 3: (launch, capture) -> per-mode states of the paths
+        sp -> ... chain ... -> ep, optionally of one endpoint data edge."""
+        key = (sp, ep, chain, edge)
+        rows = self._through.get(key)
+        if rows is not None:
+            return rows
+        rows = {}
+        for idx, extractor in enumerate(self.extractors):
+            for lc_cc, states in extractor.through_states(
+                    sp, ep, chain, edge_filter=edge).items():
+                bucket = rows.setdefault(lc_cc, [EMPTY] * self.count)
+                bucket[idx] = bucket[idx] | states
+        self._through[key] = rows
+        return rows
+
+
 class ThreePassRefiner:
     """Drives the 3-pass comparison and fix loop for one merge context."""
 
@@ -268,69 +417,16 @@ class ThreePassRefiner:
         #: mode): mismatches become residuals instead of fix constraints.
         self.apply_fixes = apply_fixes
         self.outcome = ThreePassOutcome()
-        self._clock_maps = [
-            context.clock_maps[mode.name] for mode in context.modes]
-        # Individual-mode extractors walk the *merged* structure so their
-        # rows align path-for-path with the merged mode's rows (paths the
-        # merged mode has but a mode kills contribute FALSE — see
-        # repro.timing.relationships).  The structure's liveness and clock
-        # network are fixed before the 3-pass starts (only path exceptions
-        # are added by fixes), so one structure bound serves every
-        # iteration.
-        self._structure = context.bind_merged()
-        self._ind_extractors = [
-            RelationshipExtractor(bound, structure=self._structure,
-                                  clock_map=mapping)
-            for bound, mapping in zip(context.bound_individuals(),
-                                      self._clock_maps)
-        ]
-        self._ind_pass1: Optional[Dict] = None
-        self._ind_pass2_cache: Dict[FrozenSet[str], Dict] = {}
-
-    # ------------------------------------------------------------------
-    # individual-mode row computation (keys in merged clock names)
-    # ------------------------------------------------------------------
-    def _ind_endpoint_rows(self) -> Dict[Tuple[str, str, str], List[StateSet]]:
-        if self._ind_pass1 is not None:
-            return self._ind_pass1
-        count = len(self._ind_extractors)
-        rows: Dict[Tuple[str, str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (ep, lc, cc), states in \
-                    extractor.endpoint_relationships().items():
-                key = (self.graph.name(ep), lc, cc)
-                bucket = rows.setdefault(key, [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        self._ind_pass1 = rows
-        return rows
-
-    def _ind_pair_rows(self, endpoints: FrozenSet[str]
-                       ) -> Dict[Tuple[str, str, str, str], List[StateSet]]:
-        cached = self._ind_pass2_cache.get(endpoints)
-        if cached is not None:
-            return cached
-        count = len(self._ind_extractors)
-        ep_nodes = {self.graph.node(name) for name in endpoints}
-        rows: Dict[Tuple[str, str, str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (sp, ep, lc, cc), states in \
-                    extractor.pair_relationships(ep_nodes).items():
-                key = (self.graph.name(sp), self.graph.name(ep), lc, cc)
-                bucket = rows.setdefault(key, [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        self._ind_pass2_cache[endpoints] = rows
-        return rows
-
-    def _ind_through_rows(self, sp: int, ep: int, chain: Sequence[int]
-                          ) -> Dict[Tuple[str, str], List[StateSet]]:
-        count = len(self._ind_extractors)
-        rows: Dict[Tuple[str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (lc, cc), states in \
-                    extractor.through_states(sp, ep, chain).items():
-                bucket = rows.setdefault((lc, cc), [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        return rows
+        # A checking refiner adopts the rows a fix loop left on the
+        # context while they still hold; the merged side is recomputed
+        # from the final merged mode in every iteration either way.
+        rows = context.individual_rows
+        #: the individual-mode rows came from an earlier refiner
+        self.rows_reused = (not apply_fixes and rows is not None
+                            and rows.describes(context.merged))
+        if not self.rows_reused:
+            rows = context.individual_rows = IndividualRows(context)
+        self._rows: IndividualRows = rows
 
     # ------------------------------------------------------------------
     # fix validation
@@ -354,8 +450,7 @@ class ThreePassRefiner:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> ThreePassOutcome:
-        self._check_structural_superset()
-        structural = list(self.outcome.residuals)
+        structural = self._rows.structural
         collect = True
         for iteration in range(self.max_iterations):
             if self.budget is not None:
@@ -375,42 +470,6 @@ class ThreePassRefiner:
         return self.outcome
 
 
-    def _check_structural_superset(self) -> None:
-        """The merged mode must reach at least what every mode reaches.
-
-        The aligned extraction walks the merged structure, so a path alive
-        in an individual mode but killed in the merged mode would silently
-        drop out of the comparison.  The pipeline's own merges guarantee
-        the superset by construction (cases are intersected, disables are
-        intersected or constant-everywhere); this check protects the
-        equivalence audit of arbitrary candidate modes.
-        """
-        structure = self._structure
-        graph = self.graph
-        for mode, bound in zip(self.context.modes,
-                               self.context.bound_individuals()):
-            mapping = self.context.clock_maps[mode.name]
-            for arc in graph.arcs:
-                if bound.constants.arc_is_live(arc) \
-                        and not structure.constants.arc_is_live(arc):
-                    self.outcome.residuals.append(
-                        f"merged mode kills arc "
-                        f"{graph.name(arc.src)} -> {graph.name(arc.dst)} "
-                        f"which is live in mode {mode.name}")
-            own_prop = bound.clock_propagation()
-            merged_prop = structure.clock_propagation()
-            for inst, clocks in own_prop.register_clocks.items():
-                merged_clocks = merged_prop.register_clocks.get(inst, set())
-                for clock_name in clocks:
-                    if mapping.get(clock_name, clock_name) \
-                            not in merged_clocks:
-                        self.outcome.residuals.append(
-                            f"clock {clock_name} of mode {mode.name} does "
-                            f"not reach register {inst} in the merged mode")
-        if self.outcome.residuals:
-            # Frozen: the aligned comparison below cannot see these paths.
-            self.outcome.residuals = sorted(set(self.outcome.residuals))
-
     def _iterate(self, collect: bool) -> None:
         context = self.context
         tracer = get_tracer()
@@ -418,10 +477,10 @@ class ThreePassRefiner:
         merged_ex = RelationshipExtractor(merged_bound)
 
         # ---------------- pass 1 ----------------
-        mode_count = len(self._ind_extractors)
+        mode_count = self._rows.count
         ambiguous_pass2: List[Tuple[str, str, str]] = []
         with tracer.span("three_pass:pass1") as span:
-            ind_rows = self._ind_endpoint_rows()
+            ind_rows = self._rows.endpoint_rows()
             merged_rows: Dict[Tuple[str, str, str], StateSet] = {}
             for (ep, lc, cc), states in \
                     merged_ex.endpoint_relationships().items():
@@ -462,7 +521,7 @@ class ThreePassRefiner:
         with tracer.span("three_pass:pass2") as span:
             endpoints = frozenset(key[0] for key in ambiguous_pass2)
             ambiguous_keys = set(ambiguous_pass2)
-            ind_pairs = self._ind_pair_rows(endpoints)
+            ind_pairs = self._rows.pair_rows(endpoints)
             merged_pairs: Dict[Tuple[str, str, str, str], StateSet] = {}
             ep_nodes = {self.graph.node(name) for name in endpoints}
             for (sp, ep, lc, cc), states in \
@@ -608,10 +667,9 @@ class ThreePassRefiner:
                 self.outcome.residuals.append(
                     f"chain depth limit between {sp_name} and {ep_name}")
                 continue
-            ind_rows = self._ind_through_rows(sp, ep, chain)
+            ind_rows = self._rows.through_rows(sp, ep, chain)
             merged_rows = merged_ex.through_states(sp, ep, chain)
-            per_mode = ind_rows.get((lc, cc),
-                                    [EMPTY] * len(self._ind_extractors))
+            per_mode = ind_rows.get((lc, cc), [EMPTY] * self._rows.count)
             merged = merged_rows.get((lc, cc), EMPTY)
             verdict = classify(per_mode, merged)
             if collect and chain:
@@ -658,11 +716,8 @@ class ThreePassRefiner:
         resolved = True
         for edge, (rise_flag, fall_flag) in (("r", (True, False)),
                                              ("f", (False, True))):
-            per_mode = [EMPTY] * len(self._ind_extractors)
-            for idx, extractor in enumerate(self._ind_extractors):
-                rows = extractor.through_states(sp, ep, chain,
-                                                edge_filter=edge)
-                per_mode[idx] = per_mode[idx] | rows.get((lc, cc), EMPTY)
+            per_mode = self._rows.through_rows(sp, ep, chain, edge).get(
+                (lc, cc), [EMPTY] * self._rows.count)
             merged_rows = merged_ex.through_states(sp, ep, chain,
                                                    edge_filter=edge)
             merged = merged_rows.get((lc, cc), EMPTY)

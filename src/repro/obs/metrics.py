@@ -94,6 +94,8 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "fix constraints synthesized by the 3-pass comparison"),
     "three_pass.residuals": (
         "counter", "unresolved mismatches left by the 3-pass comparison"),
+    "three_pass.rows_reused": (
+        "counter", "validations that adopted the 3-pass individual rows"),
     # -- sign-off guard / watchdog -------------------------------------
     "signoff.guard_engaged": (
         "counter", "groups handed to the sign-off guard"),

@@ -1,6 +1,7 @@
 """Property tests: the tag-propagation engine vs the path-enumeration
 oracle, plus structural invariants of the timing graph machinery."""
 
+import random
 import sys
 from pathlib import Path
 
@@ -60,6 +61,37 @@ class TestTagEngineAgainstOracle:
             key = (ep, lc, cc)
             collapsed[key] = collapsed.get(key, frozenset()) | states
         assert collapsed == endpoint_rows
+
+
+class TestPairRowsPerEndpoint:
+    @given(circuit_params, st.integers(0, 10_000), st.integers(0, 10_000),
+           st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_endpoint_rows_do_not_depend_on_the_endpoint_set(
+            self, params, mode_seed, structure_seed, subset_seed, aligned):
+        """``pair_relationships(S)`` restricted to an endpoint ``e`` of
+        ``S`` equals ``pair_relationships({e})``: propagation stays inside
+        the union of the endpoints' backward cones.  The 3-pass memoizes
+        its pass-2 rows per endpoint on this."""
+        seed, gates, regs, mux = params
+        netlist = build_random_circuit(seed, gates, regs, mux)
+        mode = build_random_mode(netlist, mode_seed, "m")
+        bound = BoundMode(netlist, mode)
+        if aligned:
+            structure = BoundMode(netlist, build_random_mode(
+                netlist, structure_seed, "s", with_exceptions=False))
+            extractor = RelationshipExtractor(
+                bound, structure=structure,
+                clock_map={name: name for name in mode.clock_names()})
+        else:
+            extractor = RelationshipExtractor(bound)
+        endpoints = bound.graph.endpoint_nodes()
+        rng = random.Random(subset_seed)
+        subset = set(rng.sample(endpoints, rng.randint(1, len(endpoints))))
+        rows = extractor.pair_relationships(subset)
+        for ep in subset:
+            assert extractor.pair_relationships({ep}) == {
+                key: states for key, states in rows.items() if key[1] == ep}
 
 
 class TestGraphInvariants:
