@@ -135,7 +135,7 @@ def refine_clock_network(context: MergeContext,
             bucket.update(mapping.get(c, c) for c in clocks)
 
     merged_bound = context.bind_merged()
-    merged_prop = ClockPropagation(merged_bound)
+    merged_prop = merged_bound.clock_propagation()
     nodes_visited += len(merged_prop.node_clocks)
     frontier = find_extra_clock_frontier(graph, merged_prop, union_ind,
                                          merged_bound.constants)

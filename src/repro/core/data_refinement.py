@@ -13,7 +13,7 @@ which falsifies exactly the (clock, node) combinations that are extra.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.clock_refinement import _ref_for_node
 from repro.core.steps import MergeContext, StepReport
@@ -21,7 +21,7 @@ from repro.obs.explain import get_decisions
 from repro.obs.metrics import get_metrics
 from repro.obs.provenance import RULE_DERIVED
 from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
-from repro.timing.clocks import ClockPropagation, propagate_launch_clocks
+from repro.timing.clocks import propagate_launch_clocks
 from repro.timing.graph import ARC_LAUNCH
 
 
@@ -33,10 +33,19 @@ def refine_data_clocks(context: MergeContext) -> StepReport:
     union_ind: Dict[int, Set[str]] = {}
     for mode, bound in zip(context.modes, context.bound_individuals()):
         mapping = context.clock_maps[mode.name]
-        launches = propagate_launch_clocks(bound)
-        for node, clocks in launches.items():
-            bucket = union_ind.setdefault(node, set())
-            bucket.update(mapping.get(c, c) for c in clocks)
+        # Nodes with the same launch clocks share one frozenset: rename
+        # each distinct set once.
+        renamed: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        for node, clocks in propagate_launch_clocks(bound).items():
+            names = renamed.get(clocks)
+            if names is None:
+                names = renamed[clocks] = frozenset(
+                    mapping.get(c, c) for c in clocks)
+            bucket = union_ind.get(node)
+            if bucket is None:
+                union_ind[node] = set(names)
+            else:
+                bucket |= names
 
     merged_bound = context.bind_merged()
     merged_launches = propagate_launch_clocks(merged_bound)

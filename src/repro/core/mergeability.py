@@ -62,7 +62,6 @@ from repro.sdc.commands import (
     SetPropagatedClock,
 )
 from repro.sdc.mode import Mode
-from repro.timing.clocks import ClockPropagation
 
 
 def _preliminary_merge(netlist: Netlist, modes: Sequence[Mode],
@@ -174,7 +173,7 @@ def clock_blocking_reason(context: MergeContext) -> Optional[str]:
     merged mode must clock it with ``map(c)``; otherwise merging the clock
     trees of the modes has blocked one mode's clocking.
     """
-    merged_prop = ClockPropagation(context.bind_merged())
+    merged_prop = context.bind_merged().clock_propagation()
     for mode, bound in zip(context.modes, context.bound_individuals()):
         mapping = context.clock_maps[mode.name]
         prop = bound.clock_propagation()

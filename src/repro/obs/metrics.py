@@ -186,6 +186,10 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "clock labels set by clock and launch-clock propagation"),
     "profile.tag_propagations": (
         "counter", "relationship tags pushed across fanout arcs"),
+    "profile.tag_bulk_pushes": (
+        "counter",
+        "tags of profile.tag_propagations pushed as part of a whole inert "
+        "tag set"),
     # -- diagnostics / run-level ---------------------------------------
     "diagnostics.emitted": ("counter", "structured diagnostics recorded"),
     "run.wall_seconds": ("gauge", "wall-clock seconds of the whole run"),

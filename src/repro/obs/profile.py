@@ -16,8 +16,9 @@ pipeline's existing trace spans:
   profile;
 * **hot-loop counters** — the pipeline's innermost loops count mock
   merges, relationship comparisons, clock labels set by clock
-  propagation and tag propagations under stable ``profile.*`` metric
-  names; the export snapshots them next to the timings.
+  propagation, tag propagations and the tags among them pushed in whole
+  inert sets under stable ``profile.*`` metric names; the export
+  snapshots them next to the timings.
 
 Like tracing and metrics, profiling is **ambient**
 (:func:`get_profiler` / :func:`set_profiler` / :func:`profiling`): the

@@ -18,24 +18,30 @@ exactly these per-node launch-clock sets.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.obs.metrics import get_metrics
 from repro.timing.context import BoundMode, Clock
-from repro.timing.graph import ARC_LAUNCH, TimingGraph
+from repro.timing.graph import ARC_LAUNCH
 
 
 class ClockPropagation:
-    """Result of propagating all clocks of one bound mode."""
+    """Result of propagating all clocks of one bound mode.
+
+    The clock sets it hands out are frozensets, one object per distinct
+    set: an extended binding may share its parent's propagation
+    (:meth:`~repro.timing.context.BoundMode.extended`), so no consumer
+    may alter another binding's answer.
+    """
 
     def __init__(self, bound: BoundMode):
         self.bound = bound
-        graph = bound.graph
-        #: node -> set of clock names present on the clock network
-        self.node_clocks: Dict[int, Set[str]] = {}
+        #: node -> clock names present on the clock network
+        self.node_clocks: Dict[int, FrozenSet[str]] = {}
         #: sequential instance name -> clocks arriving at its clock pin
-        self.register_clocks: Dict[str, Set[str]] = {}
+        self.register_clocks: Dict[str, FrozenSet[str]] = {}
         # Map generated-clock source node -> {master names consumed there}.
         self._gen_sources: Dict[int, Set[str]] = {}
         for clock in bound.clocks.values():
@@ -45,55 +51,78 @@ class ClockPropagation:
         self._propagate()
 
     def _propagate(self) -> None:
+        """One BFS per clock from its sources over live non-launch arcs."""
         bound = self.bound
         graph = bound.graph
         constants = bound.constants
+        live = constants.live
+        data_fanout = graph.data_fanout
+        clock_stops = bound.clock_stops
+        gen_sources = self._gen_sources
+        found: Dict[int, Set[str]] = {}
         expansions = 0
         for clock in bound.clocks.values():
             if clock.is_virtual:
                 continue
+            name = clock.name
+            sources = clock.source_nodes
             visited: Set[int] = set()
-            queue = deque()
-            for node in clock.source_nodes:
-                queue.append(node)
+            queue = deque(sources)
             while queue:
                 node = queue.popleft()
                 if node in visited:
                     continue
                 visited.add(node)
                 expansions += 1
-                if bound.stops_clock(node, clock.name):
+                stops = clock_stops.get(node)
+                if stops and ("*" in stops or name in stops):
                     continue
                 if not clock.is_generated:
-                    masters_consumed = self._gen_sources.get(node)
-                    if masters_consumed and clock.name in masters_consumed \
-                            and node not in clock.source_nodes:
+                    masters_consumed = gen_sources.get(node)
+                    if masters_consumed and name in masters_consumed \
+                            and node not in sources:
                         # A generated clock takes over from here.
                         continue
-                self.node_clocks.setdefault(node, set()).add(clock.name)
-                for arc in graph.fanout[node]:
-                    if arc.kind == ARC_LAUNCH:
+                found.setdefault(node, set()).add(name)
+                for arc in data_fanout[node]:
+                    dst = arc.dst
+                    if dst in visited:
                         continue
-                    if not constants.arc_is_live(arc):
-                        continue
-                    if arc.dst not in visited:
-                        queue.append(arc.dst)
+                    arc_live = live[arc.index]
+                    if arc_live is None:
+                        arc_live = constants.arc_is_live(arc)
+                    if arc_live:
+                        queue.append(dst)
 
         metrics = get_metrics()
         if metrics.enabled and expansions:
             metrics.inc("profile.bfs_expansions", expansions)
 
+        interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        for node, names in found.items():
+            frozen = frozenset(names)
+            self.node_clocks[node] = interned.setdefault(frozen, frozen)
         for inst_name, (clock_node, _data, _outs) in graph.seq_info.items():
             clocks = self.node_clocks.get(clock_node)
             if clocks:
-                self.register_clocks[inst_name] = set(clocks)
+                self.register_clocks[inst_name] = clocks
+
+    def rebound(self, bound: BoundMode) -> "ClockPropagation":
+        """This propagation as ``bound``'s, sharing its tables.
+
+        Only for a binding whose clocks, clock stops and arc liveness
+        equal this one's, which therefore propagates identically.
+        """
+        clone = copy.copy(self)
+        clone.bound = bound
+        return clone
 
     # ------------------------------------------------------------------
-    def clocks_at(self, node: int) -> Set[str]:
-        return self.node_clocks.get(node, set())
+    def clocks_at(self, node: int) -> FrozenSet[str]:
+        return self.node_clocks.get(node, frozenset())
 
-    def clocks_at_register(self, inst_name: str) -> Set[str]:
-        return self.register_clocks.get(inst_name, set())
+    def clocks_at_register(self, inst_name: str) -> FrozenSet[str]:
+        return self.register_clocks.get(inst_name, frozenset())
 
     def clock_network_nodes(self) -> List[int]:
         """Every node any clock reaches, in topological order."""
@@ -109,14 +138,14 @@ class ClockPropagation:
 
 def propagate_launch_clocks(bound: BoundMode,
                             clock_prop: Optional[ClockPropagation] = None
-                            ) -> Dict[int, Set[str]]:
+                            ) -> Dict[int, FrozenSet[str]]:
     """Per-node launch-clock sets over the data network.
 
     A clock is "present" at a data node when some register clocked by it
     (or some input port with a matching ``set_input_delay``) can launch a
     transition that reaches the node through live arcs.  One sweep in
     topological order carries every clock at once, each clock as one bit
-    of a per-node mask.
+    of a per-node mask.  Nodes with the same mask share one frozenset.
     """
     if clock_prop is None:
         clock_prop = bound.clock_propagation()
@@ -146,18 +175,21 @@ def propagate_launch_clocks(bound: BoundMode,
             if delay.clock and delay.clock in bound.clocks:
                 seed(port_node, delay.clock)
 
-    fanout = graph.fanout
-    is_live = constants.arc_is_live
+    data_fanout = graph.data_fanout
+    live = constants.live
     for node in graph.topo_order:
         mask = masks[node]
         if not mask:
             continue
-        for arc in fanout[node]:
-            if arc.kind != ARC_LAUNCH and is_live(arc):
+        for arc in data_fanout[node]:
+            arc_live = live[arc.index]
+            if arc_live is None:
+                arc_live = constants.arc_is_live(arc)
+            if arc_live:
                 masks[arc.dst] |= mask
 
     names_of: Dict[int, FrozenSet[str]] = {}
-    node_clocks: Dict[int, Set[str]] = {}
+    node_clocks: Dict[int, FrozenSet[str]] = {}
     labels = 0
     for node, mask in enumerate(masks):
         if not mask:
@@ -166,7 +198,7 @@ def propagate_launch_clocks(bound: BoundMode,
         if names is None:
             names = names_of[mask] = frozenset(
                 name for name, bit in bits.items() if mask & bit)
-        node_clocks[node] = set(names)
+        node_clocks[node] = names
         labels += len(names)
     metrics = get_metrics()
     if metrics.enabled and labels:

@@ -39,8 +39,9 @@ class ConstantAnalysis:
         self.disabled_arcs: Set[int] = set(disabled_arcs or ())
         #: node -> 0 | 1 | "X"
         self.values: List[object] = [LOGIC_X] * graph.node_count
-        #: arc index -> liveness (None until first asked)
-        self._live: List[Optional[bool]] = [None] * graph.arc_count
+        #: arc index -> liveness, None until first asked; hot loops read
+        #: it directly and call :meth:`arc_is_live` only on None
+        self.live: List[Optional[bool]] = [None] * graph.arc_count
         self._propagate()
 
     def with_disabled_arcs(self, disabled_arcs: Set[int]
@@ -55,7 +56,7 @@ class ConstantAnalysis:
         clone.case_values = self.case_values
         clone.disabled_arcs = set(disabled_arcs)
         clone.values = self.values
-        clone._live = [None] * self.graph.arc_count
+        clone.live = [None] * self.graph.arc_count
         return clone
 
     # ------------------------------------------------------------------
@@ -91,9 +92,9 @@ class ConstantAnalysis:
 
     def arc_is_live(self, arc: Arc) -> bool:
         """Can a transition propagate along ``arc`` in this mode?"""
-        live = self._live[arc.index]
+        live = self.live[arc.index]
         if live is None:
-            live = self._live[arc.index] = self._compute_live(arc)
+            live = self.live[arc.index] = self._compute_live(arc)
         return live
 
     def _compute_live(self, arc: Arc) -> bool:

@@ -209,7 +209,9 @@ class BoundMode:
         self.uncertainty: Dict[Tuple[str, str], float] = {}
 
         #: (startpoint, endpoint) -> nodes on a live path between them,
-        #: memoized by relationship extraction walking this binding
+        #: memoized by relationship extraction walking this binding (and
+        #: shared by the bindings :meth:`extended` from it with the same
+        #: arc liveness)
         self.between: Dict[Tuple[int, int], FrozenSet[int]] = {}
 
         #: the constraints this binding resolved, in mode order
@@ -230,6 +232,12 @@ class BoundMode:
         every other appended constraint binds onto a copy of this binding
         exactly as a fresh binding would bind it, and the constant values
         are shared.
+
+        What depends on arc liveness alone is shared too while the
+        appended constraints leave the disabled arcs unchanged: the arc
+        liveness memo and the live-path cones (:attr:`between`), and,
+        when the clock stops are unchanged as well, this binding's clock
+        propagation, if it was built.
         """
         bound = self._constraints
         current = mode.constraints
@@ -241,7 +249,6 @@ class BoundMode:
             return None
         clone = copy.copy(self)
         clone.__dict__.pop("_clock_prop", None)
-        clone.between = {}
         clone.disabled_arcs = set(self.disabled_arcs)
         clone.clock_stops = {node: set(names)
                              for node, names in self.clock_stops.items()}
@@ -258,6 +265,10 @@ class BoundMode:
         if clone.disabled_arcs != self.disabled_arcs:
             clone.constants = self.constants.with_disabled_arcs(
                 clone.disabled_arcs)
+            clone.between = {}
+        elif clone.clock_stops == self.clock_stops \
+                and "_clock_prop" in self.__dict__:
+            clone._clock_prop = self._clock_prop.rebound(clone)
         return clone
 
     # ------------------------------------------------------------------

@@ -13,9 +13,11 @@ the graph plus per-mode state).
 
 Building the graph also compiles the static structure the per-mode
 analyses would otherwise re-derive from the netlist objects for every
-binding: the constant-propagation plan (:attr:`TimingGraph.const_plan`)
-and, per cell arc, its side inputs and whether it is sensitizable with
-every side input unknown (:attr:`TimingGraph.arc_sides`).
+binding: the constant-propagation plan (:attr:`TimingGraph.const_plan`),
+per cell arc its side inputs and whether it is sensitizable with every
+side input unknown (:attr:`TimingGraph.arc_sides`), and per node the
+fanout arcs the clock and data walkers follow
+(:attr:`TimingGraph.data_fanout`).
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ class TimingGraph:
       order, of every node that is not always X (see :data:`PlanStep`).
     * ``arc_sides[a]`` — :data:`ArcSides` of a cell arc whose output has
       a function; None for every other arc.
+    * ``data_fanout[n]`` — ``fanout[n]`` without launch arcs: what clock,
+      launch-clock and tag propagation walk.
     """
 
     def __init__(self, netlist: Netlist):
@@ -134,6 +138,9 @@ class TimingGraph:
         self.const_plan: List[PlanStep] = self._compile_plan()
         self.arc_sides: List[Optional[ArcSides]] = [
             self._compile_sides(arc) for arc in self.arcs]
+        self.data_fanout: List[Tuple[Arc, ...]] = [
+            tuple(arc for arc in arcs if arc.kind != ARC_LAUNCH)
+            for arcs in self.fanout]
 
     # ------------------------------------------------------------------
     # construction

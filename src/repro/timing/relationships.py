@@ -35,6 +35,7 @@ clock names, aligned one-to-one with the merged mode's own rows.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.netlist import Pin, Port
@@ -44,8 +45,8 @@ from repro.timing.context import BoundException, BoundMode
 from repro.timing.graph import (
     ARC_LAUNCH,
     SENSE_NEG,
+    SENSE_NON_UNATE,
     SENSE_POS,
-    TimingGraph,
 )
 from repro.timing.states import FALSE, RelState, resolve_state
 
@@ -58,7 +59,13 @@ _CHAIN = -1
 # rise/fall qualifier, or a query filters by edge) and '*' otherwise.
 Tag = Tuple[Optional[int], str, Tuple[Tuple[int, int], ...], bool, str]
 
-_FLIP = {"r": "f", "f": "r", "*": "*"}
+#: arc sense -> data edge before the arc -> data edges after it; a
+#: non-unate arc can turn either edge into both ("*" stays untracked)
+_EDGES_OF = {
+    SENSE_POS: {"r": ("r",), "f": ("f",), "*": ("*",)},
+    SENSE_NEG: {"r": ("f",), "f": ("r",), "*": ("*",)},
+    SENSE_NON_UNATE: {"r": ("r", "f"), "f": ("r", "f"), "*": ("*",)},
+}
 
 #: Relationship rows: key -> frozenset of states.
 EndpointRows = Dict[Tuple[int, str, str], FrozenSet[RelState]]
@@ -96,6 +103,14 @@ class RelationshipExtractor:
         self._track_edges = any(exc.has_edge_qualifiers
                                 for exc in bound.exceptions)
         self._query_edges = False
+        # This mode's exceptions indexed by -from, and memos over them:
+        # whether an active tuple is inert (see _inert), the backward
+        # cones _advance prunes with, and the state of each tuple of
+        # completed exceptions.
+        self._from_index = self._index_from()
+        self._inert_memo: Dict[Tuple[Tuple[int, int], ...], bool] = {}
+        self._cone_cache: Dict[tuple, Set[int]] = {}
+        self._states: Dict[Tuple[int, ...], RelState] = {}
 
     def _edge_values(self) -> Tuple[str, ...]:
         if self._track_edges or self._query_edges:
@@ -113,11 +128,54 @@ class RelationshipExtractor:
     # ------------------------------------------------------------------
     def _initial_active(self, sp_node: int, launch_clock: str,
                         from_edge: str = "*") -> List[Tuple[int, int]]:
-        active = []
+        """Exceptions whose ``-from`` holds here, in index order, each
+        with no ``-through`` group crossed yet.  Only the candidates the
+        ``-from`` index names are tested."""
+        by_node, by_clock, unconditional = self._from_index
+        active = {exc.index for exc in chain(by_node.get(sp_node, ()),
+                                             by_clock.get(launch_clock, ()),
+                                             unconditional)
+                  if exc.activates(sp_node, launch_clock, from_edge)}
+        return [(index, 0) for index in sorted(active)]
+
+    def _index_from(self):
+        """This mode's exceptions by ``-from`` node, by ``-from`` clock,
+        and those without a ``-from`` (which activate everywhere)."""
+        by_node: Dict[int, List[BoundException]] = {}
+        by_clock: Dict[str, List[BoundException]] = {}
+        unconditional: List[BoundException] = []
         for exc in self.bound.exceptions:
-            if exc.activates(sp_node, launch_clock, from_edge):
-                active.append((exc.index, 0))
-        return active
+            if not exc.has_from:
+                unconditional.append(exc)
+            for node in exc.from_nodes:
+                by_node.setdefault(node, []).append(exc)
+            for clock in exc.from_clocks:
+                by_clock.setdefault(clock, []).append(exc)
+        return by_node, by_clock, unconditional
+
+    def _inert(self, active: Tuple[Tuple[int, int], ...]) -> bool:
+        """Can no node change ``active``?
+
+        True when no entry is a pass-3 chain, has a ``-through`` group
+        still to cross, or has ``-to`` pins whose cone it could leave:
+        :meth:`_advance` then returns ``active`` itself at every node.
+        Memoized per tuple.
+        """
+        inert = self._inert_memo.get(active)
+        if inert is None:
+            exceptions = self.bound.exceptions
+            inert = True
+            for idx, progress in active:
+                if idx == _CHAIN:
+                    inert = False
+                    break
+                exc = exceptions[idx]
+                if progress < len(exc.through) \
+                        or (exc.to_nodes and not exc.to_clocks):
+                    inert = False
+                    break
+            self._inert_memo[active] = inert
+        return inert
 
     def _advance(self, active: Tuple[Tuple[int, int], ...], node: int
                  ) -> Tuple[Tuple[int, int], ...]:
@@ -130,7 +188,7 @@ class RelationshipExtractor:
         extension of the path, so its entry is removed and tags that differ
         only in doomed exceptions merge.
         """
-        if not active:
+        if not active or self._inert(active):
             return active
         exceptions = self.bound.exceptions
         changed = False
@@ -166,9 +224,7 @@ class RelationshipExtractor:
         live reachability, so pruning with them is always sound); computed
         lazily and cached per extractor.
         """
-        cache = getattr(self, "_cone_cache", None)
-        if cache is None:
-            cache = self._cone_cache = {}
+        cache = self._cone_cache
         cone = cache.get(key)
         if cone is not None:
             return cone
@@ -281,47 +337,83 @@ class RelationshipExtractor:
     # ------------------------------------------------------------------
     def _propagate(self, seeds: Dict[int, Set[Tag]],
                    subgraph: Optional[Set[int]] = None) -> Dict[int, Set[Tag]]:
+        """Push the seed tags forward in topological order.
+
+        A node whose tags are all inert (:meth:`_inert`) moves its whole
+        set with one union across each arc that is live in both the
+        walked and this mode's binding and keeps the data edge (edge
+        tracking off, or a positive-unate arc): every tag would cross it
+        unchanged.  Any other node or arc advances tag by tag.
+        """
         graph = self.graph
         walk_constants = self._walk.constants
+        walk_live = walk_constants.live
         own_constants = self.bound.constants
+        own_live = own_constants.live
         aligned = self.structure is not None
+        same_edges = not (self._track_edges or self._query_edges)
+        advance = self._advance
+        inert_memo = self._inert_memo
+        data_fanout = graph.data_fanout
         tags: Dict[int, Set[Tag]] = {n: set(s) for n, s in seeds.items()}
         order = graph.topo_order if subgraph is None else sorted(
             subgraph, key=graph.topo_rank.__getitem__)
-        pushed = 0
+        pushed = bulk = 0
         for node in order:
             node_tags = tags.get(node)
             if not node_tags:
                 continue
-            for arc in graph.fanout[node]:
-                if arc.kind == ARC_LAUNCH:
-                    continue
+            inert = True
+            for tag in node_tags:
+                active = tag[2]
+                if active:
+                    flag = inert_memo.get(active)
+                    if flag is None:
+                        flag = self._inert(active)
+                    if not flag:
+                        inert = False
+                        break
+            count = len(node_tags)
+            for arc in data_fanout[node]:
                 dst = arc.dst
                 if subgraph is not None and dst not in subgraph:
                     continue
-                if not walk_constants.arc_is_live(arc):
+                index = arc.index
+                live = walk_live[index]
+                if live is None:
+                    live = walk_constants.arc_is_live(arc)
+                if not live:
                     continue
-                arc_own_live = (not aligned) or own_constants.arc_is_live(arc)
-                bucket = tags.setdefault(dst, set())
-                if arc.sense == SENSE_POS:
-                    edge_of = (lambda e: (e,))
-                elif arc.sense == SENSE_NEG:
-                    edge_of = (lambda e: (_FLIP[e],))
-                else:  # non-unate: either output edge is possible
-                    edge_of = (lambda e: ("r", "f") if e != "*" else ("*",))
-                pushed += len(node_tags)
+                if aligned:
+                    arc_own_live = own_live[index]
+                    if arc_own_live is None:
+                        arc_own_live = own_constants.arc_is_live(arc)
+                else:
+                    arc_own_live = True
+                bucket = tags.get(dst)
+                if bucket is None:
+                    bucket = tags[dst] = set()
+                pushed += count
+                if inert and arc_own_live \
+                        and (same_edges or arc.sense == SENSE_POS):
+                    bucket |= node_tags
+                    bulk += count
+                    continue
+                edges_of = _EDGES_OF[arc.sense]
                 for sp, lc, active, alive, edge in node_tags:
                     if alive and not arc_own_live:
-                        new_active = self._advance(self._kill(active), dst)
+                        new_active = advance(self._kill(active), dst)
                         new_alive = False
                     else:
-                        new_active = self._advance(active, dst)
+                        new_active = advance(active, dst)
                         new_alive = alive
-                    for new_edge in edge_of(edge):
+                    for new_edge in edges_of[edge]:
                         bucket.add((sp, lc, new_active, new_alive, new_edge))
         metrics = get_metrics()
         if metrics.enabled and pushed:
             metrics.inc("profile.tag_propagations", pushed)
+            if bulk:
+                metrics.inc("profile.tag_bulk_pushes", bulk)
         return tags
 
     # ------------------------------------------------------------------
@@ -383,7 +475,7 @@ class RelationshipExtractor:
             exc = bound.exceptions[idx]
             if exc.completes(progress, ep_node, own_capture, edge,
                              capture_edge):
-                completed.append(exc.constraint)
+                completed.append(idx)
         if not chain_ok:
             return None
         if not alive or own_capture is None:
@@ -393,7 +485,12 @@ class RelationshipExtractor:
         if own_lc is None \
                 or not bound.clock_pair_allowed(own_lc, own_capture):
             return FALSE
-        return resolve_state(completed)
+        key = tuple(completed)
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = resolve_state(
+                bound.exceptions[idx].constraint for idx in key)
+        return state
 
     def _collect(self, tags: Dict[int, Set[Tag]],
                  endpoints: Optional[Iterable[int]] = None,
@@ -500,9 +597,7 @@ class RelationshipExtractor:
         result = []
         for node in sorted(subgraph, key=graph.topo_rank.__getitem__):
             live_out = 0
-            for arc in graph.fanout[node]:
-                if arc.kind == ARC_LAUNCH:
-                    continue
+            for arc in graph.data_fanout[node]:
                 if arc.dst in subgraph and constants.arc_is_live(arc):
                     live_out += 1
             if live_out >= 2:
@@ -515,9 +610,7 @@ class RelationshipExtractor:
         "through" pins, e.g. ``and2/A`` and ``inv3/A``)."""
         constants = self._walk.constants
         pins = []
-        for arc in self.graph.fanout[node]:
-            if arc.kind == ARC_LAUNCH:
-                continue
+        for arc in self.graph.data_fanout[node]:
             if subgraph is not None and arc.dst not in subgraph:
                 continue
             if constants.arc_is_live(arc):

@@ -29,8 +29,8 @@ from repro.obs.trace import get_tracer
 from repro.timing.clocks import ClockPropagation
 from repro.timing.context import BoundMode, Clock
 from repro.timing.delay import DelayModel, resolve_model
-from repro.timing.graph import ARC_LAUNCH, SENSE_NEG, SENSE_POS, TimingGraph
-from repro.timing.relationships import RelationshipExtractor
+from repro.timing.graph import ARC_LAUNCH, SENSE_POS, TimingGraph
+from repro.timing.relationships import _EDGES_OF, RelationshipExtractor
 from repro.timing.states import RelState, resolve_state
 
 #: Default setup requirement of sequential data pins (library units).
@@ -151,8 +151,19 @@ class StaResult:
 
 # (launch clock, launch active edge, active exceptions, data edge).
 Tag = Tuple[str, str, Tuple[Tuple[int, int], ...], str]
+#: node -> tag -> (min, max) arrival window
+Arrivals = Dict[int, Dict[Tag, Tuple[float, float]]]
 
-_FLIP = {"r": "f", "f": "r", "*": "*"}
+
+def _widen(arrivals: Arrivals, node: int, tag: Tag, lo: float,
+           hi: float) -> None:
+    """Merge the window (lo, hi) into ``tag``'s window at ``node``."""
+    bucket = arrivals.setdefault(node, {})
+    old = bucket.get(tag)
+    if old is None:
+        bucket[tag] = (lo, hi)
+    else:
+        bucket[tag] = (min(old[0], lo), max(old[1], hi))
 
 
 class StaEngine:
@@ -204,23 +215,21 @@ class StaEngine:
         return _edge_offset(clock, launch_edge) \
             + (latency[0] if early else latency[1])
 
-    def _propagate_arrivals(self) -> Dict[int, Dict[Tag, Tuple[float, float]]]:
+    def _propagate_arrivals(self) -> Arrivals:
         """Per-node, per-tag (min, max) arrival windows."""
+        arrivals = self._seed_arrivals()
+        self._relax(arrivals)
+        return arrivals
+
+    def _seed_arrivals(self) -> Arrivals:
+        """The windows at the launch points: register outputs and input
+        ports with external delays."""
         graph = self.graph
         bound = self.bound
         constants = bound.constants
         model = self.delay_model
         extractor = self._extractor
-        arrivals: Dict[int, Dict[Tag, Tuple[float, float]]] = {}
-
-        def add(node: int, tag: Tag, lo: float, hi: float) -> None:
-            bucket = arrivals.setdefault(node, {})
-            old = bucket.get(tag)
-            if old is None:
-                bucket[tag] = (lo, hi)
-            else:
-                bucket[tag] = (min(old[0], lo), max(old[1], hi))
-
+        arrivals: Arrivals = {}
         edges = extractor._edge_values()
 
         # Seeds: register launches.
@@ -240,10 +249,11 @@ class StaEngine:
                     active = extractor._advance(active, cp_node)
                     active = extractor._advance(active, arc.dst)
                     for edge in edges:
-                        add(arc.dst, (lc, ledge, active, edge),
-                            self._launch_base(lc, early=True,
-                                              launch_edge=ledge) + ck2q,
-                            self._launch_base(lc, launch_edge=ledge) + ck2q)
+                        _widen(arrivals, arc.dst, (lc, ledge, active, edge),
+                               self._launch_base(lc, early=True,
+                                                 launch_edge=ledge) + ck2q,
+                               self._launch_base(lc, launch_edge=ledge)
+                               + ck2q)
         # Seeds: input ports with external delays.
         for port_node, delays in bound.input_delays.items():
             if constants.is_constant(port_node):
@@ -268,35 +278,46 @@ class StaEngine:
                     active = tuple(sorted(
                         extractor._initial_active(port_node, lc, edge)))
                     active = extractor._advance(active, port_node)
-                    add(port_node, (lc, ledge, active, edge),
-                        self._launch_base(lc, early=True,
-                                          launch_edge=ledge) + lo,
-                        self._launch_base(lc, launch_edge=ledge) + hi)
+                    _widen(arrivals, port_node, (lc, ledge, active, edge),
+                           self._launch_base(lc, early=True,
+                                             launch_edge=ledge) + lo,
+                           self._launch_base(lc, launch_edge=ledge) + hi)
+        return arrivals
 
-        # Topological relaxation.
+    def _relax(self, arrivals: Arrivals) -> None:
+        """Push the windows forward in topological order.
+
+        As in relationship extraction, a node whose active exceptions are
+        all inert sends every tag across an edge-keeping arc unchanged:
+        only the arrival windows move.
+        """
+        graph = self.graph
+        constants = self.bound.constants
+        model = self.delay_model
+        extractor = self._extractor
+        same_edges = extractor._edge_values() == ("*",)
+        inert = extractor._inert
+        widen = _widen
         for node in graph.topo_order:
             bucket = arrivals.get(node)
             if not bucket:
                 continue
-            for arc in graph.fanout[node]:
-                if arc.kind == ARC_LAUNCH:
-                    continue
+            tags_inert = all(not tag[2] or inert(tag[2]) for tag in bucket)
+            for arc in graph.data_fanout[node]:
                 if not constants.arc_is_live(arc):
                     continue
                 delay = model.arc_delay(graph, arc)
                 dst = arc.dst
-                if arc.sense == SENSE_POS:
-                    edge_of = (lambda e: (e,))
-                elif arc.sense == SENSE_NEG:
-                    edge_of = (lambda e: (_FLIP[e],))
-                else:
-                    edge_of = (lambda e: ("r", "f") if e != "*" else ("*",))
+                if tags_inert and (same_edges or arc.sense == SENSE_POS):
+                    for tag, (lo, hi) in bucket.items():
+                        widen(arrivals, dst, tag, lo + delay, hi + delay)
+                    continue
+                edges_of = _EDGES_OF[arc.sense]
                 for (lc, ledge, active, edge), (lo, hi) in bucket.items():
                     new_active = extractor._advance(active, dst)
-                    for new_edge in edge_of(edge):
-                        add(dst, (lc, ledge, new_active, new_edge),
-                            lo + delay, hi + delay)
-        return arrivals
+                    for new_edge in edges_of[edge]:
+                        widen(arrivals, dst, (lc, ledge, new_active, new_edge),
+                              lo + delay, hi + delay)
 
     # ------------------------------------------------------------------
     # required times and slacks

@@ -54,11 +54,22 @@ def build_random_circuit(seed: int, n_gates: int, n_regs: int,
 
 
 def build_random_mode(netlist: Netlist, seed: int, mode_name: str,
-                      period: float = 10.0, with_exceptions: bool = True
-                      ) -> Mode:
+                      period: float = 10.0, with_exceptions: bool = True,
+                      clock_exceptions: bool = False) -> Mode:
+    """A random mode on ``netlist``.
+
+    ``clock_exceptions`` also draws exceptions selected by clock
+    (``-from [get_clocks CK]``, ``-to [get_clocks CK2]``): they hold on
+    every path a clock launches or captures, so once active they never
+    change on the way to an endpoint.  A ``-rise_from``/``-fall_from``
+    qualifier makes an input port's rising and falling launches carry
+    different exceptions.  The draws come after all others, so the same
+    seed gives the same mode up to them.
+    """
     rng = random.Random(seed)
     lines = [f"create_clock -name CK -period {period:g} [get_ports clk1]"]
-    if netlist.has_port("clk2") and rng.random() < 0.5:
+    has_ck2 = netlist.has_port("clk2") and rng.random() < 0.5
+    if has_ck2:
         lines.append(
             f"create_clock -name CK2 -period {period * 2:g} "
             f"[get_ports clk2]")
@@ -89,6 +100,14 @@ def build_random_mode(netlist: Netlist, seed: int, mode_name: str,
                 edge = rng.choice(["rise", "fall"])
                 lines.append(f"set_false_path -{edge}_to "
                              f"[get_cells {rng.choice(reg_names)}]")
+    if clock_exceptions:
+        if has_ck2 and rng.random() < 0.5:
+            lines.append("set_false_path -from [get_clocks CK] "
+                         "-to [get_clocks CK2]")
+        if rng.random() < 0.7:
+            edge = rng.choice(["", "rise_", "fall_"])
+            lines.append(f"set_multicycle_path {rng.randint(2, 3)} "
+                         f"-{edge}from [get_clocks CK]")
     return parse_mode("\n".join(lines), mode_name)
 
 

@@ -5,11 +5,13 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from circuits import build_random_circuit, build_random_mode, circuit_params
 
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.timing import (
     BoundMode,
     RelationshipExtractor,
@@ -19,30 +21,65 @@ from repro.timing import (
 )
 
 
+def assert_engine_matches_enumeration(bound):
+    """For every endpoint and clock pair, the relationship states the tag
+    engine computes equal the set of per-path states obtained by
+    enumerating every path."""
+    rows = RelationshipExtractor(bound).endpoint_relationships()
+    graph = bound.graph
+    by_endpoint = {}
+    for (ep, lc, cc), states in rows.items():
+        by_endpoint.setdefault(ep, {})[(lc, cc)] = states
+    for ep in graph.endpoint_nodes():
+        oracle = endpoint_states_by_enumeration(bound, ep)
+        assert by_endpoint.get(ep, {}) == oracle, (
+            f"endpoint {graph.name(ep)}: engine="
+            f"{by_endpoint.get(ep)}, oracle={oracle}")
+
+
 class TestTagEngineAgainstOracle:
     @given(circuit_params, st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_endpoint_states_match_enumeration(self, params, mode_seed):
-        """For every endpoint and clock pair, the relationship states the
-        tag engine computes equal the set of per-path states obtained by
-        enumerating every path — the definitional ground truth."""
+        """The tag engine against the definitional ground truth."""
         seed, gates, regs, mux = params
         netlist = build_random_circuit(seed, gates, regs, mux)
         mode = build_random_mode(netlist, mode_seed, "m")
-        bound = BoundMode(netlist, mode)
-        extractor = RelationshipExtractor(bound)
-        rows = extractor.endpoint_relationships()
-        graph = bound.graph
+        assert_engine_matches_enumeration(BoundMode(netlist, mode))
 
-        by_endpoint = {}
-        for (ep, lc, cc), states in rows.items():
-            by_endpoint.setdefault(ep, {})[(lc, cc)] = states
+    @given(circuit_params, st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_clock_exception_modes_match_enumeration(self, params,
+                                                     mode_seed):
+        """Clock-selected exceptions never change once active, so their
+        tags cross arcs as whole inert sets; ``-through`` and ``-to`` pin
+        exceptions, edge-qualified ones and XOR gates send other tags of
+        the same propagation down the per-tag branch.  Both branches
+        must keep the ground truth."""
+        seed, gates, regs, mux = params
+        netlist = build_random_circuit(seed, gates, regs, mux)
+        mode = build_random_mode(netlist, mode_seed, "m",
+                                 clock_exceptions=True)
+        assert_engine_matches_enumeration(BoundMode(netlist, mode))
 
-        for ep in graph.endpoint_nodes():
-            oracle = endpoint_states_by_enumeration(bound, ep)
-            assert by_endpoint.get(ep, {}) == oracle, (
-                f"endpoint {graph.name(ep)}: engine="
-                f"{by_endpoint.get(ep)}, oracle={oracle}")
+    def test_clock_exception_modes_take_both_branches(self):
+        """The strategy above reaches propagations that push some tags
+        in whole sets and others one by one."""
+        for seed in range(100):
+            netlist = build_random_circuit(seed, 8, 4, seed % 2 == 0)
+            mode = build_random_mode(netlist, seed, "m",
+                                     clock_exceptions=True)
+            bound = BoundMode(netlist, mode)
+            registry = MetricsRegistry()
+            with collecting(registry):
+                RelationshipExtractor(bound).endpoint_relationships()
+            bulk = registry.counter("profile.tag_bulk_pushes")
+            tracks_edges = any(exc.has_edge_qualifiers
+                               for exc in bound.exceptions)
+            if tracks_edges and \
+                    0 < bulk < registry.counter("profile.tag_propagations"):
+                return
+        pytest.fail("no drawn mode mixes whole-set and per-tag pushes")
 
     @given(circuit_params, st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -159,7 +159,17 @@ class TestIoDelaysAndGroups:
 
 
 class TestExtendedBindingMemos:
-    """An extended binding never answers from its parent's memos."""
+    """An extended binding answers from its parent's memos only where
+    the appended constraints cannot change the answer.
+
+    Arc liveness decides the live-path cones, and liveness plus the
+    clock stops decide the clock propagation.  So an extension that
+    leaves the disabled arcs unchanged shares its parent's cone memo,
+    one that also leaves the clock stops unchanged shares its parent's
+    clock propagation (re-pointed at the extension), and any other
+    extension builds its own.  Shared or not, every view equals a fresh
+    binding's.
+    """
 
     BASE = """
         create_clock -name c -period 10 [get_ports clk]
@@ -178,26 +188,70 @@ class TestExtendedBindingMemos:
         )
 
     def extend(self, netlist, line):
+        """(parent, extension, parent views, extension views, fresh
+        binding views) after appending ``line``."""
         mode = parse_mode(self.BASE, "m")
         bound = BoundMode(netlist, mode)
         before = self.views(bound)  # fills every memo of the parent
         mode.add(parse_mode(line, "x").constraints[0])
         extended = bound.extended(mode)
         assert extended is not None
-        return before, self.views(extended), \
+        return bound, extended, before, self.views(extended), \
             self.views(BoundMode(netlist, mode))
 
+    def assert_shares_clock_propagation(self, bound, extended):
+        parent, own = bound.clock_propagation(), extended.clock_propagation()
+        assert own.node_clocks is parent.node_clocks
+        assert own.register_clocks is parent.register_clocks
+        assert own.bound is extended
+
     def test_disable_timing_that_cuts_a_path(self, pipeline_netlist):
-        before, got, fresh = self.extend(
+        bound, extended, before, got, fresh = self.extend(
             pipeline_netlist, "set_disable_timing [get_cells inv1]")
         assert got == fresh
         assert got[0] != before[0]
         assert got[2] != before[2]
+        assert extended.between is not bound.between
+        assert extended.clock_propagation().node_clocks \
+            is not bound.clock_propagation().node_clocks
 
     def test_clock_sense_stop_propagation(self, pipeline_netlist):
-        before, got, fresh = self.extend(
+        bound, extended, before, got, fresh = self.extend(
             pipeline_netlist,
             "set_clock_sense -stop_propagation -clocks [get_clocks c] "
             "[get_pins rB/CP]")
         assert got == fresh
         assert got[1] != before[1]
+        assert extended.clock_propagation() is not bound.clock_propagation()
+        assert extended.clock_propagation().node_clocks \
+            is not bound.clock_propagation().node_clocks
+        # The liveness is unchanged, so the cones still are.
+        assert extended.between is bound.between
+
+    def test_path_exception_shares_liveness_memos(self, pipeline_netlist):
+        bound, extended, before, got, fresh = self.extend(
+            pipeline_netlist,
+            "set_false_path -from [get_pins rA/CP] -to [get_pins rB/D]")
+        assert got == fresh == before
+        assert extended.between is bound.between
+        self.assert_shares_clock_propagation(bound, extended)
+
+    def test_input_delay_shares_liveness_memos(self, pipeline_netlist):
+        bound, extended, before, got, fresh = self.extend(
+            pipeline_netlist, "set_input_delay 2 -max -clock c [get_ports in1]")
+        assert got == fresh == before
+        assert extended.between is bound.between
+        self.assert_shares_clock_propagation(bound, extended)
+
+    def test_clock_sets_are_frozensets(self, pipeline_netlist):
+        """Shared propagations hand out sets no consumer can alter."""
+        prop = BoundMode(pipeline_netlist,
+                         parse_mode(self.BASE, "m")).clock_propagation()
+        graph = prop.bound.graph
+        assert prop.register_clocks
+        assert all(isinstance(clocks, frozenset)
+                   for clocks in prop.register_clocks.values())
+        assert isinstance(prop.clocks_at(graph.node("rA/CP")), frozenset)
+        assert isinstance(prop.clocks_at(graph.node("rA/Q")), frozenset)
+        assert isinstance(prop.clocks_at_register("rA"), frozenset)
+        assert isinstance(prop.clocks_at_register("nowhere"), frozenset)
