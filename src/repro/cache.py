@@ -3,8 +3,8 @@
 The paper's value proposition is cutting sign-off cost when mode sets
 *evolve*; this module makes repeat runs pay only for what changed.  A
 :class:`ResultCache` is a persistent content-addressed store shared by
-CLI runs and serve jobs (``--cache DIR``) that memoizes the two
-expensive products of a merge run:
+CLI runs (``--cache DIR``) that memoizes the two expensive products of
+a merge run:
 
 * **pair verdicts** — the mergeability scan's mock-merge result for one
   unordered mode pair, keyed by the two modes' content fingerprints;

@@ -29,10 +29,10 @@ merge that fails its equivalence validation), ``--budget-seconds`` (a
 watchdog on each merge's refinement engines) and
 ``--max-repair-attempts``.
 
-``--cache DIR`` (on ``merge``, ``report`` and ``serve``) opens a
-persistent content-addressed result cache: pair verdicts and completed
-group merges are memoized by mode *content*, so a rerun — or a run
-where only one mode changed — recomputes only what that change touches.
+``--cache DIR`` (on ``merge`` and ``report``) opens a persistent
+content-addressed result cache: pair verdicts and completed group
+merges are memoized by mode *content*, so a rerun — or a run where only
+one mode changed — recomputes only what that change touches.
 Each group is stored as soon as it completes, so rerunning a killed
 ``merge`` against the same cache resumes it.
 The cache is crash-safe and self-healing: corrupt or version-skewed
@@ -380,59 +380,6 @@ def cmd_explain(args: argparse.Namespace, policy: DegradationPolicy,
     return 1 if unmatched else 0
 
 
-def cmd_serve(args: argparse.Namespace, policy: DegradationPolicy,
-              collector: DiagnosticCollector) -> int:
-    """Run the durable batch merge service until SIGTERM/SIGINT.
-
-    Startup resumes any jobs the journal shows as non-terminal
-    (``SRV005``); shutdown drains gracefully — in-flight jobs abort at
-    the next engine boundary with their finished groups cached and
-    resume byte-identically on the next start.
-    """
-    import signal as signal_mod
-
-    from repro.serve.api import build_server
-    from repro.serve.service import MergeService, ServeConfig
-
-    config = ServeConfig(
-        runners=args.runners,
-        jobs=args.jobs,
-        max_queue=args.max_queue,
-        max_payload_bytes=args.max_payload_bytes,
-        max_retries=max(0, args.max_retries),
-        job_budget_seconds=args.job_budget_seconds,
-        policy=policy,
-        cache_root=args.cache or None,
-        profile_jobs=args.profile_jobs,
-    )
-    service = MergeService(args.root, config, collector=collector)
-    service.start()
-    server = build_server(service, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"repro-serve listening on http://{host}:{port} "
-          f"(root {args.root})", flush=True)
-
-    def _drain(signum, frame):  # noqa: ARG001 — signal signature
-        # shutdown() must not run on the signal frame's thread while
-        # serve_forever holds its own loop; a helper thread unblocks it
-        import threading as threading_mod
-
-        threading_mod.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {}
-    for sig in (signal_mod.SIGTERM, signal_mod.SIGINT):
-        previous[sig] = signal_mod.signal(sig, _drain)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        for sig, handler in previous.items():
-            signal_mod.signal(sig, handler)
-        server.server_close()
-        service.drain()
-        print("repro-serve drained", flush=True)
-    return 0
-
-
 def cmd_bench_trends(args: argparse.Namespace, policy: DegradationPolicy,
                      collector: DiagnosticCollector) -> int:
     """Aggregate BENCH snapshot series into trends.html / trends.json.
@@ -604,8 +551,8 @@ def _artifact_schema_versions() -> dict:
     """Every artifact kind's schema version, for ``--version`` output.
 
     Bug reports quoting ``--version`` pin the full format surface —
-    which journal/cache/profile/trends/blackbox layouts the
-    build emits — not just the package version.
+    which cache/profile/trends/blackbox layouts the build emits — not
+    just the package version.
     """
     from repro.cache import CACHE_SCHEMA_VERSION
     from repro.obs.blackbox import BLACKBOX_SCHEMA_VERSION
@@ -618,8 +565,6 @@ def _artifact_schema_versions() -> dict:
     from repro.obs.trace import TRACE_SCHEMA_VERSION
     from repro.obs.trends import TRENDS_SCHEMA_VERSION
     from repro.fuzz import FUZZ_SCHEMA_VERSION
-    from repro.serve.journal import JOURNAL_SCHEMA_VERSION
-    from repro.serve.slo import SLO_SCHEMA_VERSION
 
     return {
         "blackbox": BLACKBOX_SCHEMA_VERSION,
@@ -627,12 +572,10 @@ def _artifact_schema_versions() -> dict:
         "cache": CACHE_SCHEMA_VERSION,
         "decisions": DECISIONS_SCHEMA_VERSION,
         "diagnostics": DIAGNOSTICS_SCHEMA_VERSION,
-        "journal": JOURNAL_SCHEMA_VERSION,
         "metrics": METRICS_SCHEMA_VERSION,
         "profile": PROFILE_SCHEMA_VERSION,
         "provenance": PROVENANCE_SCHEMA_VERSION,
         "report-html": REPORT_HTML_SCHEMA_VERSION,
-        "slo": SLO_SCHEMA_VERSION,
         "trace": TRACE_SCHEMA_VERSION,
         "trends": TRENDS_SCHEMA_VERSION,
     }
@@ -779,48 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "decisions appear in the graph")
     p_explain.set_defaults(func=cmd_explain)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the durable batch merge service (JSON API over HTTP)")
-    p_serve.add_argument("--root", default="serve-root", metavar="DIR",
-                         help="service state directory: job journal, "
-                              "per-job inputs, caches and artifacts "
-                              "(default ./serve-root); reusing a root "
-                              "resumes its interrupted jobs")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8037, metavar="N",
-                         help="TCP port; 0 picks an ephemeral port "
-                              "(printed on startup; default 8037)")
-    p_serve.add_argument("--runners", type=_positive_int, default=2,
-                         metavar="N",
-                         help="jobs that may run concurrently (default 2)")
-    p_serve.add_argument("--max-queue", type=_positive_int, default=8,
-                         metavar="N",
-                         help="pending-job cap; beyond it submissions "
-                              "are rejected with SRV001/429 (default 8)")
-    p_serve.add_argument("--max-payload-bytes", type=_positive_int,
-                         default=4_000_000, metavar="N",
-                         help="per-submission size cap; beyond it "
-                              "submissions are rejected with SRV002/413 "
-                              "(default 4000000)")
-    p_serve.add_argument("--max-retries", type=int, default=2, metavar="N",
-                         help="merge attempts per job beyond the first "
-                              "(default 2)")
-    p_serve.add_argument("--job-budget-seconds", type=float, default=None,
-                         metavar="S",
-                         help="wall-clock watchdog budget per merge "
-                              "attempt (default: unbounded)")
-    p_serve.add_argument("--cache", default="", metavar="DIR",
-                         help="persistent result-cache directory shared "
-                              "by every job this service runs")
-    p_serve.add_argument("--profile-jobs", action="store_true",
-                         help="profile every job and write a per-job "
-                              "profile.json artifact (individual "
-                              "submissions can also opt in with "
-                              '{"options": {"profile": true}})')
-    p_serve.set_defaults(func=cmd_serve)
-
     p_trends = sub.add_parser(
         "bench-trends",
         help="aggregate BENCH_*.json snapshots into a trend report")
@@ -905,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
              "blackbox.json")
     p_doctor.add_argument("blackbox_file", metavar="BLACKBOX.json",
                           help="a blackbox.json flushed by an abnormal "
-                               "exit (or a serve job's artifact)")
+                               "exit")
     p_doctor.add_argument("--json", dest="doctor_json",
                           action="store_true",
                           help="print the raw payload instead of the "

@@ -305,10 +305,7 @@ def _engine_config(options: MergeOptions, jobs: int,
         deadline = 2.0 * options.budget_seconds + 1.0
     return SupervisorConfig(jobs=jobs, deadline_seconds=deadline,
                             max_attempts=options.exec_max_attempts,
-                            propagate_errors=propagate,
-                            stop_event=options.exec_stop_event,
-                            slot_gate=options.exec_slot_gate,
-                            gate_client=options.exec_gate_client)
+                            propagate_errors=propagate)
 
 
 def _scan_payload_error(value) -> str:
@@ -665,10 +662,10 @@ def _group_task(names):
     # into a fresh one and ships it home in the bundle for the parent to
     # fold (exactly like the profiler payload below).
     recorder = BlackboxRecorder() if get_blackbox().enabled else None
-    # The parent's profiler enabled-flag survives the fork (thread-local
-    # for the forking thread), but its cProfile session must not: the
-    # worker profiles its own task on a fresh tracer+profiler pair and
-    # ships the payload home for a deterministic merge.
+    # The parent's profiler enabled-flag survives the fork, but its
+    # cProfile session must not: the worker profiles its own task on a
+    # fresh tracer+profiler pair and ships the payload home for a
+    # deterministic merge.
     profiler = Profiler() if get_profiler().enabled else None
     prof_tracer = None
     with ExitStack() as stack:
@@ -929,9 +926,6 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
         max_repair_attempts=opts.max_repair_attempts,
         exec_deadline_seconds=opts.exec_deadline_seconds,
         exec_max_attempts=opts.exec_max_attempts,
-        exec_stop_event=opts.exec_stop_event,
-        exec_slot_gate=opts.exec_slot_gate,
-        exec_gate_client=opts.exec_gate_client,
     )
 
     from repro.cache import (
@@ -1077,8 +1071,6 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                     break
                 state["cursor"] += 1
                 state["diag_cursor"] = len(sink.diagnostics)
-                if opts.progress is not None:
-                    opts.progress(state["cursor"], len(plans))
 
         flush()  # leading restored groups
         if pending:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.case_analysis import merge_case_analysis
 from repro.core.clock_constraints import DEFAULT_TOLERANCE, merge_clock_constraints
@@ -77,25 +77,6 @@ class MergeOptions:
     exec_deadline_seconds: Optional[float] = None
     #: attempts the execution engine spends per task (infra faults only)
     exec_max_attempts: int = 3
-    #: optional stop signal (duck-typed ``is_set()``/``wait(timeout)``)
-    #: handed to the execution engine: a set event aborts the batch
-    #: cleanly between attempts (``ExecInterrupted``) instead of
-    #: demoting work — the serve drain path.  Not part of the result
-    #: fingerprint: it tunes execution, not results.
-    exec_stop_event: Any = None
-    #: optional shared slot gate (duck-typed ``acquire``/``release``,
-    #: e.g. :class:`repro.exec.gate.FairSlotGate`) bounding this run's
-    #: concurrent task attempts; lets several merge runs multiplex one
-    #: worker budget fairly.  Not part of the result fingerprint.
-    exec_slot_gate: Any = None
-    #: identity this run contends under at the slot gate ("" = batch
-    #: label); the serve scheduler sets it to the job id
-    exec_gate_client: str = ""
-    #: optional ``progress(done, total)`` callback ``merge_all`` invokes
-    #: after every analysis group flushed in analysis order; the serve
-    #: layer journals it as per-job progress.  Not part of the result
-    #: fingerprint: it observes execution, not results.
-    progress: Any = None
 
     def result_fingerprint(self) -> str:
         """Stable key of every tunable that can change merge *results*.

@@ -58,17 +58,17 @@ break across releases:
 ``EXE005``   the worker pool degraded to serial in-process execution
 ``EXE006``   a supervised task failed after all retry attempts (demoted)
 ``EXE007``   deterministic chaos injection is active for this run
-``EXE008``   a supervised batch was interrupted by a stop/drain request
+``EXE008``   retired with the batch merge service (stop request); never reuse
 ``EXE009``   the REPRO_CHAOS spec is malformed (unknown kind / bad clause)
-``SRV001``   submission rejected: job queue is full (HTTP 429)
-``SRV002``   submission rejected: payload exceeds the size cap (HTTP 413)
-``SRV003``   job journal write failed (submission not acknowledged)
-``SRV004``   job journal tail torn by a crash; valid prefix recovered
-``SRV005``   in-flight job re-enqueued after a server restart
-``SRV006``   service is draining; no new submissions (HTTP 503)
-``SRV007``   job cancelled by request
-``SRV008``   job failed; bounded retry scheduled
-``SRV009``   submission rejected: malformed payload (HTTP 400)
+``SRV001``   retired with the batch merge service (queue full); never reuse
+``SRV002``   retired with the batch merge service (payload cap); never reuse
+``SRV003``   retired with the batch merge service (journal write); never reuse
+``SRV004``   retired with the batch merge service (torn journal); never reuse
+``SRV005``   retired with the batch merge service (job resumed); never reuse
+``SRV006``   retired with the batch merge service (draining); never reuse
+``SRV007``   retired with the batch merge service (job cancelled); never reuse
+``SRV008``   retired with the batch merge service (job retry); never reuse
+``SRV009``   retired with the batch merge service (bad payload); never reuse
 ``CAC001``   result cache disabled; the run continues uncached
 ``CAC002``   corrupt/version-skewed cache entry quarantined, recomputed
 ``CAC003``   stale cache lock reclaimed from a dead owner
@@ -224,9 +224,7 @@ _ERROR_CODES = [
     (errors.RefinementError, "MRG003"),
     (errors.EquivalenceError, "MRG004"),
     (errors.TaskFailedError, "EXE006"),
-    (errors.ExecInterrupted, "EXE008"),
     (errors.ChaosSpecError, "EXE009"),
-    (errors.AdmissionError, "SRV009"),
     (errors.ExecError, "EXE006"),
     (errors.MergeError, "MRG001"),
     (errors.TimingError, "TIM001"),
@@ -253,23 +251,8 @@ _CODE_HINTS = {
     "EXE006": "the failed task's work unit is demoted, not lost; see the "
               "accompanying MRG002 diagnostics",
     "EXE007": "unset REPRO_CHAOS to disable fault injection",
-    "EXE008": "the batch stopped cleanly; a resume replays finished "
-              "groups from the result cache with byte-identical "
-              "results",
     "EXE009": "fix the REPRO_CHAOS spec: kind@key-glob@attempt[@seconds] "
               "or seed:<int>[:<rate>], ';'-separated",
-    "SRV001": "retry after a running job finishes, or raise --max-queue",
-    "SRV002": "split the workload or raise --max-payload-bytes",
-    "SRV003": "check the journal directory is writable; the submission "
-              "was not acknowledged and is safe to retry",
-    "SRV004": "no action needed; unacknowledged tail records recompute",
-    "SRV005": "no action needed; the job resumes from its cached "
-              "groups",
-    "SRV006": "resubmit to the replacement server after the drain",
-    "SRV008": "the retry is automatic; check the job's diagnostics if "
-              "it ultimately fails",
-    "SRV009": "fix the request body: netlist text plus a non-empty "
-              "modes map of SDC texts",
     "CAC001": "results are unaffected, only uncached; free disk space "
               "or fix permissions on the cache root",
     "CAC002": "no action needed; inspect <root>/quarantine, then "
@@ -286,11 +269,6 @@ _CODE_HINTS = {
 
 def code_for_error(exc: BaseException) -> str:
     """The stable diagnostic code for an exception (``GEN000`` fallback)."""
-    # Errors that carry their own stable code (AdmissionError) win: one
-    # exception type spans several SRV rejection codes.
-    own = getattr(exc, "code", None)
-    if isinstance(own, str) and own:
-        return own
     # UnicodeDecodeError subclasses ValueError, not OSError; check it and
     # any other exact matches before the subclass walk.
     for err_type, code in _ERROR_CODES:

@@ -3,9 +3,8 @@
 Two primitives, standard library only:
 
 * :func:`record_crc` — the self-checksum carried by every persisted
-  JSON record (result-cache entries, job-journal lines): SHA-256 over
-  the record's canonical JSON without its ``crc`` field, first 16 hex
-  digits;
+  JSON record (result-cache entries): SHA-256 over the record's
+  canonical JSON without its ``crc`` field, first 16 hex digits;
 * :func:`write_atomic` — replace a file so that a reader, or a process
   restarted after ``kill -9`` or power loss, sees either the old bytes
   or the new ones, never a mix: write a temp file next to the target,

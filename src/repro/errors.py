@@ -196,35 +196,3 @@ class TaskFailedError(ExecError):
         self.key = key
         self.reason = reason
 
-
-class ExecInterrupted(ExecError):
-    """A supervised batch was aborted by a stop/drain request.
-
-    Raised by the :class:`~repro.exec.supervisor.Supervisor` when its
-    ``stop_event`` fires: the batch stops cleanly between attempts
-    instead of demoting in-flight tasks, so the result cache holds
-    exactly what a killed run would leave and a resume replays
-    byte-identically.  Never raised by a task body.
-    """
-
-    def __init__(self, label: str, detail: str = "stop requested"):
-        super().__init__(f"batch {label!r} interrupted: {detail}")
-        self.label = label
-        self.detail = detail
-
-
-class ServeError(ReproError):
-    """A failure in the batch merge service (``repro.serve``)."""
-
-
-class AdmissionError(ServeError):
-    """A submission the service refused to admit.
-
-    Carries the stable ``SRV`` diagnostic code and the matching HTTP
-    status so the CLI and the JSON API reject with one shared contract.
-    """
-
-    def __init__(self, code: str, message: str, http_status: int = 400):
-        super().__init__(message)
-        self.code = code
-        self.http_status = http_status

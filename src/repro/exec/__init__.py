@@ -7,7 +7,6 @@ See :mod:`repro.exec.supervisor` for the execution engine and
 from repro.exec.chaos import (CHAOS_ENV, ChaosCrashError, ChaosFault,
                               ChaosPlan, CorruptPayload, FAULT_KINDS,
                               SEEDED_MAX_ATTEMPT)
-from repro.exec.gate import FairSlotGate
 from repro.exec.supervisor import Supervisor, SupervisorConfig, TaskOutcome
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "ChaosPlan",
     "CorruptPayload",
     "FAULT_KINDS",
-    "FairSlotGate",
     "SEEDED_MAX_ATTEMPT",
     "Supervisor",
     "SupervisorConfig",

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import DiagnosticCollector, Severity
-from repro.errors import ExecInterrupted, TaskFailedError
+from repro.errors import TaskFailedError
 from repro.exec.chaos import ChaosCrashError, ChaosPlan, CorruptPayload
 from repro.obs.explain import get_decisions
 from repro.obs.metrics import get_metrics
@@ -96,22 +96,6 @@ class SupervisorConfig:
     #: re-raise task-body exceptions (in-process: original type; pooled:
     #: TaskFailedError) instead of demoting the task
     propagate_errors: bool = False
-    #: optional stop signal (duck-typed ``is_set()``/``wait(timeout)``,
-    #: e.g. a ``threading.Event``): backoff sleeps become interruptible
-    #: waits on it, and once set the batch aborts cleanly between
-    #: attempts with :class:`~repro.errors.ExecInterrupted` (``EXE008``)
-    #: — in-flight work is *not* demoted, so a resume from the result
-    #: cache replays byte-identically
-    stop_event: Any = None
-    #: optional shared concurrency gate (duck-typed
-    #: ``acquire(client, timeout) -> bool`` / ``release(client)``, e.g.
-    #: :class:`~repro.exec.gate.FairSlotGate`): every attempt holds one
-    #: slot while it runs, so concurrent batches multiplex a bounded
-    #: worker budget fairly instead of oversubscribing the host
-    slot_gate: Any = None
-    #: identity this batch contends under at the slot gate (defaults to
-    #: the run label)
-    gate_client: str = ""
 
     def resolved_chaos(self) -> Optional[ChaosPlan]:
         if self.chaos is not None:
@@ -140,7 +124,7 @@ class TaskOutcome:
 
 class _TaskState:
     __slots__ = ("index", "key", "args", "attempt", "faults", "not_before",
-                 "deadline", "deadline_at", "first_start", "holds_slot")
+                 "deadline", "deadline_at", "first_start")
 
     def __init__(self, index: int, key: str, args: tuple):
         self.index = index
@@ -152,7 +136,6 @@ class _TaskState:
         self.deadline: Optional[float] = None
         self.deadline_at: Optional[float] = None
         self.first_start: Optional[float] = None
-        self.holds_slot = False
 
 
 class _Worker:
@@ -286,7 +269,6 @@ class Supervisor:
         self._initargs = initargs
         if n == 0:
             return []
-        self._check_stop()
         get_metrics().inc("exec.tasks", n)
         if self._chaos is not None:
             self.collector.report(
@@ -318,69 +300,8 @@ class Supervisor:
     def _run_serial(self, states: List["_TaskState"]) -> None:
         self._ensure_initialized()
         for st in states:
-            self._check_stop()
             if self._outcomes[st.index] is None:
                 self._run_task_in_process(st)
-
-    # ------------------------------------------------------------------
-    # stop / slot-gate plumbing
-    # ------------------------------------------------------------------
-    def _stopped(self) -> bool:
-        event = self.config.stop_event
-        return event is not None and event.is_set()
-
-    def _check_stop(self) -> None:
-        """Abort the batch cleanly when the stop event has fired."""
-        if self._stopped():
-            get_metrics().inc("exec.interrupted")
-            self.collector.report(
-                "EXE008",
-                f"batch {self._label!r} interrupted by a stop/drain "
-                f"request; in-flight work is preserved for resume",
-                severity=Severity.INFO, source=self._label)
-            raise ExecInterrupted(self._label)
-
-    def _wait(self, seconds: float) -> None:
-        """Backoff wait, preempted promptly by the stop event.
-
-        Without a stop event this is a plain ``time.sleep`` — the
-        deterministic schedule of an unattended run is unchanged.
-        """
-        if seconds <= 0:
-            return
-        event = self.config.stop_event
-        if event is None:
-            time.sleep(seconds)
-        else:
-            event.wait(seconds)
-
-    def _gate_client_id(self) -> str:
-        return self.config.gate_client or self._label
-
-    def _acquire_slot(self) -> None:
-        """Block (interruptibly) until the shared gate grants a slot."""
-        gate = self.config.slot_gate
-        if gate is None:
-            return
-        client = self._gate_client_id()
-        while not gate.acquire(client, timeout=0.05):
-            self._check_stop()
-
-    def _try_acquire_slot(self, st: "_TaskState") -> bool:
-        gate = self.config.slot_gate
-        if gate is None:
-            return True
-        if gate.acquire(self._gate_client_id(), timeout=0):
-            st.holds_slot = True
-            return True
-        return False
-
-    def _release_slot(self, st: "_TaskState") -> None:
-        if st.holds_slot:
-            st.holds_slot = False
-            gate = self.config.slot_gate
-            if gate is not None:
-                gate.release(self._gate_client_id())
 
     def _attempt_in_process(self, st: "_TaskState"
                             ) -> Optional[Tuple[str, str]]:
@@ -423,21 +344,14 @@ class Supervisor:
     def _run_task_in_process(self, st: "_TaskState") -> None:
         """Serial execution of one task with the full retry ladder."""
         while True:
-            self._acquire_slot()
-            try:
-                fault = self._attempt_in_process(st)
-            finally:
-                gate = self.config.slot_gate
-                if gate is not None:
-                    gate.release(self._gate_client_id())
+            fault = self._attempt_in_process(st)
             if fault is None:
                 return
             if st.attempt >= self.config.max_attempts:
                 self._fail(st, fault, in_process=True)
                 return
             self._record_fault(st, fault)
-            self._wait(self._backoff(st.key, st.attempt))
-            self._check_stop()
+            time.sleep(self._backoff(st.key, st.attempt))
 
     def _final_in_process(self, st: "_TaskState",
                           last_fault: Tuple[str, str]) -> None:
@@ -450,13 +364,7 @@ class Supervisor:
         get_metrics().inc("exec.in_process_reruns")
         self._record_fault(st, last_fault)
         self._ensure_initialized()
-        self._acquire_slot()
-        try:
-            fault = self._attempt_in_process(st)
-        finally:
-            gate = self.config.slot_gate
-            if gate is not None:
-                gate.release(self._gate_client_id())
+        fault = self._attempt_in_process(st)
         if fault is not None:
             self._fail(st, fault, in_process=True)
 
@@ -536,7 +444,6 @@ class Supervisor:
             if not workers:
                 _set(degrade_reason or "cannot start the worker pool")
             while not degraded() and (queue or inflight):
-                self._check_stop()
                 now = time.perf_counter()
                 # -- dispatch ------------------------------------------
                 while idle and queue:
@@ -554,11 +461,6 @@ class Supervisor:
                         self._fail(st, ("timeout", "run budget exhausted "
                                         "before the task could start"))
                         continue
-                    if not self._try_acquire_slot(st):
-                        # The shared gate is saturated by other batches;
-                        # re-poll after the collect phase.
-                        queue.appendleft(st)
-                        break
                     worker = idle.pop()
                     st.attempt += 1
                     if st.first_start is None:
@@ -573,7 +475,6 @@ class Supervisor:
                         crashes += 1
                         discard(worker)
                         st.attempt -= 1
-                        self._release_slot(st)
                         queue.appendleft(st)
                         if crashes > max_crashes:
                             _set(f"{crashes} worker crashes exceeded the "
@@ -585,14 +486,11 @@ class Supervisor:
                 if degraded():
                     break
                 if not inflight:
-                    if queue:  # backing off, or the shared gate is busy
+                    if queue:  # every queued task is backing off
                         wake = min(s.not_before for s in queue)
-                        pause = max(0.0, min(
+                        time.sleep(max(0.0, min(
                             wake - time.perf_counter(),
-                            cfg.backoff_cap))
-                        if self.config.slot_gate is not None:
-                            pause = max(pause, cfg.poll_interval)
-                        self._wait(pause)
+                            cfg.backoff_cap)))
                         continue
                     break
                 # -- collect -------------------------------------------
@@ -617,8 +515,6 @@ class Supervisor:
                         inflight.pop(worker, None)
                         discard(worker)
                         if st is not None:
-                            self._release_slot(st)
-                        if st is not None:
                             requeue_or_finalize(
                                 st, ("crash", f"worker running "
                                      f"{st.key!r} died (killed or "
@@ -638,7 +534,6 @@ class Supervisor:
                         discard(worker)
                         if st is not None:
                             st.attempt -= 1
-                            self._release_slot(st)
                             queue.appendleft(st)
                         _set(f"worker initializer failed: {msg[1]}")
                         break
@@ -648,7 +543,6 @@ class Supervisor:
                         continue  # stale result from a superseded attempt
                     inflight.pop(worker)
                     idle.append(worker)
-                    self._release_slot(st)
                     if status == "ok":
                         reason = self._invalid_reason(value)
                         if reason:
@@ -670,7 +564,6 @@ class Supervisor:
                     if st.deadline_at is not None and now > st.deadline_at:
                         inflight.pop(worker)
                         discard(worker)
-                        self._release_slot(st)
                         requeue_or_finalize(
                             st, ("timeout", f"task exceeded its "
                                  f"{st.deadline:g}s deadline; worker "
@@ -682,10 +575,6 @@ class Supervisor:
                 self._kill_worker(worker)
             workers.clear()
             idle.clear()
-            # A stop/degrade exit must not strand slots other batches
-            # are waiting on (holds_slot makes this idempotent).
-            for st in states:
-                self._release_slot(st)
         if pending_error is not None:
             raise pending_error
         if degrade_reason:

@@ -40,7 +40,6 @@ from repro.obs.blackbox import (
     load_blackbox,
     recording,
     set_blackbox,
-    thread_recording,
 )
 from repro.obs.explain import (
     DECISION_KINDS,
@@ -145,7 +144,6 @@ __all__ = [
     "set_decisions",
     "set_metrics",
     "set_tracer",
-    "thread_recording",
     "tracing",
     "write_run_report",
 ]

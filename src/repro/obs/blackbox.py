@@ -547,18 +547,11 @@ def format_doctor_report(payload: dict) -> str:
 # the ambient recorder (same triad as trace/metrics/explain/profile)
 # ---------------------------------------------------------------------------
 _AMBIENT: NullBlackbox = NullBlackbox()
-_THREAD_AMBIENT = _threading.local()
 
 
 def get_blackbox() -> NullBlackbox:
-    """The ambient flight recorder (a no-op unless installed).
-
-    A thread-scoped recorder (:func:`thread_recording`) shadows the
-    process-global one on its thread only — the serve layer gives each
-    job its own ring.
-    """
-    local = getattr(_THREAD_AMBIENT, "recorder", None)
-    return local if local is not None else _AMBIENT
+    """The ambient flight recorder (a no-op unless installed)."""
+    return _AMBIENT
 
 
 def set_blackbox(recorder: Optional[NullBlackbox]) -> NullBlackbox:
@@ -574,23 +567,9 @@ def set_blackbox(recorder: Optional[NullBlackbox]) -> NullBlackbox:
 
 @contextmanager
 def recording(recorder: Optional[NullBlackbox]):
-    """Scope-install a recorder globally and for this thread."""
+    """Scope-install a recorder: ``with recording(BlackboxRecorder()):``."""
     previous = set_blackbox(recorder)
-    prev_local = getattr(_THREAD_AMBIENT, "recorder", None)
-    _THREAD_AMBIENT.recorder = recorder
     try:
         yield get_blackbox()
     finally:
         set_blackbox(previous)
-        _THREAD_AMBIENT.recorder = prev_local
-
-
-@contextmanager
-def thread_recording(recorder: Optional[NullBlackbox]):
-    """Scope-install a recorder for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "recorder", None)
-    _THREAD_AMBIENT.recorder = recorder
-    try:
-        yield get_blackbox()
-    finally:
-        _THREAD_AMBIENT.recorder = previous

@@ -41,7 +41,6 @@ decisions from the run root down to the match.
 from __future__ import annotations
 
 import json
-import threading as _threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -497,25 +496,10 @@ def format_chains(chains: Sequence[Sequence[Decision]]) -> str:
 #: The ambient ledger decision sites fetch; no-op unless installed.
 _AMBIENT: NullDecisions = NullDecisions()
 
-#: Per-thread override of the ambient ledger.  Concurrent job threads
-#: (repro.serve) each record into their own ledger; a DecisionLedger's
-#: frame stack is not thread-safe, so sharing the global one would
-#: corrupt parent links.
-_THREAD_AMBIENT = _threading.local()
-
-#: Shared muted sentinel: an explicit thread-local override that
-#: suppresses recording even when an outer thread-scoped ledger exists.
-_MUTED = NullDecisions()
-
 
 def get_decisions() -> NullDecisions:
-    """The ambient decision ledger (a no-op unless installed).
-
-    A thread-scoped ledger (:func:`thread_explaining`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "ledger", None)
-    return local if local is not None else _AMBIENT
+    """The ambient decision ledger (a no-op unless installed)."""
+    return _AMBIENT
 
 
 def set_decisions(ledger: Optional[NullDecisions]) -> NullDecisions:
@@ -531,46 +515,19 @@ def set_decisions(ledger: Optional[NullDecisions]) -> NullDecisions:
 
 @contextmanager
 def explaining(ledger: Optional[NullDecisions]):
-    """Scope-install a ledger: ``with explaining(DecisionLedger()):``.
-
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped ledger.
-    """
+    """Scope-install a ledger: ``with explaining(DecisionLedger()):``."""
     previous = set_decisions(ledger)
-    prev_local = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = ledger
     try:
         yield get_decisions()
     finally:
         set_decisions(previous)
-        _THREAD_AMBIENT.ledger = prev_local
-
-
-@contextmanager
-def thread_explaining(ledger: Optional[NullDecisions]):
-    """Scope-install a ledger for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = ledger
-    try:
-        yield get_decisions()
-    finally:
-        _THREAD_AMBIENT.ledger = previous
 
 
 @contextmanager
 def muted():
-    """Scope-suppress decision recording (mock merges, probe re-merges).
-
-    Mutes the global ambient ledger *and* pushes an explicit muted
-    override for this thread, so a thread-scoped ledger is suppressed
-    too.
-    """
+    """Scope-suppress decision recording (mock merges, probe re-merges)."""
     previous = set_decisions(None)
-    prev_local = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = _MUTED
     try:
         yield
     finally:
         set_decisions(previous)
-        _THREAD_AMBIENT.ledger = prev_local

@@ -25,9 +25,8 @@ is free when nobody is collecting.
 from __future__ import annotations
 
 import json
-import threading as _threading
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version of the metrics JSON artifact.  Bump on incompatible layout
 #: changes; downstream tooling dispatches on this field.
@@ -153,29 +152,6 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "tasks that failed after all attempts"),
     "exec.task_seconds": (
         "histogram", "wall-clock seconds per supervised task (all attempts)"),
-    "exec.interrupted": (
-        "counter", "batches aborted cleanly by a stop/drain event"),
-    # -- batch merge service (repro.serve) ------------------------------
-    "serve.jobs_submitted": ("counter", "jobs admitted and acknowledged"),
-    "serve.jobs_rejected": (
-        "counter", "submissions refused by admission control (SRV codes)"),
-    "serve.jobs_completed": ("counter", "jobs that reached done"),
-    "serve.jobs_failed": ("counter", "jobs that reached failed"),
-    "serve.jobs_cancelled": ("counter", "jobs that reached cancelled"),
-    "serve.jobs_resumed": (
-        "counter", "in-flight jobs re-enqueued after a server restart"),
-    "serve.job_retries": ("counter", "job run attempts retried (SRV008)"),
-    "serve.journal_appends": ("counter", "job journal records fsynced"),
-    "serve.journal_torn_records": (
-        "counter", "journal records dropped by torn-tail recovery"),
-    "serve.queue_depth": ("gauge", "jobs queued or running right now"),
-    "serve.drains": ("counter", "graceful drains initiated"),
-    "serve.job_seconds": (
-        "histogram", "wall-clock seconds per job, submit to terminal"),
-    "serve.admit_seconds": (
-        "histogram", "seconds spent in admission control per submission"),
-    "serve.blackboxes_retained": (
-        "counter", "per-job flight-recorder artifacts kept for failed jobs"),
     # -- profiler hot-loop counters (repro.obs.profile) ----------------
     "profile.mock_merges": (
         "counter", "scanned pairs the mode tables left to a mock merge"),
@@ -306,26 +282,6 @@ class MetricsRegistry(NullMetrics):
             self._histograms[name] = hist
         hist.observe(value)
 
-    def declare(self, name: str) -> None:
-        """Pre-create a contract metric at zero so exporters show its row.
-
-        The serve metrics endpoint declares every ``serve.*`` / ``exec.*``
-        / ``cache.*`` contract name at startup: a scrape taken while the
-        first job is still running already exposes the full stable-name
-        surface (absent-vs-zero is a real distinction for dashboards).
-        Unknown names are ignored — declaring never widens the contract.
-        """
-        declared = METRIC_CONTRACT.get(name)
-        if declared is None:
-            return
-        kind = declared[0]
-        if kind == "counter":
-            self._counters.setdefault(name, 0)
-        elif kind == "gauge":
-            self._gauges.setdefault(name, 0.0)
-        elif name not in self._histograms:
-            self._histograms[name] = _Histogram(SECONDS_BUCKETS)
-
     # -- queries --------------------------------------------------------
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
@@ -426,57 +382,6 @@ class MetricsRegistry(NullMetrics):
                                  f"expected 'json' or 'prometheus'")
 
 
-class TeeMetrics(NullMetrics):
-    """Forward every recording to several registries at once.
-
-    The serve layer runs each job under its own registry (exported as the
-    job's ``metrics.json`` artifact) while a service-wide registry backs
-    the live ``GET /api/metrics`` endpoint; a tee installed thread-locally
-    feeds both without the instrumentation sites knowing.  Queries and
-    exports read the **first** sink.
-    """
-
-    enabled = True
-
-    def __init__(self, *sinks: NullMetrics):
-        self._sinks: List[NullMetrics] = [
-            sink for sink in sinks if sink is not None and sink.enabled]
-
-    def inc(self, name: str, value: float = 1) -> None:
-        for sink in self._sinks:
-            sink.inc(name, value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        for sink in self._sinks:
-            sink.set_gauge(name, value)
-
-    def observe(self, name: str, value: float,
-                buckets: Optional[Sequence[float]] = None) -> None:
-        for sink in self._sinks:
-            sink.observe(name, value, buckets)
-
-    def merge_payload(self, payload: dict) -> None:
-        for sink in self._sinks:
-            sink.merge_payload(payload)
-
-    def counter(self, name: str) -> float:
-        return self._sinks[0].counter(name) if self._sinks else 0.0
-
-    def gauge(self, name: str) -> Optional[float]:
-        return self._sinks[0].gauge(name) if self._sinks else None
-
-    def histogram(self, name: str) -> Optional[dict]:
-        return self._sinks[0].histogram(name) if self._sinks else None
-
-    def names(self) -> List[str]:
-        return self._sinks[0].names() if self._sinks else []
-
-    def to_dict(self) -> dict:
-        if self._sinks:
-            return self._sinks[0].to_dict()
-        return MetricsRegistry().to_dict()
-
-
 def _prom_name(name: str) -> str:
     return "repro_" + name.replace(".", "_").replace("-", "_")
 
@@ -500,7 +405,7 @@ def _prom_value(value: float) -> str:
 
     Python's ``repr`` spells non-finite floats ``nan`` / ``inf`` /
     ``-inf``; the exposition format requires ``NaN`` / ``+Inf`` /
-    ``-Inf``.  A scraper hitting ``/api/metrics`` chokes on the former.
+    ``-Inf``.  A scraper reading the exported file chokes on the former.
     """
     if isinstance(value, float):
         if value != value:
@@ -517,21 +422,10 @@ def _prom_value(value: float) -> str:
 #: The ambient registry instrumentation sites fetch; no-op by default.
 _AMBIENT: NullMetrics = NullMetrics()
 
-#: Per-thread override of the process-global ambient registry.  The
-#: batch merge service runs jobs on concurrent threads, each with its
-#: own registry; without this, two jobs would interleave counts into
-#: whatever registry the main thread installed.
-_THREAD_AMBIENT = _threading.local()
-
 
 def get_metrics() -> NullMetrics:
-    """The ambient metrics registry (a no-op unless installed).
-
-    A thread-scoped registry (:func:`thread_collecting`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "registry", None)
-    return local if local is not None else _AMBIENT
+    """The ambient metrics registry (a no-op unless installed)."""
+    return _AMBIENT
 
 
 def set_metrics(registry: Optional[NullMetrics]) -> NullMetrics:
@@ -547,28 +441,9 @@ def set_metrics(registry: Optional[NullMetrics]) -> NullMetrics:
 
 @contextmanager
 def collecting(registry: Optional[NullMetrics]):
-    """Scope-install a registry: ``with collecting(MetricsRegistry()):``.
-
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped registry.
-    """
+    """Scope-install a registry: ``with collecting(MetricsRegistry()):``."""
     previous = set_metrics(registry)
-    prev_local = getattr(_THREAD_AMBIENT, "registry", None)
-    _THREAD_AMBIENT.registry = registry
     try:
         yield get_metrics()
     finally:
         set_metrics(previous)
-        _THREAD_AMBIENT.registry = prev_local
-
-
-@contextmanager
-def thread_collecting(registry: Optional[NullMetrics]):
-    """Scope-install a registry for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "registry", None)
-    _THREAD_AMBIENT.registry = registry
-    try:
-        yield get_metrics()
-    finally:
-        _THREAD_AMBIENT.registry = previous

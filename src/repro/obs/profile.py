@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cProfile
 import json
-import threading as _threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
@@ -331,19 +330,9 @@ class Profiler(NullProfiler):
 #: The ambient profiler call sites fetch; no-op unless installed.
 _AMBIENT: NullProfiler = NullProfiler()
 
-#: Per-thread override: concurrent serve jobs each profile on their own
-#: thread without sharing one cProfile session (which is per-thread).
-_THREAD_AMBIENT = _threading.local()
-
-
 def get_profiler() -> NullProfiler:
-    """The ambient profiler (a no-op :class:`NullProfiler` by default).
-
-    A thread-scoped profiler (:func:`thread_profiling`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "profiler", None)
-    return local if local is not None else _AMBIENT
+    """The ambient profiler (a no-op :class:`NullProfiler` by default)."""
+    return _AMBIENT
 
 
 def set_profiler(profiler: Optional[NullProfiler]) -> NullProfiler:
@@ -359,23 +348,9 @@ def set_profiler(profiler: Optional[NullProfiler]) -> NullProfiler:
 
 @contextmanager
 def profiling(profiler: Optional[NullProfiler]):
-    """Scope-install a profiler globally *and* on this thread."""
+    """Scope-install a profiler: ``with profiling(Profiler()) as p: ...``."""
     previous = set_profiler(profiler)
-    prev_local = getattr(_THREAD_AMBIENT, "profiler", None)
-    _THREAD_AMBIENT.profiler = profiler
     try:
         yield get_profiler()
     finally:
         set_profiler(previous)
-        _THREAD_AMBIENT.profiler = prev_local
-
-
-@contextmanager
-def thread_profiling(profiler: Optional[NullProfiler]):
-    """Scope-install a profiler for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "profiler", None)
-    _THREAD_AMBIENT.profiler = profiler
-    try:
-        yield get_profiler()
-    finally:
-        _THREAD_AMBIENT.profiler = previous

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading as _threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
@@ -349,20 +348,10 @@ def _jsonable(value):
 #: the whole tracing layer is free unless someone installs a real Tracer.
 _AMBIENT: NullTracer = NullTracer()
 
-#: Per-thread override of the ambient tracer.  A Tracer's span stack is
-#: not thread-safe; concurrent jobs (repro.serve) each install their own
-#: tracer on their own thread instead of sharing the global one.
-_THREAD_AMBIENT = _threading.local()
-
 
 def get_tracer() -> NullTracer:
-    """The ambient tracer (a no-op :class:`NullTracer` unless installed).
-
-    A thread-scoped tracer (:func:`thread_tracing`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "tracer", None)
-    return local if local is not None else _AMBIENT
+    """The ambient tracer (a no-op :class:`NullTracer` unless installed)."""
+    return _AMBIENT
 
 
 def set_tracer(tracer: Optional[NullTracer]) -> NullTracer:
@@ -378,28 +367,9 @@ def set_tracer(tracer: Optional[NullTracer]) -> NullTracer:
 
 @contextmanager
 def tracing(tracer: Optional[NullTracer]):
-    """Scope-install a tracer: ``with tracing(Tracer()) as t: ...``.
-
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped tracer.
-    """
+    """Scope-install a tracer: ``with tracing(Tracer()) as t: ...``."""
     previous = set_tracer(tracer)
-    prev_local = getattr(_THREAD_AMBIENT, "tracer", None)
-    _THREAD_AMBIENT.tracer = tracer
     try:
         yield get_tracer()
     finally:
         set_tracer(previous)
-        _THREAD_AMBIENT.tracer = prev_local
-
-
-@contextmanager
-def thread_tracing(tracer: Optional[NullTracer]):
-    """Scope-install a tracer for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "tracer", None)
-    _THREAD_AMBIENT.tracer = tracer
-    try:
-        yield get_tracer()
-    finally:
-        _THREAD_AMBIENT.tracer = previous

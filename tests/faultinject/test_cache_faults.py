@@ -8,9 +8,8 @@ The cache's core invariant, asserted from every angle:
 
 Covers the chaos kinds (``cache-corrupt``, ``cache-torn``,
 ``cache-lockhold`` — inert for the execution engine, applied only at
-the cache's own strike points), full-disk degradation of both the
-cache (``CAC005``) and the serve journal (``SRV003`` fails the
-submission closed), all through the real CLI / service surfaces.
+the cache's own strike points) and full-disk degradation of the cache
+(``CAC005``), all through the real CLI surface.
 """
 
 import errno
@@ -20,7 +19,6 @@ import pytest
 from repro.cache import ResultCache
 from repro.cli import main
 from repro.exec.chaos import CHAOS_ENV
-from repro.serve.service import MergeService, ServeConfig
 
 pytestmark = pytest.mark.faultinject
 
@@ -129,30 +127,6 @@ class TestFullDisk:
         assert "CAC005" in err and "computed but not cached" in err
         monkeypatch.setattr(cache_mod.os, "replace", real_replace)
         assert _bytes(tmp / "out") == reference
-
-    def test_enospc_on_journal_fails_submission_closed(self, tmp_path,
-                                                       monkeypatch):
-        # A journal append that cannot be made durable must reject the
-        # job with SRV003 — the client knows it was NOT accepted.
-        from repro.errors import AdmissionError
-        from tests.faultinject.conftest import MODE_A, MODE_B, NETLIST_V
-
-        service = MergeService(tmp_path / "root",
-                               ServeConfig(runners=1, jobs=1), chaos=None)
-        service.start()
-        try:
-            def full_disk():
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            monkeypatch.setattr(service.journal, "_flush", full_disk)
-            with pytest.raises(AdmissionError) as excinfo:
-                service.submit({"netlist": NETLIST_V,
-                                "modes": {"modeA": MODE_A,
-                                          "modeB": MODE_B}})
-            assert excinfo.value.code == "SRV003"
-            monkeypatch.undo()
-        finally:
-            service.drain()
 
 
 class TestQuarantineLedger:

@@ -5,21 +5,19 @@ editing one mode re-scans only its pairs and re-merges only its clique,
 and the merged SDC bytes are identical cold vs warm vs
 corrupted-then-quarantined — through the Python API, the CLI
 (``--cache`` and the ``cache`` verb, including its exit-code contract),
-and the serve layer sharing one cache root across jobs and a parallel
-CLI run.
+and concurrent CLI processes sharing one cache root.
 """
 
 import json
 import os
 import subprocess
 import sys
-import time
+from pathlib import Path
 
 import pytest
 
 from repro.cache import ResultCache
 from repro.cli import main
-from repro.serve.service import MergeService, ServeConfig
 
 NETLIST_V = """
 module chip (clk, din, dout);
@@ -203,56 +201,35 @@ class TestCacheVerb:
         assert "unusable" in capsys.readouterr().err
 
 
-class TestSharedAcrossServeAndCli:
-    def payload(self):
-        return {"netlist": NETLIST_V,
-                "modes": {"modeA": MODE_A, "modeB": MODE_B,
-                          "modeC": MODE_C}}
+class TestSharedCacheRoot:
+    def test_concurrent_and_warm_runs_share_one_root(self, files,
+                                                     tmp_path):
+        import repro
 
-    def wait_done(self, service, job_id, timeout=120.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            status = service.status(job_id)
-            if status["state"] in ("done", "failed", "cancelled"):
-                assert status["state"] == "done", status["error"]
-                return status
-            time.sleep(0.05)
-        raise AssertionError(f"job {job_id} never finished")
-
-    def test_two_jobs_and_a_cli_run_share_one_root(self, files,
-                                                   tmp_path):
         tmp, netlist, paths = files
         croot = tmp_path / "shared-cache"
-        service = MergeService(
-            tmp_path / "serve-root",
-            ServeConfig(runners=2, jobs=1, cache_root=croot),
-            chaos=None)
-        service.start()
-        try:
-            first = service.submit(self.payload())
-            second = service.submit(self.payload())
-            for submitted in (first, second):
-                self.wait_done(service, submitted["id"])
-            assert service.cache is not None and service.cache.enabled
-            artifacts = [
-                service.artifact_path(s["id"], "modeA_modeB.sdc")
-                .read_bytes()
-                for s in (first, second)]
-            assert artifacts[0] == artifacts[1]
-        finally:
-            service.drain()
-        # A CLI run against the same root is fully warm and identical —
-        # under the same policy the service ran with (the degradation
-        # policy is part of the key space: it can change results).
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        env.pop("REPRO_CHAOS", None)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "merge", str(netlist)]
+                + [str(p) for p in paths]
+                + ["-o", str(tmp_path / f"run{i}"), "--cache", str(croot)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for i in (1, 2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+        merged = sdc_bytes(tmp_path / "run1")
+        assert merged and sdc_bytes(tmp_path / "run2") == merged
+        # A third run against the same root is fully warm and identical.
         warm_metrics = tmp_path / "warm.json"
-        assert merge_cli(netlist, paths, tmp_path / "cli-out", croot,
-                         warm_metrics, policy="lenient") == 0
+        assert merge_cli(netlist, paths, tmp_path / "warm", croot,
+                         warm_metrics) == 0
         warm = counters(warm_metrics)
         assert warm.get("mergeability.pairs_scanned", 0) == 0
         assert warm["cache.group_hits"] == 2
-        merged = sdc_bytes(tmp_path / "cli-out")["modeA_modeB.sdc"]
-        assert merged == artifacts[0]
-        # The service folded its counters into the persistent stats.
-        stats = ResultCache.open(croot).stats()
-        assert stats["stores"] >= 5
-        assert stats["group_hits"] >= 1  # the second job was warm
+        assert sdc_bytes(tmp_path / "warm") == merged
+        # The runs folded their store counts into the persistent stats.
+        assert ResultCache.open(croot).stats()["stores"] >= 5

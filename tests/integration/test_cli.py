@@ -288,9 +288,6 @@ class TestArgumentErrorRouting:
         ["--jobs", "-2", "merge", "n.v", "a.sdc"],
         ["--jobs", "two", "merge", "n.v", "a.sdc"],
         ["--jobs", "0", "report", "n.v", "a.sdc"],
-        ["serve", "--runners", "0"],
-        ["serve", "--max-queue", "0"],
-        ["serve", "--max-payload-bytes", "-1"],
     ], ids=lambda argv: " ".join(argv[:4]))
     def test_bad_count_arguments_exit_2_via_stderr(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -300,13 +297,23 @@ class TestArgumentErrorRouting:
         assert "expected an integer >= 1" in captured.err
         assert captured.out == ""
 
+    def test_serve_verb_is_gone(self, capsys):
+        # Merging is one on-demand run: the batch service's verb is an
+        # unknown choice now, rejected like any other (exit 2).
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "repro-merge" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "repro-merge" in out
+        assert "journal=" not in out and "slo=" not in out
 
     def test_trace_and_metrics_artifacts_validate(self, files, capsys):
         from repro.obs.validate import validate_metrics, validate_trace

@@ -18,6 +18,10 @@ import pytest
 
 from repro.cli import main
 
+#: ``REPRO_CHAOS`` as the suite was started with, read before the
+#: ``files`` fixture clears it (the chaos CI job sets a seeded plan).
+AMBIENT_CHAOS = os.environ.get("REPRO_CHAOS", "")
+
 NETLIST_V = """
 module chip (clk, din, dout);
   input clk, din;
@@ -170,28 +174,37 @@ mergeability.merge_all(netlist, modes, MergeOptions(),
 """
 
 
+def _kill_parallel_run(tmp, netlist, paths, chaos=""):
+    """Run ``KILLED_PARALLEL_DRIVER`` (under ``chaos``) to its SIGKILL;
+    returns the environment it ran in and the cache root it left."""
+    import repro
+
+    driver = tmp / "killed_parallel_driver.py"
+    driver.write_text(KILLED_PARALLEL_DRIVER)
+    cache = tmp / "cache"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    env.pop("REPRO_CHAOS", None)
+    if chaos:
+        env["REPRO_CHAOS"] = chaos
+    proc = subprocess.run(
+        [sys.executable, str(driver), str(netlist)]
+        + [str(p) for p in paths] + [str(cache)],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+    return env, cache
+
+
 class TestParallelCheckpointResume:
     def test_killed_parallel_run_resumes_at_any_job_count(self, files,
                                                           capsys):
         """kill -9 mid-parallel-merge, resume with a different --jobs:
         final outputs byte-identical to an uninterrupted serial run."""
-        import repro
-
         tmp, netlist, paths = files
         # Reference: uninterrupted serial run, no cache involved.
         assert _merge(netlist, paths, tmp / "fresh") == 0
 
-        driver = tmp / "killed_parallel_driver.py"
-        driver.write_text(KILLED_PARALLEL_DRIVER)
-        cache = tmp / "cache"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
-        env.pop("REPRO_CHAOS", None)
-        proc = subprocess.run(
-            [sys.executable, str(driver), str(netlist)]
-            + [str(p) for p in paths] + [str(cache)],
-            env=env, capture_output=True, timeout=300)
-        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        _env, cache = _kill_parallel_run(tmp, netlist, paths)
         # The a+b group survived the kill; c never completed.
         assert len(list((cache / "groups").glob("*.json"))) == 1
 
@@ -202,6 +215,28 @@ class TestParallelCheckpointResume:
         assert code == 0
         captured = capsys.readouterr()
         assert "CAC006" in captured.err  # group {a, b} was replayed
+        fresh = _sdc_bytes(tmp / "fresh")
+        assert _sdc_bytes(tmp / "resumed") == fresh
+        assert len(fresh) == 2
+
+    @pytest.mark.faultinject
+    def test_killed_parallel_run_resumes_under_ambient_chaos(self, files):
+        """kill -9 mid-parallel-merge and resume at --jobs 3, both under
+        the suite's ambient chaos: the resumed bytes equal a chaos-free
+        run's, and chaos may add warnings (exit 1) but never a failure."""
+        tmp, netlist, paths = files
+        assert _merge(netlist, paths, tmp / "fresh") == 0
+
+        env, cache = _kill_parallel_run(tmp, netlist, paths, AMBIENT_CHAOS)
+        resumed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--jobs", "3", "merge",
+             str(netlist)] + [str(p) for p in paths]
+            + ["-o", str(tmp / "resumed"), "--cache", str(cache)],
+            env=env, capture_output=True, timeout=300)
+        stderr = resumed.stderr.decode()
+        assert resumed.returncode in ((0, 1) if AMBIENT_CHAOS else (0,)), \
+            stderr
+        assert "CAC006" in stderr  # group {a, b} was replayed
         fresh = _sdc_bytes(tmp / "fresh")
         assert _sdc_bytes(tmp / "resumed") == fresh
         assert len(fresh) == 2

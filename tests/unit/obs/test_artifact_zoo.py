@@ -3,29 +3,39 @@ validator CLI, and ``repro-merge --version`` must agree.
 
 ``repro.obs.validate.ARTIFACT_ZOO`` is the source of truth; this test
 fails whenever an artifact is added (or re-versioned) without updating
-the documentation, the validator switch, or the version banner.
+the documentation, the validator switch, or the version banner.  The
+same holds for ``repro.obs.metrics.METRIC_CONTRACT`` and the docs'
+metric name table.
 """
 
 import re
 from pathlib import Path
 
 from repro.cli import _artifact_schema_versions
+from repro.obs.metrics import METRIC_CONTRACT
 from repro.obs.validate import ARTIFACT_ZOO
 
 DOCS = Path(__file__).parents[3] / "docs" / "OBSERVABILITY.md"
 
 
-def _zoo_table_rows():
-    """Parse the markdown table under the "Artifact zoo" heading."""
+def _table_rows(heading, width):
+    """Parse the ``width``-column markdown table under ``heading``."""
     text = DOCS.read_text()
-    section = text.split("## Artifact zoo", 1)[1].split("\n## ", 1)[0]
+    section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
+        if not line.startswith("|"):
+            continue
         cells = [c.strip().strip("`").strip()
                  for c in line.strip().strip("|").split("|")]
-        if len(cells) == 4 and cells[0] not in ("kind", "---", ""):
+        if len(cells) == width and cells[0] not in ("kind", "name",
+                                                    "---", ""):
             rows.append(cells)
     return rows
+
+
+def _zoo_table_rows():
+    return _table_rows("Artifact zoo", 4)
 
 
 class TestZooRegistry:
@@ -78,3 +88,13 @@ class TestVersionBanner:
             base = kind.split(".", 1)[0]
             assert base in versions or kind.replace(".", "-") in versions, \
                 f"--version does not report a schema version for {kind}"
+
+
+class TestMetricContractTable:
+    def test_every_contract_metric_is_documented_with_its_kind(self):
+        documented = {row[0]: row[1]
+                      for row in _table_rows("Metric name contract", 3)}
+        for name, (kind, _meaning) in METRIC_CONTRACT.items():
+            assert documented.get(name) == kind, \
+                f"docs/OBSERVABILITY.md metric table lacks {name!r} " \
+                f"as a {kind}"

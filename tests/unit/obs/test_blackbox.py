@@ -16,7 +16,6 @@ from repro.obs.blackbox import (
     load_blackbox,
     recording,
     set_blackbox,
-    thread_recording,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.validate import validate_blackbox
@@ -260,11 +259,3 @@ class TestAmbient:
             assert active is recorder
             assert get_blackbox() is recorder
         assert get_blackbox().enabled is False
-
-    def test_thread_recording_shadows_global(self):
-        outer = BlackboxRecorder()
-        inner = BlackboxRecorder()
-        with recording(outer):
-            with thread_recording(inner):
-                assert get_blackbox() is inner
-            assert get_blackbox() is outer

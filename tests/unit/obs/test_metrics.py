@@ -163,79 +163,3 @@ class TestPromValues:
         registry.set_gauge("merge.reduction_percent", float("inf"))
         assert "repro_merge_reduction_percent +Inf" \
             in registry.to_prometheus()
-
-
-class TestDeclare:
-    def test_declare_pre_creates_zero_rows(self):
-        registry = MetricsRegistry()
-        registry.declare("serve.jobs_submitted")
-        registry.declare("serve.queue_depth")
-        registry.declare("serve.job_seconds")
-        assert registry.counter("serve.jobs_submitted") == 0
-        assert registry.gauge("serve.queue_depth") == 0.0
-        assert registry.histogram("serve.job_seconds")["count"] == 0
-        text = registry.to_prometheus()
-        assert "repro_serve_jobs_submitted_total 0" in text
-        assert "repro_serve_job_seconds_count 0" in text
-
-    def test_declare_never_resets_a_live_metric(self):
-        registry = MetricsRegistry()
-        registry.inc("serve.jobs_submitted", 3)
-        registry.declare("serve.jobs_submitted")
-        assert registry.counter("serve.jobs_submitted") == 3
-
-    def test_declare_ignores_unknown_names(self):
-        registry = MetricsRegistry()
-        registry.declare("not.a.contract.name")
-        assert registry.names() == []
-
-    def test_declared_empty_histogram_validates(self):
-        from repro.obs.validate import validate_metrics
-
-        registry = MetricsRegistry()
-        registry.declare("serve.job_seconds")
-        assert validate_metrics(registry.to_json()) == []
-
-
-class TestTeeMetrics:
-    def test_recordings_reach_every_sink(self):
-        from repro.obs.metrics import TeeMetrics
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        tee = TeeMetrics(a, b)
-        tee.inc("merge.runs", 2)
-        tee.set_gauge("merge.reduction_percent", 40.0)
-        tee.observe("sta.run_seconds", 0.1)
-        for sink in (a, b):
-            assert sink.counter("merge.runs") == 2
-            assert sink.gauge("merge.reduction_percent") == 40.0
-            assert sink.histogram("sta.run_seconds")["count"] == 1
-
-    def test_queries_read_first_sink(self):
-        from repro.obs.metrics import TeeMetrics
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("merge.runs", 5)
-        tee = TeeMetrics(a, b)
-        assert tee.counter("merge.runs") == 5
-        assert tee.to_dict() == a.to_dict()
-        assert tee.names() == a.names()
-
-    def test_disabled_and_none_sinks_are_dropped(self):
-        from repro.obs.metrics import TeeMetrics
-
-        a = MetricsRegistry()
-        tee = TeeMetrics(None, NullMetrics(), a)
-        tee.inc("merge.runs")
-        assert a.counter("merge.runs") == 1
-        assert tee.counter("merge.runs") == 1
-
-    def test_merge_payload_fans_out(self):
-        from repro.obs.metrics import TeeMetrics
-
-        worker = MetricsRegistry()
-        worker.inc("merge.runs", 2)
-        a, b = MetricsRegistry(), MetricsRegistry()
-        TeeMetrics(a, b).merge_payload(worker.to_dict())
-        assert a.counter("merge.runs") == 2
-        assert b.counter("merge.runs") == 2

@@ -11,7 +11,6 @@ from repro.obs.profile import (
     profiling,
     set_profiler,
     span_summary,
-    thread_profiling,
 )
 from repro.obs.trace import Tracer
 from repro.obs.validate import validate_profile
@@ -86,7 +85,7 @@ class TestPhaseForSpan:
         assert phase_for_span("mergeability:group") == "mergeability"
 
     def test_non_phase_spans(self):
-        assert phase_for_span("serve:job") is None
+        assert phase_for_span("exec:task") is None
         assert phase_for_span("run") is None
         assert phase_for_span("parsex") is None
 
@@ -221,23 +220,6 @@ class TestAmbient:
             assert get_profiler() is profiler
         finally:
             set_profiler(previous)
-
-    def test_thread_profiling_shadows_per_thread(self):
-        import threading
-
-        profiler = Profiler()
-        seen = {}
-
-        def worker():
-            seen["other_thread"] = get_profiler().enabled
-
-        with thread_profiling(profiler):
-            assert get_profiler() is profiler
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["other_thread"] is False
-        assert not get_profiler().enabled
 
 
 class TestTracerListener:

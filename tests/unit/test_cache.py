@@ -94,8 +94,7 @@ class TestSpace:
         assert ResultCache.space(pipeline_netlist, MergeOptions()) == \
             ResultCache.space(pipeline_netlist,
                               MergeOptions(exec_deadline_seconds=9.0,
-                                           exec_max_attempts=7,
-                                           exec_gate_client="job-1"))
+                                           exec_max_attempts=7))
 
     def test_group_key_stable_across_reparses(self, pipeline_netlist):
         space = ResultCache.space(pipeline_netlist, MergeOptions())

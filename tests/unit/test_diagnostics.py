@@ -1,10 +1,12 @@
 """Unit tests for the structured-diagnostics subsystem."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro import errors
+from repro import diagnostics, errors
 from repro.diagnostics import (
     DegradationPolicy,
     Diagnostic,
@@ -97,6 +99,32 @@ class TestCodeMapping:
     def test_unicode_decode_error_is_io002(self):
         exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
         assert code_for_error(exc) == "IO002"
+
+
+class TestRetiredCodes:
+    """A retired code stays in the code table and is never reused."""
+
+    @staticmethod
+    def retired():
+        return re.findall(r"^``([A-Z]+[0-9]{3})``\s+retired\b.*never reuse$",
+                          diagnostics.__doc__, re.MULTILINE)
+
+    def test_table_marks_the_retired_codes(self):
+        retired = self.retired()
+        assert {"SGN007", "SGN008", "SGN009", "EXE008"} <= set(retired)
+        assert {f"SRV00{i}" for i in range(1, 10)} <= set(retired)
+        mapped = {code for _type, code in diagnostics._ERROR_CODES}
+        assert not set(retired) & (mapped | set(diagnostics._CODE_HINTS))
+
+    def test_no_other_module_names_a_retired_code(self):
+        retired = self.retired()
+        own = Path(diagnostics.__file__)
+        for path in sorted(own.parent.rglob("*.py")):
+            if path == own:
+                continue
+            text = path.read_text()
+            named = [code for code in retired if code in text]
+            assert not named, f"{path} names retired code(s) {named}"
 
 
 class TestDiagnosticFromError:
