@@ -34,7 +34,8 @@ from repro.core.merger import MergeOptions
 from repro.diagnostics import DegradationPolicy, DiagnosticCollector
 from repro.exec.chaos import ChaosPlan
 from repro.netlist import NetlistBuilder
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
 from repro.sdc import parse_mode
 from repro.sdc.writer import write_mode
 
@@ -77,7 +78,7 @@ def _run(netlist, modes, cache_root):
     collector = DiagnosticCollector()
     cache = ResultCache.open(cache_root, collector=collector,
                              chaos=ChaosPlan())
-    with collecting(registry):
+    with observing(metrics=registry):
         start = time.perf_counter()
         run = merge_all(netlist, modes, OPTIONS, collector=collector,
                         cache=cache)

@@ -30,7 +30,8 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.conformity import ConformityReport, compare_conformity
 from repro.baselines.no_merge import MultiModeStaResult, run_sta_all_modes
 from repro.core.mergeability import MergingRun, merge_all
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.designs import paper_suite
 from repro.workloads.generator import Workload, generate
 from repro.workloads.seeding import derive_seed, seed_override
@@ -128,7 +129,7 @@ def get_workload(name: str) -> Workload:
 def get_merge_run(name: str) -> MergingRun:
     if name not in _runs:
         workload = get_workload(name)
-        with collecting(BENCH_REGISTRY):
+        with observing(metrics=BENCH_REGISTRY):
             _runs[name] = merge_all(workload.netlist, workload.modes)
     return _runs[name]
 
@@ -143,7 +144,7 @@ def get_sta(name: str, which: str) -> MultiModeStaResult:
             modes = get_merge_run(name).merged_modes()
         # Best of two runs: wall-clock noise on the smaller designs can
         # otherwise dominate the borderline comparisons (design F).
-        with collecting(BENCH_REGISTRY):
+        with observing(metrics=BENCH_REGISTRY):
             runs = [run_sta_all_modes(workload.netlist, modes)
                     for _ in range(2)]
         _sta[key] = min(runs, key=lambda r: r.total_runtime_seconds)

@@ -3,7 +3,7 @@
 Three numbers back the design claim that instrumentation is free when
 nobody is collecting and cheap when everybody is:
 
-1. the per-call cost of the disabled (ambient-null) tracer/metrics,
+1. the per-call cost of the disabled (null-context) tracer/metrics,
    multiplied by a generous over-count of the instrumentation calls one
    merge run makes — an empirical upper bound on the disabled overhead
    of the scenario-reduction workload (<2% acceptance criterion);
@@ -24,11 +24,11 @@ import time
 import pytest
 
 from repro.core import merge_all
-from repro.obs.blackbox import BlackboxRecorder, recording
-from repro.obs.explain import DecisionLedger, explaining, get_decisions
-from repro.obs.metrics import MetricsRegistry, collecting, get_metrics
-from repro.obs.profile import get_profiler
-from repro.obs.trace import Tracer, get_tracer, tracing
+from repro.obs.blackbox import BlackboxRecorder
+from repro.obs.context import ObsContext, current, observing
+from repro.obs.explain import DecisionLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.workloads import figure2_modes, generate
 
 
@@ -38,7 +38,7 @@ def workload():
 
 
 def test_disabled_overhead_bound(benchmark, workload):
-    # Baseline: the instrumented pipeline with the default null ambient.
+    # Baseline: the instrumented pipeline with the default null context.
     def run():
         return merge_all(workload.netlist, workload.modes)
 
@@ -49,16 +49,15 @@ def test_disabled_overhead_bound(benchmark, workload):
     # Count what one run actually emits when everything is enabled.
     tracer = Tracer()
     registry = MetricsRegistry()
-    with tracing(tracer), collecting(registry):
+    with observing(tracer=tracer, metrics=registry):
         run()
     spans = sum(1 for root in tracer.roots for _ in root.walk())
     metric_names = len(registry.names())
 
     # Per-call cost of the disabled layer, measured in a tight loop.
-    null_tracer = get_tracer()
-    null_metrics = get_metrics()
-    null_ledger = get_decisions()
-    null_profiler = get_profiler()
+    null = current()
+    null_tracer, null_metrics = null.tracer, null.metrics
+    null_ledger, null_profiler = null.decisions, null.profiler
     assert not null_tracer.enabled and not null_metrics.enabled \
         and not null_ledger.enabled and not null_profiler.enabled
     n = 100_000
@@ -67,7 +66,7 @@ def test_disabled_overhead_bound(benchmark, workload):
         with null_tracer.span("x"):
             null_metrics.inc("merge.runs")
             null_ledger.decide("mergeability.pair", "x")
-            if get_profiler().enabled:  # the hot-loop counter pattern
+            if current().profiler.enabled:  # the hot-loop counter pattern
                 null_metrics.inc("profile.mock_merges")
     per_call = (time.perf_counter() - start) / n
 
@@ -102,7 +101,7 @@ def test_always_on_recorder_overhead_bound(benchmark, workload):
 
     # Count what one run actually records with the recorder installed.
     counting = BlackboxRecorder()
-    with recording(counting), explaining(counting.flight_ledger()):
+    with observing(ObsContext.build(blackbox=counting)):
         run()
     events = counting._seq
 
@@ -135,7 +134,7 @@ def test_enabled_overhead_ratio(benchmark, workload):
     base = time.perf_counter() - start
 
     def traced():
-        with tracing(Tracer()), collecting(MetricsRegistry()):
+        with observing(tracer=Tracer(), metrics=MetricsRegistry()):
             return run()
 
     start = time.perf_counter()
@@ -158,8 +157,9 @@ def test_enabled_full_stack_overhead_bound(benchmark, workload):
         return merge_all(workload.netlist, workload.modes)
 
     def full_stack():
-        with tracing(Tracer()), collecting(MetricsRegistry()), \
-                explaining(DecisionLedger()):
+        with observing(ObsContext.build(tracer=Tracer(),
+                                        metrics=MetricsRegistry(),
+                                        decisions=DecisionLedger())):
             return run()
 
     run()        # warm caches

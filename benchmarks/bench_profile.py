@@ -18,9 +18,10 @@ import pytest
 
 from bench_common import write_bench_json
 from repro.core import merge_all
-from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.profile import PHASES, Profiler, profiling
-from repro.obs.trace import Tracer, tracing
+from repro.obs.context import ObsContext, observing
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import PHASES, Profiler
+from repro.obs.trace import Tracer
 from repro.obs.validate import validate_profile
 from repro.workloads import figure2_modes, generate
 
@@ -45,13 +46,13 @@ def test_profiled_merge_snapshot(benchmark, workload):
     tracer = Tracer()
     registry = MetricsRegistry()
     profiler = Profiler()
-    tracer.add_listener(profiler)
+    obs = ObsContext.build(tracer=tracer, metrics=registry,
+                           profiler=profiler)
 
     def profiled_run():
         profiler.start()
         try:
-            with tracing(tracer), collecting(registry), \
-                    profiling(profiler):
+            with observing(obs):
                 return merge_all(workload.netlist, workload.modes)
         finally:
             profiler.stop()

@@ -74,9 +74,7 @@ from repro.diagnostics import Diagnostic, DiagnosticCollector, Severity
 from repro.durable import record_crc, write_atomic
 from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
 from repro.netlist.netlist import Netlist
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current
 from repro.sdc.mode import Mode
 from repro.sdc.parser import parse_mode
 from repro.sdc.writer import write_mode
@@ -344,7 +342,7 @@ class ResultCache:
         self._enabled = True
         self._write_failures = 0
         self._mutex = threading.Lock()
-        #: this run's tallies, independent of the ambient metrics
+        #: this run's tallies, independent of the context's metrics
         #: registry (benchmarks and ``cache stats`` read them directly)
         self.counters: Dict[str, int] = {
             "pair_hits": 0, "pair_misses": 0,
@@ -387,19 +385,17 @@ class ResultCache:
             if not self._enabled:
                 return
             self._enabled = False
-        get_metrics().inc("cache.disabled")
+        obs = current()
+        obs.metrics.inc("cache.disabled")
         if self.collector is not None:
             self.collector.report(
                 "CAC001",
                 f"result cache disabled, running uncached: {reason}",
                 severity=Severity.WARNING, source=str(self.root))
-        ledger = get_decisions()
-        if ledger.enabled:
-            ledger.decide("cache.degraded", f"cache:{self.root}",
-                          verdict="disabled", evidence=[reason])
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().note_state("cache", {
+        if obs.decisions.enabled:
+            obs.decisions.decide("cache.degraded", f"cache:{self.root}",
+                                 verdict="disabled", evidence=[reason])
+        obs.blackbox.note_state("cache", {
             "root": str(self.root), "enabled": False,
             "reason": reason[:240]})
 
@@ -508,14 +504,15 @@ class ResultCache:
                 pass
         with self._mutex:
             self.counters["quarantined"] += 1
-        get_metrics().inc("cache.quarantined")
+        obs = current()
+        obs.metrics.inc("cache.quarantined")
         if self.collector is not None:
             self.collector.report(
                 "CAC002",
                 f"cache entry for {label} quarantined ({reason}); "
                 f"recomputing",
                 severity=Severity.WARNING, source=str(path))
-        ledger = get_decisions()
+        ledger = obs.decisions
         if ledger.enabled:
             ledger.decide("cache.quarantined", f"cache:{label}",
                           verdict="quarantined", evidence=[reason])
@@ -530,7 +527,7 @@ class ResultCache:
                 # Identical content: skip the write, refresh last-seen.
                 with self._mutex:
                     self.counters["skipped_writes"] += 1
-                get_metrics().inc("cache.skipped_writes")
+                current().metrics.inc("cache.skipped_writes")
                 try:
                     os.utime(path)
                 except OSError:
@@ -554,13 +551,13 @@ class ResultCache:
             return
         with self._mutex:
             self.counters["stores"] += 1
-        get_metrics().inc("cache.stores")
+        current().metrics.inc("cache.stores")
 
     def _write_failed(self, label: str, exc: OSError) -> None:
         with self._mutex:
             self._write_failures += 1
             failures = self._write_failures
-        get_metrics().inc("cache.write_failures")
+        current().metrics.inc("cache.write_failures")
         if self.collector is not None:
             self.collector.report(
                 "CAC005",
@@ -586,9 +583,8 @@ class ResultCache:
         """
         if not self._enabled or not items:
             return [None] * len(items)
-        tracer = get_tracer()
-        ledger = get_decisions()
-        metrics = get_metrics()
+        obs = current()
+        tracer, ledger, metrics = obs.tracer, obs.decisions, obs.metrics
         out: List[Optional[Tuple[bool, str]]] = []
         with tracer.span("cache:lookup", space="pair",
                          keys=len(items)) as span:
@@ -625,8 +621,8 @@ class ResultCache:
         reason); one lock acquisition for the whole batch."""
         if not self._enabled or not items:
             return
-        with get_tracer().span("cache:store", space="pair",
-                               keys=len(items)):
+        with current().tracer.span("cache:store", space="pair",
+                                   keys=len(items)):
             with self._locked() as held:
                 if not held:
                     return
@@ -647,10 +643,10 @@ class ResultCache:
         None."""
         if not self._enabled:
             return None
-        metrics = get_metrics()
-        ledger = get_decisions()
-        with get_tracer().span("cache:lookup", space="group",
-                               key=key[:12]) as span:
+        obs = current()
+        tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
+        with tracer.span("cache:lookup", space="group",
+                         key=key[:12]) as span:
             payload = self._load("group", key, label)
             if not isinstance(payload, dict) \
                     or "outcomes" not in payload:
@@ -671,7 +667,7 @@ class ResultCache:
                               verdict="hit",
                               evidence=[f"key {key[:12]}"],
                               modes=list(modes))
-            if get_tracer().enabled:
+            if tracer.enabled:
                 span.annotate(hit=True)
             return payload
 
@@ -680,8 +676,8 @@ class ResultCache:
                     diagnostics: Sequence[dict]) -> None:
         if not self._enabled:
             return
-        with get_tracer().span("cache:store", space="group",
-                               key=key[:12]):
+        with current().tracer.span("cache:store", space="group",
+                                   key=key[:12]):
             with self._locked() as held:
                 if not held:
                     return
@@ -835,9 +831,7 @@ class ResultCache:
             deltas = dict(self.counters)
             for name in self.counters:
                 self.counters[name] = 0
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().note_state("cache", {
+        current().blackbox.note_state("cache", {
             "root": str(self.root), "enabled": self.enabled,
             "counters": {k: v for k, v in sorted(deltas.items()) if v}})
         if not any(deltas.values()):
@@ -890,7 +884,7 @@ class _LockScope:
         if held:
             self._lock = lock
             if lock.last_outcome == "takeover":
-                get_metrics().inc("cache.lock_takeovers")
+                current().metrics.inc("cache.lock_takeovers")
                 if cache.collector is not None:
                     cache.collector.report(
                         "CAC003",
@@ -898,7 +892,8 @@ class _LockScope:
                         f"at {lock.path}",
                         severity=Severity.INFO, source=str(cache.root))
             return True
-        get_metrics().inc("cache.lock_contention")
+        obs = current()
+        obs.metrics.inc("cache.lock_contention")
         if cache.collector is not None:
             cache.collector.report(
                 "CAC004",
@@ -906,7 +901,7 @@ class _LockScope:
                 f"after {timeout:.1f}s; skipping cache writes for "
                 f"this operation",
                 severity=Severity.WARNING, source=str(cache.root))
-        ledger = get_decisions()
+        ledger = obs.decisions
         if ledger.enabled:
             ledger.decide("cache.degraded", f"cache:{cache.root}",
                           verdict="contended",

@@ -57,7 +57,8 @@ lineage — which source modes and which merge rule produced it.
 over the supervised execution engine (``repro.exec``): per-task
 deadlines, bounded retry, crash isolation, serial degradation — with
 results flushed in a deterministic order, so ``--jobs 4`` output is
-byte-identical to a serial run's.  ``jobs`` must be >= 1 (a bad value is
+byte-identical to a serial run's, and its trace, metrics and decisions
+match a serial run's.  ``jobs`` must be >= 1 (a bad value is
 an input error: usage message, exit 2, no traceback).
 
 ``--explain OUT.json`` records every pipeline decision (mergeability
@@ -119,7 +120,7 @@ import sys
 import threading as _threading
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import __version__
 from repro.core import (
@@ -140,17 +141,12 @@ from repro.obs.blackbox import (
     BlackboxRecorder,
     format_doctor_report,
     load_blackbox,
-    set_blackbox,
 )
-from repro.obs.explain import (
-    DecisionLedger,
-    format_chains,
-    get_decisions,
-    set_decisions,
-)
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.obs.profile import Profiler, set_profiler
-from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.obs.context import ObsContext, current, observing
+from repro.obs.explain import DecisionLedger, format_chains
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import Profiler
+from repro.obs.trace import Tracer
 from repro.sdc import Mode, parse_mode, write_mode
 
 
@@ -185,8 +181,8 @@ def _read_text(path: str, collector: DiagnosticCollector) -> str:
 def _load_modes(paths: List[str], policy: DegradationPolicy,
                 collector: DiagnosticCollector) -> List[Mode]:
     modes = []
-    metrics = get_metrics()
-    with get_tracer().span("parse", files=len(paths)) as span:
+    obs = current()
+    with obs.tracer.span("parse", files=len(paths)) as span:
         for path in paths:
             text = _read_text(path, collector)
             try:
@@ -195,8 +191,8 @@ def _load_modes(paths: List[str], policy: DegradationPolicy,
             except ReproError as exc:
                 collector.capture(exc, source=path)
                 raise _HardFailure() from exc
-        metrics.inc("parse.modes", len(modes))
-        metrics.inc("parse.constraints", sum(len(m) for m in modes))
+        obs.metrics.inc("parse.modes", len(modes))
+        obs.metrics.inc("parse.constraints", sum(len(m) for m in modes))
         span.annotate(modes=len(modes),
                       constraints=sum(len(m) for m in modes))
     return modes
@@ -923,6 +919,31 @@ def _blackbox_target(args: argparse.Namespace) -> Optional[Path]:
     return Path("blackbox.json")
 
 
+def _run_command(args: argparse.Namespace, policy: DegradationPolicy,
+                 collector: DiagnosticCollector
+                 ) -> Tuple[int, Optional[dict]]:
+    """Run the verb under the installed context: (exit code, the reason
+    to flush the flight recorder or None)."""
+    obs = current()
+    with obs.tracer.span("run", command=args.command), \
+            obs.decisions.frame("run", f"run:{args.command}",
+                                command=args.command):
+        try:
+            return args.func(args, policy, collector), None
+        except _HardFailure:
+            # Controlled input errors: well-diagnosed already, no
+            # forensics needed.
+            return 2, None
+        except BudgetExceededError as exc:
+            collector.capture(exc)
+            return 2, {"kind": "budget", "detail": str(exc)[:240]}
+        except ReproError as exc:
+            # Under STRICT, library errors surface here: one line, exit 2.
+            collector.capture(exc)
+            return 2, {"kind": "error",
+                       "detail": f"{type(exc).__name__}: {exc}"[:240]}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -960,21 +981,9 @@ def main(argv=None) -> int:
     # diagnostics/watchdog/chaos chokepoints.  A clean run writes
     # nothing; an abnormal exit flushes blackbox.json.
     recorder = BlackboxRecorder()
-    if profiler is not None:
-        tracer.add_listener(profiler)
-    if tracer is not None:
-        tracer.add_listener(recorder)
-    if ledger is not None:
-        ledger.add_listener(recorder)
-    previous_tracer = set_tracer(tracer) if tracer is not None else None
-    previous_metrics = set_metrics(metrics) if metrics is not None else None
-    previous_ledger = set_decisions(
-        ledger if ledger is not None else recorder.flight_ledger())
-    previous_profiler = set_profiler(profiler) \
-        if profiler is not None else None
-    previous_blackbox = set_blackbox(recorder)
+    obs = ObsContext.build(tracer=tracer, metrics=metrics, decisions=ledger,
+                           profiler=profiler, blackbox=recorder)
     target = _blackbox_target(args)
-    flush_reason: Optional[dict] = None
 
     def _flush(reason: dict) -> None:
         if target is None:
@@ -999,32 +1008,13 @@ def main(argv=None) -> int:
                 pass
     start = time.perf_counter()
     try:
-        if profiler is not None:
-            profiler.start()
-        with get_tracer().span("run", command=args.command), \
-                get_decisions().frame("run", f"run:{args.command}",
-                                      command=args.command):
+        with observing(obs):
+            obs.profiler.start()
             try:
-                code = args.func(args, policy, collector)
-            except _HardFailure:
-                # Controlled input errors: well-diagnosed already, no
-                # forensics needed.
-                code = 2
-            except BudgetExceededError as exc:
-                collector.capture(exc)
-                code = 2
-                flush_reason = {"kind": "budget",
-                                "detail": str(exc)[:240]}
-            except ReproError as exc:
-                # Under STRICT, library errors surface here: one line,
-                # exit 2.
-                collector.capture(exc)
-                code = 2
-                flush_reason = {
-                    "kind": "error",
-                    "detail": f"{type(exc).__name__}: {exc}"[:240]}
-        if metrics is not None:
-            metrics.set_gauge("run.wall_seconds",
+                code, flush_reason = _run_command(args, policy, collector)
+            finally:
+                obs.profiler.stop()
+        obs.metrics.set_gauge("run.wall_seconds",
                               time.perf_counter() - start)
     except BaseException as exc:
         # An uncaught crash: flush the flight recorder, then let the
@@ -1039,15 +1029,6 @@ def main(argv=None) -> int:
                 _signal.signal(sig, handler)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-        if profiler is not None:
-            profiler.stop()
-            set_profiler(previous_profiler)
-        if tracer is not None:
-            set_tracer(previous_tracer)
-        if metrics is not None:
-            set_metrics(previous_metrics)
-        set_decisions(previous_ledger)
-        set_blackbox(previous_blackbox)
     if flush_reason is None:
         # cmd_merge marks runs whose groups were demoted by worker
         # crashes or other infrastructure faults.

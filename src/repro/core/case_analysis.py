@@ -12,14 +12,14 @@ mode temporarily gains extra valid paths, which the refinement of Section
 from __future__ import annotations
 
 from repro.core.steps import MergeContext, StepReport, group_rows
-from repro.obs.explain import get_decisions
+from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED, RULE_INTERSECTION
 from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
 
 
 def merge_case_analysis(context: MergeContext) -> StepReport:
     report = context.report("case analysis (3.1.4)")
-    ledger = get_decisions()
+    ledger = current().decisions
     mode_count = len(context.modes)
 
     # key (object set) -> list of (mode name, constraint)

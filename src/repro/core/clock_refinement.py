@@ -23,10 +23,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.steps import MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
 from repro.netlist.netlist import Pin, Port
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
-from repro.obs.trace import get_tracer
 from repro.sdc.commands import ObjectRef, SetClockSense, SetDisableTiming
 from repro.timing.clocks import ClockPropagation
 from repro.timing.graph import ARC_LAUNCH
@@ -46,7 +44,7 @@ def infer_disables_from_dropped_cases(context: MergeContext,
     if not context.dropped_cases:
         return
     graph = context.graph
-    ledger = get_decisions()
+    ledger = current().decisions
     bounds = context.bound_individuals()
     emitted: Set[int] = set()
     for _mode_name, constraint in context.dropped_cases:
@@ -113,9 +111,8 @@ def refine_clock_network(context: MergeContext,
                          ) -> StepReport:
     report = context.report("clock refinement (3.1.8)")
     graph = context.graph
-    metrics = get_metrics()
-    tracer = get_tracer()
-    ledger = get_decisions()
+    obs = current()
+    metrics, tracer, ledger = obs.metrics, obs.tracer, obs.decisions
     if budget is not None:
         # The per-mode propagation walks below visit every graph node;
         # refuse up front rather than grinding through an oversized BFS.

@@ -17,8 +17,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.clock_refinement import _ref_for_node
 from repro.core.steps import MergeContext, StepReport
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
 from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
 from repro.timing.clocks import propagate_launch_clocks
@@ -28,7 +27,7 @@ from repro.timing.graph import ARC_LAUNCH
 def refine_data_clocks(context: MergeContext) -> StepReport:
     report = context.report("data refinement: launch clocks (3.2a)")
     graph = context.graph
-    ledger = get_decisions()
+    ledger = current().decisions
 
     union_ind: Dict[int, Set[str]] = {}
     for mode, bound in zip(context.modes, context.bound_individuals()):
@@ -93,5 +92,5 @@ def refine_data_clocks(context: MergeContext) -> StepReport:
                               f"{graph.name(node)} only in the merged mode",
                               "set_false_path -from/-through added"],
                     clock=clock_name, node=graph.name(node))
-    get_metrics().inc("data_refinement.false_paths", len(report.added))
+    current().metrics.inc("data_refinement.false_paths", len(report.added))
     return report

@@ -16,8 +16,7 @@ from repro.core.steps import MergeContext
 from repro.core.three_pass import ThreePassRefiner
 from repro.core.watchdog import WatchdogBudget
 from repro.netlist.netlist import Netlist
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current
 from repro.sdc.mode import Mode
 
 
@@ -64,10 +63,11 @@ def check_equivalence(context: MergeContext,
     """
     refiner = ThreePassRefiner(context, max_iterations=1, apply_fixes=False,
                                budget=budget)
-    get_tracer().annotate(
+    obs = current()
+    obs.tracer.annotate(
         rows="reused" if refiner.rows_reused else "rebuilt")
     if refiner.rows_reused:
-        get_metrics().inc("three_pass.rows_reused")
+        obs.metrics.inc("three_pass.rows_reused")
     outcome = refiner.run()
     return EquivalenceReport(
         equivalent=not outcome.residuals,

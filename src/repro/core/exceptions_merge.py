@@ -34,8 +34,7 @@ from repro.core.steps import (
     StepReport,
     group_rows,
 )
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.obs.provenance import RULE_INTERSECTION, RULE_UNIQUIFIED
 from repro.sdc.commands import (
     Constraint,
@@ -161,8 +160,8 @@ def exception_verdicts(mode_names: Sequence[str], rows: Iterable[Row],
 
 def merge_exceptions(context: MergeContext) -> StepReport:
     report = context.report("exceptions (3.1.9/3.1.10)")
-    metrics = get_metrics()
-    ledger = get_decisions()
+    obs = current()
+    metrics, ledger = obs.metrics, obs.decisions
     mode_count = len(context.modes)
     mode_clocks = {mode.name: set(context.mapped_clocks(mode))
                    for mode in context.modes}

@@ -47,15 +47,8 @@ from repro.diagnostics import (
 from repro.errors import BudgetExceededError, MergeStepError
 from repro.exec.supervisor import Supervisor, SupervisorConfig
 from repro.netlist.netlist import Netlist
-from repro.obs.explain import (
-    get_decisions,
-    group_subject,
-    muted,
-    pair_subject,
-)
-from repro.obs.metrics import get_metrics
-from repro.obs.profile import get_profiler
-from repro.obs.trace import get_tracer
+from repro.obs.context import current, observing
+from repro.obs.explain import group_subject, pair_subject
 from repro.sdc.commands import (
     CLOCK_ATTACHED_TYPES,
     DRIVE_LOAD_TYPES,
@@ -206,7 +199,7 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
     # Mock merges must not pollute the decision ledger: the scan's own
     # pair verdicts are the queryable record, and the serial and pooled
     # paths must produce identical ledgers.
-    with muted():
+    with observing(decisions=None) as obs:
         try:
             if tables is None:
                 tables = (ModeTable(netlist, mode_a),
@@ -216,9 +209,8 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
             conflict = None
         if conflict is not None:
             return False, str(conflict)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("profile.mock_merges")
+        if obs.metrics.enabled:
+            obs.metrics.inc("profile.mock_merges")
         try:
             context = _preliminary_merge(netlist, [mode_a, mode_b], opts)
         except Exception as exc:  # malformed constraints etc.
@@ -344,9 +336,8 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     never cached (they describe the run, not the content).
     """
     start = time.perf_counter()
-    tracer = get_tracer()
-    metrics = get_metrics()
-    ledger = get_decisions()
+    obs = current()
+    tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
     graph = nx.Graph()
     reasons: Dict[FrozenSet[str], str] = {}
     for mode in modes:
@@ -524,7 +515,7 @@ class MergingRun:
     runtime_seconds: float = 0.0
     #: structured findings recorded while running under a recovery policy
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: the run's slice of the ambient decision ledger (empty unless a
+    #: the run's slice of the context's decision ledger (empty unless a
     #: :class:`~repro.obs.explain.DecisionLedger` was installed); query
     #: with :func:`repro.obs.explain.explain`
     decision_records: List = field(default_factory=list)
@@ -637,71 +628,21 @@ def _group_init(netlist, by_name, options) -> None:
 def _group_task(names):
     """Merge one analysis group inside a forked worker.
 
-    The worker installs *fresh* observability collectors — the forked
-    copies of the parent's would die with the process — runs the same
-    :func:`run_merge_group` the serial path uses, and ships everything
-    back as plain JSON-ready data: serialized outcomes (the cache's
-    group records, whose SDC round-trip is proven byte-identical),
-    diagnostics, decision records and the metrics payload, for the
-    parent to graft into its own ambient stack.
+    Runs the same :func:`run_merge_group` the serial path uses and ships
+    the outcomes home as plain data: the cache's group records, whose
+    SDC round-trip is proven byte-identical, and the diagnostics.  The
+    supervisor carries the worker's spans, metrics and decisions itself.
     """
-    from contextlib import ExitStack
-
     from repro.cache import serialize_outcome
-    from repro.obs.blackbox import BlackboxRecorder, get_blackbox, recording
-    from repro.obs.explain import DecisionLedger, explaining
-    from repro.obs.metrics import MetricsRegistry, collecting
-    from repro.obs.profile import Profiler, get_profiler
-    from repro.obs.trace import Tracer, tracing
 
-    ledger = DecisionLedger() if get_decisions().enabled else None
-    registry = MetricsRegistry() if get_metrics().enabled else None
     sink = DiagnosticCollector()
-    # The worker's ring must be its own: the forked copy of the parent's
-    # flight recorder would die with the process, so the worker records
-    # into a fresh one and ships it home in the bundle for the parent to
-    # fold (exactly like the profiler payload below).
-    recorder = BlackboxRecorder() if get_blackbox().enabled else None
-    # The parent's profiler enabled-flag survives the fork, but its
-    # cProfile session must not: the worker profiles its own task on a
-    # fresh tracer+profiler pair and ships the payload home for a
-    # deterministic merge.
-    profiler = Profiler() if get_profiler().enabled else None
-    prof_tracer = None
-    with ExitStack() as stack:
-        if recorder is not None:
-            stack.enter_context(recording(recorder))
-            if ledger is not None:
-                ledger.add_listener(recorder)
-        if ledger is not None or recorder is None:
-            stack.enter_context(explaining(ledger))
-        else:
-            stack.enter_context(explaining(recorder.flight_ledger()))
-        stack.enter_context(collecting(registry))
-        if profiler is not None:
-            prof_tracer = Tracer()
-            prof_tracer.add_listener(profiler)
-            stack.enter_context(tracing(prof_tracer))
-            profiler.start()
-        try:
-            outcomes = run_merge_group(
-                _GROUP_STATE["netlist"], _GROUP_STATE["by_name"],
-                list(names), _GROUP_STATE["options"], sink)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-    bundle = {
+    outcomes = run_merge_group(
+        _GROUP_STATE["netlist"], _GROUP_STATE["by_name"], list(names),
+        _GROUP_STATE["options"], sink)
+    return {
         "outcomes": [serialize_outcome(o) for o in outcomes],
         "diagnostics": [d.to_dict() for d in sink.diagnostics],
-        "decisions": [d.to_dict() for d in ledger.records]
-        if ledger is not None else [],
-        "metrics": registry.to_dict() if registry is not None else None,
     }
-    if profiler is not None:
-        bundle["profile"] = profiler.to_payload(tracer=prof_tracer)
-    if recorder is not None:
-        bundle["blackbox"] = recorder.to_payload()
-    return bundle
 
 
 def _group_payload_error(value) -> str:
@@ -732,8 +673,8 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
     Every input mode ends in exactly one returned outcome.
     """
     policy = DegradationPolicy.coerce(options.policy)
-    ledger = get_decisions()
-    tracer = get_tracer()
+    obs = current()
+    ledger = obs.decisions
     outcomes: List[GroupOutcome] = []
 
     def try_merge(group_names: List[str]) -> MergeResult:
@@ -840,7 +781,7 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
         merge_group(group_names[:half])
         merge_group(group_names[half:])
 
-    with tracer.span(f"group:{'+'.join(names)}", modes=names), \
+    with obs.tracer.span(f"group:{'+'.join(names)}", modes=names), \
             ledger.frame("merge.group", group_subject(names),
                          modes=names):
         merge_group(list(names))
@@ -901,7 +842,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
     policy = DegradationPolicy.coerce(opts.policy)
     sink = collector if collector is not None else DiagnosticCollector()
     first_diag = len(sink)
-    ledger = get_decisions()
+    obs = current()
+    tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
     # Mark before the analysis: pair/group verdicts recorded inside
     # build_mergeability_graph belong to this run's decision slice.
     first_dec = len(ledger.records) if ledger.enabled else 0
@@ -935,8 +877,6 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
         serialize_outcome,
     )
 
-    tracer = get_tracer()
-    metrics = get_metrics()
     with tracer.span("merge_all", groups=len(analysis.groups),
                      modes=len(list(modes))):
         # Plan every analysis group up front (cache lookups included),
@@ -1021,31 +961,17 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                 demote(plan, task_outcome)
                 return
             if jobs > 1:
-                # Graft the worker's bundle: decisions under the current
-                # frame (span names preserved), diagnostics appended raw
-                # (the worker already bridged them into its own ledger
-                # and metrics — re-adding would double-count), metrics
-                # folded, outcomes rebuilt from the group records.
+                # The worker's diagnostics are appended raw: it already
+                # bridged them into its own observability, which the
+                # supervisor has folded in; outcomes are rebuilt from
+                # the group records.
                 bundle = task_outcome.value
-                with tracer.span(f"group:{'+'.join(names)}",
-                                 modes=names):
-                    if ledger.enabled:
-                        ledger.graft(bundle["decisions"])
-                    sink.diagnostics.extend(
-                        Diagnostic.from_dict(record)
-                        for record in bundle["diagnostics"])
-                    if metrics.enabled and bundle["metrics"]:
-                        metrics.merge_payload(bundle["metrics"])
-                    profiler = get_profiler()
-                    if profiler.enabled and bundle.get("profile"):
-                        profiler.merge_payload(bundle["profile"])
-                    if bundle.get("blackbox"):
-                        from repro.obs.blackbox import get_blackbox
-
-                        get_blackbox().merge_payload(bundle["blackbox"])
-                    for stored in bundle["outcomes"]:
-                        run.outcomes.append(
-                            GroupOutcome(*restore_outcome(stored)))
+                sink.diagnostics.extend(
+                    Diagnostic.from_dict(record)
+                    for record in bundle["diagnostics"])
+                for stored in bundle["outcomes"]:
+                    run.outcomes.append(
+                        GroupOutcome(*restore_outcome(stored)))
                 if use_cache:
                     cache.store_group(
                         plan["cache_key"], group_subject(names),

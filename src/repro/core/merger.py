@@ -33,10 +33,9 @@ from repro.core.watchdog import WatchdogBudget
 from repro.diagnostics import DegradationPolicy
 from repro.errors import MergeStepError, RefinementError
 from repro.netlist.netlist import Netlist
-from repro.obs.explain import get_decisions, group_subject
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
+from repro.obs.explain import group_subject
 from repro.obs.provenance import RULE_UNION
-from repro.obs.trace import get_tracer
 from repro.sdc.mode import Mode
 
 
@@ -187,9 +186,8 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
     opts = options or MergeOptions()
     policy = DegradationPolicy.coerce(opts.policy)
     mode_names = [m.name for m in modes]
-    tracer = get_tracer()
-    metrics = get_metrics()
-    ledger = get_decisions()
+    obs = current()
+    tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
 
     def step(step_name, fn, *args):
         """Run one pipeline stage with per-step fault isolation.

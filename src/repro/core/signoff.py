@@ -36,9 +36,8 @@ from repro.core.equivalence import check_mode_equivalence
 from repro.core.exceptions_merge import uniquify_exception
 from repro.core.merger import MergeOptions, MergeResult, merge_modes
 from repro.diagnostics import DiagnosticCollector, Severity
-from repro.obs.explain import get_decisions, group_subject
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current
+from repro.obs.explain import group_subject
 from repro.netlist.netlist import Netlist
 from repro.sdc.commands import Constraint
 from repro.sdc.mode import Mode
@@ -260,7 +259,7 @@ class SignoffGuard:
                     f"{texts}",
                     severity=Severity.WARNING, source=mode_name,
                     details=dict(lineage, repair="uniquified"))
-                get_metrics().inc("signoff.repairs")
+                current().metrics.inc("signoff.repairs")
                 return [GuardedOutcome(list(names), result, repaired=True)]
         dropped = self._removal_variant(self.by_name[mode_name], culprits)
         result = self._try_repaired_merge(names, mode_name, dropped)
@@ -272,7 +271,7 @@ class SignoffGuard:
                 f"{texts}",
                 severity=Severity.WARNING, source=mode_name,
                 details=dict(lineage, repair="dropped"))
-            get_metrics().inc("signoff.repairs")
+            current().metrics.inc("signoff.repairs")
             return [GuardedOutcome(list(names), result, repaired=True)]
         return None
 
@@ -295,7 +294,7 @@ class SignoffGuard:
                 f"verified equivalent",
                 severity=Severity.WARNING, source=culprit,
                 details=self._lineage_details(culprit, []))
-            get_metrics().inc("signoff.demotions")
+            current().metrics.inc("signoff.demotions")
             single = self._merge([self.by_name[culprit]], name=culprit)
             outcomes = [GuardedOutcome(survivors, result, repaired=True)]
             if single is not None:
@@ -320,8 +319,8 @@ class SignoffGuard:
         when the guard could not verify any repair (the caller falls
         back to its usual bisection).
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
+        obs = current()
+        tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
         self._failed_ledger = getattr(
             getattr(failed, "context", None), "provenance", None)
         metrics.inc("signoff.guard_engaged")
@@ -334,7 +333,6 @@ class SignoffGuard:
             f"(first: {problems[0] if problems else 'unknown'})",
             severity=Severity.WARNING, source="+".join(names))
         attempts_before = self.attempts
-        ledger = get_decisions()
         try:
             with tracer.span("signoff:guard", modes=list(names),
                              mismatches=len(problems)) as guard_span, \

@@ -32,10 +32,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.steps import MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
-from repro.obs.trace import get_tracer
 from repro.sdc.commands import (
     Constraint,
     EXCEPTION_TYPES,
@@ -472,7 +470,8 @@ class ThreePassRefiner:
 
     def _iterate(self, collect: bool) -> None:
         context = self.context
-        tracer = get_tracer()
+        obs = current()
+        tracer, metrics = obs.tracer, obs.metrics
         merged_bound = context.bind_merged()
         merged_ex = RelationshipExtractor(merged_bound)
 
@@ -506,7 +505,6 @@ class ThreePassRefiner:
                     ambiguous_pass2.append(key)
             span.annotate(keys=len(all_keys),
                           ambiguous=len(ambiguous_pass2))
-            metrics = get_metrics()
             if metrics.enabled and all_keys:
                 metrics.inc("profile.relationship_comparisons",
                             len(all_keys))
@@ -550,7 +548,6 @@ class ThreePassRefiner:
                     ambiguous_pass3.append(key)
             span.annotate(keys=len(pair_keys),
                           ambiguous=len(ambiguous_pass3))
-            metrics = get_metrics()
             if metrics.enabled and pair_keys:
                 metrics.inc("profile.relationship_comparisons",
                             len(pair_keys))
@@ -558,7 +555,6 @@ class ThreePassRefiner:
         # ---------------- pass 3 ----------------
         with tracer.span("three_pass:pass3") as span:
             span.annotate(pairs=len(ambiguous_pass3))
-            metrics = get_metrics()
             if metrics.enabled and ambiguous_pass3:
                 metrics.inc("profile.relationship_comparisons",
                             len(ambiguous_pass3))
@@ -626,7 +622,7 @@ class ThreePassRefiner:
                 return True
             if self._validate(target, rows, matcher):
                 target_label = target.label() if target is not None else "-"
-                ledger = get_decisions()
+                ledger = current().decisions
                 for fix in fixes:
                     self.context.merged.add(fix)
                     self.outcome.added.append(fix)
@@ -819,11 +815,11 @@ def run_three_pass(context: MergeContext, max_iterations: int = 8,
     for residual in outcome.residuals:
         report.conflict(context.mode_names(), residual)
     report.note(f"{outcome.iterations} refinement iteration(s)")
-    metrics = get_metrics()
-    metrics.inc("three_pass.iterations", outcome.iterations)
-    metrics.inc("three_pass.fixes", len(outcome.added))
-    metrics.inc("three_pass.residuals", len(outcome.residuals))
-    ledger = get_decisions()
+    obs = current()
+    obs.metrics.inc("three_pass.iterations", outcome.iterations)
+    obs.metrics.inc("three_pass.fixes", len(outcome.added))
+    obs.metrics.inc("three_pass.residuals", len(outcome.residuals))
+    ledger = obs.decisions
     if ledger.enabled:
         for residual in outcome.residuals:
             ledger.decide(

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import BudgetExceededError
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current
 
 
 @dataclass
@@ -66,15 +65,13 @@ class WatchdogBudget:
         return max(0.0, self._deadline - time.perf_counter())
 
     def _trip(self, error: BudgetExceededError) -> None:
-        get_metrics().inc("watchdog.budget_exceeded")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.annotate(budget_exceeded=error.kind,
-                            budget_engine=error.engine)
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().record("watchdog", engine=error.engine,
-                              limit=error.kind, detail=str(error)[:240])
+        obs = current()
+        obs.metrics.inc("watchdog.budget_exceeded")
+        if obs.tracer.enabled:
+            obs.tracer.annotate(budget_exceeded=error.kind,
+                                budget_engine=error.engine)
+        obs.blackbox.record("watchdog", engine=error.engine,
+                            limit=error.kind, detail=str(error)[:240])
         raise error
 
     def check_time(self, engine: str) -> None:

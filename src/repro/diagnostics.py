@@ -87,6 +87,7 @@ from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro import errors
+from repro.obs.context import current
 
 
 class Severity(Enum):
@@ -324,26 +325,20 @@ class DiagnosticCollector:
     # -- recording ------------------------------------------------------
     def add(self, diagnostic: Diagnostic) -> Diagnostic:
         self.diagnostics.append(diagnostic)
-        from repro.obs.metrics import get_metrics
-
-        get_metrics().inc("diagnostics.emitted")
+        obs = current()
+        obs.metrics.inc("diagnostics.emitted")
         # Bridge into the other observability layers: an event on the
         # current trace span (diagnostics show inline in Chrome/Perfetto)
         # and a decision node in the explain ledger (diagnostics join the
         # causal chain of whatever frame emitted them).  Both are no-ops
         # unless a collector is installed.
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(f"diagnostic:{diagnostic.code}",
-                         code=diagnostic.code,
-                         severity=diagnostic.severity.value,
-                         source=diagnostic.source,
-                         message=diagnostic.message)
-        from repro.obs.explain import get_decisions
-
-        ledger = get_decisions()
+        if obs.tracer.enabled:
+            obs.tracer.event(f"diagnostic:{diagnostic.code}",
+                             code=diagnostic.code,
+                             severity=diagnostic.severity.value,
+                             source=diagnostic.source,
+                             message=diagnostic.message)
+        ledger = obs.decisions
         if ledger.enabled:
             evidence = [diagnostic.message]
             if diagnostic.hint:
@@ -355,12 +350,10 @@ class DiagnosticCollector:
         # The always-on flight recorder keeps the last N diagnostics in
         # its ring regardless of flags — they are the forensic backbone
         # of a crash's blackbox.json.
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().record("diagnostic", code=diagnostic.code,
-                              severity=diagnostic.severity.value,
-                              source=diagnostic.source,
-                              message=diagnostic.message[:240])
+        obs.blackbox.record("diagnostic", code=diagnostic.code,
+                            severity=diagnostic.severity.value,
+                            source=diagnostic.source,
+                            message=diagnostic.message[:240])
         return diagnostic
 
     def report(self, code: str, message: str,

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ChaosSpecError
+from repro.obs.context import current
 
 #: The three fault kinds the supervisor must contain.
 FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "corrupt")
@@ -263,10 +264,8 @@ class ChaosPlan:
             # Cache storage faults are applied by repro.cache at its own
             # strike points; to the execution engine they are inert.
             return None
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().record("chaos", fault=fault.kind, key=key,
-                              attempt=attempt, in_process=in_process)
+        current().blackbox.record("chaos", fault=fault.kind, key=key,
+                                  attempt=attempt, in_process=in_process)
         if fault.kind == "crash":
             if in_process:
                 raise ChaosCrashError(

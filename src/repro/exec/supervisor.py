@@ -33,6 +33,15 @@ Every event is wired into the observability stack: ``EXE`` diagnostics,
 and no diagnostics, so a fault-free parallel run produces the same
 decision ledger as a serial one.
 
+This is the one module that forks, so it also carries the task's own
+observability across the fork: a pooled attempt records into
+:meth:`~repro.obs.context.ObsContext.for_worker` collectors and ships
+their payload beside its value, and the parent folds the accepted
+attempt's payload into its context, in submission order, just before
+``on_result``.  A parallel run's spans, metrics, decisions, profile and
+flight-recorder events are therefore those of a serial run, and a
+rejected attempt's never count.
+
 Error semantics: only *infrastructure* faults (timeout, crash, corrupt
 payload) are retried.  An ordinary exception raised by the task body is
 deterministic — retrying it wastes the budget — so it fails the task
@@ -52,9 +61,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.diagnostics import DiagnosticCollector, Severity
 from repro.errors import TaskFailedError
 from repro.exec.chaos import ChaosCrashError, ChaosPlan, CorruptPayload
-from repro.obs.explain import get_decisions
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current, observing
 
 #: Worker -> parent message tagging an initializer failure.
 _INIT_ERROR = "__init_error__"
@@ -89,10 +96,6 @@ class SupervisorConfig:
     chaos: Optional[ChaosPlan] = None
     #: with chaos=None, read the ambient plan from ``REPRO_CHAOS``
     use_env_chaos: bool = True
-    #: optional run-level budget (duck-typed ``remaining_seconds()``,
-    #: e.g. a started WatchdogBudget): task deadlines are clamped to the
-    #: remaining budget, and tasks dispatched after exhaustion fail fast
-    budget: Any = None
     #: re-raise task-body exceptions (in-process: original type; pooled:
     #: TaskFailedError) instead of demoting the task
     propagate_errors: bool = False
@@ -148,7 +151,12 @@ class _Worker:
 
 def _worker_main(conn, parent_end, fn, initializer, initargs,
                  chaos_spec) -> None:
-    """Long-lived worker loop: recv task, run it (under chaos), send."""
+    """Long-lived worker loop: recv task, run it (under chaos), send.
+
+    Each attempt runs under fresh collectors for the layers enabled in
+    the context inherited through the fork, and their payload rides home
+    beside the result.
+    """
     # Forking duplicated the supervisor's end of our own pipe into this
     # process; close it, or recv() below can never see EOF and a worker
     # orphaned by a SIGKILLed supervisor would block forever instead of
@@ -161,6 +169,7 @@ def _worker_main(conn, parent_end, fn, initializer, initargs,
         except OSError:
             pass
     chaos = ChaosPlan.from_spec(chaos_spec)
+    inherited = current()
     try:
         if initializer is not None:
             initializer(*initargs)
@@ -176,15 +185,21 @@ def _worker_main(conn, parent_end, fn, initializer, initargs,
         if msg is None:
             return
         index, key, attempt, args, deadline = msg
-        try:
-            corrupted = chaos.strike(key, attempt, deadline) \
-                if chaos is not None else None
-            value = fn(*args) if corrupted is None else corrupted
-            payload = (index, attempt, "ok", value, "")
-        except BaseException as exc:
-            payload = (index, attempt, "error", None,
-                       f"{type(exc).__name__}: {exc}")
-        if not _safe_send(conn, payload):
+        obs = inherited.for_worker()
+        with observing(obs):
+            obs.profiler.start()
+            try:
+                corrupted = chaos.strike(key, attempt, deadline) \
+                    if chaos is not None else None
+                value = fn(*args) if corrupted is None else corrupted
+                status, error = "ok", ""
+            except BaseException as exc:
+                value, status = None, "error"
+                error = f"{type(exc).__name__}: {exc}"
+            finally:
+                obs.profiler.stop()
+        if not _safe_send(conn, (index, attempt, status, value, error,
+                                 obs.payload())):
             return
 
 
@@ -195,9 +210,9 @@ def _safe_send(conn, payload) -> bool:
         return True
     except Exception as exc:
         try:
-            if len(payload) == 5:
+            if len(payload) == 6:
                 conn.send((payload[0], payload[1], "error", None,
-                           f"unserializable task result: {exc}"))
+                           f"unserializable task result: {exc}", None))
                 return True
         except Exception:
             pass
@@ -263,13 +278,16 @@ class Supervisor:
         self._label = label
         self._chaos = self.config.resolved_chaos()
         self._outcomes: List[Optional[TaskOutcome]] = [None] * n
+        #: observability payload of each pooled task's final attempt,
+        #: folded into the current context when its outcome is flushed
+        self._payloads: List[Optional[dict]] = [None] * n
         self._cursor = 0
         self._initialized = False
         self._initializer = initializer
         self._initargs = initargs
         if n == 0:
             return []
-        get_metrics().inc("exec.tasks", n)
+        current().metrics.inc("exec.tasks", n)
         if self._chaos is not None:
             self.collector.report(
                 "EXE007",
@@ -313,13 +331,9 @@ class Supervisor:
         st.attempt += 1
         if st.first_start is None:
             st.first_start = time.perf_counter()
-        remaining = self._budget_remaining()
-        if remaining is not None and remaining <= 0:
-            return ("timeout", "run budget exhausted before the task "
-                              "could start")
         try:
             corrupted = self._chaos.strike(
-                st.key, st.attempt, self._effective_deadline(),
+                st.key, st.attempt, self.config.deadline_seconds,
                 in_process=True) if self._chaos is not None else None
         except ChaosCrashError as exc:
             return ("crash", str(exc))
@@ -361,7 +375,7 @@ class Supervisor:
             f"task {st.key!r} exhausted its {st.attempt} pooled "
             f"attempt(s); re-running serially in-process",
             severity=Severity.INFO, source=st.key)
-        get_metrics().inc("exec.in_process_reruns")
+        current().metrics.inc("exec.in_process_reruns")
         self._record_fault(st, last_fault)
         self._ensure_initialized()
         fault = self._attempt_in_process(st)
@@ -404,7 +418,7 @@ class Supervisor:
             worker = _Worker(proc, parent_conn)
             workers.append(worker)
             idle.append(worker)
-            get_metrics().inc("exec.workers_spawned")
+            current().metrics.inc("exec.workers_spawned")
             return worker
 
         def discard(worker: _Worker) -> None:
@@ -456,16 +470,11 @@ class Supervisor:
                         queue.append(candidate)
                     if st is None:
                         break
-                    remaining = self._budget_remaining()
-                    if remaining is not None and remaining <= 0:
-                        self._fail(st, ("timeout", "run budget exhausted "
-                                        "before the task could start"))
-                        continue
                     worker = idle.pop()
                     st.attempt += 1
                     if st.first_start is None:
                         st.first_start = now
-                    st.deadline = self._effective_deadline()
+                    st.deadline = cfg.deadline_seconds
                     st.deadline_at = now + st.deadline \
                         if st.deadline is not None else None
                     try:
@@ -537,7 +546,7 @@ class Supervisor:
                             queue.appendleft(st)
                         _set(f"worker initializer failed: {msg[1]}")
                         break
-                    index, attempt, status, value, error = msg
+                    index, attempt, status, value, error, payload = msg
                     if st is None or index != st.index \
                             or attempt != st.attempt:
                         continue  # stale result from a superseded attempt
@@ -548,14 +557,20 @@ class Supervisor:
                         if reason:
                             requeue_or_finalize(st, ("corrupt", reason))
                         else:
-                            self._finish(st, ok=True, value=value)
+                            self._finish(st, ok=True, value=value,
+                                         payload=payload)
                     elif self.config.propagate_errors:
+                        # The batch ends here, as it would in-process with
+                        # the task's records already in: keep them for
+                        # the flight recorder's forensics.
+                        current().fold(payload)
                         pending_error = TaskFailedError(st.key, error)
                         _set(f"task {st.key!r} raised under "
                              f"propagate_errors")
                         break
                     else:
-                        self._finish(st, ok=False, error=error)
+                        self._finish(st, ok=False, error=error,
+                                     payload=payload)
                 if degraded():
                     break
                 # -- deadline sweep ------------------------------------
@@ -595,20 +610,6 @@ class Supervisor:
     # ------------------------------------------------------------------
     # shared bookkeeping
     # ------------------------------------------------------------------
-    def _budget_remaining(self) -> Optional[float]:
-        budget = self.config.budget
-        if budget is None:
-            return None
-        return budget.remaining_seconds()
-
-    def _effective_deadline(self) -> Optional[float]:
-        deadline = self.config.deadline_seconds
-        remaining = self._budget_remaining()
-        if remaining is not None:
-            deadline = remaining if deadline is None \
-                else min(deadline, remaining)
-        return deadline
-
     def _backoff(self, key: str, attempt: int) -> float:
         """Exponential backoff with deterministic (hash-derived) jitter."""
         base = self.config.backoff_base
@@ -634,23 +635,22 @@ class Supervisor:
         kind, detail = fault
         st.faults.append((kind, detail))
         code, metric = self._FAULT_CODES[kind]
-        metrics = get_metrics()
-        metrics.inc(metric)
-        metrics.inc("exec.retries")
+        obs = current()
+        obs.metrics.inc(metric)
+        obs.metrics.inc("exec.retries")
         self.collector.report(
             code,
             f"task {st.key!r} attempt {st.attempt} hit a {kind} fault "
             f"({detail}); retrying",
             severity=Severity.WARNING, source=st.key,
             details={"attempt": st.attempt, "fault": kind})
-        ledger = get_decisions()
-        if ledger.enabled:
-            ledger.decide("exec.retry", f"task:{st.key}", verdict=kind,
-                          evidence=[detail], attempt=st.attempt)
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("exec:retry", key=st.key, fault=kind,
-                             attempt=st.attempt):
+        if obs.decisions.enabled:
+            obs.decisions.decide("exec.retry", f"task:{st.key}",
+                                 verdict=kind, evidence=[detail],
+                                 attempt=st.attempt)
+        if obs.tracer.enabled:
+            with obs.tracer.span("exec:retry", key=st.key, fault=kind,
+                                 attempt=st.attempt):
                 pass
 
     def _fail(self, st: "_TaskState", fault: Tuple[str, str],
@@ -670,49 +670,51 @@ class Supervisor:
                      in_process=in_process)
 
     def _note_degrade(self, reason: str) -> None:
-        get_metrics().inc("exec.degraded")
+        obs = current()
+        obs.metrics.inc("exec.degraded")
         self.collector.report(
             "EXE005",
             f"batch {self._label!r} degraded from pooled to serial "
             f"execution: {reason}",
             severity=Severity.WARNING, source=self._label)
-        ledger = get_decisions()
-        if ledger.enabled:
-            ledger.decide("exec.degrade", f"batch:{self._label}",
-                          verdict="serial", evidence=[reason])
+        if obs.decisions.enabled:
+            obs.decisions.decide("exec.degrade", f"batch:{self._label}",
+                                 verdict="serial", evidence=[reason])
 
     def _finish(self, st: "_TaskState", ok: bool, value: Any = None,
-                error: str = "", in_process: bool = False) -> None:
+                error: str = "", in_process: bool = False,
+                payload: Optional[dict] = None) -> None:
         outcome = TaskOutcome(
             key=st.key, index=st.index, ok=ok, value=value, error=error,
             attempts=st.attempt, faults=list(st.faults),
             in_process=in_process)
         self._outcomes[st.index] = outcome
-        metrics = get_metrics()
+        self._payloads[st.index] = payload
+        obs = current()
         elapsed = time.perf_counter() - st.first_start \
             if st.first_start is not None else 0.0
-        metrics.observe("exec.task_seconds", elapsed)
+        obs.metrics.observe("exec.task_seconds", elapsed)
         if not ok:
-            metrics.inc("exec.task_failures")
-        ledger = get_decisions()
+            obs.metrics.inc("exec.task_failures")
         # Clean tasks record nothing: a fault-free parallel run keeps
         # the serial run's decision ledger byte-identical.
-        if ledger.enabled and (st.faults or not ok):
-            ledger.decide(
+        if obs.decisions.enabled and (st.faults or not ok):
+            obs.decisions.decide(
                 "exec.task", f"task:{st.key}",
                 verdict="recovered" if ok else "demoted",
                 evidence=[f"{kind}: {detail}"
                           for kind, detail in st.faults] or [error],
                 attempts=st.attempt, in_process=in_process)
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("exec:task", key=st.key, ok=ok,
-                             attempts=st.attempt, seconds=round(
-                                 elapsed, 6)):
+        if obs.tracer.enabled:
+            with obs.tracer.span("exec:task", key=st.key, ok=ok,
+                                 attempts=st.attempt, seconds=round(
+                                     elapsed, 6)):
                 pass
         while self._cursor < len(self._outcomes) \
                 and self._outcomes[self._cursor] is not None:
             done = self._outcomes[self._cursor]
+            obs.fold(self._payloads[self._cursor])
+            self._payloads[self._cursor] = None
             self._cursor += 1
             if self._on_result is not None:
                 self._on_result(done)

@@ -31,6 +31,7 @@ from repro.fuzz import BUNDLE_KIND, FUZZ_SCHEMA_VERSION, ORACLE_NAMES
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.oracles import OracleBattery, Violation
 from repro.obs.blackbox import BlackboxRecorder
+from repro.obs.context import current
 
 #: Name of the manifest inside each bundle.
 MANIFEST_NAME = "repro.json"
@@ -125,7 +126,8 @@ def _write_blackbox(root: Path, manifest: dict) -> None:
     if recorder.flush(path,
                       reason={"kind": "fuzz-violation",
                               "detail": (f"{manifest['oracle']}: "
-                                         f"{manifest['detail']}")[:240]}):
+                                         f"{manifest['detail']}")[:240]},
+                      metrics=current().metrics):
         payload = _scrub_times(json.loads(path.read_text()))
         path.write_text(json.dumps(payload, indent=2, sort_keys=True)
                         + "\n")

@@ -1,29 +1,33 @@
 """Observability for the merge pipeline: tracing, metrics, provenance,
-and the explain decision ledger.
+the explain decision ledger, profiling and the flight recorder.
 
-Four layers, all free when disabled:
+Five layers travel together as one :class:`~repro.obs.context.ObsContext`
+(:mod:`repro.obs.context`): instrumentation sites read ``current()`` and
+use its fields, and ``observing(...)`` scope-installs a context.  Every
+layer is free when disabled:
 
 * :mod:`repro.obs.trace` — hierarchical spans with wall-time,
   attributes, and point-in-time events, exported as JSONL or Chrome
   ``trace_event``;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms under a
   stable-name contract, exported as JSON or Prometheus text;
-* :mod:`repro.obs.provenance` — per-constraint merge lineage (source
-  modes + merge rule), surfaced by ``repro report --provenance``;
 * :mod:`repro.obs.explain` — the decision ledger: every pipeline
   verdict (mergeability rejections, uniquifications, refinement stops,
   sign-off repairs) recorded with its causal chain, queryable via
-  ``explain(run, "pair:funcA,scan")`` / ``repro-merge explain``.
+  ``explain(run, "pair:funcA,scan")`` / ``repro-merge explain``;
+* :mod:`repro.obs.profile` — cProfile function tables attributed to the
+  pipeline's phase spans, plus hot-loop counters;
+* :mod:`repro.obs.blackbox` — an **always-on flight recorder**: a
+  bounded ring of recent frames, spans, decisions, diagnostics, and
+  chaos strikes that costs nothing to keep and is flushed as
+  ``blackbox.json`` only when a run dies abnormally (``repro-merge
+  doctor`` renders the forensics).
 
-:mod:`repro.obs.report_html` stitches all four into a self-contained
+:mod:`repro.obs.provenance` records per-constraint merge lineage
+(source modes + merge rule), surfaced by ``repro report --provenance``.
+:mod:`repro.obs.report_html` stitches the layers into a self-contained
 HTML run report, :mod:`repro.obs.bench_diff` compares two benchmark
 snapshots, and :mod:`repro.obs.validate` schema-checks every artifact.
-
-On top of the opt-in layers, :mod:`repro.obs.blackbox` runs an
-**always-on flight recorder**: a bounded ring of recent frames, spans,
-decisions, diagnostics, and chaos strikes that costs nothing to keep
-and is flushed as ``blackbox.json`` only when a run dies abnormally
-(``repro-merge doctor`` renders the forensics).
 
 See docs/OBSERVABILITY.md for the span taxonomy, the metric name
 contract, the provenance record schema, the decision-node schema, and
@@ -36,11 +40,9 @@ from repro.obs.blackbox import (
     NullBlackbox,
     causal_chain,
     format_doctor_report,
-    get_blackbox,
     load_blackbox,
-    recording,
-    set_blackbox,
 )
+from repro.obs.context import ObsContext, current, observing
 from repro.obs.explain import (
     DECISION_KINDS,
     DECISIONS_SCHEMA_VERSION,
@@ -48,14 +50,10 @@ from repro.obs.explain import (
     DecisionLedger,
     NullDecisions,
     explain,
-    explaining,
     find_decisions,
     format_chains,
-    get_decisions,
     group_subject,
-    muted,
     pair_subject,
-    set_decisions,
 )
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -64,9 +62,6 @@ from repro.obs.metrics import (
     SECONDS_BUCKETS,
     MetricsRegistry,
     NullMetrics,
-    collecting,
-    get_metrics,
-    set_metrics,
 )
 from repro.obs.provenance import (
     MERGE_RULES,
@@ -89,9 +84,6 @@ from repro.obs.trace import (
     NullTracer,
     Span,
     Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
 )
 
 __all__ = [
@@ -110,6 +102,7 @@ __all__ = [
     "NullDecisions",
     "NullMetrics",
     "NullTracer",
+    "ObsContext",
     "PROVENANCE_SCHEMA_VERSION",
     "ProvenanceLedger",
     "ProvenanceRecord",
@@ -124,26 +117,15 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "causal_chain",
-    "collecting",
+    "current",
     "explain",
-    "explaining",
     "find_decisions",
     "format_chains",
     "format_doctor_report",
-    "get_blackbox",
-    "get_decisions",
-    "get_metrics",
-    "get_tracer",
     "group_subject",
     "load_blackbox",
-    "muted",
+    "observing",
     "pair_subject",
-    "recording",
     "render_run_report",
-    "set_blackbox",
-    "set_decisions",
-    "set_metrics",
-    "set_tracer",
-    "tracing",
     "write_run_report",
 ]

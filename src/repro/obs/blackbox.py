@@ -8,10 +8,10 @@ closes that gap: a fixed-size ring buffer that is active on **every**
 run with no flags, fed by
 
 * coarse pipeline **frames** (run, mergeability scan, per-group merges,
-  sign-off repairs) recorded through a :class:`FlightLedger` installed
-  as the ambient decision ledger when no real
-  :class:`~repro.obs.explain.DecisionLedger` was requested — frame call
-  sites are unguarded, so the recorder sees them at O(groups) cost
+  sign-off repairs) recorded through a :class:`FlightLedger` that
+  ``ObsContext.build`` installs as the context's decision ledger when no
+  real :class:`~repro.obs.explain.DecisionLedger` was requested — frame
+  call sites are unguarded, so the recorder sees them at O(groups) cost
   while the guarded O(pairs) leaf-decision sites stay off;
 * **diagnostics** (the :class:`~repro.diagnostics.DiagnosticCollector`
   bridge mirrors every structured finding into the ring);
@@ -26,16 +26,18 @@ On abnormal exit the ring is flushed atomically
 (:func:`repro.durable.write_atomic`) as a schema-versioned
 ``blackbox.json`` carrying the ring contents, the open frame/span
 stacks, the last cache state, an environment fingerprint and — when a
-registry is ambient — a metrics snapshot.  ``repro-merge doctor
+registry is passed in — a metrics snapshot.  ``repro-merge doctor
 blackbox.json`` renders the forensic report; ``python -m
 repro.obs.validate --blackbox`` checks the artifact.  A clean run
 writes nothing.
 
-Workers fold their ring into the supervisor's via the existing
-payload-merge path (``to_payload`` / ``merge_payload``), exactly like
-the profiler.  The per-event cost is one small dict plus a bounded
-``deque`` append; ``benchmarks/bench_obs_overhead.py`` holds it to the
-same <2% bound the disabled profiler meets.
+The recorder is one field of the observability context
+(:mod:`repro.obs.context`).  A pooled attempt records into a fresh ring,
+and the supervisor folds it into the parent's with the other layers'
+payloads (``to_payload`` / ``merge_payload``).  The per-event cost is one
+small dict plus a bounded ``deque`` append;
+``benchmarks/bench_obs_overhead.py`` holds it to the same <2% bound the
+disabled profiler meets.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import sys
 import threading as _threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.durable import write_atomic
@@ -157,12 +158,11 @@ class _FlightFrame:
 class FlightLedger(NullDecisions):
     """A decision-ledger stand-in that feeds frames to the recorder.
 
-    Installed as the ambient ledger when the user requested no
+    The context's ledger when the user requested no
     ``--explain``/``--report-html``: ``enabled`` stays ``False`` so every
-    guarded leaf-decision site (and the worker bundle machinery, and the
-    ``merge_all`` record slicing) behaves exactly as with the null
-    ledger, while the unguarded ``frame(...)`` chokepoints land in the
-    flight recorder's ring.
+    guarded leaf-decision site (and the ``merge_all`` record slicing)
+    behaves exactly as with the null ledger, while the unguarded
+    ``frame(...)`` chokepoints land in the flight recorder's ring.
     """
 
     enabled = False
@@ -293,7 +293,7 @@ class BlackboxRecorder(NullBlackbox):
             event["evidence"] = _clip(decision.evidence[0])
         self.record("decision", **event)
 
-    # -- worker folding (the profiler's payload-merge path) -------------
+    # -- worker folding -------------------------------------------------
     def to_payload(self) -> dict:
         """Serialize the ring for the result pipe (worker -> parent)."""
         with self._lock:
@@ -353,10 +353,8 @@ class BlackboxRecorder(NullBlackbox):
         return ""
 
     def export(self, reason: Optional[dict] = None, metrics=None) -> dict:
-        if metrics is None:
-            from repro.obs.metrics import get_metrics
-
-            metrics = get_metrics()
+        """The ``blackbox.json`` payload, with a snapshot of ``metrics``
+        when a live registry is given."""
         with self._lock:
             events = self._snapshot_events()
             payload: Dict[str, Any] = {
@@ -392,7 +390,7 @@ class BlackboxRecorder(NullBlackbox):
                     break
         payload["failing_phase"] = phase
         payload["metrics"] = metrics.to_dict() \
-            if metrics.enabled and hasattr(metrics, "to_dict") else None
+            if getattr(metrics, "enabled", False) else None
         return payload
 
     def flush(self, path, reason: Optional[dict] = None,
@@ -542,34 +540,3 @@ def format_doctor_report(payload: dict) -> str:
                      f"the ring)")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# the ambient recorder (same triad as trace/metrics/explain/profile)
-# ---------------------------------------------------------------------------
-_AMBIENT: NullBlackbox = NullBlackbox()
-
-
-def get_blackbox() -> NullBlackbox:
-    """The ambient flight recorder (a no-op unless installed)."""
-    return _AMBIENT
-
-
-def set_blackbox(recorder: Optional[NullBlackbox]) -> NullBlackbox:
-    """Install ``recorder`` as ambient (None restores the null one).
-
-    Returns the previously installed recorder so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = recorder if recorder is not None else NullBlackbox()
-    return previous
-
-
-@contextmanager
-def recording(recorder: Optional[NullBlackbox]):
-    """Scope-install a recorder: ``with recording(BlackboxRecorder()):``."""
-    previous = set_blackbox(recorder)
-    try:
-        yield get_blackbox()
-    finally:
-        set_blackbox(previous)

@@ -10,10 +10,11 @@ parent decision.  Parents come from **frames** (context-managed decisions
 such as "merging group A+B" or "running step exceptions") so every leaf
 decision carries its full causal chain back to the run root.
 
-Like tracing and metrics, decision recording is **ambient**
-(:func:`get_decisions` / :func:`set_decisions` / :func:`explaining`) and
-free when disabled: the default :class:`NullDecisions` makes every
-``decide``/``frame`` call a no-op.
+The ledger is one field of the observability context
+(:mod:`repro.obs.context`), and free when disabled: the default
+:class:`NullDecisions` makes every ``decide``/``frame`` call a no-op.
+Mock merges switch it off for their scope with
+``observing(decisions=None)``.
 
 Query syntax (``explain(run, query)`` and ``repro-merge explain``):
 
@@ -41,9 +42,10 @@ decisions from the run root down to the match.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.trace import NullTracer
 
 #: Version of the decisions JSON artifact (``--explain out.json``).
 DECISIONS_SCHEMA_VERSION = 1
@@ -236,14 +238,17 @@ class DecisionLedger(NullDecisions):
         self.records: List[Decision] = []
         self._stack: List[Decision] = []
         self._listeners: List[Any] = []
+        #: the tracer whose innermost open span names each decision
+        #: (wired by ``ObsContext.build``; a null tracer names none)
+        self.tracer: NullTracer = NullTracer()
 
     def add_listener(self, listener: Any) -> None:
         """Register an observer notified of every recorded decision.
 
         Mirrors ``Tracer.add_listener``: ``listener.decision_recorded``
-        is called once per :meth:`decide` (and per grafted worker
-        record).  The flight recorder (:mod:`repro.obs.blackbox`) uses
-        this to keep the last N decisions in its ring.
+        is called once per :meth:`decide`.  The flight recorder
+        (:mod:`repro.obs.blackbox`) uses this to keep the last N
+        decisions in its ring.
         """
         self._listeners.append(listener)
 
@@ -261,17 +266,14 @@ class DecisionLedger(NullDecisions):
                **attrs: Any) -> Decision:
         """Record one decision under the current frame."""
         self._check(kind)
-        span = ""
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled and tracer.current is not None:
-            span = tracer.current.name
+        span = self.tracer.current
         decision = Decision(
             kind=kind, subject=subject, verdict=verdict,
             evidence=[str(line) for line in (evidence or ())],
             parent=self._stack[-1] if self._stack else None,
-            id=len(self.records), span=span, attrs=dict(attrs))
+            id=len(self.records),
+            span=span.name if span is not None else "",
+            attrs=dict(attrs))
         self.records.append(decision)
         for listener in self._listeners:
             listener.decision_recorded(decision)
@@ -298,6 +300,8 @@ class DecisionLedger(NullDecisions):
         map, and roots (``parent is None`` in the worker) attach to the
         current frame — exactly where the decisions would have landed
         had the work run in-process.  Span names are preserved verbatim.
+        Listeners are not notified: the worker's own recorder saw the
+        decisions, and its ring comes home with the worker's payload.
         """
         id_map: Dict[int, Decision] = {}
         grafted: List[Decision] = []
@@ -317,8 +321,6 @@ class DecisionLedger(NullDecisions):
                 span=record.get("span", ""),
                 attrs=dict(record.get("attrs", {})))
             self.records.append(decision)
-            for listener in self._listeners:
-                listener.decision_recorded(decision)
             if "id" in record:
                 id_map[record["id"]] = decision
             grafted.append(decision)
@@ -489,45 +491,3 @@ def format_chains(chains: Sequence[Sequence[Decision]]) -> str:
                                 for i, d in enumerate(chain)))
     return "\n".join(blocks)
 
-
-# ---------------------------------------------------------------------------
-# ambient ledger
-# ---------------------------------------------------------------------------
-#: The ambient ledger decision sites fetch; no-op unless installed.
-_AMBIENT: NullDecisions = NullDecisions()
-
-
-def get_decisions() -> NullDecisions:
-    """The ambient decision ledger (a no-op unless installed)."""
-    return _AMBIENT
-
-
-def set_decisions(ledger: Optional[NullDecisions]) -> NullDecisions:
-    """Install ``ledger`` as ambient (None restores the null ledger).
-
-    Returns the previously installed ledger so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = ledger if ledger is not None else NullDecisions()
-    return previous
-
-
-@contextmanager
-def explaining(ledger: Optional[NullDecisions]):
-    """Scope-install a ledger: ``with explaining(DecisionLedger()):``."""
-    previous = set_decisions(ledger)
-    try:
-        yield get_decisions()
-    finally:
-        set_decisions(previous)
-
-
-@contextmanager
-def muted():
-    """Scope-suppress decision recording (mock merges, probe re-merges)."""
-    previous = set_decisions(None)
-    try:
-        yield
-    finally:
-        set_decisions(previous)

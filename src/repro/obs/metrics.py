@@ -16,16 +16,15 @@ Two exporters:
 * :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
   format (dots become underscores, ``repro_`` prefix).
 
-Like tracing, metrics use an **ambient registry**
-(:func:`get_metrics` / :func:`set_metrics`), defaulting to a
-:class:`NullMetrics` whose operations are no-ops, so the instrumentation
-is free when nobody is collecting.
+The registry is one field of the observability context
+(:mod:`repro.obs.context`): sites record on ``current().metrics``, which
+defaults to a :class:`NullMetrics` whose operations are no-ops, so the
+instrumentation is free when nobody is collecting.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version of the metrics JSON artifact.  Bump on incompatible layout
@@ -418,32 +417,3 @@ def _prom_value(value: float) -> str:
             return str(int(value))
     return repr(value)
 
-
-#: The ambient registry instrumentation sites fetch; no-op by default.
-_AMBIENT: NullMetrics = NullMetrics()
-
-
-def get_metrics() -> NullMetrics:
-    """The ambient metrics registry (a no-op unless installed)."""
-    return _AMBIENT
-
-
-def set_metrics(registry: Optional[NullMetrics]) -> NullMetrics:
-    """Install ``registry`` as ambient (None restores the null registry).
-
-    Returns the previously installed registry.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = registry if registry is not None else NullMetrics()
-    return previous
-
-
-@contextmanager
-def collecting(registry: Optional[NullMetrics]):
-    """Scope-install a registry: ``with collecting(MetricsRegistry()):``."""
-    previous = set_metrics(registry)
-    try:
-        yield get_metrics()
-    finally:
-        set_metrics(previous)

@@ -20,14 +20,14 @@ pipeline's existing trace spans:
   inert sets under stable ``profile.*`` metric names; the export
   snapshots them next to the timings.
 
-Like tracing and metrics, profiling is **ambient**
-(:func:`get_profiler` / :func:`set_profiler` / :func:`profiling`): the
-default is a :class:`NullProfiler` whose operations are no-ops, so a
-run without ``--profile`` pays nothing.  In ``--jobs N`` runs each
-forked worker profiles its own task (:meth:`Profiler.to_payload`) and
-the supervisor folds the payloads back in submission order
-(:meth:`Profiler.merge_payload`), so the merged profile is
-deterministic for a given job count.
+The profiler is one field of the observability context
+(:mod:`repro.obs.context`): the default is a :class:`NullProfiler` whose
+operations are no-ops, so a run without ``--profile`` pays nothing.  In
+``--jobs N`` runs each pooled attempt profiles itself on a fresh
+profiler (:meth:`Profiler.to_payload`) and the supervisor folds the
+payloads back in submission order (:meth:`Profiler.merge_payload`), so
+the merged profile is deterministic for a given job count.  The worker's
+spans come home through the tracer, so the span costs cover them too.
 
 The exported ``profile.json`` artifact is schema-versioned
 (:data:`PROFILE_SCHEMA_VERSION`, kind ``repro-profile``) and checked by
@@ -39,8 +39,7 @@ from __future__ import annotations
 import cProfile
 import json
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 #: Version of the ``profile.json`` artifact.  Bump on any
 #: backwards-incompatible layout change.
@@ -100,8 +99,8 @@ class NullProfiler:
 
     ``enabled`` lets call sites skip even payload construction::
 
-        if get_profiler().enabled:
-            bundle["profile"] = profiler.to_payload()
+        if obs.profiler.enabled:
+            payload["profiler"] = obs.profiler.to_payload()
     """
 
     enabled = False
@@ -150,8 +149,6 @@ class Profiler(NullProfiler):
         self._stack: List[str] = []
         #: phase -> function key -> [calls, self_seconds, cum_seconds]
         self.phase_functions: Dict[str, Dict[str, List[float]]] = {}
-        #: span aggregates folded in from worker payloads
-        self.merged_spans: Dict[str, List[float]] = {}
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -239,7 +236,7 @@ class Profiler(NullProfiler):
                 self._supported = False
 
     # -- worker payloads ------------------------------------------------
-    def to_payload(self, tracer=None) -> dict:
+    def to_payload(self) -> dict:
         """JSON-ready per-task profile for shipping worker -> parent."""
         return {
             "total_seconds": self.total_seconds,
@@ -247,45 +244,37 @@ class Profiler(NullProfiler):
                                for key, row in sorted(funcs.items())}
                        for phase, funcs
                        in sorted(self.phase_functions.items())},
-            "spans": {name: list(row)
-                      for name, row in sorted(span_summary(tracer).items())},
         }
 
     def merge_payload(self, payload: dict) -> None:
         """Fold one worker's :meth:`to_payload` into this profiler.
 
-        Addition is commutative per function, and ``merge_all`` flushes
-        worker bundles strictly in analysis order, so the merged profile
-        is deterministic at any completion order.
+        Addition is commutative per function, and the supervisor folds
+        worker payloads strictly in submission order, so the merged
+        profile is deterministic at any completion order.  A worker opens
+        no phase around its task, so what it charged to ``other`` goes
+        to the phase open here, where the task would have run.
         """
+        here = self._current_phase()
         for phase, funcs in payload.get("phases", {}).items():
-            bucket = self.phase_functions.setdefault(phase, {})
+            bucket = self.phase_functions.setdefault(
+                here if phase == "other" else phase, {})
             for key, row in funcs.items():
                 mine = bucket.setdefault(key, [0, 0.0, 0.0])
                 mine[0] += row[0]
                 mine[1] += row[1]
                 mine[2] += row[2]
-        for name, row in payload.get("spans", {}).items():
-            mine = self.merged_spans.setdefault(name, [0, 0.0, 0.0])
-            mine[0] += row[0]
-            mine[1] += row[1]
-            mine[2] += row[2]
         self.worker_seconds += float(payload.get("total_seconds", 0.0))
 
     # -- export ---------------------------------------------------------
     def export(self, tracer=None, metrics=None) -> dict:
         """The schema-versioned ``profile.json`` payload.
 
-        ``tracer`` supplies this process's span tree (worker span
-        aggregates merged from payloads are folded in); ``metrics``
-        supplies the ``profile.*`` hot-loop counters.
+        ``tracer`` supplies the span tree (worker spans included, once
+        grafted); ``metrics`` supplies the ``profile.*`` hot-loop
+        counters.
         """
         spans = span_summary(tracer)
-        for name, row in self.merged_spans.items():
-            mine = spans.setdefault(name, [0, 0.0, 0.0])
-            mine[0] += row[0]
-            mine[1] += row[1]
-            mine[2] += row[2]
         counters: Dict[str, float] = {}
         if metrics is not None and getattr(metrics, "enabled", False) \
                 and hasattr(metrics, "names"):
@@ -326,31 +315,3 @@ class Profiler(NullProfiler):
                                                 metrics=metrics),
                                     indent=2) + "\n")
 
-
-#: The ambient profiler call sites fetch; no-op unless installed.
-_AMBIENT: NullProfiler = NullProfiler()
-
-def get_profiler() -> NullProfiler:
-    """The ambient profiler (a no-op :class:`NullProfiler` by default)."""
-    return _AMBIENT
-
-
-def set_profiler(profiler: Optional[NullProfiler]) -> NullProfiler:
-    """Install ``profiler`` as ambient (None restores the null profiler).
-
-    Returns the previously installed profiler so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = profiler if profiler is not None else NullProfiler()
-    return previous
-
-
-@contextmanager
-def profiling(profiler: Optional[NullProfiler]):
-    """Scope-install a profiler: ``with profiling(Profiler()) as p: ...``."""
-    previous = set_profiler(profiler)
-    try:
-        yield get_profiler()
-    finally:
-        set_profiler(previous)

@@ -8,7 +8,7 @@ group ids, constraint counts, watchdog budget remaining).  Spans nest via
 a context manager::
 
     tracer = Tracer()
-    with tracing(tracer):
+    with observing(tracer=tracer):
         with tracer.span("merge", modes=["funcA", "scan"]):
             with tracer.span("step:clock_union"):
                 ...
@@ -21,12 +21,14 @@ Two export formats:
 * ``chrome`` — the Chrome ``trace_event`` format; load the file in
   ``chrome://tracing`` or https://ui.perfetto.dev to see the flame chart.
 
-The **ambient tracer** (:func:`get_tracer` / :func:`set_tracer`) is how
-the pipeline is instrumented without threading a tracer argument through
-every call: instrumentation sites fetch the ambient tracer and open spans
-on it.  The default ambient tracer is a :class:`NullTracer` whose
-``span()`` returns a shared no-op handle — tracing disabled costs one
-attribute lookup and one method call per span site, nothing more.
+The tracer is one field of the observability context
+(:mod:`repro.obs.context`): instrumentation sites open spans on
+``current().tracer`` instead of threading a tracer argument through
+every call.  The default is a :class:`NullTracer` whose ``span()``
+returns a shared no-op handle — tracing disabled costs one lookup and one
+method call per span site, nothing more.  A forked worker's spans cross
+back to the parent as :meth:`Tracer.to_payload` and
+:meth:`Tracer.graft`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 #: Version of the JSONL trace artifact's header line.  Bump on any
@@ -252,6 +253,50 @@ class Tracer(NullTracer):
     def span_names(self) -> List[str]:
         return [s.name for s, _ in self.walk()]
 
+    # -- crossing the fork ----------------------------------------------
+    def to_payload(self) -> List[dict]:
+        """The span forest as plain data for :meth:`graft` in another
+        process, timed on the ``perf_counter`` clock processes share."""
+        def record(span: Span) -> dict:
+            return {
+                "name": span.name,
+                "start": self._t0 + span.start,
+                "end": None if span.end is None else self._t0 + span.end,
+                "attrs": _jsonable(span.attrs),
+                "events": [{"name": event["name"],
+                            "ts": self._t0 + event["ts"],
+                            "attrs": _jsonable(event["attrs"])}
+                           for event in span.events],
+                "children": [record(child) for child in span.children],
+            }
+
+        return [record(root) for root in self.roots]
+
+    def graft(self, records: List[dict]) -> None:
+        """Re-record another tracer's :meth:`to_payload` spans here.
+
+        Roots attach under the innermost open span (or as roots), where
+        the work would have recorded them had it run in this process;
+        times are rebased onto this tracer's origin.  Listeners are not
+        notified: the recording process's own listeners saw the spans.
+        """
+        def attach(record: dict, parent: Optional[Span]) -> None:
+            span = Span(record["name"], record["start"] - self._t0,
+                        parent, record["attrs"])
+            if record["end"] is not None:
+                span.end = record["end"] - self._t0
+            span.events = [{"name": event["name"],
+                            "ts": event["ts"] - self._t0,
+                            "attrs": event["attrs"]}
+                           for event in record["events"]]
+            (parent.children if parent is not None
+             else self.roots).append(span)
+            for child in record["children"]:
+                attach(child, span)
+
+        for record in records:
+            attach(record, self.current)
+
     # -- export ---------------------------------------------------------
     def to_jsonl(self) -> str:
         """One header line plus one line per span, depth-first."""
@@ -343,33 +388,3 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     return repr(value)
 
-
-#: The ambient tracer instrumentation sites fetch.  NullTracer by default:
-#: the whole tracing layer is free unless someone installs a real Tracer.
-_AMBIENT: NullTracer = NullTracer()
-
-
-def get_tracer() -> NullTracer:
-    """The ambient tracer (a no-op :class:`NullTracer` unless installed)."""
-    return _AMBIENT
-
-
-def set_tracer(tracer: Optional[NullTracer]) -> NullTracer:
-    """Install ``tracer`` as ambient (None restores the null tracer).
-
-    Returns the previously installed tracer so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = tracer if tracer is not None else NullTracer()
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Optional[NullTracer]):
-    """Scope-install a tracer: ``with tracing(Tracer()) as t: ...``."""
-    previous = set_tracer(tracer)
-    try:
-        yield get_tracer()
-    finally:
-        set_tracer(previous)

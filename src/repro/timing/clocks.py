@@ -22,7 +22,7 @@ import copy
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.timing.context import BoundMode, Clock
 from repro.timing.graph import ARC_LAUNCH
 
@@ -94,7 +94,7 @@ class ClockPropagation:
                     if arc_live:
                         queue.append(dst)
 
-        metrics = get_metrics()
+        metrics = current().metrics
         if metrics.enabled and expansions:
             metrics.inc("profile.bfs_expansions", expansions)
 
@@ -200,7 +200,7 @@ def propagate_launch_clocks(bound: BoundMode,
                 name for name, bit in bits.items() if mask & bit)
         node_clocks[node] = names
         labels += len(names)
-    metrics = get_metrics()
+    metrics = current().metrics
     if metrics.enabled and labels:
         metrics.inc("profile.bfs_expansions", labels)
     return node_clocks

@@ -39,7 +39,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.netlist import Pin, Port
-from repro.obs.metrics import get_metrics
+from repro.obs.context import current
 from repro.timing.clocks import ClockPropagation
 from repro.timing.context import BoundException, BoundMode
 from repro.timing.graph import (
@@ -409,7 +409,7 @@ class RelationshipExtractor:
                         new_alive = alive
                     for new_edge in edges_of[edge]:
                         bucket.add((sp, lc, new_active, new_alive, new_edge))
-        metrics = get_metrics()
+        metrics = current().metrics
         if metrics.enabled and pushed:
             metrics.inc("profile.tag_propagations", pushed)
             if bulk:

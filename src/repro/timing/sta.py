@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.context import current
 from repro.timing.clocks import ClockPropagation
 from repro.timing.context import BoundMode, Clock
 from repro.timing.delay import DelayModel, resolve_model
@@ -187,14 +186,14 @@ class StaEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> StaResult:
-        tracer = get_tracer()
-        with tracer.span("sta:run", mode=self.bound.mode.name) as span:
+        obs = current()
+        with obs.tracer.span("sta:run", mode=self.bound.mode.name) as span:
             start = time.perf_counter()
             arrivals = self._propagate_arrivals()
             result = StaResult(self.bound.mode.name)
             self._compute_slacks(arrivals, result)
             result.runtime_seconds = time.perf_counter() - start
-            metrics = get_metrics()
+            metrics = obs.metrics
             if metrics.enabled:
                 metrics.inc("sta.runs")
                 metrics.inc("sta.endpoints", len(result.endpoint_slacks))

@@ -2,9 +2,10 @@
 
 The engine's headline guarantee: a parallel run is *observably
 indistinguishable* from a serial one — byte-identical merged SDC,
-identical decision ledgers — and a run killed mid-parallel-merge
-resumes from its result cache (even at a different job count) to the
-same bytes an uninterrupted serial run produces.
+identical decision ledgers, the same span tree and the same counters —
+and a run killed mid-parallel-merge resumes from its result cache (even
+at a different job count) to the same bytes an uninterrupted serial run
+produces.
 """
 
 import json
@@ -12,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,31 @@ def _sdc_bytes(out):
     return {p.name: p.read_bytes() for p in Path(out).glob("*.sdc")}
 
 
+def _span_tree(trace_path):
+    """The (span name, parent span name) multiset of a JSONL trace."""
+    lines = Path(trace_path).read_text().splitlines()[1:]  # skip header
+    return Counter((record["name"], record["parent"])
+                   for record in map(json.loads, lines))
+
+
+#: Work counters a forked worker legitimately redoes, each with why.
+#: ``exec.*`` counters describe the execution itself and differ too.
+REDONE_IN_WORKERS = {
+    # Clock propagations are memoized in ``Netlist.derived``, and a
+    # worker's memo dies with it: what one process would propagate once
+    # (say a mock merge's, reused by the group merge) a worker and the
+    # next one each propagate again.
+    "profile.bfs_expansions",
+}
+
+
+def _work_counters(metrics_path):
+    counters = json.loads(Path(metrics_path).read_text())["counters"]
+    return {name: value for name, value in counters.items()
+            if not name.startswith("exec.")
+            and name not in REDONE_IN_WORKERS}
+
+
 class TestJobsValidation:
     @pytest.mark.parametrize("bad", ["0", "-2", "many"])
     def test_bad_jobs_is_a_usage_error(self, files, bad, capsys):
@@ -120,6 +147,30 @@ class TestParallelEquivalence:
         parallel = json.loads(par_path.read_text())
         assert serial["decisions"] == parallel["decisions"]
         assert serial["by_kind"] == parallel["by_kind"]
+
+    def test_parallel_trace_has_the_serial_span_tree(self, files, capsys):
+        tmp, netlist, paths = files
+        assert _merge(netlist, paths, tmp / "serial",
+                      "--trace", str(tmp / "serial.jsonl")) == 0
+        assert _merge(netlist, paths, tmp / "par",
+                      "--trace", str(tmp / "par.jsonl"), "--jobs", "2") == 0
+        capsys.readouterr()
+        serial = _span_tree(tmp / "serial.jsonl")
+        # Spans recorded inside the group-merge workers.
+        assert serial[("merge", "group:a+b")] == 1
+        assert serial[("three_pass:pass1", "step:three_pass")] >= 1
+        assert _span_tree(tmp / "par.jsonl") == serial
+
+    def test_parallel_metrics_match_serial_counters(self, files, capsys):
+        tmp, netlist, paths = files
+        assert _merge(netlist, paths, tmp / "serial",
+                      "--metrics", str(tmp / "serial.json")) == 0
+        assert _merge(netlist, paths, tmp / "par",
+                      "--metrics", str(tmp / "par.json"), "--jobs", "2") == 0
+        capsys.readouterr()
+        serial = _work_counters(tmp / "serial.json")
+        assert serial["profile.mock_merges"] == 1  # by a scan worker
+        assert _work_counters(tmp / "par.json") == serial
 
     def test_parallel_report_graph_is_identical(self, files, capsys):
         tmp, netlist, paths = files

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from circuits import build_random_circuit, build_random_mode, circuit_params
 
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
 from repro.timing import (
     BoundMode,
     RelationshipExtractor,
@@ -71,7 +72,7 @@ class TestTagEngineAgainstOracle:
                                      clock_exceptions=True)
             bound = BoundMode(netlist, mode)
             registry = MetricsRegistry()
-            with collecting(registry):
+            with observing(metrics=registry):
                 RelationshipExtractor(bound).endpoint_relationships()
             bulk = registry.counter("profile.tag_bulk_pushes")
             tracks_edges = any(exc.has_edge_qualifiers

@@ -12,7 +12,8 @@ from repro.core import (
     merge_all,
     pair_mergeable,
 )
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
 from repro.sdc import parse_mode
 from repro.workloads.families import build_family
 
@@ -117,7 +118,7 @@ class TestAnalysisAndMergeAll:
             parse_mode(CLK + "set_input_transition 0.9 [get_ports in1]", "C"),
         ]
         registry = MetricsRegistry()
-        with collecting(registry):
+        with observing(metrics=registry):
             build_mergeability_graph(pipeline_netlist, modes)
         assert registry.counter("mergeability.pairs_scanned") == 3
         assert registry.counter("profile.mock_merges") == 1

@@ -15,7 +15,7 @@ from repro.core.mergeability import (
     table_conflict,
 )
 from repro.core.merger import MergeOptions
-from repro.obs.explain import muted
+from repro.obs.context import observing
 from repro.sdc import parse_mode
 from repro.workloads.designs import load_design
 from repro.workloads.families import build_family, family_names
@@ -26,7 +26,7 @@ OPTIONS = MergeOptions()
 
 def mock_merge_verdict(netlist, mode_a, mode_b):
     """The reference verdict: mock-merge the pair, then check blocking."""
-    with muted():
+    with observing(decisions=None):
         try:
             context = _preliminary_merge(netlist, [mode_a, mode_b], OPTIONS)
         except Exception as exc:

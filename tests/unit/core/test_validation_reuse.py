@@ -16,8 +16,9 @@ import pytest
 import repro.core.merger as merger
 from repro.core import check_mode_equivalence
 from repro.core.mergeability import merge_all
-from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.trace import Tracer, tracing
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.sdc import parse_mode
 from repro.timing import BoundMode, RelationshipExtractor
 from repro.timing.graph import ARC_CELL
@@ -32,8 +33,8 @@ def design():
 
 def _merge_all(design):
     """merge_all under a metrics registry and a tracer."""
-    registry = MetricsRegistry()
-    with collecting(registry), tracing(Tracer()) as tracer:
+    registry, tracer = MetricsRegistry(), Tracer()
+    with observing(metrics=registry, tracer=tracer):
         run = merge_all(design.netlist, design.modes)
     validations = tracer.find("step:equivalence_validation")
     return run, registry.counter("three_pass.rows_reused"), validations
@@ -149,8 +150,8 @@ class TestWrongFix:
 class TestStandaloneCheck:
     def test_check_mode_equivalence_never_adopts_rows(self, design, normal):
         run, _, _ = normal
-        registry = MetricsRegistry()
-        with collecting(registry), tracing(Tracer()) as tracer:
+        registry, tracer = MetricsRegistry(), Tracer()
+        with observing(metrics=registry, tracer=tracer):
             for outcome in run.outcomes:
                 with tracer.span("audit"):
                     report = check_mode_equivalence(

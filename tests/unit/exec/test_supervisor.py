@@ -15,8 +15,10 @@ from repro.exec import (
     SupervisorConfig,
     TaskOutcome,
 )
-from repro.obs.explain import DecisionLedger, explaining
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import ObsContext, current, observing
+from repro.obs.explain import DecisionLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 #: The test process; lets initializers distinguish parent from workers.
 PARENT_PID = os.getpid()
@@ -33,6 +35,30 @@ def sleep_then_return(seconds, value):
 
 def raise_value_error(x):
     raise ValueError(f"boom {x}")
+
+
+def observed_task(x, delay=0.0):
+    """Record a counter, a decision and a span, as pipeline work does."""
+    time.sleep(delay)
+    obs = current()
+    with obs.tracer.span(f"work:{x}"):
+        obs.metrics.inc("merge.runs")
+        obs.decisions.decide("merge.group", f"group:{x}")
+    return x
+
+
+def observed_then_raise(x):
+    observed_task(x)
+    raise ValueError(f"boom {x}")
+
+
+def observed_then_rejected(marker):
+    """``observed_task``, returning a payload the validate hook rejects
+    on the first call in any process."""
+    first = not os.path.exists(marker)
+    open(marker, "a").close()
+    value = observed_task(7)
+    return -1 if first else value
 
 
 def codes(collector):
@@ -284,34 +310,6 @@ class TestDegradation:
         assert_no_children()
 
 
-class TestBudget:
-    class _Spent:
-        @staticmethod
-        def remaining_seconds():
-            return 0.0
-
-    def test_exhausted_budget_fails_fast(self):
-        collector = DiagnosticCollector()
-        config = SupervisorConfig(jobs=1, use_env_chaos=False,
-                                  max_attempts=1, final_in_process=False,
-                                  budget=self._Spent())
-        outcomes = run_squares(config, collector, n=2)
-        assert all(not o.ok for o in outcomes)
-        assert all("budget exhausted" in o.error for o in outcomes)
-        assert codes(collector).count("EXE006") == 2
-
-    def test_budget_clamps_deadline(self):
-        class Half:
-            @staticmethod
-            def remaining_seconds():
-                return 0.5
-
-        config = SupervisorConfig(deadline_seconds=10.0, budget=Half())
-        assert Supervisor(config)._effective_deadline() == 0.5
-        config = SupervisorConfig(deadline_seconds=None, budget=Half())
-        assert Supervisor(config)._effective_deadline() == 0.5
-
-
 class TestDeterminism:
     def test_backoff_is_deterministic(self):
         sup = Supervisor(SupervisorConfig(use_env_chaos=False))
@@ -329,7 +327,7 @@ class TestDeterminism:
         collector = DiagnosticCollector()
         ledger = DecisionLedger()
         registry = MetricsRegistry()
-        with explaining(ledger), collecting(registry):
+        with observing(decisions=ledger, metrics=registry):
             with ledger.frame("run", "test"):
                 run_squares(SupervisorConfig(jobs=2, use_env_chaos=False),
                             collector)
@@ -346,7 +344,7 @@ class TestDeterminism:
             jobs=1, use_env_chaos=False, backoff_base=0.01,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="task:1")]))
-        with explaining(ledger):
+        with observing(decisions=ledger):
             with ledger.frame("run", "test"):
                 run_squares(config, collector, n=3)
         kinds = [r.kind for r in ledger.records]
@@ -355,3 +353,56 @@ class TestDeterminism:
         task = next(r for r in ledger.records if r.kind == "exec.task")
         assert task.subject == "task:task:1"
         assert task.verdict == "recovered"
+
+
+class TestObservabilityAcrossTheFork:
+    @staticmethod
+    def _context():
+        return ObsContext.build(tracer=Tracer(), metrics=MetricsRegistry(),
+                                decisions=DecisionLedger())
+
+    def test_pooled_records_fold_under_parent_frame_and_span_in_order(self):
+        obs = self._context()
+        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
+        with observing(obs), obs.tracer.span("batch") as batch, \
+                obs.decisions.frame("run", "test") as frame:
+            # Task 0 finishes last: folding must still follow submission
+            # order.
+            sup.run(observed_task, [(0, 0.4), (1,), (2,)])
+        assert obs.metrics.counter("merge.runs") == 3
+        groups = obs.decisions.by_kind("merge.group")
+        assert [d.subject for d in groups] == ["group:0", "group:1",
+                                               "group:2"]
+        assert all(d.parent is frame for d in groups)
+        assert [d.span for d in groups] == ["work:0", "work:1", "work:2"]
+        assert [s.name for s in batch.children
+                if s.name.startswith("work:")] == ["work:0", "work:1",
+                                                   "work:2"]
+        assert_no_children()
+
+    def test_failing_task_records_fold_before_its_error_propagates(self):
+        obs = self._context()
+        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
+                                          propagate_errors=True))
+        with observing(obs), pytest.raises(TaskFailedError):
+            sup.run(observed_then_raise, [(3,)])
+        assert obs.metrics.counter("merge.runs") == 1
+        assert obs.tracer.span_names() == ["work:3"]
+        assert_no_children()
+
+    def test_rejected_attempt_payload_is_never_folded(self, tmp_path):
+        obs = self._context()
+        collector = DiagnosticCollector()
+        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
+                                          backoff_base=0.01), collector)
+        with observing(obs):
+            outcomes = sup.run(
+                observed_then_rejected, [(str(tmp_path / "marker"),)],
+                validate=lambda v: "negative payload" if v < 0 else "")
+        assert outcomes[0].ok and outcomes[0].value == 7
+        assert outcomes[0].faults[0] == ("corrupt", "negative payload")
+        # Both attempts ran the body; only the accepted one counts.
+        assert obs.metrics.counter("merge.runs") == 1
+        assert len(obs.decisions.by_kind("merge.group")) == 1
+        assert obs.tracer.span_names().count("work:7") == 1
+        assert_no_children()

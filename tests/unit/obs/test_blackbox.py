@@ -12,11 +12,9 @@ from repro.obs.blackbox import (
     NullBlackbox,
     causal_chain,
     format_doctor_report,
-    get_blackbox,
     load_blackbox,
-    recording,
-    set_blackbox,
 )
+from repro.obs.context import current, observing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.validate import validate_blackbox
 
@@ -240,22 +238,22 @@ class TestLoadErrors:
 
 class TestAmbient:
     def test_default_is_null(self):
-        box = get_blackbox()
+        box = current().blackbox
         assert isinstance(box, NullBlackbox)
         assert box.enabled is False
 
     def test_set_returns_previous(self):
         recorder = BlackboxRecorder()
-        previous = set_blackbox(recorder)
-        try:
-            assert get_blackbox() is recorder
-        finally:
-            set_blackbox(previous)
-        assert get_blackbox() is previous
+        previous = current().blackbox
+        with observing(blackbox=recorder):
+            with observing(blackbox=BlackboxRecorder()):
+                assert current().blackbox is not recorder
+            assert current().blackbox is recorder
+        assert current().blackbox is previous
 
     def test_recording_scope_restores(self):
         recorder = BlackboxRecorder()
-        with recording(recorder) as active:
-            assert active is recorder
-            assert get_blackbox() is recorder
-        assert get_blackbox().enabled is False
+        with observing(blackbox=recorder) as active:
+            assert active.blackbox is recorder
+            assert current().blackbox is recorder
+        assert current().blackbox.enabled is False

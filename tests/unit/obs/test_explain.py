@@ -4,20 +4,17 @@ import json
 
 import pytest
 
+from repro.obs.context import current, observing
 from repro.obs.explain import (
     DECISION_KINDS,
     Decision,
     DecisionLedger,
     NullDecisions,
     explain,
-    explaining,
     find_decisions,
     format_chains,
-    get_decisions,
     group_subject,
-    muted,
     pair_subject,
-    set_decisions,
 )
 
 
@@ -239,7 +236,7 @@ class TestExplain:
 
 class TestAmbient:
     def test_default_is_null(self):
-        ledger = get_decisions()
+        ledger = current().decisions
         assert isinstance(ledger, NullDecisions)
         assert not ledger.enabled
         assert ledger.decide("run", "x") is None
@@ -248,29 +245,28 @@ class TestAmbient:
 
     def test_explaining_scope_installs_and_restores(self):
         ledger = DecisionLedger()
-        with explaining(ledger) as active:
-            assert active is ledger
-            assert get_decisions() is ledger
-        assert not get_decisions().enabled
+        with observing(decisions=ledger) as active:
+            assert active.decisions is ledger
+            assert current().decisions is ledger
+        assert not current().decisions.enabled
 
-    def test_set_decisions_returns_previous(self):
+    def test_nested_scope_restores_previous_ledger(self):
         ledger = DecisionLedger()
-        previous = set_decisions(ledger)
-        try:
-            assert get_decisions() is ledger
-        finally:
-            assert set_decisions(previous) is ledger
-        assert not get_decisions().enabled
+        with observing(decisions=ledger):
+            with observing(decisions=DecisionLedger()):
+                assert current().decisions is not ledger
+            assert current().decisions is ledger
+        assert not current().decisions.enabled
 
     def test_muted_suppresses_recording(self):
         ledger = DecisionLedger()
-        with explaining(ledger):
-            ledger_in_scope = get_decisions()
+        with observing(decisions=ledger):
+            ledger_in_scope = current().decisions
             ledger_in_scope.decide("run", "run:x")
-            with muted():
-                assert not get_decisions().enabled
-                get_decisions().decide("mergeability.pair", "pair:A,B")
-            assert get_decisions() is ledger
+            with observing(decisions=None):
+                assert not current().decisions.enabled
+                current().decisions.decide("mergeability.pair", "pair:A,B")
+            assert current().decisions is ledger
         assert len(ledger) == 1
 
 

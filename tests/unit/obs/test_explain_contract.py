@@ -15,7 +15,8 @@ from repro.core import merge_all, merge_modes
 from repro.core.merger import MergeOptions
 from repro.diagnostics import DegradationPolicy
 from repro.netlist import NetlistBuilder
-from repro.obs.explain import DecisionLedger, explain, explaining
+from repro.obs.context import observing
+from repro.obs.explain import DecisionLedger, explain
 from repro.sdc import parse_mode
 from repro.workloads import figure2_modes, generate
 
@@ -25,7 +26,7 @@ def workload_run():
     """Full merge of the generated Figure-2 workload, strict ledger."""
     workload = generate(figure2_modes())
     ledger = DecisionLedger(strict_kinds=True)
-    with explaining(ledger):
+    with observing(decisions=ledger):
         run = merge_all(workload.netlist, workload.modes)
     return run, ledger
 
@@ -100,7 +101,7 @@ class TestRefinementStopsQueryable:
             set_case_analysis 0 sel2
         """, "B")
         ledger = DecisionLedger(strict_kinds=True)
-        with explaining(ledger):
+        with observing(decisions=ledger):
             result = merge_modes(figure1, [mode_a, mode_b])
         assert result.ok
         return result, ledger
@@ -154,7 +155,7 @@ class TestUniquificationQueryable:
             set_case_analysis 1 [mux1/S]
         """, "B")
         ledger = DecisionLedger(strict_kinds=True)
-        with explaining(ledger):
+        with observing(decisions=ledger):
             result = merge_modes(netlist, [mode_a, mode_b])
         assert result.ok
         return result, ledger
@@ -192,7 +193,7 @@ class TestSignoffRepairQueryable:
             lambda constraint, own, other: constraint)
         modes = [parse_mode(self.MODE_A, "A"), parse_mode(self.MODE_B, "B")]
         ledger = DecisionLedger(strict_kinds=True)
-        with explaining(ledger):
+        with observing(decisions=ledger):
             run = merge_all(pipeline_netlist, modes,
                             MergeOptions(policy=DegradationPolicy.LENIENT,
                                          signoff_guard=True))
@@ -211,7 +212,7 @@ class TestSignoffRepairQueryable:
             "repro.core.exceptions_merge.uniquify_exception",
             lambda constraint, own, other: constraint)
         modes = [parse_mode(self.MODE_A, "A"), parse_mode(self.MODE_B, "B")]
-        with explaining(DecisionLedger()):
+        with observing(decisions=DecisionLedger()):
             run = merge_all(pipeline_netlist, modes,
                             MergeOptions(policy=DegradationPolicy.LENIENT,
                                          signoff_guard=True))
@@ -230,11 +231,11 @@ class TestCacheDecisionsQueryable:
         workload = generate(figure2_modes())
         root = tmp_path_factory.mktemp("explain-cache") / "store"
         cold_ledger = DecisionLedger(strict_kinds=True)
-        with explaining(cold_ledger):
+        with observing(decisions=cold_ledger):
             merge_all(workload.netlist, workload.modes,
                       cache=ResultCache.open(root, chaos=ChaosPlan()))
         warm_ledger = DecisionLedger(strict_kinds=True)
-        with explaining(warm_ledger):
+        with observing(decisions=warm_ledger):
             run = merge_all(workload.netlist, workload.modes,
                             cache=ResultCache.open(root,
                                                    chaos=ChaosPlan()))

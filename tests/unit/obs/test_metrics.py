@@ -4,13 +4,12 @@ import json
 
 import pytest
 
+from repro.obs.context import current, observing
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     METRIC_CONTRACT,
     MetricsRegistry,
     NullMetrics,
-    collecting,
-    get_metrics,
 )
 
 
@@ -117,7 +116,7 @@ class TestContract:
         clk = "create_clock -name c -period 10 [get_ports clk]\n"
         modes = [parse_mode(clk, "A"), parse_mode(clk, "B")]
         registry = MetricsRegistry(strict_names=True)
-        with collecting(registry):
+        with observing(metrics=registry):
             run = merge_all(pipeline_netlist, modes)
         assert run.merged_count == 1
         assert registry.counter("merge.runs") >= 1
@@ -126,7 +125,7 @@ class TestContract:
 
 class TestAmbient:
     def test_default_is_null_noop(self):
-        metrics = get_metrics()
+        metrics = current().metrics
         assert isinstance(metrics, NullMetrics)
         assert not metrics.enabled
         metrics.inc("merge.runs")
@@ -134,10 +133,10 @@ class TestAmbient:
 
     def test_collecting_scope(self):
         registry = MetricsRegistry()
-        with collecting(registry):
-            get_metrics().inc("merge.runs")
+        with observing(metrics=registry):
+            current().metrics.inc("merge.runs")
         assert registry.counter("merge.runs") == 1
-        assert not get_metrics().enabled
+        assert not current().metrics.enabled
 
 
 class TestPromValues:

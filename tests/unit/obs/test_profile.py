@@ -2,14 +2,12 @@
 
 import json
 
+from repro.obs.context import ObsContext, current, observing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NullProfiler,
     Profiler,
-    get_profiler,
     phase_for_span,
-    profiling,
-    set_profiler,
     span_summary,
 )
 from repro.obs.trace import Tracer
@@ -149,13 +147,11 @@ class TestMergePayload:
     PAYLOAD_A = {
         "total_seconds": 0.5,
         "phases": {"merge_all": {"f.py:1:f": [2, 0.1, 0.2]}},
-        "spans": {"merge_all": [1, 0.4, 0.3]},
     }
     PAYLOAD_B = {
         "total_seconds": 0.25,
         "phases": {"merge_all": {"f.py:1:f": [1, 0.05, 0.1],
                                  "g.py:9:g": [4, 0.01, 0.01]}},
-        "spans": {"merge_all": [1, 0.2, 0.2]},
     }
 
     def _folded(self, order):
@@ -167,9 +163,6 @@ class TestMergePayload:
     def test_merge_is_additive(self):
         export = self._folded([self.PAYLOAD_A, self.PAYLOAD_B])
         assert export["worker_seconds"] == 0.75
-        (span,) = export["spans"]
-        assert span["name"] == "merge_all"
-        assert span["count"] == 2
         rows = {row["function"]: row
                 for row in export["phases"]["merge_all"]["top_functions"]}
         assert rows["f.py:1:f"]["calls"] == 3
@@ -179,47 +172,66 @@ class TestMergePayload:
         reverse = self._folded([self.PAYLOAD_B, self.PAYLOAD_A])
         assert forward == reverse
 
-    def test_to_payload_round_trips_into_parent(self):
+    def test_worker_other_rows_go_to_the_open_phase(self):
         tracer = Tracer()
-        worker = Profiler()
-        tracer.add_listener(worker)
-        worker.start()
+        profiler = Profiler()
+        tracer.add_listener(profiler)
+        profiler.start()
         try:
-            with tracer.span("merge_all"):
+            with tracer.span("mergeability"):
+                profiler.merge_payload({
+                    "total_seconds": 0.1,
+                    "phases": {"other": {"f.py:1:f": [1, 0.1, 0.1]},
+                               "three_pass": {"g.py:9:g": [1, 0.1, 0.1]}}})
+        finally:
+            profiler.stop()
+        phases = profiler.phase_functions
+        assert "f.py:1:f" in phases["mergeability"]
+        assert "f.py:1:f" not in phases.get("other", {})
+        assert "g.py:9:g" in phases["three_pass"]
+
+    def test_to_payload_round_trips_into_parent(self):
+        # The profile rows ride in the profiler's payload; the spans ride
+        # in the tracer's, and the parent's export reads its own tracer.
+        worker = ObsContext.build(tracer=Tracer(), profiler=Profiler())
+        worker.profiler.start()
+        try:
+            with worker.tracer.span("merge_all"):
                 _busy()
         finally:
-            worker.stop()
-        parent = Profiler()
-        parent.merge_payload(
-            json.loads(json.dumps(worker.to_payload(tracer=tracer))))
-        export = parent.export()
-        assert export["worker_seconds"] == round(worker.total_seconds, 9)
+            worker.profiler.stop()
+        parent = ObsContext.build(tracer=Tracer(), profiler=Profiler())
+        parent.fold(json.loads(json.dumps(worker.payload())))
+        export = parent.profiler.export(tracer=parent.tracer)
+        assert export["worker_seconds"] == round(
+            worker.profiler.total_seconds, 9)
+        assert "merge_all" in export["phases"]
         assert any(span["name"] == "merge_all"
                    for span in export["spans"])
 
 
 class TestAmbient:
     def test_default_is_disabled_null(self):
-        assert isinstance(get_profiler(), NullProfiler)
-        assert not get_profiler().enabled
+        profiler = current().profiler
+        assert isinstance(profiler, NullProfiler)
+        assert not profiler.enabled
         # the null profiler's operations are no-ops
-        get_profiler().start()
-        get_profiler().span_opened(None)
-        get_profiler().stop()
+        profiler.start()
+        profiler.span_opened(None)
+        profiler.stop()
 
     def test_profiling_scope_installs_and_restores(self):
         profiler = Profiler()
-        with profiling(profiler):
-            assert get_profiler() is profiler
-        assert not get_profiler().enabled
+        with observing(profiler=profiler):
+            assert current().profiler is profiler
+        assert not current().profiler.enabled
 
-    def test_set_profiler_returns_previous(self):
+    def test_nested_scope_restores_previous_profiler(self):
         profiler = Profiler()
-        previous = set_profiler(profiler)
-        try:
-            assert get_profiler() is profiler
-        finally:
-            set_profiler(previous)
+        with observing(profiler=profiler):
+            with observing(profiler=None):
+                assert not current().profiler.enabled
+            assert current().profiler is profiler
 
 
 class TestTracerListener:

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.core import merge_all
-from repro.obs.explain import DecisionLedger, explaining
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import ObsContext, observing
+from repro.obs.explain import DecisionLedger
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report_html import (
     HTML_REPORT_MARKER,
     REPORT_HTML_SCHEMA_VERSION,
@@ -14,7 +15,7 @@ from repro.obs.report_html import (
     render_run_report,
     write_run_report,
 )
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.obs.validate import validate_html
 from repro.sdc import parse_mode
 
@@ -27,7 +28,8 @@ def instrumented(pipeline_netlist):
     modes = [parse_mode(MODE, "A"),
              parse_mode(MODE + "set_false_path -to [get_pins rB/D]\n", "B")]
     tracer, metrics, ledger = Tracer(), MetricsRegistry(), DecisionLedger()
-    with tracing(tracer), collecting(metrics), explaining(ledger):
+    with observing(ObsContext.build(tracer=tracer, metrics=metrics,
+                                    decisions=ledger)):
         run = merge_all(netlist, modes)
     return run, tracer, metrics, ledger
 

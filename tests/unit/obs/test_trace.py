@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.trace import (
-    NullTracer,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
+from repro.obs.context import current, observing
+from repro.obs.trace import NullTracer, Tracer
 
 
 class TestSpanTree:
@@ -112,7 +107,7 @@ class TestExport:
 
 class TestAmbient:
     def test_default_is_null(self):
-        tracer = get_tracer()
+        tracer = current().tracer
         assert isinstance(tracer, NullTracer)
         assert not tracer.enabled
         # The null span handle is shared and inert.
@@ -122,19 +117,67 @@ class TestAmbient:
 
     def test_tracing_scope_installs_and_restores(self):
         tracer = Tracer()
-        with tracing(tracer) as active:
-            assert active is tracer
-            assert get_tracer() is tracer
-        assert not get_tracer().enabled
+        with observing(tracer=tracer) as active:
+            assert active.tracer is tracer
+            assert current().tracer is tracer
+        assert not current().tracer.enabled
 
-    def test_set_tracer_returns_previous(self):
+    def test_nested_scope_restores_previous_tracer(self):
         tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-        finally:
-            assert set_tracer(previous) is tracer
-        assert not get_tracer().enabled
+        with observing(tracer=tracer):
+            with observing(tracer=None):
+                assert not current().tracer.enabled
+            assert current().tracer is tracer
+        assert not current().tracer.enabled
+
+
+class TestGraft:
+    def _worker_payload(self):
+        worker = Tracer()
+        with worker.span("merge", modes=("a", "b")):
+            worker.event("diagnostic:SDC002", code="SDC002")
+            with worker.span("step:exceptions"):
+                pass
+        return worker, json.loads(json.dumps(worker.to_payload()))
+
+    def test_roots_attach_under_the_current_span(self):
+        _worker, payload = self._worker_payload()
+        parent = Tracer()
+        with parent.span("merge_all"):
+            parent.graft(payload)
+        assert [(s.name, d) for s, d in parent.walk()] == [
+            ("merge_all", 0), ("merge", 1), ("step:exceptions", 2)]
+        merge = parent.find("merge")[0]
+        assert merge.parent is parent.roots[0]
+        assert merge.attrs == {"modes": ["a", "b"]}
+        assert merge.events[0]["name"] == "diagnostic:SDC002"
+
+    def test_times_are_rebased_on_the_shared_clock(self):
+        worker, payload = self._worker_payload()
+        parent = Tracer()
+        parent.graft(payload)
+        mine, theirs = parent.roots[0], worker.roots[0]
+        assert mine.duration == pytest.approx(theirs.duration)
+        assert parent._t0 + mine.start \
+            == pytest.approx(worker._t0 + theirs.start)
+        assert parent._t0 + mine.events[0]["ts"] \
+            == pytest.approx(worker._t0 + theirs.events[0]["ts"])
+
+    def test_graft_notifies_no_listener(self):
+        seen = []
+
+        class Listener:
+            def span_opened(self, span):
+                seen.append(span.name)
+
+            span_closed = span_opened
+
+        _worker, payload = self._worker_payload()
+        parent = Tracer()
+        parent.add_listener(Listener())
+        parent.graft(payload)
+        assert seen == []
+        assert parent.span_names() == ["merge", "step:exceptions"]
 
 
 class TestSpanEvents:
@@ -189,7 +232,7 @@ class TestDiagnosticsBridge:
 
         tracer = Tracer()
         collector = DiagnosticCollector(DegradationPolicy.PERMISSIVE)
-        with tracing(tracer):
+        with observing(tracer=tracer):
             with tracer.span("parse:broken.sdc"):
                 result = parse_sdc(
                     "create_clock -name CK -period 10 [get_ports clk]\n"

@@ -31,7 +31,8 @@ from repro.core.mergeability import merge_all
 from repro.core.steps import MergeContext
 from repro.netlist.cells import LOGIC_X
 from repro.netlist.netlist import Pin
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.context import observing
+from repro.obs.metrics import MetricsRegistry
 from repro.timing import BoundMode, ClockPropagation, propagate_launch_clocks
 from repro.timing.graph import (ARC_CELL, ARC_LAUNCH, ARC_NET, SENSE_NEG,
                                 SENSE_POS)
@@ -374,7 +375,7 @@ def test_kernels_equal_references(name, monkeypatch):
 
         expected, pops = reference_launch_clocks(bound, live)
         registry = MetricsRegistry()
-        with collecting(registry):
+        with observing(metrics=registry):
             launches = propagate_launch_clocks(bound)
         assert launches == expected, bound.mode.name
         assert registry.counter("profile.bfs_expansions") == pops
@@ -397,7 +398,7 @@ def _check_clock_propagation(bound, live):
     node_clocks, register_clocks, pops = reference_clock_propagation(
         bound, live)
     registry = MetricsRegistry()
-    with collecting(registry):
+    with observing(metrics=registry):
         fresh = ClockPropagation(bound)
     assert registry.counter("profile.bfs_expansions") == pops
     for prop in (fresh, bound.clock_propagation()):
@@ -518,14 +519,14 @@ def test_figure2_profile_counts():
     """
     design = generate(figure2_modes())
     registry = MetricsRegistry()
-    with collecting(registry):
+    with observing(metrics=registry):
         run = merge_all(design.netlist, design.modes)
     assert registry.counter("profile.bfs_expansions") == 1988
     assert registry.counter("profile.tag_propagations") == 1762
     assert registry.counter("profile.tag_bulk_pushes") == 1653
     assert registry.counter("profile.relationship_comparisons") == 92
     registry = MetricsRegistry()
-    with collecting(registry):
+    with observing(metrics=registry):
         run_sta_all_modes(design.netlist, design.modes)
         run_sta_all_modes(design.netlist, run.merged_modes())
     assert registry.counter("profile.bfs_expansions") == 285
