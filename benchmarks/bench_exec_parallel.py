@@ -37,10 +37,17 @@ def scan_workload():
     pairs = [(i, j) for i in range(len(modes))
              for j in range(i + 1, len(modes))]
     tables = mergeability._mode_tables(workload.netlist, modes, pairs)
-    # The scan task function reads fork-inherited worker state; set it
-    # up in this process so the bare loop and jobs=1 runs see it too.
-    mergeability._pool_init(workload.netlist, modes, tables, options)
-    return workload, modes, (tables, options), pairs
+
+    def check(pair):
+        # The scan's own task: one pair decided on its two tables.  The
+        # forked workers inherit this closure, as they do the scan's.
+        i, j = pair
+        ok, reason = mergeability.pair_mergeable(
+            workload.netlist, modes[i], modes[j], options,
+            (tables[i], tables[j]))
+        return i, j, ok, reason
+
+    return check, pairs
 
 
 def _best_of(fn, repeats=3):
@@ -52,25 +59,21 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def _engine_run(jobs, workload, modes, state, pairs):
+def _engine_run(jobs, check, pairs):
     supervisor = Supervisor(SupervisorConfig(jobs=jobs,
                                              use_env_chaos=False))
-    tables, options = state
-    return supervisor.run(
-        mergeability._pool_check, [(pair,) for pair in pairs],
-        initializer=mergeability._pool_init,
-        initargs=(workload.netlist, modes, tables, options),
-        label="bench.scan")
+    return supervisor.run(check, [(pair,) for pair in pairs],
+                          label="bench.scan")
 
 
 def test_supervision_overhead_bound(benchmark, scan_workload):
-    workload, modes, state, pairs = scan_workload
+    check, pairs = scan_workload
 
     def bare():
-        return [mergeability._pool_check(pair) for pair in pairs]
+        return [check(pair) for pair in pairs]
 
     def supervised():
-        return _engine_run(1, workload, modes, state, pairs)
+        return _engine_run(1, check, pairs)
 
     # Same verdicts, same order, before any timing matters.
     assert [o.value for o in supervised()] == bare()
@@ -96,14 +99,12 @@ def test_supervision_overhead_bound(benchmark, scan_workload):
 
 
 def test_parallel_scan_speedup(benchmark, scan_workload):
-    workload, modes, state, pairs = scan_workload
+    check, pairs = scan_workload
 
-    serial = _engine_run(1, workload, modes, state, pairs)
-    serial_s = _best_of(
-        lambda: _engine_run(1, workload, modes, state, pairs))
-    parallel_s = _best_of(
-        lambda: _engine_run(2, workload, modes, state, pairs))
-    parallel = _engine_run(2, workload, modes, state, pairs)
+    serial = _engine_run(1, check, pairs)
+    serial_s = _best_of(lambda: _engine_run(1, check, pairs))
+    parallel_s = _best_of(lambda: _engine_run(2, check, pairs))
+    parallel = _engine_run(2, check, pairs)
 
     # The headline invariant: verdicts are identical at any job count.
     assert [o.value for o in parallel] == [o.value for o in serial]
@@ -124,5 +125,4 @@ def test_parallel_scan_speedup(benchmark, scan_workload):
                      parallel_seconds=parallel_s,
                      speedup_jobs2=speedup)
 
-    once(benchmark,
-         lambda: _engine_run(2, workload, modes, state, pairs))
+    once(benchmark, lambda: _engine_run(2, check, pairs))

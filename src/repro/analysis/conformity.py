@@ -10,7 +10,7 @@ conforming endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.baselines.no_merge import MultiModeStaResult
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.merger import MergeOptions
 from repro.core.mergeability import build_mergeability_graph, merge_all
@@ -61,7 +61,7 @@ def sweep_tolerance(workload: Workload,
         groups = len(analysis.groups)
         sweep.points.append(TolerancePoint(
             tolerance=tolerance,
-            mergeable_pairs=analysis.graph.number_of_edges(),
+            mergeable_pairs=len(analysis.mergeable_pairs()),
             merge_groups=groups,
             reduction_percent=100.0 * (modes - groups) / modes if modes else 0.0,
         ))

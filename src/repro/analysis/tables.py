@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.conformity import ConformityReport, compare_conformity
-from repro.baselines.no_merge import MultiModeStaResult, run_sta_all_modes
+from repro.baselines.no_merge import run_sta_all_modes
 from repro.core.mergeability import MergingRun, merge_all
 from repro.timing.report import format_table
 from repro.workloads.designs import PaperDesign, paper_suite

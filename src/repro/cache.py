@@ -99,6 +99,14 @@ LOCK_NAME = "cache.lock"
 #: Age after which an empty lock file counts as a dead writer's.
 EMPTY_LOCK_GRACE_SECONDS = 1.0
 
+#: Seconds a writer waits for a live owner's lock before it skips the
+#: write (``CAC004``).
+LOCK_TIMEOUT = 2.0
+
+#: Consecutive write failures (``CAC005``) after which the cache disables
+#: itself for the rest of the run.
+MAX_WRITE_FAILURES = 3
+
 
 def content_hash(*parts: str) -> str:
     """Stable hex digest of any number of text fragments."""
@@ -330,13 +338,9 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path],
                  collector: Optional[DiagnosticCollector] = None,
-                 chaos: Optional[ChaosPlan] = None,
-                 lock_timeout: float = 2.0,
-                 max_write_failures: int = 3):
+                 chaos: Optional[ChaosPlan] = None):
         self.root = Path(root)
         self.collector = collector
-        self.lock_timeout = lock_timeout
-        self.max_write_failures = max_write_failures
         self._chaos = chaos
         self._chaos_counts: Dict[str, int] = {}
         self._enabled = True
@@ -356,16 +360,14 @@ class ResultCache:
     @classmethod
     def open(cls, root: Union[str, Path],
              collector: Optional[DiagnosticCollector] = None,
-             chaos: Optional[ChaosPlan] = None,
-             lock_timeout: float = 2.0) -> "ResultCache":
+             chaos: Optional[ChaosPlan] = None) -> "ResultCache":
         """Open (creating if needed) a cache root; never raises.
 
         An unusable root — the path is a file, or not writable — yields
         a *disabled* cache (``CAC001``): the run proceeds uncached.
         """
         plan = chaos if chaos is not None else ChaosPlan.from_env()
-        cache = cls(root, collector=collector, chaos=plan,
-                    lock_timeout=lock_timeout)
+        cache = cls(root, collector=collector, chaos=plan)
         try:
             cache.root.mkdir(parents=True, exist_ok=True)
             probe = cache.root / ".writable"
@@ -564,7 +566,7 @@ class ResultCache:
                 f"cache write for {label} failed ({exc}); the result "
                 f"was computed but not cached",
                 severity=Severity.WARNING, source=str(self.root))
-        if failures >= self.max_write_failures:
+        if failures >= MAX_WRITE_FAILURES:
             self.disable(f"{failures} consecutive write failure(s), "
                          f"last: {exc}")
 
@@ -869,7 +871,7 @@ class _LockScope:
         if not cache._enabled:
             return False
         lock = CacheLock(cache.root / LOCK_NAME)
-        timeout = cache.lock_timeout
+        timeout = LOCK_TIMEOUT
         if cache._cache_fault("cache:lock") == "cache-lockhold":
             # Behave exactly as if a live process held the lock for the
             # whole bounded wait.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.steps import MergeContext, StepReport, group_rows
 from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED, RULE_INTERSECTION
-from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
+from repro.sdc.commands import PathSpec, SetFalsePath
 
 
 def merge_case_analysis(context: MergeContext) -> StepReport:

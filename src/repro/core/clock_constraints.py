@@ -28,7 +28,6 @@ from repro.sdc.commands import (
     Constraint,
     SetPropagatedClock,
 )
-from repro.sdc.mode import Mode
 
 #: Default relative tolerance for "common" constraint values.
 DEFAULT_TOLERANCE = 0.10

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import fnmatch
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Set
+from typing import FrozenSet, List, Set
 
 from repro.core.steps import MergeContext, StepReport
 from repro.obs.provenance import RULE_DERIVED
-from repro.sdc.commands import ObjectRef, SetClockGroups
+from repro.sdc.commands import SetClockGroups
 from repro.sdc.mode import Mode
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.steps import MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
-from repro.netlist.netlist import Pin, Port
+from repro.netlist.netlist import Port
 from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
 from repro.sdc.commands import ObjectRef, SetClockSense, SetDisableTiming
@@ -115,8 +115,8 @@ def refine_clock_network(context: MergeContext,
     metrics, tracer, ledger = obs.metrics, obs.tracer, obs.decisions
     if budget is not None:
         # The per-mode propagation walks below visit every graph node;
-        # refuse up front rather than grinding through an oversized BFS.
-        budget.check_graph(graph.node_count, "clock_refinement")
+        # refuse up front once the merge has spent its budget.
+        budget.check_time("clock_refinement")
 
     infer_disables_from_dropped_cases(context, report)
 

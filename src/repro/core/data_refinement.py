@@ -13,7 +13,7 @@ which falsifies exactly the (clock, node) combinations that are extra.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 from repro.core.clock_refinement import _ref_for_node
 from repro.core.steps import MergeContext, StepReport

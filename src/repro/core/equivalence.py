@@ -61,8 +61,7 @@ def check_equivalence(context: MergeContext,
     merged mode since); the enclosing span is annotated ``rows=reused``
     or ``rows=rebuilt``.  The merged mode's rows are always recomputed.
     """
-    refiner = ThreePassRefiner(context, max_iterations=1, apply_fixes=False,
-                               budget=budget)
+    refiner = ThreePassRefiner(context, apply_fixes=False, budget=budget)
     obs = current()
     obs.tracer.annotate(
         rows="reused" if refiner.rows_reused else "rebuilt")

@@ -10,7 +10,7 @@ Constraint Set 5 shows for the merged mode (CSTR2/CSTR4).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.core.steps import MergeContext, StepReport
 from repro.obs.provenance import RULE_UNION

@@ -19,10 +19,8 @@ first conflict (:func:`table_conflict`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.core.case_analysis import merge_case_analysis
 from repro.core.clock_constraints import (
@@ -226,47 +224,35 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
 
 @dataclass
 class MergeabilityAnalysis:
-    """The mergeability graph and the merge groups chosen from it."""
+    """The mergeability graph and the merge groups chosen from it.
 
-    graph: nx.Graph
+    ``graph`` maps every mode to the set of modes it can merge with.
+    """
+
+    graph: Dict[str, Set[str]]
     groups: List[List[str]]
     reasons: Dict[FrozenSet[str], str] = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
     def mergeable(self, mode_a: str, mode_b: str) -> bool:
-        return self.graph.has_edge(mode_a, mode_b)
+        return mode_b in self.graph.get(mode_a, ())
+
+    def mergeable_pairs(self) -> List[Tuple[str, str]]:
+        """Every mergeable pair once, as sorted names, in sorted order."""
+        return sorted((a, b) for a, peers in self.graph.items()
+                      for b in peers if a < b)
 
     def reason(self, mode_a: str, mode_b: str) -> str:
         return self.reasons.get(frozenset((mode_a, mode_b)), "")
 
     def summary(self) -> str:
         lines = [
-            f"mergeability graph: {self.graph.number_of_nodes()} modes, "
-            f"{self.graph.number_of_edges()} mergeable pairs",
+            f"mergeability graph: {len(self.graph)} modes, "
+            f"{len(self.mergeable_pairs())} mergeable pairs",
             f"merge groups: "
             + ", ".join("{" + ", ".join(g) + "}" for g in self.groups),
         ]
         return "\n".join(lines)
-
-
-# Worker state for the parallel pairwise scan (fork-inherited).
-_POOL_STATE: dict = {}
-
-
-def _pool_init(netlist, modes, tables, options) -> None:
-    _POOL_STATE["netlist"] = netlist
-    _POOL_STATE["modes"] = modes
-    _POOL_STATE["tables"] = tables
-    _POOL_STATE["options"] = options
-
-
-def _pool_check(pair):
-    i, j = pair
-    modes, tables = _POOL_STATE["modes"], _POOL_STATE["tables"]
-    ok, reason = pair_mergeable(_POOL_STATE["netlist"], modes[i], modes[j],
-                                _POOL_STATE["options"],
-                                (tables[i], tables[j]))
-    return i, j, ok, reason
 
 
 def _mode_tables(netlist: Netlist, modes: Sequence[Mode],
@@ -286,18 +272,15 @@ def _engine_config(options: MergeOptions, jobs: int,
                    propagate: bool) -> SupervisorConfig:
     """The supervisor tuning one mergeability/merge batch runs under.
 
-    The per-task deadline is ``exec_deadline_seconds`` when set;
-    otherwise it derives from the watchdog budget — a group merge is
-    bounded by ``budget_seconds``, so a pooled worker that has run for
-    twice that (plus slack) is hung, not slow.  With neither set, tasks
-    have no deadline (crash containment and retry still apply).
+    The per-task deadline derives from the watchdog budget: a group
+    merge is bounded by ``budget_seconds``, so a pooled worker that has
+    run for twice that (plus slack) is hung, not slow.  Without a budget,
+    tasks have no deadline (crash containment and retry still apply).
     """
-    deadline = options.exec_deadline_seconds
-    if deadline is None and options.budget_seconds:
-        deadline = 2.0 * options.budget_seconds + 1.0
-    return SupervisorConfig(jobs=jobs, deadline_seconds=deadline,
-                            max_attempts=options.exec_max_attempts,
-                            propagate_errors=propagate)
+    budget = options.budget_seconds
+    return SupervisorConfig(
+        jobs=jobs, deadline_seconds=2.0 * budget + 1.0 if budget else None,
+        propagate_errors=propagate)
 
 
 def _scan_payload_error(value) -> str:
@@ -338,10 +321,8 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     start = time.perf_counter()
     obs = current()
     tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
-    graph = nx.Graph()
+    graph: Dict[str, Set[str]] = {mode.name: set() for mode in modes}
     reasons: Dict[FrozenSet[str], str] = {}
-    for mode in modes:
-        graph.add_node(mode.name)
     mode_list = list(modes)
     pairs = [(i, j) for i in range(len(mode_list))
              for j in range(i + 1, len(mode_list))]
@@ -382,24 +363,17 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                                                mode_list[j].name)))
                     for i, j in pending]
             tables = _mode_tables(netlist, mode_list, pending)
-            if jobs > 1:
-                check, setup = _pool_check, dict(
-                    initializer=_pool_init,
-                    initargs=(netlist, mode_list, tables, options))
-            else:
-                # In process: no module state outlives the scan.
-                def check(pair):
-                    i, j = pair
-                    ok, reason = pair_mergeable(
-                        netlist, mode_list[i], mode_list[j], options,
-                        (tables[i], tables[j]))
-                    return i, j, ok, reason
 
-                setup = {}
+            def check(pair):
+                i, j = pair
+                ok, reason = pair_mergeable(
+                    netlist, mode_list[i], mode_list[j], options,
+                    (tables[i], tables[j]))
+                return i, j, ok, reason
+
             outcomes = supervisor.run(
                 check, [(pair,) for pair in pending], keys=keys,
-                validate=_scan_payload_error, label="mergeability.scan",
-                **setup)
+                validate=_scan_payload_error, label="mergeability.scan")
             for outcome, (i, j) in zip(outcomes, pending):
                 if outcome.ok:
                     computed[(i, j)] = tuple(outcome.value)
@@ -424,7 +398,8 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
         for i, j, ok, reason in results:
             name_i, name_j = mode_list[i].name, mode_list[j].name
             if ok:
-                graph.add_edge(name_i, name_j)
+                graph[name_i].add(name_j)
+                graph[name_j].add(name_i)
             else:
                 reasons[frozenset((name_i, name_j))] = reason
             if ledger.enabled:
@@ -435,53 +410,50 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                     modes=[name_i, name_j])
         with tracer.span("clique_cover"):
             groups = greedy_clique_cover(graph)
+        analysis = MergeabilityAnalysis(graph=graph, groups=groups,
+                                        reasons=reasons)
         if ledger.enabled:
             for group in groups:
                 members = list(group)
-                edges = sum(
-                    1 for a in members for b in members
-                    if a < b and graph.has_edge(a, b))
+                edges = sum(1 for a in members for b in members
+                            if a < b and b in graph[a])
                 ledger.decide(
                     "mergeability.group", group_subject(members),
                     verdict="assigned",
                     evidence=[f"clique of {len(members)} mode(s) with "
                               f"{edges} mergeable pair(s)"],
                     modes=members)
+        pair_count = len(analysis.mergeable_pairs())
         metrics.inc("mergeability.pairs_checked", len(pairs))
-        metrics.inc("mergeability.pairs_mergeable",
-                    graph.number_of_edges())
+        metrics.inc("mergeability.pairs_mergeable", pair_count)
         metrics.inc("mergeability.groups", len(groups))
         if tracer.enabled:
-            tracer.annotate(mergeable_pairs=graph.number_of_edges(),
-                            groups=len(groups))
-    return MergeabilityAnalysis(
-        graph=graph,
-        groups=groups,
-        reasons=reasons,
-        runtime_seconds=time.perf_counter() - start,
-    )
+            tracer.annotate(mergeable_pairs=pair_count, groups=len(groups))
+    analysis.runtime_seconds = time.perf_counter() - start
+    return analysis
 
 
-def greedy_clique_cover(graph: nx.Graph) -> List[List[str]]:
+def greedy_clique_cover(graph: Dict[str, Set[str]]) -> List[List[str]]:
     """Cover the graph's vertices with cliques, greedily.
 
-    Repeatedly seed a clique at the highest-degree unassigned vertex and
-    grow it with the candidate that keeps the most common neighbours —
-    the paper's "greedy algorithm as the number of modes is small".
+    ``graph`` maps each vertex to the set of its neighbours.  Repeatedly
+    seed a clique at the highest-degree unassigned vertex and grow it
+    with the candidate that keeps the most common neighbours — the
+    paper's "greedy algorithm as the number of modes is small".  Ties go
+    to the smallest name, so the cover is deterministic.
     """
-    remaining: Set[str] = set(graph.nodes)
+    remaining: Set[str] = set(graph)
     cliques: List[List[str]] = []
     while remaining:
         seed = max(sorted(remaining),
-                   key=lambda v: sum(1 for u in graph.neighbors(v)
-                                     if u in remaining))
+                   key=lambda v: len(graph[v] & remaining))
         clique = [seed]
-        candidates = {u for u in graph.neighbors(seed) if u in remaining}
+        candidates = graph[seed] & remaining
         while candidates:
-            best = max(sorted(candidates), key=lambda v: sum(
-                1 for u in graph.neighbors(v) if u in candidates))
+            best = max(sorted(candidates),
+                       key=lambda v: len(graph[v] & candidates))
             clique.append(best)
-            candidates &= set(graph.neighbors(best))
+            candidates &= graph[best]
             candidates.discard(best)
         cliques.append(sorted(clique))
         remaining -= set(clique)
@@ -578,7 +550,7 @@ class MergingRun:
                 }
                 for outcome in self.outcomes
             ],
-            "mergeable_pairs": self.analysis.graph.number_of_edges(),
+            "mergeable_pairs": len(self.analysis.mergeable_pairs()),
             "non_mergeable_reasons": {
                 "|".join(sorted(pair)): reason
                 for pair, reason in self.analysis.reasons.items()
@@ -613,36 +585,6 @@ class MergingRun:
             lines.append(f"  {len(self.diagnostics)} diagnostics recorded "
                          f"(see run.diagnostics)")
         return "\n".join(lines)
-
-
-# Worker state for parallel group merges (fork-inherited).
-_GROUP_STATE: dict = {}
-
-
-def _group_init(netlist, by_name, options) -> None:
-    _GROUP_STATE["netlist"] = netlist
-    _GROUP_STATE["by_name"] = by_name
-    _GROUP_STATE["options"] = options
-
-
-def _group_task(names):
-    """Merge one analysis group inside a forked worker.
-
-    Runs the same :func:`run_merge_group` the serial path uses and ships
-    the outcomes home as plain data: the cache's group records, whose
-    SDC round-trip is proven byte-identical, and the diagnostics.  The
-    supervisor carries the worker's spans, metrics and decisions itself.
-    """
-    from repro.cache import serialize_outcome
-
-    sink = DiagnosticCollector()
-    outcomes = run_merge_group(
-        _GROUP_STATE["netlist"], _GROUP_STATE["by_name"], list(names),
-        _GROUP_STATE["options"], sink)
-    return {
-        "outcomes": [serialize_outcome(o) for o in outcomes],
-        "diagnostics": [d.to_dict() for d in sink.diagnostics],
-    }
 
 
 def _group_payload_error(value) -> str:
@@ -855,20 +797,7 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
     by_name = {mode.name: mode for mode in modes}
     run = MergingRun(analysis=analysis)
 
-    group_opts = MergeOptions(
-        tolerance=opts.tolerance,
-        max_iterations=opts.max_iterations,
-        strict=False,
-        validate=opts.validate,
-        policy=policy,
-        budget_seconds=opts.budget_seconds,
-        max_refinement_passes=opts.max_refinement_passes,
-        max_clock_graph_nodes=opts.max_clock_graph_nodes,
-        signoff_guard=opts.signoff_guard,
-        max_repair_attempts=opts.max_repair_attempts,
-        exec_deadline_seconds=opts.exec_deadline_seconds,
-        exec_max_attempts=opts.exec_max_attempts,
-    )
+    group_opts = replace(opts, strict=False, policy=policy)
 
     from repro.cache import (
         mode_fingerprint,
@@ -1016,21 +945,29 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
             keys = [f"group:{plan['key']}" for plan in pending]
             tasks = [(plan["names"],) for plan in pending]
             if jobs > 1:
-                supervisor.run(
-                    _group_task, tasks, keys=keys,
-                    validate=_group_payload_error,
-                    initializer=_group_init,
-                    initargs=(netlist, by_name, group_opts),
-                    label="merge.groups", on_result=on_result)
+                # A worker ships its outcomes home as plain data: the
+                # cache's group records, whose SDC round-trip is proven
+                # byte-identical, and its diagnostics.  The supervisor
+                # carries the worker's spans, metrics and decisions.
+                def task(names):
+                    worker_sink = DiagnosticCollector()
+                    outcomes = run_merge_group(netlist, by_name,
+                                               list(names), group_opts,
+                                               worker_sink)
+                    return {"outcomes": [serialize_outcome(o)
+                                         for o in outcomes],
+                            "diagnostics": [d.to_dict() for d in
+                                            worker_sink.diagnostics]}
+
+                validate = _group_payload_error
             else:
-                def direct(names):
+                def task(names):
                     return run_merge_group(netlist, by_name, list(names),
                                            group_opts, sink)
 
-                supervisor.run(
-                    direct, tasks, keys=keys,
-                    validate=_direct_payload_error,
-                    label="merge.groups", on_result=on_result)
+                validate = _direct_payload_error
+            supervisor.run(task, tasks, keys=keys, validate=validate,
+                           label="merge.groups", on_result=on_result)
         flush()  # trailing restored groups
         if metrics.enabled:
             metrics.inc("merge.modes_in", run.individual_count)

@@ -45,8 +45,6 @@ class MergeOptions:
 
     #: relative tolerance for "common" constraint values (3.1.2 / 3.1.6)
     tolerance: float = DEFAULT_TOLERANCE
-    #: refinement fix-loop iterations before giving up
-    max_iterations: int = 8
     #: raise RefinementError when residual mismatches remain
     strict: bool = True
     #: run the independent equivalence check after merging
@@ -56,49 +54,32 @@ class MergeOptions:
     #: the failing stage, so ``merge_all`` can demote the offending modes
     policy: DegradationPolicy = DegradationPolicy.STRICT
     #: wall-clock seconds the refinement engines of one merge may spend
-    #: (None = unbounded); exceeded -> BudgetExceededError / demotion
+    #: (None = unbounded); exceeded -> BudgetExceededError / demotion.
+    #: A pooled ``--jobs`` task gets twice that plus one second before
+    #: its worker is killed and the task retried.
     budget_seconds: Optional[float] = None
-    #: refinement fix-loop passes the watchdog tolerates (None = only
-    #: ``max_iterations`` applies, silently stopping instead of raising)
-    max_refinement_passes: Optional[int] = None
-    #: timing-graph nodes the clock-refinement BFS may walk (None = any)
-    max_clock_graph_nodes: Optional[int] = None
     #: run the sign-off guard: on a failed equivalence validation,
     #: localize the culprit mode/constraint and repair (merge_all only)
     signoff_guard: bool = False
     #: re-merge attempts the sign-off guard may spend per failing group
     max_repair_attempts: int = 12
-    #: wall-clock seconds one pooled execution-engine task (a group merge
-    #: or scan pair under ``--jobs``) may run before its worker is killed
-    #: and the task retried; None derives a deadline from
-    #: ``budget_seconds`` when set, else no deadline.  Not part of the
-    #: result fingerprint: it tunes execution, not results.
-    exec_deadline_seconds: Optional[float] = None
-    #: attempts the execution engine spends per task (infra faults only)
-    exec_max_attempts: int = 3
 
     def result_fingerprint(self) -> str:
         """Stable key of every tunable that can change merge *results*.
 
-        The persistent result cache keys on this.  The ``exec_*`` knobs
-        (and ``strict``, which ``merge_all`` coerces per group) are
-        deliberately excluded: they tune execution, not output bytes.
+        The persistent result cache keys on this.  ``strict`` is
+        excluded: ``merge_all`` coerces it per group.
         """
         return "|".join(str(v) for v in (
-            self.tolerance, self.max_iterations, self.validate,
+            self.tolerance, self.validate,
             getattr(self.policy, "value", self.policy),
-            self.budget_seconds, self.max_refinement_passes,
-            self.max_clock_graph_nodes, self.signoff_guard,
+            self.budget_seconds, self.signoff_guard,
             self.max_repair_attempts,
         ))
 
     def watchdog(self) -> Optional[WatchdogBudget]:
         """A fresh armed budget for one merge call, or None when unset."""
-        budget = WatchdogBudget(
-            budget_seconds=self.budget_seconds,
-            max_passes=self.max_refinement_passes,
-            max_graph_nodes=self.max_clock_graph_nodes,
-        )
+        budget = WatchdogBudget(budget_seconds=self.budget_seconds)
         return budget.start() if budget.enabled else None
 
 
@@ -247,7 +228,7 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
         # --- merged-mode refinement (3.2) ---
         step("data_refinement", refine_data_clocks, context)
         _report, outcome = step("three_pass", run_three_pass, context,
-                                opts.max_iterations, budget)
+                                budget)
 
         result = MergeResult(
             merged=context.merged,

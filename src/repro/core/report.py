@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.core.merger import MergeResult
 from repro.core.mergeability import MergingRun

@@ -28,7 +28,7 @@ clean pass — the "in-built validation" the paper advertises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.steps import MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
@@ -45,10 +45,9 @@ from repro.sdc.commands import (
     SetMulticyclePath,
 )
 from repro.sdc.mode import Mode
-from repro.timing.clocks import ClockPropagation
 from repro.timing.graph import ARC_LAUNCH
 from repro.timing.relationships import RelationshipExtractor
-from repro.timing.states import FALSE, RelState, VALID
+from repro.timing.states import RelState
 
 StateSet = FrozenSet[RelState]
 EMPTY: StateSet = frozenset()
@@ -399,17 +398,23 @@ class IndividualRows:
         return rows
 
 
+#: Fix-loop iterations before the refiner gives up on convergence.  A
+#: checking refiner adds no fix, so it always stops after one.
+MAX_ITERATIONS = 8
+
+#: Longest pass-3 ``-through`` chain tried before a bundle is left as a
+#: residual.
+MAX_CHAIN_DEPTH = 48
+
+
 class ThreePassRefiner:
     """Drives the 3-pass comparison and fix loop for one merge context."""
 
-    def __init__(self, context: MergeContext, max_iterations: int = 8,
-                 max_chain_depth: int = 48, apply_fixes: bool = True,
+    def __init__(self, context: MergeContext, apply_fixes: bool = True,
                  budget: Optional[WatchdogBudget] = None):
         self.context = context
         self.graph = context.graph
-        self.max_iterations = max_iterations
-        self.max_chain_depth = max_chain_depth
-        #: watchdog limits (wall clock / pass count); None = unbounded
+        #: watchdog wall-clock limit; None = unbounded
         self.budget = budget
         #: with apply_fixes=False the refiner only *checks* (equivalence
         #: mode): mismatches become residuals instead of fix constraints.
@@ -450,14 +455,9 @@ class ThreePassRefiner:
     def run(self) -> ThreePassOutcome:
         structural = self._rows.structural
         collect = True
-        for iteration in range(self.max_iterations):
+        for iteration in range(MAX_ITERATIONS):
             if self.budget is not None:
-                # Only the fix loop consumes the pass budget; a checking
-                # run (equivalence mode) is bounded by wall clock alone.
-                if self.apply_fixes:
-                    self.budget.tick_pass("three_pass")
-                else:
-                    self.budget.check_time("three_pass")
+                self.budget.check_time("three_pass")
             self.outcome.iterations = iteration + 1
             added_before = len(self.outcome.added)
             self.outcome.residuals = list(structural)
@@ -659,7 +659,7 @@ class ThreePassRefiner:
             if self.budget is not None:
                 self.budget.check_time("three_pass")
             chain = stack.pop()
-            if len(chain) > self.max_chain_depth:
+            if len(chain) > MAX_CHAIN_DEPTH:
                 self.outcome.residuals.append(
                     f"chain depth limit between {sp_name} and {ep_name}")
                 continue
@@ -803,12 +803,11 @@ class ThreePassRefiner:
         return None
 
 
-def run_three_pass(context: MergeContext, max_iterations: int = 8,
+def run_three_pass(context: MergeContext,
                    budget: Optional[WatchdogBudget] = None
                    ) -> Tuple[StepReport, ThreePassOutcome]:
     report = context.report("3-pass refinement (3.2b)")
-    refiner = ThreePassRefiner(context, max_iterations=max_iterations,
-                               budget=budget)
+    refiner = ThreePassRefiner(context, budget=budget)
     outcome = refiner.run()
     for constraint in outcome.added:
         report.added.append(constraint)

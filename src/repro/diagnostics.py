@@ -245,8 +245,9 @@ _CODE_HINTS = {
     "SGN004": "the demoted mode is kept as its own sign-off mode",
     "SGN005": "raise --max-repair-attempts or fix the culprit constraint",
     "SGN006": "raise --budget-seconds or run under --policy strict to abort",
-    "EXE001": "raise --budget-seconds / exec_deadline_seconds if the task "
-              "legitimately needs longer",
+    "EXE001": "raise --budget-seconds (a pooled task may run twice the "
+              "budget plus one second) if the task legitimately needs "
+              "longer",
     "EXE005": "the run continues serially; results are unaffected, only "
               "slower",
     "EXE006": "the failed task's work unit is demoted, not lost; see the "

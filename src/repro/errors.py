@@ -144,9 +144,10 @@ class BudgetExceededError(MergeError):
     """A watchdog budget of a refinement engine was exhausted.
 
     Raised by :class:`~repro.core.watchdog.WatchdogBudget` when a
-    refinement engine exceeds its wall-clock, pass-count or graph-size
-    limit.  Under ``STRICT`` policy it propagates to the caller; under a
-    recovery policy ``merge_all`` demotes the group instead of hanging.
+    refinement engine outlives the merge's wall-clock limit (``kind`` is
+    ``"wall-clock"``).  Under ``STRICT`` policy it propagates to the
+    caller; under a recovery policy ``merge_all`` demotes the group
+    instead of hanging.
     """
 
     def __init__(self, engine: str, kind: str, limit, used):

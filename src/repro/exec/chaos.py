@@ -24,9 +24,9 @@ Two ways to build a plan:
   derives a fault decision for every (key, attempt) pair from
   ``sha256(seed|key|attempt)``; the same seed produces the same faults
   in every process, on every platform.  Seeded faults only fire on
-  attempts 1 and 2, so any engine configured with ``max_attempts >= 3``
-  always recovers — seeded chaos perturbs *how* a run executes, never
-  *what* it produces.
+  attempts 1 and 2, so the engine's three attempts per task
+  (``MAX_ATTEMPTS``) always recover — seeded chaos perturbs *how* a
+  run executes, never *what* it produces.
 
 The ambient plan comes from the ``REPRO_CHAOS`` environment variable
 (read by :meth:`ChaosPlan.from_env`); the supervisor picks it up

@@ -63,8 +63,14 @@ from repro.errors import TaskFailedError
 from repro.exec.chaos import ChaosCrashError, ChaosPlan, CorruptPayload
 from repro.obs.context import current, observing
 
-#: Worker -> parent message tagging an initializer failure.
-_INIT_ERROR = "__init_error__"
+#: Attempts per task, counting the first (infra faults only).  A task
+#: that exhausts them in the pool gets one more, in-process (``EXE004``).
+MAX_ATTEMPTS = 3
+#: Base and ceiling (seconds) of the exponential backoff between attempts.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Event-loop poll interval (seconds).
+POLL_INTERVAL = 0.05
 
 
 @dataclass
@@ -78,19 +84,6 @@ class SupervisorConfig:
     #: is killed and the task requeued (None = no deadline; in-process
     #: execution is never preempted — the in-merge watchdog governs it)
     deadline_seconds: Optional[float] = None
-    #: attempts per task, counting the first (infra faults only)
-    max_attempts: int = 3
-    #: base of the exponential backoff between attempts
-    backoff_base: float = 0.05
-    #: ceiling of the exponential backoff
-    backoff_cap: float = 2.0
-    #: rerun a task in-process after its pooled attempts are exhausted
-    final_in_process: bool = True
-    #: worker crashes tolerated before the batch degrades to serial
-    #: (None = 2 * jobs + 2)
-    max_worker_crashes: Optional[int] = None
-    #: event-loop poll interval (seconds)
-    poll_interval: float = 0.05
     #: explicit chaos plan; None consults ``REPRO_CHAOS`` (see
     #: ``use_env_chaos``)
     chaos: Optional[ChaosPlan] = None
@@ -149,13 +142,13 @@ class _Worker:
         self.conn = conn
 
 
-def _worker_main(conn, parent_end, fn, initializer, initargs,
-                 chaos_spec) -> None:
+def _worker_main(conn, parent_end, fn, chaos_spec) -> None:
     """Long-lived worker loop: recv task, run it (under chaos), send.
 
-    Each attempt runs under fresh collectors for the layers enabled in
-    the context inherited through the fork, and their payload rides home
-    beside the result.
+    ``fn`` arrives through the fork, not through a pipe, so it may be a
+    closure over the batch's inputs.  Each attempt runs under fresh
+    collectors for the layers enabled in the context inherited through
+    the fork, and their payload rides home beside the result.
     """
     # Forking duplicated the supervisor's end of our own pipe into this
     # process; close it, or recv() below can never see EOF and a worker
@@ -170,13 +163,6 @@ def _worker_main(conn, parent_end, fn, initializer, initargs,
             pass
     chaos = ChaosPlan.from_spec(chaos_spec)
     inherited = current()
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:  # systemic: poison every task
-        _safe_send(conn, (_INIT_ERROR,
-                          f"{type(exc).__name__}: {exc}"))
-        return
     while True:
         try:
             msg = conn.recv()
@@ -250,8 +236,6 @@ class Supervisor:
     def run(self, fn: Callable, tasks: Sequence[tuple], *,
             keys: Optional[Sequence[str]] = None,
             validate: Optional[Callable[[Any], str]] = None,
-            initializer: Optional[Callable] = None,
-            initargs: tuple = (),
             label: str = "task",
             on_result: Optional[Callable[[TaskOutcome], None]] = None
             ) -> List[TaskOutcome]:
@@ -263,8 +247,8 @@ class Supervisor:
         payloads are retried like crashes.  ``on_result`` is invoked
         once per task, strictly in submission order, as soon as the
         ordered prefix completes — this is what keeps parallel output
-        deterministic.  ``initializer(*initargs)`` runs once per worker
-        (and once in-process before any serial execution).
+        deterministic.  Workers inherit ``fn`` through the fork, so a
+        closure over the batch's shared inputs needs no pickling.
         """
         tasks = [tuple(t) for t in tasks]
         n = len(tasks)
@@ -282,9 +266,6 @@ class Supervisor:
         #: folded into the current context when its outcome is flushed
         self._payloads: List[Optional[dict]] = [None] * n
         self._cursor = 0
-        self._initialized = False
-        self._initializer = initializer
-        self._initargs = initargs
         if n == 0:
             return []
         current().metrics.inc("exec.tasks", n)
@@ -309,14 +290,7 @@ class Supervisor:
     # ------------------------------------------------------------------
     # serial / in-process execution
     # ------------------------------------------------------------------
-    def _ensure_initialized(self) -> None:
-        if not self._initialized:
-            self._initialized = True
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
-
     def _run_serial(self, states: List["_TaskState"]) -> None:
-        self._ensure_initialized()
         for st in states:
             if self._outcomes[st.index] is None:
                 self._run_task_in_process(st)
@@ -361,7 +335,7 @@ class Supervisor:
             fault = self._attempt_in_process(st)
             if fault is None:
                 return
-            if st.attempt >= self.config.max_attempts:
+            if st.attempt >= MAX_ATTEMPTS:
                 self._fail(st, fault, in_process=True)
                 return
             self._record_fault(st, fault)
@@ -377,7 +351,6 @@ class Supervisor:
             severity=Severity.INFO, source=st.key)
         current().metrics.inc("exec.in_process_reruns")
         self._record_fault(st, last_fault)
-        self._ensure_initialized()
         fault = self._attempt_in_process(st)
         if fault is not None:
             self._fail(st, fault, in_process=True)
@@ -390,10 +363,8 @@ class Supervisor:
         from collections import deque
         from multiprocessing import connection as mpc
 
-        cfg = self.config
         chaos_spec = self._chaos.to_spec() if self._chaos else ""
-        max_crashes = cfg.max_worker_crashes \
-            if cfg.max_worker_crashes is not None else 2 * jobs + 2
+        max_crashes = 2 * jobs + 2
         crashes = 0
         queue = deque(states)
         inflight: dict = {}
@@ -407,14 +378,13 @@ class Supervisor:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, parent_conn, self._fn,
-                          self._initializer, self._initargs, chaos_spec),
+                    args=(child_conn, parent_conn, self._fn, chaos_spec),
                     daemon=True)
                 proc.start()
                 child_conn.close()
             except Exception as exc:
-                return None if self._set_degrade(
-                    f"cannot fork a worker process: {exc}") else None
+                _set(f"cannot fork a worker process: {exc}")
+                return None
             worker = _Worker(proc, parent_conn)
             workers.append(worker)
             idle.append(worker)
@@ -431,25 +401,20 @@ class Supervisor:
         def degraded() -> bool:
             return bool(degrade_reason)
 
-        self._set_degrade = lambda reason: _set(reason)
-
-        def _set(reason: str) -> bool:
+        def _set(reason: str) -> None:
             nonlocal degrade_reason
             if not degrade_reason:
                 degrade_reason = reason
-            return True
 
         def requeue_or_finalize(st: "_TaskState",
                                 fault: Tuple[str, str]) -> None:
-            if st.attempt < cfg.max_attempts:
+            if st.attempt < MAX_ATTEMPTS:
                 self._record_fault(st, fault)
                 st.not_before = time.perf_counter() \
                     + self._backoff(st.key, st.attempt)
                 queue.append(st)
-            elif cfg.final_in_process:
-                self._final_in_process(st, fault)
             else:
-                self._fail(st, fault)
+                self._final_in_process(st, fault)
 
         try:
             for _ in range(min(jobs, len(states))):
@@ -474,7 +439,7 @@ class Supervisor:
                     st.attempt += 1
                     if st.first_start is None:
                         st.first_start = now
-                    st.deadline = cfg.deadline_seconds
+                    st.deadline = self.config.deadline_seconds
                     st.deadline_at = now + st.deadline \
                         if st.deadline is not None else None
                     try:
@@ -498,12 +463,11 @@ class Supervisor:
                     if queue:  # every queued task is backing off
                         wake = min(s.not_before for s in queue)
                         time.sleep(max(0.0, min(
-                            wake - time.perf_counter(),
-                            cfg.backoff_cap)))
+                            wake - time.perf_counter(), BACKOFF_CAP)))
                         continue
                     break
                 # -- collect -------------------------------------------
-                timeout = cfg.poll_interval
+                timeout = POLL_INTERVAL
                 soonest = min((s.deadline_at for s in inflight.values()
                                if s.deadline_at is not None), default=None)
                 if soonest is not None:
@@ -535,17 +499,6 @@ class Supervisor:
                         if queue or inflight:
                             spawn()
                         continue
-                    if isinstance(msg, tuple) and msg \
-                            and msg[0] == _INIT_ERROR:
-                        # The initializer is shared state: failing once
-                        # means every worker fails; degrade immediately.
-                        inflight.pop(worker, None)
-                        discard(worker)
-                        if st is not None:
-                            st.attempt -= 1
-                            queue.appendleft(st)
-                        _set(f"worker initializer failed: {msg[1]}")
-                        break
                     index, attempt, status, value, error, payload = msg
                     if st is None or index != st.index \
                             or attempt != st.attempt:
@@ -597,7 +550,6 @@ class Supervisor:
             leftovers = sorted(
                 list(queue) + list(inflight.values()),
                 key=lambda s: s.index)
-            self._ensure_initialized()
             for st in leftovers:
                 if self._outcomes[st.index] is None:
                     self._run_task_in_process(st)
@@ -612,10 +564,9 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _backoff(self, key: str, attempt: int) -> float:
         """Exponential backoff with deterministic (hash-derived) jitter."""
-        base = self.config.backoff_base
-        delay = min(self.config.backoff_cap, base * 2 ** (attempt - 1))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
         digest = hashlib.sha256(f"{key}|{attempt}".encode()).digest()
-        jitter = int.from_bytes(digest[:8], "big") / 2 ** 64 * base
+        jitter = int.from_bytes(digest[:8], "big") / 2 ** 64 * BACKOFF_BASE
         return delay + jitter
 
     def _invalid_reason(self, value: Any) -> str:

@@ -186,7 +186,7 @@ class NetlistBuilder:
     def _fresh_net(self, hint: str) -> str:
         base = f"n_{hint.replace('/', '_')}"
         name = base
-        while name in {n.name for n in self.netlist.nets}:
+        while self.netlist.has_net(name):
             self._net_counter += 1
             name = f"{base}_{self._net_counter}"
         return name

@@ -13,7 +13,7 @@ are what SDC object queries (``get_pins``, ``get_ports``) match against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConnectivityError, DuplicateObjectError
 from repro.netlist.cells import (
@@ -238,6 +238,9 @@ class Netlist:
 
     def net(self, name: str) -> Net:
         return self._nets[name]
+
+    def has_net(self, name: str) -> bool:
+        return name in self._nets
 
     def has_port(self, name: str) -> bool:
         return name in self._ports

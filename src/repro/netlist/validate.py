@@ -9,7 +9,7 @@ ports, and combinational cycles in the data network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.netlist.cells import ArcKind
 from repro.netlist.netlist import Netlist, Pin, Port

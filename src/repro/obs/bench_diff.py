@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Substrings marking a metric where *larger is worse*; only these can
 #: turn a delta into a failing regression.

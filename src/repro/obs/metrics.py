@@ -104,7 +104,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
     "signoff.demotions": (
         "counter", "modes the guard demoted to their own group"),
     "watchdog.budget_exceeded": (
-        "counter", "watchdog budget trips (wall-clock/pass/graph)"),
+        "counter", "watchdog wall-clock budget trips"),
     # -- result cache (repro.cache) -------------------------------------
     "cache.pair_hits": (
         "counter", "pair verdicts served from the result cache"),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import html
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Version of the embedded ``repro-run-report`` JSON payload.
 REPORT_HTML_SCHEMA_VERSION = 1

@@ -16,7 +16,7 @@ Two methods matter for mode merging:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 

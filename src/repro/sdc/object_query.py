@@ -18,7 +18,7 @@ import re
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.errors import SdcLookupError
-from repro.netlist.netlist import Instance, Netlist, Pin, Port
+from repro.netlist.netlist import Netlist
 from repro.sdc.commands import ObjectRef, RefKind
 from repro.sdc.parser import ALL_CLOCKS, ALL_INPUTS, ALL_OUTPUTS, ALL_REGISTERS
 

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.obs.context import current
-from repro.timing.context import BoundMode, Clock
+from repro.timing.context import BoundMode
 from repro.timing.graph import ARC_LAUNCH
 
 

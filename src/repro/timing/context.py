@@ -12,13 +12,11 @@ BoundMode rather than raw SDC.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SdcCommandError
-from repro.netlist.netlist import Netlist, Pin, Port
+from repro.netlist.netlist import Netlist, Pin
 from repro.sdc.commands import (
-    ClockGroupKind,
     Constraint,
     CreateClock,
     CreateGeneratedClock,
@@ -31,17 +29,12 @@ from repro.sdc.commands import (
     SetClockSense,
     SetClockUncertainty,
     SetDisableTiming,
-    SetFalsePath,
     SetInputDelay,
-    SetMaxDelay,
-    SetMinDelay,
-    SetMulticyclePath,
     SetOutputDelay,
 )
 from repro.sdc.mode import Mode
-from repro.sdc.object_query import ObjectResolver
 from repro.timing.constants import ConstantAnalysis
-from repro.timing.graph import ARC_CELL, ARC_LAUNCH, ARC_NET, TimingGraph, build_graph
+from repro.timing.graph import ARC_NET, TimingGraph, build_graph
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.timing.graph import ARC_CELL, ARC_LAUNCH, ARC_NET, Arc, TimingGraph
+from repro.timing.graph import ARC_NET, Arc, TimingGraph
 
 
 class DelayModel:

@@ -28,7 +28,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from repro.errors import CombinationalLoopError
 from repro.netlist.cells import LOGIC_X, ArcKind, Unateness
-from repro.netlist.netlist import Instance, Netlist, Pin, Port
+from repro.netlist.netlist import Instance, Netlist, Pin
 
 # Arc kinds in the graph.
 ARC_NET = 0

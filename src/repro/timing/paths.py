@@ -11,7 +11,7 @@ propagation must agree with (property-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.timing.context import BoundMode
 from repro.timing.graph import ARC_LAUNCH
@@ -146,7 +146,7 @@ def feasible_edge_pairs(bound: BoundMode, path: TimingPath):
     either data edge; port launches tie the from-edge to the data edge.
     The endpoint edge follows inversion parity, with any non-unate arc on
     the path making both endpoint edges possible."""
-    from repro.timing.graph import SENSE_NEG, SENSE_NON_UNATE, SENSE_POS
+    from repro.timing.graph import SENSE_NEG, SENSE_NON_UNATE
 
     graph = bound.graph
     is_register = path.startpoint in graph.seq_clock_nodes

@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.netlist.netlist import Pin, Port
+from repro.netlist.netlist import Pin
 from repro.obs.context import current
 from repro.timing.clocks import ClockPropagation
 from repro.timing.context import BoundException, BoundMode

@@ -9,7 +9,7 @@ exception state, ``report_timing``-style.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from repro.timing.sta import StaResult
 from repro.timing.states import RelState
@@ -96,7 +96,6 @@ def format_path_report(bound, sp_name: str, ep_name: str,
     exception state per clock pair.
     """
     from repro.timing.delay import resolve_model
-    from repro.timing.graph import ARC_LAUNCH
     from repro.timing.paths import enumerate_paths, path_state
 
     model = resolve_model(delay_model)

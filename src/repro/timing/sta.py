@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.context import current
-from repro.timing.clocks import ClockPropagation
 from repro.timing.context import BoundMode, Clock
 from repro.timing.delay import DelayModel, resolve_model
-from repro.timing.graph import ARC_LAUNCH, SENSE_POS, TimingGraph
+from repro.timing.graph import ARC_LAUNCH, SENSE_POS
 from repro.timing.relationships import _EDGES_OF, RelationshipExtractor
 from repro.timing.states import RelState, resolve_state
 

@@ -8,7 +8,7 @@ expects.  Round-trips through the library's own readers.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.netlist.verilog import write_verilog
 from repro.sdc.writer import write_mode

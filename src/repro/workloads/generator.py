@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.netlist.builder import GateRef, NetlistBuilder
+from repro.netlist.builder import NetlistBuilder
 from repro.netlist.netlist import Netlist
 from repro.sdc.mode import Mode, ModeSet
 from repro.sdc.parser import parse_mode

@@ -101,24 +101,24 @@ class TestPathologicalRefinement:
 
         real = merger.run_three_pass
 
-        def pathological(context, max_iterations=8, budget=None):
+        def pathological(context, budget=None):
             if budget is not None and len(context.modes) > 1:
                 while True:  # "converges" only when the watchdog fires
-                    budget.tick_pass("three_pass")
-            return real(context, max_iterations, budget)
+                    budget.check_time("three_pass")
+            return real(context, budget)
 
         monkeypatch.setattr("repro.core.merger.run_three_pass", pathological)
 
     def test_strict_raises_budget_error(self, pipeline_netlist):
-        opts = MergeOptions(max_refinement_passes=10)
+        opts = MergeOptions(budget_seconds=0.2)
         with pytest.raises(BudgetExceededError) as excinfo:
             merge_modes(pipeline_netlist, _modes(), options=opts)
         assert excinfo.value.engine == "three_pass"
-        assert excinfo.value.kind == "pass-count"
+        assert excinfo.value.kind == "wall-clock"
 
     def test_lenient_degrades_with_sgn006(self, pipeline_netlist):
         opts = MergeOptions(policy=DegradationPolicy.LENIENT,
-                            max_refinement_passes=10)
+                            budget_seconds=0.2)
         collector = DiagnosticCollector(DegradationPolicy.LENIENT)
         run = merge_all(pipeline_netlist, _modes(), opts,
                         collector=collector)

@@ -35,7 +35,7 @@ class TestFigure2Flow:
         assert sorted(map(sorted, analysis.groups)) \
             == sorted(map(sorted, figure2_workload.expected_groups))
         # Clique edge count: C(4,2) + C(3,2) + C(2,2) = 6 + 3 + 1.
-        assert analysis.graph.number_of_edges() == 10
+        assert len(analysis.mergeable_pairs()) == 10
 
     def test_reduction(self, figure2_run):
         assert figure2_run.individual_count == 9

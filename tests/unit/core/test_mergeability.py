@@ -1,9 +1,9 @@
 """Unit tests for mergeability analysis and greedy clique cover."""
 
 import gc
+import random
 import weakref
 
-import networkx as nx
 import pytest
 
 from repro.core import (
@@ -12,12 +12,23 @@ from repro.core import (
     merge_all,
     pair_mergeable,
 )
+from repro.diagnostics import DiagnosticCollector
+from repro.exec.chaos import CHAOS_ENV
 from repro.obs.context import observing
 from repro.obs.metrics import MetricsRegistry
 from repro.sdc import parse_mode
 from repro.workloads.families import build_family
 
 CLK = "create_clock -name c -period 10 [get_ports clk]\n"
+
+
+def neighbour_sets(edges, nodes=()):
+    """A mergeability graph: every node -> the set of its neighbours."""
+    graph = {node: set() for node in nodes}
+    for a, b in edges:
+        graph.setdefault(a, set()).add(b)
+        graph.setdefault(b, set()).add(a)
+    return graph
 
 
 class TestPairMergeable:
@@ -49,33 +60,41 @@ class TestPairMergeable:
 
 class TestGreedyCliqueCover:
     def test_cover_of_disjoint_cliques(self):
-        graph = nx.Graph()
         # Two cliques: {a,b,c} and {x,y}.
-        graph.add_edges_from([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y")])
+        graph = neighbour_sets([("a", "b"), ("b", "c"), ("a", "c"),
+                                ("x", "y")])
         cover = greedy_clique_cover(graph)
         assert sorted(map(sorted, cover)) == [["a", "b", "c"], ["x", "y"]]
 
     def test_isolated_nodes_are_singletons(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(["a", "b"])
+        graph = neighbour_sets([], nodes=["a", "b"])
         cover = greedy_clique_cover(graph)
         assert sorted(map(tuple, cover)) == [("a",), ("b",)]
 
     def test_cliques_are_actual_cliques(self):
-        graph = nx.Graph()
-        graph.add_edges_from([("a", "b"), ("b", "c")])  # path, no triangle
+        graph = neighbour_sets([("a", "b"), ("b", "c")])  # path, no triangle
         cover = greedy_clique_cover(graph)
         for clique in cover:
             for i, u in enumerate(clique):
                 for v in clique[i + 1:]:
-                    assert graph.has_edge(u, v)
+                    assert v in graph[u]
 
     def test_cover_is_partition(self):
-        graph = nx.gnp_random_graph(12, 0.4, seed=7)
-        graph = nx.relabel_nodes(graph, {i: f"m{i}" for i in graph.nodes})
+        rng = random.Random(7)
+        names = [f"m{i}" for i in range(12)]
+        graph = neighbour_sets(
+            [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if rng.random() < 0.4], nodes=names)
         cover = greedy_clique_cover(graph)
         flat = [m for clique in cover for m in clique]
-        assert sorted(flat) == sorted(graph.nodes)
+        assert sorted(flat) == sorted(graph)
+
+    def test_ties_go_to_the_smallest_name(self):
+        # Every vertex of the 4-cycle has degree 2 and every candidate
+        # one common neighbour: the sorted tie-breaks alone decide.
+        graph = neighbour_sets([("a", "b"), ("b", "c"), ("c", "d"),
+                                ("d", "a")])
+        assert greedy_clique_cover(graph) == [["a", "b"], ["c", "d"]]
 
 
 class TestAnalysisAndMergeAll:
@@ -134,3 +153,22 @@ class TestLifetime:
         del design, run
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_netlist_is_freed_after_a_pooled_scan_rerun_in_process(
+            self, monkeypatch):
+        # Every pooled attempt of one pair crashes, so the pair completes
+        # only in the supervisor's own process (EXE004).  Nothing the
+        # pooled scan set up may keep the netlist alive after it.
+        design = build_family("genclock-deep", 0)
+        pair = "+".join(sorted(m.name for m in design.modes[:2]))
+        monkeypatch.setenv(CHAOS_ENV, ";".join(
+            f"crash@scan:{pair}@{attempt}" for attempt in (1, 2, 3)))
+        collector = DiagnosticCollector()
+        analysis = build_mergeability_graph(
+            design.netlist, design.modes, jobs=2, collector=collector)
+        assert "EXE004" in [d.code for d in collector.diagnostics]
+        assert analysis.groups
+        ref = weakref.ref(design.netlist)
+        del design, analysis
+        gc.collect()
+        assert ref() is None

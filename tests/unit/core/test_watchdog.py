@@ -27,98 +27,56 @@ class TestWatchdogBudget:
     def test_no_limits_is_disabled_and_never_raises(self):
         budget = WatchdogBudget().start()
         assert not budget.enabled
+        assert budget.remaining_seconds() is None
         budget.check_time("engine")
-        budget.tick_pass("engine")
-        budget.check_graph(10 ** 9, "engine")
 
     def test_any_limit_enables(self):
         assert WatchdogBudget(budget_seconds=1.0).enabled
-        assert WatchdogBudget(max_passes=1).enabled
-        assert WatchdogBudget(max_graph_nodes=1).enabled
-
-    def test_pass_budget_raises_past_the_limit(self):
-        budget = WatchdogBudget(max_passes=2).start()
-        budget.tick_pass("three_pass")
-        budget.tick_pass("three_pass")
-        with pytest.raises(BudgetExceededError) as excinfo:
-            budget.tick_pass("three_pass")
-        assert excinfo.value.engine == "three_pass"
-        assert excinfo.value.kind == "pass-count"
-        assert excinfo.value.limit == 2
-        assert excinfo.value.used == 3
-
-    def test_graph_budget_refuses_large_graphs(self):
-        budget = WatchdogBudget(max_graph_nodes=100).start()
-        budget.check_graph(100, "clock_refinement")
-        with pytest.raises(BudgetExceededError) as excinfo:
-            budget.check_graph(101, "clock_refinement")
-        assert excinfo.value.kind == "graph-size"
+        assert WatchdogBudget(budget_seconds=0.0).enabled
 
     def test_time_budget_raises_after_the_deadline(self):
         budget = WatchdogBudget(budget_seconds=0.0).start()
         with pytest.raises(BudgetExceededError) as excinfo:
             # Any elapsed time at all is past a zero-second deadline.
             budget.check_time("three_pass")
+        assert excinfo.value.engine == "three_pass"
         assert excinfo.value.kind == "wall-clock"
-
-    def test_start_resets_the_pass_counter(self):
-        budget = WatchdogBudget(max_passes=1).start()
-        budget.tick_pass("e")
-        budget.start()
-        budget.tick_pass("e")  # would raise without the reset
+        assert excinfo.value.limit == "0s"
 
     def test_options_watchdog_factory(self):
         assert MergeOptions().watchdog() is None
-        budget = MergeOptions(max_refinement_passes=3).watchdog()
+        budget = MergeOptions(budget_seconds=3.0).watchdog()
         assert isinstance(budget, WatchdogBudget)
-        assert budget.max_passes == 3
+        assert budget.budget_seconds == 3.0
+        assert 0.0 < budget.remaining_seconds() <= 3.0
 
 
 class TestBudgetedMerge:
+    # A zero-second budget trips at the first check, which clock
+    # refinement makes before its propagation walks.
     def test_strict_propagates_budget_error(self, pipeline_netlist):
-        opts = MergeOptions(max_clock_graph_nodes=0)
+        opts = MergeOptions(budget_seconds=0.0)
         with pytest.raises(BudgetExceededError) as excinfo:
             merge_modes(pipeline_netlist, _modes(), options=opts)
         assert excinfo.value.engine == "clock_refinement"
 
     def test_lenient_wraps_budget_error_as_step_error(self, pipeline_netlist):
-        opts = MergeOptions(max_clock_graph_nodes=0,
+        opts = MergeOptions(budget_seconds=0.0,
                             policy=DegradationPolicy.LENIENT)
         with pytest.raises(MergeStepError) as excinfo:
             merge_modes(pipeline_netlist, _modes(), options=opts)
         assert excinfo.value.step == "clock_refinement"
         assert isinstance(excinfo.value.cause, BudgetExceededError)
 
-    def test_pass_budget_zero_kills_the_fix_loop(self, pipeline_netlist):
-        opts = MergeOptions(max_refinement_passes=0)
-        with pytest.raises(BudgetExceededError) as excinfo:
-            merge_modes(pipeline_netlist, _modes(), options=opts)
-        assert excinfo.value.engine == "three_pass"
-
     def test_generous_budget_changes_nothing(self, pipeline_netlist):
         free = merge_modes(pipeline_netlist, _modes())
-        budgeted = merge_modes(
-            pipeline_netlist, _modes(),
-            options=MergeOptions(budget_seconds=60.0,
-                                 max_refinement_passes=50,
-                                 max_clock_graph_nodes=10 ** 6))
+        budgeted = merge_modes(pipeline_netlist, _modes(),
+                               options=MergeOptions(budget_seconds=60.0))
         assert budgeted.ok
         assert write_mode(budgeted.merged) == write_mode(free.merged)
 
-    def test_validation_run_does_not_consume_pass_budget(self,
-                                                         pipeline_netlist):
-        """The equivalence check re-runs the refiner in check-only mode;
-        that run must not eat into the fix loop's pass budget."""
-        free = merge_modes(pipeline_netlist, _modes(),
-                           options=MergeOptions(strict=False))
-        exact = MergeOptions(strict=False,
-                             max_refinement_passes=free.outcome.iterations)
-        budgeted = merge_modes(pipeline_netlist, _modes(), options=exact)
-        assert budgeted.ok
-        assert budgeted.validated
-
     def test_merge_all_lenient_degrades_with_sgn006(self, pipeline_netlist):
-        opts = MergeOptions(max_clock_graph_nodes=0,
+        opts = MergeOptions(budget_seconds=0.0,
                             policy=DegradationPolicy.LENIENT)
         collector = DiagnosticCollector(DegradationPolicy.LENIENT)
         run = merge_all(pipeline_netlist, _modes(), opts,
@@ -129,6 +87,6 @@ class TestBudgetedMerge:
         assert any(d.code == "SGN006" for d in run.diagnostics)
 
     def test_merge_all_strict_raises_budget_error(self, pipeline_netlist):
-        opts = MergeOptions(max_clock_graph_nodes=0)
+        opts = MergeOptions(budget_seconds=0.0)
         with pytest.raises(BudgetExceededError):
             merge_all(pipeline_netlist, _modes(), opts)

@@ -20,10 +20,6 @@ from repro.obs.explain import DecisionLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-#: The test process; lets initializers distinguish parent from workers.
-PARENT_PID = os.getpid()
-
-
 def square(x):
     return x * x
 
@@ -70,6 +66,11 @@ def run_squares(config, collector=None, n=6, **kwargs):
     return sup.run(square, [(i,) for i in range(n)], **kwargs)
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr("repro.exec.supervisor.BACKOFF_BASE", 0.01)
+
+
 def assert_no_children():
     for _ in range(50):
         if not multiprocessing.active_children():
@@ -103,13 +104,6 @@ class TestSerial:
         outcomes = run_squares(config, collector, n=2, label="mywork")
         assert outcomes[1].ok and outcomes[1].faults[0][0] == "corrupt"
         assert "EXE003" in codes(collector)
-
-    def test_initializer_runs_once(self):
-        calls = []
-        sup = Supervisor(SupervisorConfig(jobs=1, use_env_chaos=False))
-        sup.run(square, [(1,), (2,)], initializer=calls.append,
-                initargs=("init",))
-        assert calls == ["init"]
 
     def test_task_body_error_demotes_without_retry(self):
         collector = DiagnosticCollector()
@@ -155,11 +149,10 @@ class TestParallel:
         assert [o.value for o in got] == [0, 1, 4, 9, 16]
 
     def test_unpicklable_result_demoted_cleanly(self):
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
-                                          max_attempts=1,
-                                          final_in_process=False))
+        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
         outcomes = sup.run(lambda: (lambda: 1), [()])
         assert not outcomes[0].ok
+        assert outcomes[0].attempts == 1  # a task-body error, not retried
         assert "unserializable task result" in outcomes[0].error
         assert_no_children()
 
@@ -230,39 +223,37 @@ class TestFaultRecovery:
         self._run_one(config, collector)
         assert "EXE007" in codes(collector)
 
-    def test_exhausted_pooled_attempts_rerun_in_process(self):
-        # Crash every pooled attempt: the in-process final rerun is what
-        # saves the task (in-process the pattern still matches, but with
-        # max_attempts=2 the rerun is attempt 3 > the fault's attempts).
+    def test_exhausted_pooled_attempts_rerun_in_process(self, fast_backoff):
+        # Crash all three pooled attempts: the in-process final rerun
+        # (attempt 4, past every scheduled fault) is what saves the task.
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False, max_attempts=2,
+            jobs=2, use_env_chaos=False,
             chaos=ChaosPlan(faults=[
-                ChaosFault(kind="crash", pattern="task:0", attempt=1),
-                ChaosFault(kind="crash", pattern="task:0", attempt=2)]))
+                ChaosFault(kind="crash", pattern="task:0", attempt=a)
+                for a in (1, 2, 3)]))
         outcome = self._run_one(config, collector)
         assert outcome.ok and outcome.in_process
+        assert outcome.attempts == 4
         assert "EXE004" in codes(collector)
 
-    def test_persistent_fault_demoted_with_exe006(self):
+    def test_persistent_fault_demoted_with_exe006(self, fast_backoff):
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=1, use_env_chaos=False, max_attempts=2,
-            backoff_base=0.01,
+            jobs=1, use_env_chaos=False,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="task:0", attempt=a)
                 for a in (1, 2, 3)]))
         outcome = self._run_one(config, collector)
         assert not outcome.ok
+        assert outcome.attempts == 3
         assert "corrupt" in outcome.error
         assert "EXE006" in codes(collector)
 
-    def test_validate_hook_rejection_retried(self):
+    def test_validate_hook_rejection_retried(self, fast_backoff):
         collector = DiagnosticCollector()
-        sup = Supervisor(
-            SupervisorConfig(jobs=1, use_env_chaos=False,
-                             backoff_base=0.01),
-            collector=collector)
+        sup = Supervisor(SupervisorConfig(jobs=1, use_env_chaos=False),
+                         collector=collector)
         attempts = []
 
         def flaky(x):
@@ -278,35 +269,23 @@ class TestFaultRecovery:
 
 
 class TestDegradation:
-    def test_crash_tolerance_zero_degrades_to_serial(self):
+    def test_crash_tolerance_zero_degrades_to_serial(self, fast_backoff):
+        # Every task's first attempt crashes: two workers tolerate
+        # 2 * 2 + 2 = 6 crashes, so the seventh leaves zero tolerance and
+        # the rest of the batch runs serially in-process.
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False, max_worker_crashes=0,
-            backoff_base=0.01,
+            jobs=2, use_env_chaos=False,
             chaos=ChaosPlan(faults=[
-                ChaosFault(kind="crash", pattern="task:0")]))
-        outcomes = run_squares(config, collector, n=4)
-        assert [o.value for o in outcomes] == [0, 1, 4, 9]
+                ChaosFault(kind="crash", pattern="task:*")]))
+        outcomes = run_squares(config, collector, n=7)
+        assert [o.value for o in outcomes] == [i * i for i in range(7)]
         assert all(o.ok for o in outcomes)
-        assert "EXE005" in codes(collector)
-        assert_no_children()
-
-    def test_worker_initializer_failure_degrades(self):
-        collector = DiagnosticCollector()
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False),
-                         collector=collector)
-
-        def workers_only_fail():
-            if os.getpid() != PARENT_PID:
-                raise RuntimeError("no good in a fork")
-
-        outcomes = sup.run(square, [(i,) for i in range(3)],
-                           initializer=workers_only_fail)
-        assert [o.value for o in outcomes] == [0, 1, 4]
         assert "EXE005" in codes(collector)
         demotion = next(d for d in collector.diagnostics
                         if d.code == "EXE005")
-        assert "initializer failed" in demotion.message
+        assert "7 worker crashes exceeded the tolerance of 6" \
+            in demotion.message
         assert_no_children()
 
 
@@ -317,10 +296,9 @@ class TestDeterminism:
         assert sup._backoff("k", 1) != sup._backoff("k2", 1)
         assert sup._backoff("k", 3) > sup._backoff("k", 1)
 
-    def test_backoff_respects_cap(self):
-        sup = Supervisor(SupervisorConfig(use_env_chaos=False,
-                                          backoff_base=0.05,
-                                          backoff_cap=0.2))
+    def test_backoff_respects_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.supervisor.BACKOFF_CAP", 0.2)
+        sup = Supervisor(SupervisorConfig(use_env_chaos=False))
         assert sup._backoff("k", 50) <= 0.2 + 0.05
 
     def test_clean_run_records_no_decisions_or_diagnostics(self):
@@ -337,11 +315,12 @@ class TestDeterminism:
         assert registry.to_dict()["counters"]["exec.tasks"] == 6
         assert_no_children()
 
-    def test_faulted_run_records_retry_and_task_decisions(self):
+    def test_faulted_run_records_retry_and_task_decisions(self,
+                                                          fast_backoff):
         collector = DiagnosticCollector()
         ledger = DecisionLedger()
         config = SupervisorConfig(
-            jobs=1, use_env_chaos=False, backoff_base=0.01,
+            jobs=1, use_env_chaos=False,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="task:1")]))
         with observing(decisions=ledger):
@@ -390,11 +369,12 @@ class TestObservabilityAcrossTheFork:
         assert obs.tracer.span_names() == ["work:3"]
         assert_no_children()
 
-    def test_rejected_attempt_payload_is_never_folded(self, tmp_path):
+    def test_rejected_attempt_payload_is_never_folded(self, tmp_path,
+                                                      fast_backoff):
         obs = self._context()
         collector = DiagnosticCollector()
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
-                                          backoff_base=0.01), collector)
+        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False),
+                         collector)
         with observing(obs):
             outcomes = sup.run(
                 observed_then_rejected, [(str(tmp_path / "marker"),)],

@@ -34,6 +34,17 @@ class TestBuilderBasics:
         netlist = b.build()
         assert netlist.find_pin("u2/A").net.driver.full_name == "u1/Z"
 
+    def test_colliding_net_hint_gets_the_next_suffix(self):
+        b = NetlistBuilder("t")
+        b.inputs("u1_Z", "u2_Z")  # nets n_u1_Z and n_u2_Z
+        b.inv("u1", "u1_Z")  # hint n_u1_Z is taken
+        b.inv("u2", "u2_Z")  # so is n_u2_Z; the counter is shared
+        b.inv("u3", "u1_Z")  # n_u3_Z is free
+        netlist = b.build()
+        assert [netlist.find_pin(f"u{i}/Z").net.name for i in (1, 2, 3)] \
+            == ["n_u1_Z_1", "n_u2_Z_2", "n_u3_Z"]
+        assert netlist.has_net("n_u1_Z") and not netlist.has_net("n_u4_Z")
+
     def test_unknown_source_raises(self):
         b = NetlistBuilder("t")
         with pytest.raises(ConnectivityError):

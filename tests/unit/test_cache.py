@@ -24,6 +24,7 @@ from repro.cache import (
     CACHE_KIND,
     CACHE_SCHEMA_VERSION,
     EMPTY_LOCK_GRACE_SECONDS,
+    MAX_WRITE_FAILURES,
     CacheLock,
     ResultCache,
     content_hash,
@@ -62,6 +63,11 @@ def codes(cache):
     return [d.code for d in cache.collector.diagnostics]
 
 
+@pytest.fixture
+def short_lock_wait(monkeypatch):
+    monkeypatch.setattr("repro.cache.LOCK_TIMEOUT", 0.1)
+
+
 def pipeline_modes():
     return [parse_mode(MODE_A, "A"), parse_mode(MODE_B, "B")]
 
@@ -87,14 +93,6 @@ class TestSpace:
         assert ResultCache.space(pipeline_netlist, MergeOptions()) != \
             ResultCache.space(pipeline_netlist,
                               MergeOptions(budget_seconds=5.0))
-
-    def test_exec_options_leave_the_space_unchanged(self, pipeline_netlist):
-        # exec_* knobs tune execution, not results: a rerun at another
-        # deadline or attempt count must still hit the cache.
-        assert ResultCache.space(pipeline_netlist, MergeOptions()) == \
-            ResultCache.space(pipeline_netlist,
-                              MergeOptions(exec_deadline_seconds=9.0,
-                                           exec_max_attempts=7))
 
     def test_group_key_stable_across_reparses(self, pipeline_netlist):
         space = ResultCache.space(pipeline_netlist, MergeOptions())
@@ -383,8 +381,9 @@ class TestLock:
             thread.join()
         assert state == {"holders": 0, "overlaps": 0, "takeovers": 0}
 
-    def test_contended_cache_skips_writes_with_cac004(self, tmp_path):
-        cache = open_cache(tmp_path, lock_timeout=0.1)
+    def test_contended_cache_skips_writes_with_cac004(self, tmp_path,
+                                                      short_lock_wait):
+        cache = open_cache(tmp_path)
         holder = CacheLock(cache.root / "cache.lock")
         assert holder.acquire(0.1)  # our live pid: genuinely contended
         try:
@@ -395,8 +394,9 @@ class TestLock:
         assert "CAC004" in codes(cache)
         assert cache.enabled  # degraded for the write, not disabled
 
-    def test_stale_lock_takeover_reports_cac003(self, tmp_path):
-        cache = open_cache(tmp_path, lock_timeout=0.1)
+    def test_stale_lock_takeover_reports_cac003(self, tmp_path,
+                                                short_lock_wait):
+        cache = open_cache(tmp_path)
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         child.wait()
         (cache.root / "cache.lock").write_text(json.dumps(
@@ -429,11 +429,11 @@ class TestDiskFailure:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr("repro.cache.os.replace", full_disk)
-        for index in range(cache.max_write_failures):
+        for index in range(MAX_WRITE_FAILURES):
             cache.store_pairs([(f"k{index}", "pair:A,B", True, "")])
         assert not cache.enabled
         reported = codes(cache)
-        assert reported.count("CAC005") == cache.max_write_failures
+        assert reported.count("CAC005") == MAX_WRITE_FAILURES
         assert "CAC001" in reported
         assert cache.counters["stores"] == 0
 
@@ -497,7 +497,7 @@ class TestChaosKinds:
 
     def test_cache_lockhold_fault_skips_the_write(self, tmp_path):
         plan = ChaosPlan.from_spec("cache-lockhold@cache:lock@1")
-        cache = open_cache(tmp_path, chaos=plan, lock_timeout=0.1)
+        cache = open_cache(tmp_path, chaos=plan)
         cache.store_pairs([("k", "pair:A,B", True, "")])
         assert cache.counters["stores"] == 0
         assert "CAC004" in codes(cache)
