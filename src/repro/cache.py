@@ -103,6 +103,13 @@ EMPTY_LOCK_GRACE_SECONDS = 1.0
 #: write (``CAC004``).
 LOCK_TIMEOUT = 2.0
 
+#: Pair entries :meth:`ResultCache.store_pairs` writes per lock hold: a
+#: few hundred fsync'd files, a fraction of :data:`LOCK_TIMEOUT`.
+PAIR_CHUNK = 256
+
+#: Seconds between a lock waiter's attempts.
+_POLL_SECONDS = 0.02
+
 #: Consecutive write failures (``CAC005``) after which the cache disables
 #: itself for the rest of the run.
 MAX_WRITE_FAILURES = 3
@@ -250,11 +257,15 @@ class CacheLock:
     write — live — until it has stayed empty for
     :data:`EMPTY_LOCK_GRACE_SECONDS`.  A live owner is waited on for
     ``timeout`` seconds, then the caller degrades (the cache skips its
-    writes — never blocks the merge).
+    writes — never blocks the merge).  A waiter flags itself in a
+    ``.wait`` file beside the lock, and an owner that takes the lock
+    again and again (the pair-store chunks) hands it over between two
+    holds.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+        self.wait_flag = self.path.with_name(self.path.name + ".wait")
         self._fd: Optional[int] = None
         #: how the last acquire ended: "", "acquired", "takeover",
         #: "contended"
@@ -316,7 +327,20 @@ class CacheLock:
             if time.monotonic() >= deadline:
                 self.last_outcome = "contended"
                 return False
-            time.sleep(0.02)
+            try:
+                self.wait_flag.touch()
+            except OSError:
+                pass
+            time.sleep(_POLL_SECONDS)
+
+    def hand_over(self) -> None:
+        """Between two holds: when a waiter flagged itself, leave the
+        lock free for two of its polls so that it gets the lock."""
+        try:
+            os.unlink(self.wait_flag)
+        except OSError:
+            return
+        time.sleep(2 * _POLL_SECONDS)
 
     def release(self) -> None:
         if self._fd is None:
@@ -570,8 +594,8 @@ class ResultCache:
             self.disable(f"{failures} consecutive write failure(s), "
                          f"last: {exc}")
 
-    def _locked(self) -> "_LockScope":
-        return _LockScope(self)
+    def _locked(self, strike: bool = True) -> "_LockScope":
+        return _LockScope(self, strike)
 
     # ------------------------------------------------------------------
     # pair verdicts
@@ -620,20 +644,32 @@ class ResultCache:
     def store_pairs(self, items: Sequence[Tuple[str, str, bool, str]]
                     ) -> None:
         """Batch pair store: ``items`` are (key, label, mergeable,
-        reason); one lock acquisition for the whole batch."""
+        reason).
+
+        The lock is held for one chunk of :data:`PAIR_CHUNK` entries at
+        a time and handed over between chunks, so a concurrent run's
+        store waits for a chunk, not the batch.  A contended chunk skips
+        the rest of the batch with one ``CAC004``; the ``cache:lock``
+        chaos strike is taken once per batch.
+        """
         if not self._enabled or not items:
             return
+        lock = CacheLock(self.root / LOCK_NAME)
         with current().tracer.span("cache:store", space="pair",
                                    keys=len(items)):
-            with self._locked() as held:
-                if not held:
-                    return
-                for key, label, mergeable, reason in items:
-                    if not self._enabled:
-                        break
-                    self._store("pair", key,
-                                {"mergeable": bool(mergeable),
-                                 "reason": str(reason)}, label)
+            for start in range(0, len(items), PAIR_CHUNK):
+                if start:
+                    lock.hand_over()
+                with self._locked(strike=start == 0) as held:
+                    if not held:
+                        return
+                    for key, label, mergeable, reason in \
+                            items[start:start + PAIR_CHUNK]:
+                        if not self._enabled:
+                            return
+                        self._store("pair", key,
+                                    {"mergeable": bool(mergeable),
+                                     "reason": str(reason)}, label)
 
     # ------------------------------------------------------------------
     # group results
@@ -862,8 +898,10 @@ class _LockScope:
     """``with cache._locked() as held:`` — False means degrade, don't
     block: the merge proceeds, this run just skips persisting."""
 
-    def __init__(self, cache: ResultCache):
+    def __init__(self, cache: ResultCache, strike: bool = True):
         self._cache = cache
+        #: take the ``cache:lock`` chaos strike on entry
+        self._strike = strike
         self._lock: Optional[CacheLock] = None
 
     def __enter__(self) -> bool:
@@ -872,7 +910,8 @@ class _LockScope:
             return False
         lock = CacheLock(cache.root / LOCK_NAME)
         timeout = LOCK_TIMEOUT
-        if cache._cache_fault("cache:lock") == "cache-lockhold":
+        if self._strike \
+                and cache._cache_fault("cache:lock") == "cache-lockhold":
             # Behave exactly as if a live process held the lock for the
             # whole bounded wait.
             lock.last_outcome = "contended"

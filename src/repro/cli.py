@@ -49,9 +49,9 @@ output bytes are identical with a cold, warm, or corrupted cache.  The
 Observability (see ``docs/OBSERVABILITY.md``): ``--trace OUT`` records a
 hierarchical span tree of the run (``--trace-format`` selects JSONL or
 Chrome ``trace_event``), ``--metrics OUT`` writes the metrics registry
-(``--metrics-format`` selects JSON or Prometheus text), and
-``merge/report --provenance`` prints each merged-mode constraint's
-lineage — which source modes and which merge rule produced it.
+as JSON, and ``merge/report --provenance`` prints each merged-mode
+constraint's lineage — which source modes and which merge rule produced
+it.
 
 ``--jobs N`` distributes the mergeability scan and the per-group merges
 over the supervised execution engine (``repro.exec``): per-task
@@ -75,12 +75,7 @@ the decision graph directly::
 functions per pipeline phase, hot-loop counters — written as a
 schema-versioned ``profile.json`` and folded into ``--report-html`` as
 a "Profile" section.  Under ``--jobs N`` each worker profiles its own
-tasks and the merged profile is deterministic.  ``bench-trends``
-aggregates historical ``BENCH_*.json`` snapshot directories into a
-self-contained trend report (see ``repro.obs.trends``)::
-
-    repro-merge bench-trends bench-2026-01 bench-2026-02 bench-2026-03 \\
-        -o trends.html --json trends.json
+tasks and the merged profile is deterministic.
 
 Every run also carries an always-on bounded flight recorder
 (``repro.obs.blackbox``) — no flag needed.  Clean exits discard it;
@@ -107,8 +102,8 @@ self-contained repro bundles::
     repro-merge doctor fuzz-corpus/<signature>/blackbox.json
 
 ``--version`` prints the package version plus the schema version of
-every artifact kind the build emits, so bug reports pin the full
-format surface.
+every artifact in ``repro.obs.validate.ARTIFACT_ZOO``, so bug reports
+pin the full format surface.
 """
 
 from __future__ import annotations
@@ -376,45 +371,6 @@ def cmd_explain(args: argparse.Namespace, policy: DegradationPolicy,
     return 1 if unmatched else 0
 
 
-def cmd_bench_trends(args: argparse.Namespace, policy: DegradationPolicy,
-                     collector: DiagnosticCollector) -> int:
-    """Aggregate BENCH snapshot series into trends.html / trends.json.
-
-    Reporting, not gating: regressions are *marked* in the output, the
-    exit code only distinguishes success (0) from unusable inputs (2).
-    ``bench_diff`` remains the pairwise gate for CI.
-    """
-    from repro.obs import trends as trends_mod
-
-    paths = args.snapshots or trends_mod.discover_snapshots()
-    if len(paths) < 2:
-        print("bench-trends: need at least two snapshots (pass paths or "
-              "set REPRO_BENCH_DIR to a directory of snapshot "
-              "subdirectories)", file=sys.stderr)
-        return 2
-    try:
-        snapshots = [trends_mod.load_snapshot(path) for path in paths]
-        payload = trends_mod.build_trends(snapshots,
-                                          threshold_percent=args.threshold)
-        trends_mod.write_trends_html(args.output, payload)
-        print(f"wrote {args.output}")
-        if args.trends_json:
-            trends_mod.write_trends_json(args.trends_json, payload)
-            print(f"wrote {args.trends_json}")
-    except trends_mod.TrendsError as exc:
-        print(f"bench-trends: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"bench-trends: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    summary = payload["summary"]
-    print(f"{summary['snapshots']} snapshot(s), {summary['metrics']} "
-          f"metric(s): {summary['regressions']} regression(s), "
-          f"{summary['improvements']} improvement(s) past "
-          f"{args.threshold:g}%")
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace, policy: DegradationPolicy,
               collector: DiagnosticCollector) -> int:
     """Inspect or maintain a result-cache root offline.
@@ -543,43 +499,11 @@ def cmd_fuzz(args: argparse.Namespace, policy: DegradationPolicy,
     return 0
 
 
-def _artifact_schema_versions() -> dict:
-    """Every artifact kind's schema version, for ``--version`` output.
-
-    Bug reports quoting ``--version`` pin the full format surface —
-    which cache/profile/trends/blackbox layouts the build emits — not
-    just the package version.
-    """
-    from repro.cache import CACHE_SCHEMA_VERSION
-    from repro.obs.blackbox import BLACKBOX_SCHEMA_VERSION
-    from repro.obs.explain import DECISIONS_SCHEMA_VERSION
-    from repro.obs.metrics import METRICS_SCHEMA_VERSION
-    from repro.obs.profile import PROFILE_SCHEMA_VERSION
-    from repro.obs.provenance import PROVENANCE_SCHEMA_VERSION
-    from repro.obs.report_html import REPORT_HTML_SCHEMA_VERSION
-    from repro.diagnostics import DIAGNOSTICS_SCHEMA_VERSION
-    from repro.obs.trace import TRACE_SCHEMA_VERSION
-    from repro.obs.trends import TRENDS_SCHEMA_VERSION
-    from repro.fuzz import FUZZ_SCHEMA_VERSION
-
-    return {
-        "blackbox": BLACKBOX_SCHEMA_VERSION,
-        "fuzz": FUZZ_SCHEMA_VERSION,
-        "cache": CACHE_SCHEMA_VERSION,
-        "decisions": DECISIONS_SCHEMA_VERSION,
-        "diagnostics": DIAGNOSTICS_SCHEMA_VERSION,
-        "metrics": METRICS_SCHEMA_VERSION,
-        "profile": PROFILE_SCHEMA_VERSION,
-        "provenance": PROVENANCE_SCHEMA_VERSION,
-        "report-html": REPORT_HTML_SCHEMA_VERSION,
-        "trace": TRACE_SCHEMA_VERSION,
-        "trends": TRENDS_SCHEMA_VERSION,
-    }
-
-
 def _version_string() -> str:
-    versions = ", ".join(f"{kind}={version}" for kind, version
-                         in sorted(_artifact_schema_versions().items()))
+    from repro.obs.validate import ARTIFACT_ZOO
+
+    versions = ", ".join(f"{name}={ARTIFACT_ZOO[name].version}"
+                         for name in sorted(ARTIFACT_ZOO))
     return (f"%(prog)s {__version__}\n"
             f"artifact schema versions: {versions}")
 
@@ -602,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the run's metrics registry (stable "
                              "names, see docs/OBSERVABILITY.md) to this "
                              "file")
-    parser.add_argument("--metrics-format", default="json",
-                        choices=["json", "prometheus"],
-                        help="metrics file format (default json)")
     parser.add_argument("--explain", default="", metavar="OUT.JSON",
                         help="record every pipeline decision (mergeability "
                              "verdicts, merge rules, refinement stops, "
@@ -717,28 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="enable the sign-off guard so its repair "
                                 "decisions appear in the graph")
     p_explain.set_defaults(func=cmd_explain)
-
-    p_trends = sub.add_parser(
-        "bench-trends",
-        help="aggregate BENCH_*.json snapshots into a trend report")
-    p_trends.add_argument("snapshots", nargs="*", metavar="SNAPSHOT",
-                          help="snapshot files or directories in series "
-                               "order (default: the sorted subdirectories "
-                               "of $REPRO_BENCH_DIR)")
-    p_trends.add_argument("-o", "--output", default="trends.html",
-                          metavar="OUT.HTML",
-                          help="self-contained HTML trend report "
-                               "(default trends.html)")
-    p_trends.add_argument("--json", dest="trends_json",
-                          default="trends.json", metavar="OUT.JSON",
-                          help="machine-readable trend series "
-                               "(default trends.json; '' skips it)")
-    p_trends.add_argument("--threshold", type=float, default=25.0,
-                          metavar="PCT",
-                          help="percent change marking a regression/"
-                               "improvement between adjacent snapshots "
-                               "(default 25)")
-    p_trends.set_defaults(func=cmd_bench_trends)
 
     p_cache = sub.add_parser(
         "cache",
@@ -858,7 +757,7 @@ def _write_observability(args, tracer, metrics, ledger,
                   file=sys.stderr)
     if metrics is not None and args.metrics:
         try:
-            metrics.write(args.metrics, fmt=args.metrics_format)
+            metrics.write(args.metrics)
             print(f"wrote {args.metrics}")
         except OSError as exc:
             print(f"cannot write metrics to {args.metrics}: {exc}",

@@ -88,6 +88,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro import errors
 from repro.obs.context import current
+from repro.obs.trace import _jsonable
 
 
 class Severity(Enum):
@@ -199,16 +200,6 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
 
 
 #: Most specific class first — looked up along each exception's MRO.

@@ -10,7 +10,7 @@ layer is free when disabled:
   attributes, and point-in-time events, exported as JSONL or Chrome
   ``trace_event``;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms under a
-  stable-name contract, exported as JSON or Prometheus text;
+  stable-name contract, exported as JSON;
 * :mod:`repro.obs.explain` — the decision ledger: every pipeline
   verdict (mergeability rejections, uniquifications, refinement stops,
   sign-off repairs) recorded with its causal chain, queryable via
@@ -27,7 +27,9 @@ layer is free when disabled:
 (source modes + merge rule), surfaced by ``repro report --provenance``.
 :mod:`repro.obs.report_html` stitches the layers into a self-contained
 HTML run report, :mod:`repro.obs.bench_diff` compares two benchmark
-snapshots, and :mod:`repro.obs.validate` schema-checks every artifact.
+snapshots, and :mod:`repro.obs.validate` holds the artifact zoo: one
+declaration per artifact, from which its validator and the
+``repro-merge --version`` banner follow.
 
 See docs/OBSERVABILITY.md for the span taxonomy, the metric name
 contract, the provenance record schema, the decision-node schema, and

@@ -417,8 +417,13 @@ class BlackboxRecorder(NullBlackbox):
 def load_blackbox(path) -> dict:
     """Read and structurally check a ``blackbox.json``.
 
-    Raises ``ValueError`` on anything a doctor cannot work with.
+    Raises ``ValueError`` on anything a doctor cannot work with: not a
+    JSON object of the zoo's blackbox kind and version with an events
+    list.
     """
+    # The zoo imports this module for the blackbox kind and version.
+    from repro.obs.validate import ARTIFACT_ZOO
+
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -426,18 +431,11 @@ def load_blackbox(path) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    if payload.get("kind") != BLACKBOX_KIND:
-        raise ValueError(f"{path}: kind is {payload.get('kind')!r}, "
-                         f"expected {BLACKBOX_KIND!r}")
-    if payload.get("schema_version") != BLACKBOX_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version "
-            f"{payload.get('schema_version')!r} is not "
-            f"{BLACKBOX_SCHEMA_VERSION}")
-    if not isinstance(payload.get("events"), list):
-        raise ValueError(f"{path}: missing events list")
+    problems = ARTIFACT_ZOO["blackbox"].header(payload)
+    if not problems and not isinstance(payload.get("events"), list):
+        problems = ["missing events list"]
+    if problems:
+        raise ValueError(f"{path}: {'; '.join(problems)}")
     return payload
 
 

@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.trace import NullTracer
+from repro.obs.trace import NullTracer, _jsonable
 
 #: Version of the decisions JSON artifact (``--explain out.json``).
 DECISIONS_SCHEMA_VERSION = 1
@@ -152,16 +152,6 @@ class Decision:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    return repr(value)
 
 
 def pair_subject(mode_a: str, mode_b: str) -> str:

@@ -9,12 +9,8 @@ never change across releases (tooling that matches on them must not
 break).  New metrics may be added; existing ones are only ever deprecated
 by documentation, never renamed.
 
-Two exporters:
-
-* :meth:`MetricsRegistry.to_json` — a schema-versioned JSON artifact
-  (``repro-merge --metrics out.json``, ``BENCH_*.json``);
-* :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  format (dots become underscores, ``repro_`` prefix).
+:meth:`MetricsRegistry.to_json` exports it as a schema-versioned JSON
+artifact (``repro-merge --metrics out.json``, ``BENCH_*.json``).
 
 The registry is one field of the observability context
 (:mod:`repro.obs.context`): sites record on ``current().metrics``, which
@@ -172,7 +168,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
 
 
 class _Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
+    """Bucketed histogram: one count per upper bound, plus overflow."""
 
     __slots__ = ("buckets", "counts", "sum", "count")
 
@@ -333,87 +329,6 @@ class MetricsRegistry(NullMetrics):
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition: ``repro_`` prefix, dots -> _."""
-        lines: List[str] = []
-
-        def emit_meta(name: str, prom: str, kind: str) -> None:
-            declared = METRIC_CONTRACT.get(name)
-            if declared is not None:
-                lines.append(f"# HELP {prom} {declared[1]}")
-            lines.append(f"# TYPE {prom} {kind}")
-
-        for name in sorted(self._counters):
-            # Counters carry the `_total` suffix (on the HELP/TYPE
-            # metadata and the sample line alike) so standard burn-rate
-            # recording rules — written against prometheus_client
-            # conventions — apply unchanged.
-            prom = _prom_name(name) + "_total"
-            emit_meta(name, prom, "counter")
-            lines.append(f"{prom} {_prom_value(self._counters[name])}")
-        for name in sorted(self._gauges):
-            prom = _prom_name(name)
-            emit_meta(name, prom, "gauge")
-            lines.append(f"{prom} {_prom_value(self._gauges[name])}")
-        for name in sorted(self._histograms):
-            prom = _prom_name(name)
-            hist = self._histograms[name]
-            emit_meta(name, prom, "histogram")
-            cumulative = 0
-            for bound, count in zip(hist.buckets, hist.counts):
-                cumulative += count
-                lines.append(
-                    f'{prom}_bucket{{le="{_prom_le(bound)}"}} '
-                    f"{cumulative}")
-            lines.append(f'{prom}_bucket{{le="+Inf"}} {hist.count}')
-            lines.append(f"{prom}_sum {_prom_value(hist.sum)}")
-            lines.append(f"{prom}_count {hist.count}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path, fmt: str = "json") -> None:
+    def write(self, path) -> None:
         with open(path, "w") as handle:
-            if fmt == "json":
-                handle.write(self.to_json())
-            elif fmt == "prometheus":
-                handle.write(self.to_prometheus())
-            else:
-                raise ValueError(f"unknown metrics format {fmt!r}; "
-                                 f"expected 'json' or 'prometheus'")
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + name.replace(".", "_").replace("-", "_")
-
-
-def _prom_le(bound: float) -> str:
-    """Canonical ``le`` label value for a histogram bucket bound.
-
-    Prometheus treats ``le`` as an opaque string: ``le="1"`` and
-    ``le="1.0"`` are *different* series, and recording rules written
-    against prometheus_client output expect the float spelling.  So
-    bucket bounds always render via ``repr(float(...))`` — never the
-    integer-collapsed form `_prom_value` uses for sample values.
-    """
-    if bound == float("inf"):
-        return "+Inf"
-    return repr(float(bound))
-
-
-def _prom_value(value: float) -> str:
-    """Render a sample the Prometheus text format accepts.
-
-    Python's ``repr`` spells non-finite floats ``nan`` / ``inf`` /
-    ``-inf``; the exposition format requires ``NaN`` / ``+Inf`` /
-    ``-Inf``.  A scraper reading the exported file chokes on the former.
-    """
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "+Inf"
-        if value == float("-inf"):
-            return "-Inf"
-        if value.is_integer():
-            return str(int(value))
-    return repr(value)
-
+            handle.write(self.to_json())

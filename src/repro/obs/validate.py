@@ -1,45 +1,208 @@
-"""Schema validation for the observability artifacts.
+"""The artifact zoo: every observability artifact, declared once.
 
-CI runs a merge with ``--trace``/``--metrics`` and validates the emitted
-files here before uploading them as workflow artifacts — a cheap guard
-against silently shipping artifacts downstream tooling can't read.  No
-external JSON-schema dependency: the checks are hand-rolled against the
-documented layouts (docs/OBSERVABILITY.md).
+:data:`ARTIFACT_ZOO` holds one :class:`Artifact` entry per
+schema-versioned artifact the toolchain writes: its ``kind`` string,
+schema version, producer, validator switch and field schema.  The
+validators, the switches of ``python -m repro.obs.validate``, the
+``repro-merge --version`` banner and the artifact-zoo table of
+docs/OBSERVABILITY.md all follow from it.  CI validates every artifact
+it uploads, so a run cannot silently ship one that downstream tooling
+cannot read.
+
+A field schema is one of:
+
+* a type, or a tuple of types: the value is an instance of it;
+* ``[item]``: a list whose every element matches ``item``;
+* ``{key: schema}``: an object that has each key, matching its schema;
+* ``{str: schema}``: a map whose every value matches ``schema``;
+* ``(predicate, message)``: ``predicate(value)`` holds.
+
+What a field list cannot state (metric names against the contract,
+histogram shape, decision order, ...) is a named check.  An entry's
+checks run once its record matches the schema, so they index freely.
 
 Usable as a module::
 
     python -m repro.obs.validate --trace t.json --metrics m.json \
         --explain d.json --html report.html --profile p.json \
         --trends trends.json --trends-html trends.html \
-        --blackbox blackbox.json
+        --blackbox blackbox.json --fuzz fuzz.json
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import List
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
+from repro.cache import CACHE_KIND, CACHE_SCHEMA_VERSION
+from repro.diagnostics import DIAGNOSTICS_SCHEMA_VERSION
+from repro.fuzz import FUZZ_KIND, FUZZ_SCHEMA_VERSION, ORACLE_NAMES
 from repro.obs.blackbox import BLACKBOX_KIND, BLACKBOX_SCHEMA_VERSION
 from repro.obs.explain import DECISION_KINDS, DECISIONS_SCHEMA_VERSION
 from repro.obs.metrics import METRIC_CONTRACT, METRICS_SCHEMA_VERSION
 from repro.obs.profile import PROFILE_SCHEMA_VERSION
 from repro.obs.provenance import PROVENANCE_SCHEMA_VERSION
-from repro.obs.report_html import (
-    HTML_REPORT_MARKER,
-    REPORT_HTML_SCHEMA_VERSION,
-)
+from repro.obs.report_html import REPORT_HTML_SCHEMA_VERSION
 from repro.obs.trace import TRACE_SCHEMA_VERSION
-from repro.obs.trends import TRENDS_HTML_MARKER, TRENDS_SCHEMA_VERSION
+from repro.obs.trends import TRENDS_SCHEMA_VERSION
 
-# ``repro.fuzz``'s package init is dependency-light by design, so this
-# import cannot cycle back into ``repro.obs``.
-from repro.fuzz import FUZZ_SCHEMA_VERSION as _FUZZ_SCHEMA_VERSION
+#: Schema shorthands.  ``ANY`` only requires the key to be present.
+ANY = object
+NUMBER = (int, float)
+NON_NEGATIVE = (lambda v: isinstance(v, NUMBER) and v >= 0,
+                "is not a non-negative number")
+COUNT = (lambda v: isinstance(v, int) and v >= 0,
+         "is not a non-negative integer")
+NON_EMPTY = (bool, "is empty")
 
 
-def validate_trace_jsonl(text: str) -> List[str]:
-    """Problems with a JSONL trace artifact (empty list = valid)."""
-    problems: List[str] = []
+def _at(path: str, text: str) -> str:
+    return f"{path} {text}" if path else text
+
+
+def _walk(value: Any, schema: Any, path: str = "") -> List[str]:
+    """Problems of ``value`` against ``schema`` (see the module doc)."""
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            return [_at(path, "is not a list")]
+        return [problem for i, item in enumerate(value)
+                for problem in _walk(item, schema[0], f"{path}[{i}]")]
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            return [_at(path, "is not an object")]
+        if str in schema:
+            return [problem for key, item in value.items()
+                    for problem in _walk(item, schema[str],
+                                        f"{path}[{key!r}]")]
+        problems: List[str] = []
+        for key, field in schema.items():
+            if key not in value:
+                problems.append(_at(path, f"missing {key!r}"))
+            else:
+                problems += _walk(value[key], field,
+                                 f"{path}.{key}" if path else key)
+        return problems
+    if isinstance(schema, tuple) and isinstance(schema[-1], str):
+        predicate, message = schema
+        return [] if predicate(value) else [_at(path, message)]
+    if isinstance(value, schema):
+        return []
+    names = "/".join(t.__name__ for t in
+                     (schema if isinstance(schema, tuple) else (schema,)))
+    return [_at(path, f"is {type(value).__name__}, expected {names}")]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One artifact of the zoo, declared once."""
+
+    #: the zoo row and ``--version`` label
+    name: str
+    version: int
+    producer: str
+    #: the ``python -m repro.obs.validate`` switch ("" = no validator)
+    switch: str = ""
+    #: the artifact's ``kind`` field (an HTML artifact's payload kind)
+    kind: str = ""
+    schema: Any = dict
+    checks: Tuple[Callable[[dict], List[str]], ...] = ()
+    #: validates a non-JSON artifact's text in place of the JSON path
+    reader: Optional[Callable[["Artifact", str], List[str]]] = None
+
+    def header(self, record: Any, where: str = "") -> List[str]:
+        """Problems with a parsed record's ``kind`` and version."""
+        if not isinstance(record, dict):
+            return [_at(where, "is not a JSON object")]
+        return [_at(where, f"{field} is {record.get(field)!r}, "
+                           f"expected {want!r}")
+                for field, want in (("kind", self.kind),
+                                    ("schema_version", self.version))
+                if record.get(field) != want]
+
+    def validate(self, text: str) -> List[str]:
+        """Problems with the artifact's text (empty list = valid)."""
+        if self.reader is not None:
+            return self.reader(self, text)
+        try:
+            record = json.loads(text)
+        except ValueError as exc:
+            return [f"not JSON: {exc}"]
+        problems = self.header(record)
+        if isinstance(record, dict):
+            shape = _walk(record, self.schema)
+            problems += shape or [problem for check in self.checks
+                                  for problem in check(record)]
+        return problems
+
+
+# -- named checks -------------------------------------------------------
+def _undeclared_counters(record: dict) -> List[str]:
+    return [f"counter {name!r} is not in METRIC_CONTRACT"
+            for name in record["counters"] if name not in METRIC_CONTRACT]
+
+
+def _metric_kinds(record: dict) -> List[str]:
+    problems = []
+    for section, kind in (("counters", "counter"), ("gauges", "gauge"),
+                          ("histograms", "histogram")):
+        for name in record[section]:
+            declared = METRIC_CONTRACT.get(name, (kind,))[0]
+            if declared != kind:
+                problems.append(f"{name!r} exported as {kind} but "
+                                f"declared {declared}")
+    return problems
+
+
+def _histogram_shape(record: dict) -> List[str]:
+    problems = []
+    for name, hist in record["histograms"].items():
+        if len(hist["counts"]) != len(hist["buckets"]) + 1:
+            problems.append(f"histogram {name!r} needs len(buckets)+1 "
+                            f"counts (+Inf bucket)")
+        if hist["count"] != sum(hist["counts"]):
+            problems.append(f"histogram {name!r} count != sum(counts)")
+    return problems
+
+
+def _parents_precede(record: dict) -> List[str]:
+    problems, seen = [], set()
+    for i, decision in enumerate(record["decisions"]):
+        parent = decision["parent"]
+        if parent is not None and parent not in seen:
+            problems.append(f"decision {i} parent {parent!r} does not "
+                            f"precede it (dangling or forward ref)")
+        seen.add(decision["id"])
+    return problems
+
+
+def _self_within_cum(record: dict) -> List[str]:
+    return [f"span {i} self_s exceeds cum_s"
+            for i, span in enumerate(record["spans"])
+            if span["self_s"] > span["cum_s"] + 1e-6]
+
+
+def _trend_series(record: dict) -> List[str]:
+    snapshots = len(record["snapshots"])
+    problems = [] if snapshots >= 2 else [
+        "snapshots holds fewer than two entries"]
+    for name, entry in record["series"].items():
+        if len(entry["values"]) != snapshots:
+            problems.append(f"series {name!r} needs one value per "
+                            f"snapshot")
+        if len(entry["markers"]) != max(0, snapshots - 1):
+            problems.append(f"series {name!r} needs one marker per "
+                            f"adjacent snapshot pair")
+        problems += [f"series {name!r} has illegal marker {marker!r}"
+                     for marker in entry["markers"]
+                     if marker not in (None, "regression", "improvement")]
+    return problems
+
+
+def _trace_jsonl(trace: Artifact, text: str) -> List[str]:
+    """A JSONL trace: one header line, then one span per line."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return ["trace file is empty"]
@@ -47,13 +210,7 @@ def validate_trace_jsonl(text: str) -> List[str]:
         header = json.loads(lines[0])
     except ValueError as exc:
         return [f"header line is not JSON: {exc}"]
-    if header.get("kind") != "repro-trace":
-        problems.append(f"header kind is {header.get('kind')!r}, "
-                        f"expected 'repro-trace'")
-    if header.get("schema_version") != TRACE_SCHEMA_VERSION:
-        problems.append(f"header schema_version is "
-                        f"{header.get('schema_version')!r}, expected "
-                        f"{TRACE_SCHEMA_VERSION}")
+    problems = trace.header(header, "header")
     if len(lines) < 2:
         problems.append("trace has a header but no spans")
     for i, line in enumerate(lines[1:], start=2):
@@ -62,452 +219,182 @@ def validate_trace_jsonl(text: str) -> List[str]:
         except ValueError as exc:
             problems.append(f"line {i} is not JSON: {exc}")
             continue
-        for key in ("name", "start_s", "dur_s", "depth", "attrs"):
-            if key not in span:
-                problems.append(f"line {i} span missing {key!r}")
-        if not isinstance(span.get("attrs", {}), dict):
-            problems.append(f"line {i} attrs is not an object")
-        if span.get("dur_s", 0) < 0:
-            problems.append(f"line {i} has negative duration")
+        problems += _walk(span, trace.schema["spans"], f"line {i}")
     return problems
 
 
-def validate_trace_chrome(text: str) -> List[str]:
-    """Problems with a Chrome ``trace_event`` artifact."""
+def _trace_chrome(trace: Artifact, text: str) -> List[str]:
+    """A Chrome ``trace_event`` object: no header, Perfetto reads it."""
     try:
         record = json.loads(text)
     except ValueError as exc:
         return [f"not JSON: {exc}"]
-    events = record.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents is missing or not a list"]
-    problems: List[str] = []
-    if not events:
-        problems.append("traceEvents is empty")
-    for i, event in enumerate(events):
-        ph = event.get("ph")
-        # "X" complete events carry a duration; "i" instant events (span
-        # markers such as bridged diagnostics) are points in time.
-        required = ("name", "ph", "ts", "pid", "tid") if ph == "i" \
-            else ("name", "ph", "ts", "dur", "pid", "tid")
-        for key in required:
-            if key not in event:
-                problems.append(f"event {i} missing {key!r}")
-        if ph not in ("X", "i"):
-            problems.append(f"event {i} ph is {ph!r}, expected 'X' "
-                            f"(complete) or 'i' (instant)")
-    return problems
+    problems = _walk(record, {"traceEvents": trace.schema["traceEvents"]})
+    if problems:
+        return problems
+    events = record["traceEvents"]
+    # "X" complete events carry a duration; "i" instant events (span
+    # markers such as bridged diagnostics) are points in time.
+    return (["traceEvents is empty"] if not events else []) + [
+        f"traceEvents[{i}] missing 'dur'" for i, event in enumerate(events)
+        if event["ph"] != "i" and "dur" not in event]
 
 
-def validate_trace(text: str) -> List[str]:
-    """Dispatch on the artifact's shape: JSONL header vs chrome object."""
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in text:
-        return validate_trace_chrome(text)
-    return validate_trace_jsonl(text)
+def _read_trace(trace: Artifact, text: str) -> List[str]:
+    if text.lstrip().startswith("{") and '"traceEvents"' in text:
+        return _trace_chrome(trace, text)
+    return _trace_jsonl(trace, text)
 
 
-def validate_metrics(text: str) -> List[str]:
-    """Problems with a metrics JSON artifact (empty list = valid)."""
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != "repro-metrics":
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected 'repro-metrics'")
-    if record.get("schema_version") != METRICS_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{METRICS_SCHEMA_VERSION}")
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(record.get(section), dict):
-            problems.append(f"{section} is missing or not an object")
-    for name, value in record.get("counters", {}).items():
-        if name not in METRIC_CONTRACT:
-            problems.append(f"counter {name!r} is not in METRIC_CONTRACT")
-        elif METRIC_CONTRACT[name][0] != "counter":
-            problems.append(f"{name!r} exported as counter but declared "
-                            f"{METRIC_CONTRACT[name][0]}")
-        if not isinstance(value, (int, float)):
-            problems.append(f"counter {name!r} value is not numeric")
-    for name in record.get("gauges", {}):
-        if name in METRIC_CONTRACT and METRIC_CONTRACT[name][0] != "gauge":
-            problems.append(f"{name!r} exported as gauge but declared "
-                            f"{METRIC_CONTRACT[name][0]}")
-    for name, hist in record.get("histograms", {}).items():
-        if name in METRIC_CONTRACT \
-                and METRIC_CONTRACT[name][0] != "histogram":
-            problems.append(f"{name!r} exported as histogram but declared "
-                            f"{METRIC_CONTRACT[name][0]}")
-        if not isinstance(hist, dict):
-            problems.append(f"histogram {name!r} is not an object")
-            continue
-        buckets = hist.get("buckets")
-        counts = hist.get("counts")
-        if not isinstance(buckets, list) or not isinstance(counts, list):
-            problems.append(f"histogram {name!r} missing buckets/counts")
-        elif len(counts) != len(buckets) + 1:
-            problems.append(f"histogram {name!r} needs "
-                            f"len(buckets)+1 counts (+Inf bucket)")
-        if isinstance(counts, list) and \
-                hist.get("count") != sum(counts):
-            problems.append(f"histogram {name!r} count != sum(counts)")
-    return problems
+#: Attribute prefixes that would make an HTML artifact fetch from the
+#: network.
+_NETWORK_FETCHES = ('src="http://', 'src="https://', 'href="http://',
+                    'href="https://', "src='http://", "src='https://",
+                    "href='http://", "href='https://", "@import url(http")
 
 
-def validate_decisions(text: str) -> List[str]:
-    """Problems with a decisions JSON artifact (``--explain out.json``)."""
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != "repro-decisions":
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected 'repro-decisions'")
-    if record.get("schema_version") != DECISIONS_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{DECISIONS_SCHEMA_VERSION}")
-    decisions = record.get("decisions")
-    if not isinstance(decisions, list):
-        return problems + ["decisions is missing or not a list"]
-    ids = set()
-    for i, decision in enumerate(decisions):
-        if not isinstance(decision, dict):
-            problems.append(f"decision {i} is not an object")
-            continue
-        for key in ("id", "kind", "subject", "verdict", "evidence",
-                    "parent", "span", "attrs"):
-            if key not in decision:
-                problems.append(f"decision {i} missing {key!r}")
-        kind = decision.get("kind")
-        if kind is not None and kind not in DECISION_KINDS:
-            problems.append(f"decision {i} kind {kind!r} is not in "
-                            f"DECISION_KINDS")
-        if not isinstance(decision.get("evidence", []), list):
-            problems.append(f"decision {i} evidence is not a list")
-        ids.add(decision.get("id"))
-        parent = decision.get("parent")
-        if parent is not None:
-            if parent not in ids:
-                problems.append(f"decision {i} parent {parent!r} does not "
-                                f"precede it (dangling or forward ref)")
-    return problems
-
-
-def _validate_html_payload(text: str, marker: str,
-                           kind: str) -> List[str]:
-    """Shared checks for self-contained HTML artifacts.
-
-    The artifact must be a single file with no network fetches: any
-    ``http(s)://`` reference from a src/href attribute is an error.
-    The embedded ``<script type="application/json">`` payload must
-    parse and carry the expected ``kind``.
-    """
-    problems: List[str] = []
+def _read_html(artifact: Artifact, text: str) -> List[str]:
+    """A single self-contained file: its ``<!-- KIND`` marker comment,
+    no network fetch, and an embedded JSON payload of the entry's kind
+    and version."""
+    problems = []
+    marker = f"<!-- {artifact.kind}"
     if marker not in text:
         problems.append(f"missing {marker!r} marker comment")
     lowered = text.lower()
     if "<html" not in lowered:
         problems.append("missing <html> element")
-    for needle in ('src="http://', 'src="https://',
-                   'href="http://', 'href="https://',
-                   "src='http://", "src='https://",
-                   "href='http://", "href='https://",
-                   "@import url(http"):
-        if needle in lowered:
-            problems.append(f"network fetch {needle!r} found: the report "
-                            f"must be self-contained")
-    start = text.find("<script type=\"application/json\"")
+    problems += [f"network fetch {needle!r} found: the report must be "
+                 f"self-contained"
+                 for needle in _NETWORK_FETCHES if needle in lowered]
+    start = text.find('<script type="application/json"')
     if start == -1:
-        problems.append("missing embedded JSON payload "
-                        "(<script type=\"application/json\">)")
-    else:
-        end = text.find("</script>", start)
-        payload = text[text.find(">", start) + 1:end]
-        try:
-            record = json.loads(payload)
-        except ValueError as exc:
-            problems.append(f"embedded JSON payload is not JSON: {exc}")
-        else:
-            if record.get("kind") != kind:
-                problems.append(
-                    f"payload kind is {record.get('kind')!r}, "
-                    f"expected {kind!r}")
-    return problems
-
-
-def validate_html(text: str) -> List[str]:
-    """Problems with a self-contained HTML run report."""
-    return _validate_html_payload(text, HTML_REPORT_MARKER,
-                                  "repro-run-report")
-
-
-def validate_trends_html(text: str) -> List[str]:
-    """Problems with a self-contained HTML benchmark trend report."""
-    return _validate_html_payload(text, TRENDS_HTML_MARKER,
-                                  "repro-trends")
-
-
-def validate_profile(text: str) -> List[str]:
-    """Problems with a ``profile.json`` artifact (``--profile out``)."""
+        return problems + ["missing embedded JSON payload "
+                           "(<script type=\"application/json\">)"]
+    end = text.find("</script>", start)
     try:
-        record = json.loads(text)
+        payload = json.loads(text[text.find(">", start) + 1:end])
     except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != "repro-profile":
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected 'repro-profile'")
-    if record.get("schema_version") != PROFILE_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{PROFILE_SCHEMA_VERSION}")
-    for key in ("total_seconds", "worker_seconds"):
-        value = record.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(f"{key} is missing or negative")
-    spans = record.get("spans")
-    if not isinstance(spans, list):
-        problems.append("spans is missing or not a list")
-        spans = []
-    for i, span in enumerate(spans):
-        if not isinstance(span, dict):
-            problems.append(f"span {i} is not an object")
-            continue
-        for key in ("name", "count", "cum_s", "self_s"):
-            if key not in span:
-                problems.append(f"span {i} missing {key!r}")
-        cum = span.get("cum_s", 0.0)
-        own = span.get("self_s", 0.0)
-        if isinstance(cum, (int, float)) and isinstance(own, (int, float)):
-            if own < 0 or cum < 0:
-                problems.append(f"span {i} has a negative duration")
-            if own > cum + 1e-6:
-                problems.append(f"span {i} self_s exceeds cum_s")
-    phases = record.get("phases")
-    if not isinstance(phases, dict):
-        problems.append("phases is missing or not an object")
-        phases = {}
-    for phase, entry in phases.items():
-        if not isinstance(entry, dict):
-            problems.append(f"phase {phase!r} is not an object")
-            continue
-        for key in ("self_seconds", "functions", "top_functions"):
-            if key not in entry:
-                problems.append(f"phase {phase!r} missing {key!r}")
-        for j, row in enumerate(entry.get("top_functions", [])):
-            if not isinstance(row, dict):
-                problems.append(f"phase {phase!r} function {j} is not "
-                                f"an object")
-                continue
-            for key in ("function", "calls", "self_s", "cum_s"):
-                if key not in row:
-                    problems.append(f"phase {phase!r} function {j} "
-                                    f"missing {key!r}")
-    counters = record.get("counters")
-    if not isinstance(counters, dict):
-        problems.append("counters is missing or not an object")
-        counters = {}
-    for name, value in counters.items():
-        if name not in METRIC_CONTRACT:
-            problems.append(f"counter {name!r} is not in METRIC_CONTRACT")
-        if not isinstance(value, (int, float)):
-            problems.append(f"counter {name!r} value is not numeric")
-    return problems
+        return problems + [f"embedded JSON payload is not JSON: {exc}"]
+    return problems + artifact.header(payload, "payload")
 
 
-def validate_trends(text: str) -> List[str]:
-    """Problems with a ``trends.json`` trend-analytics payload."""
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != "repro-trends":
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected 'repro-trends'")
-    if record.get("schema_version") != TRENDS_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{TRENDS_SCHEMA_VERSION}")
-    snapshots = record.get("snapshots")
-    if not isinstance(snapshots, list) or len(snapshots) < 2:
-        problems.append("snapshots is missing or holds fewer than two "
-                        "entries")
-        snapshots = snapshots if isinstance(snapshots, list) else []
-    for i, snap in enumerate(snapshots):
-        if not isinstance(snap, dict) or "label" not in snap:
-            problems.append(f"snapshot {i} is missing its label")
-    series = record.get("series")
-    if not isinstance(series, dict):
-        problems.append("series is missing or not an object")
-        series = {}
-    for name, entry in series.items():
-        if not isinstance(entry, dict):
-            problems.append(f"series {name!r} is not an object")
-            continue
-        values = entry.get("values")
-        markers = entry.get("markers")
-        if not isinstance(values, list) \
-                or len(values) != len(snapshots):
-            problems.append(f"series {name!r} needs one value per "
-                            f"snapshot")
-        if not isinstance(markers, list) \
-                or len(markers) != max(0, len(snapshots) - 1):
-            problems.append(f"series {name!r} needs one marker per "
-                            f"adjacent snapshot pair")
-        else:
-            for marker in markers:
-                if marker not in (None, "regression", "improvement"):
-                    problems.append(f"series {name!r} has illegal marker "
-                                    f"{marker!r}")
-        if entry.get("direction") not in (0, 1):
-            problems.append(f"series {name!r} direction must be 0 or 1")
-    summary = record.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary is missing or not an object")
-    else:
-        for key in ("snapshots", "metrics", "regressions",
-                    "improvements"):
-            if not isinstance(summary.get(key), int):
-                problems.append(f"summary.{key} is missing or not an "
-                                f"integer")
-    return problems
+#: Every artifact the toolchain writes, by name.  docs/OBSERVABILITY.md
+#: renders it as the "artifact zoo" table and a contract test keeps the
+#: two equal.
+ARTIFACT_ZOO = {artifact.name: artifact for artifact in (
+    Artifact(
+        "trace", TRACE_SCHEMA_VERSION, "--trace OUT.json[l]", "--trace",
+        kind="repro-trace", reader=_read_trace,
+        schema={"spans": {"name": str, "start_s": NUMBER,
+                          "dur_s": NON_NEGATIVE, "depth": int,
+                          "attrs": dict},
+                "traceEvents": [{
+                    "name": str, "ts": NUMBER, "pid": int, "tid": int,
+                    "ph": (lambda ph: ph in ("X", "i"),
+                           "is unknown, expected 'X' (complete) or 'i' "
+                           "(instant)")}]}),
+    Artifact(
+        "metrics", METRICS_SCHEMA_VERSION, "--metrics OUT.json",
+        "--metrics", kind="repro-metrics",
+        schema={"counters": {str: NUMBER}, "gauges": dict,
+                "histograms": {str: {"buckets": [NUMBER],
+                                     "counts": [NUMBER],
+                                     "count": NUMBER}}},
+        checks=(_undeclared_counters, _metric_kinds, _histogram_shape)),
+    Artifact(
+        "decisions", DECISIONS_SCHEMA_VERSION,
+        "--explain OUT.json / explain verb", "--explain",
+        kind="repro-decisions",
+        schema={"decisions": [{
+            "id": int, "subject": ANY, "verdict": ANY, "evidence": list,
+            "span": ANY, "attrs": ANY,
+            "kind": (lambda kind: isinstance(kind, str)
+                     and kind in DECISION_KINDS,
+                     "is not in DECISION_KINDS"),
+            "parent": (lambda parent: parent is None
+                       or isinstance(parent, int),
+                       "is neither null nor an integer")}]},
+        checks=(_parents_precede,)),
+    Artifact(
+        "provenance", PROVENANCE_SCHEMA_VERSION,
+        "--provenance (inside merge_report.json)"),
+    Artifact(
+        "diagnostics", DIAGNOSTICS_SCHEMA_VERSION, "--diagnostics OUT.json"),
+    Artifact(
+        "cache", CACHE_SCHEMA_VERSION, "--cache DIR (one file per entry)",
+        kind=CACHE_KIND),
+    Artifact(
+        "profile", PROFILE_SCHEMA_VERSION, "--profile OUT.json",
+        "--profile", kind="repro-profile",
+        schema={"total_seconds": NON_NEGATIVE,
+                "worker_seconds": NON_NEGATIVE,
+                "spans": [{"name": str, "count": int,
+                           "cum_s": NON_NEGATIVE, "self_s": NON_NEGATIVE}],
+                "phases": {str: {"self_seconds": NUMBER, "functions": int,
+                                 "top_functions": [{
+                                     "function": str, "calls": int,
+                                     "self_s": NUMBER, "cum_s": NUMBER}]}},
+                "counters": {str: NUMBER}},
+        checks=(_undeclared_counters, _self_within_cum)),
+    Artifact(
+        "trends", TRENDS_SCHEMA_VERSION,
+        "python -m repro.obs.trends --json OUT", "--trends",
+        kind="repro-trends",
+        schema={"snapshots": [{"label": ANY}],
+                "series": {str: {"values": list, "markers": list,
+                                 "direction": (lambda d: d in (0, 1),
+                                               "is not 0 or 1")}},
+                "summary": {"snapshots": int, "metrics": int,
+                            "regressions": int, "improvements": int}},
+        checks=(_trend_series,)),
+    Artifact(
+        "trends.html", TRENDS_SCHEMA_VERSION,
+        "python -m repro.obs.trends -o OUT", "--trends-html",
+        kind="repro-trends", reader=_read_html),
+    Artifact(
+        "blackbox", BLACKBOX_SCHEMA_VERSION,
+        "always on; flushed on abnormal exit (doctor verb reads it)",
+        "--blackbox", kind=BLACKBOX_KIND,
+        schema={"reason": {"kind": NON_EMPTY},
+                "environment": {"version": ANY, "python": ANY, "pid": ANY,
+                                "argv": ANY},
+                "events": [{"kind": NON_EMPTY, "t": NON_NEGATIVE}],
+                "open_frames": list, "open_spans": list,
+                "frame_seconds": dict, "dropped": COUNT,
+                "uptime_seconds": NUMBER}),
+    Artifact(
+        "report.html", REPORT_HTML_SCHEMA_VERSION, "--report-html OUT.html",
+        "--html", kind="repro-run-report", reader=_read_html),
+    Artifact(
+        "fuzz", FUZZ_SCHEMA_VERSION, "fuzz verb (fuzz.json run summary)",
+        "--fuzz", kind=FUZZ_KIND,
+        schema={"seed": int,
+                "families": (lambda v: isinstance(v, list) and v,
+                             "is not a non-empty list"),
+                "oracles": (lambda v: isinstance(v, list) and v and all(
+                    oracle in ORACLE_NAMES for oracle in v),
+                    "is empty or names an oracle outside ORACLE_NAMES"),
+                "cases": [{"case_id": ANY, "family": ANY, "case_seed": ANY,
+                           "ok": ANY, "oracles": ANY,
+                           "violations": [{"oracle": NON_EMPTY,
+                                           "detail": ANY}]}],
+                "summary": {key: COUNT for key in (
+                    "cases", "violations", "new_bundles", "duplicates",
+                    "rejected")}}),
+)}
 
-
-def validate_blackbox(text: str) -> List[str]:
-    """Problems with a flight-recorder ``blackbox.json`` artifact."""
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != BLACKBOX_KIND:
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected {BLACKBOX_KIND!r}")
-    if record.get("schema_version") != BLACKBOX_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{BLACKBOX_SCHEMA_VERSION}")
-    reason = record.get("reason")
-    if not isinstance(reason, dict) or not reason.get("kind"):
-        problems.append("reason is missing or has no kind")
-    env = record.get("environment")
-    if not isinstance(env, dict):
-        problems.append("environment is missing or not an object")
-    else:
-        for key in ("version", "python", "pid", "argv"):
-            if key not in env:
-                problems.append(f"environment missing {key!r}")
-    events = record.get("events")
-    if not isinstance(events, list):
-        return problems + ["events is missing or not a list"]
-    for i, event in enumerate(events):
-        if not isinstance(event, dict):
-            problems.append(f"event {i} is not an object")
-            continue
-        if not event.get("kind"):
-            problems.append(f"event {i} has no kind")
-        if not isinstance(event.get("t"), (int, float)) \
-                or event.get("t", 0) < 0:
-            problems.append(f"event {i} t is missing or negative")
-    for key in ("open_frames", "open_spans"):
-        if not isinstance(record.get(key), list):
-            problems.append(f"{key} is missing or not a list")
-    if not isinstance(record.get("frame_seconds"), dict):
-        problems.append("frame_seconds is missing or not an object")
-    dropped = record.get("dropped")
-    if not isinstance(dropped, int) or dropped < 0:
-        problems.append("dropped is missing or negative")
-    if not isinstance(record.get("uptime_seconds"), (int, float)):
-        problems.append("uptime_seconds is missing")
-    return problems
-
-
-def validate_fuzz(text: str) -> List[str]:
-    """Problems with a ``fuzz.json`` run summary artifact."""
-    from repro.fuzz import FUZZ_KIND, FUZZ_SCHEMA_VERSION, ORACLE_NAMES
-
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [f"not JSON: {exc}"]
-    problems: List[str] = []
-    if record.get("kind") != FUZZ_KIND:
-        problems.append(f"kind is {record.get('kind')!r}, "
-                        f"expected {FUZZ_KIND!r}")
-    if record.get("schema_version") != FUZZ_SCHEMA_VERSION:
-        problems.append(f"schema_version is "
-                        f"{record.get('schema_version')!r}, expected "
-                        f"{FUZZ_SCHEMA_VERSION}")
-    if not isinstance(record.get("seed"), int):
-        problems.append("seed is missing or not an int")
-    families = record.get("families")
-    if not isinstance(families, list) or not families:
-        problems.append("families is missing or empty")
-    oracles = record.get("oracles")
-    if not isinstance(oracles, list) or not oracles:
-        problems.append("oracles is missing or empty")
-    else:
-        for oracle in oracles:
-            if oracle not in ORACLE_NAMES:
-                problems.append(f"unknown oracle {oracle!r}")
-    cases = record.get("cases")
-    if not isinstance(cases, list):
-        return problems + ["cases is missing or not a list"]
-    for i, case in enumerate(cases):
-        if not isinstance(case, dict):
-            problems.append(f"case {i} is not an object")
-            continue
-        for key in ("case_id", "family", "case_seed", "ok",
-                    "oracles", "violations"):
-            if key not in case:
-                problems.append(f"case {i} missing {key!r}")
-        for j, violation in enumerate(case.get("violations", ())):
-            if not isinstance(violation, dict) \
-                    or not violation.get("oracle") \
-                    or "detail" not in violation:
-                problems.append(
-                    f"case {i} violation {j} missing oracle/detail")
-    summary = record.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary is missing or not an object")
-    else:
-        for key in ("cases", "violations", "new_bundles", "duplicates",
-                    "rejected"):
-            value = summary.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"summary {key} is missing or negative")
-    return problems
-
-
-#: Every observability artifact kind: (kind, schema version, producing
-#: flag/verb, validator switch).  docs/OBSERVABILITY.md renders this as
-#: the "artifact zoo" table and a contract test keeps the two in sync —
-#: adding an artifact without documenting it fails CI.
-ARTIFACT_ZOO = (
-    ("trace", TRACE_SCHEMA_VERSION, "--trace OUT.json[l]", "--trace"),
-    ("metrics", METRICS_SCHEMA_VERSION, "--metrics OUT.json", "--metrics"),
-    ("decisions", DECISIONS_SCHEMA_VERSION,
-     "--explain OUT.json / explain verb", "--explain"),
-    ("provenance", PROVENANCE_SCHEMA_VERSION,
-     "--provenance (inside merge_report.json)", ""),
-    ("profile", PROFILE_SCHEMA_VERSION, "--profile OUT.json", "--profile"),
-    ("trends", TRENDS_SCHEMA_VERSION, "bench-trends verb", "--trends"),
-    ("trends.html", TRENDS_SCHEMA_VERSION, "bench-trends --html",
-     "--trends-html"),
-    ("blackbox", BLACKBOX_SCHEMA_VERSION,
-     "always on; flushed on abnormal exit (doctor verb reads it)",
-     "--blackbox"),
-    ("report.html", REPORT_HTML_SCHEMA_VERSION, "--report-html OUT.html",
-     "--html"),
-    ("fuzz", _FUZZ_SCHEMA_VERSION, "fuzz verb (fuzz.json run summary)",
-     "--fuzz"),
-)
+validate_trace = ARTIFACT_ZOO["trace"].validate
+validate_trace_jsonl = partial(_trace_jsonl, ARTIFACT_ZOO["trace"])
+validate_trace_chrome = partial(_trace_chrome, ARTIFACT_ZOO["trace"])
+validate_metrics = ARTIFACT_ZOO["metrics"].validate
+validate_decisions = ARTIFACT_ZOO["decisions"].validate
+validate_profile = ARTIFACT_ZOO["profile"].validate
+validate_trends = ARTIFACT_ZOO["trends"].validate
+validate_trends_html = ARTIFACT_ZOO["trends.html"].validate
+validate_blackbox = ARTIFACT_ZOO["blackbox"].validate
+validate_html = ARTIFACT_ZOO["report.html"].validate
+validate_fuzz = ARTIFACT_ZOO["fuzz"].validate
 
 
 def main(argv=None) -> int:
@@ -516,48 +403,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
         description="Validate repro observability artifacts.")
-    parser.add_argument("--trace", help="trace file (jsonl or chrome)")
-    parser.add_argument("--metrics", help="metrics JSON file")
-    parser.add_argument("--explain", help="decisions JSON file")
-    parser.add_argument("--html", help="self-contained HTML run report")
-    parser.add_argument("--profile", help="profile JSON file")
-    parser.add_argument("--trends", help="trend analytics JSON file")
-    parser.add_argument("--trends-html",
-                        help="self-contained HTML trend report")
-    parser.add_argument("--blackbox",
-                        help="flight-recorder blackbox JSON file")
-    parser.add_argument("--fuzz", help="fuzz run summary JSON file")
+    checked = [a for a in ARTIFACT_ZOO.values() if a.switch]
+    for artifact in checked:
+        parser.add_argument(artifact.switch, dest=artifact.name,
+                            metavar="FILE",
+                            help=f"{artifact.name} ({artifact.producer})")
     args = parser.parse_args(argv)
-    if not any((args.trace, args.metrics, args.explain, args.html,
-                args.profile, args.trends, args.trends_html,
-                args.blackbox, args.fuzz)):
-        parser.error("nothing to validate: pass --trace, --metrics, "
-                     "--explain, --html, --profile, --trends, "
-                     "--trends-html, --blackbox and/or --fuzz")
+    chosen = [(a, getattr(args, a.name)) for a in checked
+              if getattr(args, a.name)]
+    if not chosen:
+        parser.error("nothing to validate: pass one or more of "
+                     + ", ".join(a.switch for a in checked))
 
     failed = False
-    for label, path, check in (("trace", args.trace, validate_trace),
-                               ("metrics", args.metrics, validate_metrics),
-                               ("explain", args.explain, validate_decisions),
-                               ("html", args.html, validate_html),
-                               ("profile", args.profile, validate_profile),
-                               ("trends", args.trends, validate_trends),
-                               ("trends-html", args.trends_html,
-                                validate_trends_html),
-                               ("blackbox", args.blackbox,
-                                validate_blackbox),
-                               ("fuzz", args.fuzz, validate_fuzz)):
-        if not path:
-            continue
+    for artifact, path in chosen:
         with open(path) as handle:
-            problems = check(handle.read())
+            problems = artifact.validate(handle.read())
         if problems:
             failed = True
-            print(f"{label} {path}: INVALID", file=sys.stderr)
+            print(f"{artifact.name} {path}: INVALID", file=sys.stderr)
             for problem in problems:
                 print(f"  - {problem}", file=sys.stderr)
         else:
-            print(f"{label} {path}: ok")
+            print(f"{artifact.name} {path}: ok")
     return 1 if failed else 0
 
 

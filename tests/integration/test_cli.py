@@ -356,17 +356,6 @@ class TestObservabilityFlags:
         events = json.loads(trace.read_text())["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
 
-    def test_prometheus_metrics_format(self, files):
-        tmp, netlist, mode_a, mode_b = files
-        metrics = tmp / "metrics.prom"
-        assert main(["--metrics", str(metrics),
-                     "--metrics-format", "prometheus",
-                     "merge", str(netlist), str(mode_a), str(mode_b),
-                     "-o", str(tmp / "out")]) == 0
-        text = metrics.read_text()
-        assert "# TYPE repro_merge_runs_total counter" in text
-        assert "repro_merge_modes_in_total 2" in text
-
     def test_merge_provenance_flag(self, files, capsys):
         tmp, netlist, mode_a, mode_b = files
         code = main(["merge", str(netlist), str(mode_a), str(mode_b),

@@ -1,19 +1,23 @@
-"""Contract test: the artifact zoo registry, the docs table, the
-validator CLI, and ``repro-merge --version`` must agree.
+"""Contract tests of the artifact zoo (``repro.obs.validate``).
 
-``repro.obs.validate.ARTIFACT_ZOO`` is the source of truth; this test
-fails whenever an artifact is added (or re-versioned) without updating
-the documentation, the validator switch, or the version banner.  The
-same holds for ``repro.obs.metrics.METRIC_CONTRACT`` and the docs'
-metric name table.
+Each ``ARTIFACT_ZOO`` entry is the one declaration of an artifact: the
+validator, its ``python -m repro.obs.validate`` switch and the
+``repro-merge --version`` banner are generated from it.  So the tests
+here are round trips — a real producer's output validates under its
+switch, the same file with a foreign ``kind`` does not, and the banner
+prints every entry — plus the two docs tables written by hand: the
+artifact zoo and ``repro.obs.metrics.METRIC_CONTRACT``.
 """
 
+import json
 import re
 from pathlib import Path
 
-from repro.cli import _artifact_schema_versions
-from repro.obs.metrics import METRIC_CONTRACT
-from repro.obs.validate import ARTIFACT_ZOO
+import pytest
+
+from repro.obs.metrics import METRIC_CONTRACT, MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.obs.validate import ARTIFACT_ZOO, main as validate_main
 
 DOCS = Path(__file__).parents[3] / "docs" / "OBSERVABILITY.md"
 
@@ -28,44 +32,163 @@ def _table_rows(heading, width):
             continue
         cells = [c.strip().strip("`").strip()
                  for c in line.strip().strip("|").split("|")]
-        if len(cells) == width and cells[0] not in ("kind", "name",
+        if len(cells) == width and cells[0] not in ("artifact", "name",
                                                     "---", ""):
             rows.append(cells)
     return rows
 
 
-def _zoo_table_rows():
-    return _table_rows("Artifact zoo", 4)
+# -- one real producer per artifact with a validator switch --------------
+def _trace(out):
+    tracer = Tracer()
+    with tracer.span("run"):
+        tracer.event("diagnostic:SDC002", code="SDC002")
+    tracer.write(out)
+
+
+def _metrics(out):
+    registry = MetricsRegistry()
+    registry.inc("merge.runs")
+    registry.set_gauge("merge.reduction_percent", 50.0)
+    registry.observe("sta.run_seconds", 0.01)
+    registry.write(out)
+
+
+def _decisions(out):
+    from repro.obs.explain import DecisionLedger
+
+    ledger = DecisionLedger()
+    with ledger.frame("run", "run:merge"):
+        ledger.decide("mergeability.pair", "pair:A,B", verdict="rejected",
+                      evidence=["reason"])
+    ledger.write(out)
+
+
+def _profile(out):
+    from repro.obs.profile import Profiler
+
+    profiler = Profiler()
+    profiler.start()
+    profiler.stop()
+    out.write_text(json.dumps(profiler.export()))
+
+
+def _trends_series(out, html):
+    from repro.obs.trends import main as trends_main
+
+    for label, seconds in (("s1", 1.0), ("s2", 2.0)):
+        directory = out.parent / label
+        directory.mkdir()
+        (directory / "BENCH_demo.json").write_text(json.dumps({
+            "schema_version": 1, "kind": "repro-metrics", "counters": {},
+            "gauges": {"bench.demo.merge_seconds": seconds},
+            "histograms": {}}))
+    assert trends_main([str(out.parent / "s1"), str(out.parent / "s2"),
+                        "-o", str(html), "--json", str(out)]) == 0
+
+
+def _blackbox(out):
+    from repro.obs.blackbox import BlackboxRecorder
+
+    recorder = BlackboxRecorder()
+    recorder.record("diagnostic", code="MRG002")
+    assert recorder.flush(out, reason={"kind": "budget", "detail": "x"})
+
+
+def _report_html(out):
+    from repro.obs.report_html import write_run_report
+
+    tracer = Tracer()
+    with tracer.span("run"):
+        pass
+    write_run_report(out, tracer=tracer, title="zoo")
+
+
+def _fuzz(out):
+    from repro.fuzz.runner import FuzzConfig, FuzzRunner
+
+    config = FuzzConfig(seed=7, max_cases=1, jobs=1, shrink=False,
+                        corpus_dir=str(out.parent / "corpus"),
+                        oracles=("permutation",))
+    payload = FuzzRunner(config, log=lambda *args: None).run().payload
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
+PRODUCERS = {
+    "trace": _trace,
+    "metrics": _metrics,
+    "decisions": _decisions,
+    "profile": _profile,
+    "trends": lambda out: _trends_series(out, out.with_suffix(".html")),
+    "trends.html": lambda out: _trends_series(out.with_suffix(".json"),
+                                              out),
+    "blackbox": _blackbox,
+    "report.html": _report_html,
+    "fuzz": _fuzz,
+}
 
 
 class TestZooRegistry:
     def test_every_kind_has_version_producer_and_unique_name(self):
-        kinds = [row[0] for row in ARTIFACT_ZOO]
-        assert len(kinds) == len(set(kinds))
-        for kind, version, producer, switch in ARTIFACT_ZOO:
-            assert kind and producer
-            assert isinstance(version, int) and version >= 1
+        for name, artifact in ARTIFACT_ZOO.items():
+            assert name == artifact.name and artifact.producer
+            assert isinstance(artifact.version, int) \
+                and artifact.version >= 1
+        switches = [a.switch for a in ARTIFACT_ZOO.values() if a.switch]
+        assert len(switches) == len(set(switches))
 
-    def test_every_validator_switch_is_a_real_cli_switch(self):
-        import repro.obs.validate as validate
-
-        source = Path(validate.__file__).read_text()
-        for kind, _version, _producer, switch in ARTIFACT_ZOO:
-            if not switch:
+    def test_every_validator_switch_is_a_real_cli_switch(self, tmp_path,
+                                                         capsys):
+        # An empty object is invalid for every artifact, so a switch the
+        # CLI knows exits 1 and names its entry; an unknown one exits 2.
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        for artifact in ARTIFACT_ZOO.values():
+            if not artifact.switch:
                 continue
-            assert f'"{switch}"' in source, \
-                f"zoo switch {switch} for {kind!r} is not a " \
-                f"validator CLI argument"
+            assert validate_main([artifact.switch, str(path)]) == 1
+            assert f"{artifact.name} {path}: INVALID" \
+                in capsys.readouterr().err
 
-    def test_every_validator_cli_switch_is_in_the_zoo(self):
-        import repro.obs.validate as validate
-
-        source = Path(validate.__file__).read_text()
-        declared = set(re.findall(r'add_argument\("(--[a-z-]+)"',
-                                  source))
-        zoo_switches = {switch for *_ignored, switch in ARTIFACT_ZOO
-                        if switch}
+    def test_every_validator_cli_switch_is_in_the_zoo(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            validate_main(["--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        declared = set(re.findall(r"\[(--[a-z-]+) FILE\]", usage))
+        zoo_switches = {a.switch for a in ARTIFACT_ZOO.values()
+                        if a.switch}
         assert declared == zoo_switches
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "name", [a.name for a in ARTIFACT_ZOO.values() if a.switch])
+    def test_round_trip(self, name, tmp_path, capsys):
+        artifact = ARTIFACT_ZOO[name]
+        path = tmp_path / f"artifact.{name}"
+        PRODUCERS[name](path)
+        assert validate_main([artifact.switch, str(path)]) == 0, \
+            capsys.readouterr().err
+        # The first quoted kind is the record's (for HTML, the payload's).
+        text = path.read_text()
+        assert f'"{artifact.kind}"' in text
+        path.write_text(text.replace(f'"{artifact.kind}"',
+                                     '"repro-other"', 1))
+        assert validate_main([artifact.switch, str(path)]) == 1
+        assert "repro-other" in capsys.readouterr().err
+
+
+class TestVersionBanner:
+    def test_version_banner_covers_the_zoo(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        banner = capsys.readouterr().out
+        for artifact in ARTIFACT_ZOO.values():
+            assert f"{artifact.name}={artifact.version}" in banner
 
 
 class TestDocsTable:
@@ -73,21 +196,12 @@ class TestDocsTable:
         assert "## Artifact zoo" in DOCS.read_text()
 
     def test_docs_table_matches_the_registry_exactly(self):
-        documented = _zoo_table_rows()
-        expected = [[kind, str(version), producer, switch or "—"]
-                    for kind, version, producer, switch in ARTIFACT_ZOO]
+        documented = _table_rows("Artifact zoo", 4)
+        expected = [[a.name, str(a.version), a.producer, a.switch or "—"]
+                    for a in ARTIFACT_ZOO.values()]
         assert documented == expected, \
             "docs/OBSERVABILITY.md artifact-zoo table is out of sync " \
             "with repro.obs.validate.ARTIFACT_ZOO"
-
-
-class TestVersionBanner:
-    def test_version_banner_covers_the_zoo(self):
-        versions = _artifact_schema_versions()
-        for kind, _version, _producer, _switch in ARTIFACT_ZOO:
-            base = kind.split(".", 1)[0]
-            assert base in versions or kind.replace(".", "-") in versions, \
-                f"--version does not report a schema version for {kind}"
 
 
 class TestMetricContractTable:

@@ -75,27 +75,6 @@ class TestExport:
         assert payload["gauges"]["merge.reduction_percent"] == 50.0
         assert payload["histograms"]["sta.run_seconds"]["count"] == 1
 
-    def test_prometheus_text(self):
-        text = self._registry().to_prometheus()
-        assert "# TYPE repro_merge_runs_total counter" in text
-        assert "repro_merge_runs_total 2" in text
-        assert "# HELP repro_merge_runs_total" in text
-        assert "repro_merge_reduction_percent 50" in text
-        assert 'repro_sta_run_seconds_bucket{le="+Inf"} 1' in text
-        assert "repro_sta_run_seconds_count 1" in text
-
-    def test_prometheus_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        registry.observe("sta.run_seconds", 0.0005)
-        registry.observe("sta.run_seconds", 0.5)
-        text = registry.to_prometheus()
-        assert 'repro_sta_run_seconds_bucket{le="0.001"} 1' in text
-        assert 'repro_sta_run_seconds_bucket{le="0.5"} 2' in text
-
-    def test_write_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown metrics format"):
-            self._registry().write(tmp_path / "m.out", fmt="csv")
-
 
 class TestContract:
     def test_every_contract_row_is_well_formed(self):
@@ -137,28 +116,3 @@ class TestAmbient:
             current().metrics.inc("merge.runs")
         assert registry.counter("merge.runs") == 1
         assert not current().metrics.enabled
-
-
-class TestPromValues:
-    def test_non_finite_values_render_prometheus_legal(self):
-        from repro.obs.metrics import _prom_value
-
-        assert _prom_value(float("nan")) == "NaN"
-        assert _prom_value(float("inf")) == "+Inf"
-        assert _prom_value(float("-inf")) == "-Inf"
-
-    def test_finite_values_unchanged(self):
-        from repro.obs.metrics import _prom_value
-
-        assert _prom_value(2.0) == "2"
-        assert _prom_value(2.5) == "2.5"
-        assert _prom_value(3) == "3"
-
-    def test_non_finite_gauge_survives_exposition(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("merge.reduction_percent", float("nan"))
-        text = registry.to_prometheus()
-        assert "repro_merge_reduction_percent NaN" in text
-        registry.set_gauge("merge.reduction_percent", float("inf"))
-        assert "repro_merge_reduction_percent +Inf" \
-            in registry.to_prometheus()

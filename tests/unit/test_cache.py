@@ -405,6 +405,39 @@ class TestLock:
         assert cache.counters["stores"] == 1
         assert "CAC003" in codes(cache)
 
+    def test_group_store_waits_one_pair_chunk_not_the_batch(
+            self, tmp_path, monkeypatch):
+        # A second run on the same root stores a finished group while
+        # this run writes a long pair batch: it must get the lock
+        # between two chunks instead of timing out (CAC004).
+        pairs = open_cache(tmp_path)
+        groups = open_cache(tmp_path)
+        real_store = ResultCache._store
+        writing = threading.Event()
+
+        def slow_store(self, space, *args):
+            if space != "pair":
+                return real_store(self, space, *args)
+            writing.set()
+            time.sleep(0.001)  # a slow disk: ~1 ms per pair entry
+
+        monkeypatch.setattr(ResultCache, "_store", slow_store)
+        # A chunk of pairs takes a fraction of the lock wait; the whole
+        # batch takes longer than it.
+        monkeypatch.setattr("repro.cache.LOCK_TIMEOUT", 1.0)
+        batch = [(f"k{i}", f"pair:A,B{i}", True, "") for i in range(1536)]
+        writer = threading.Thread(target=pairs.store_pairs, args=(batch,))
+        writer.start()
+        try:
+            assert writing.wait(5)
+            groups.store_group("g", "group:A+B",
+                               [{"mode_names": ["A", "B"]}], [])
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        assert "CAC004" not in codes(groups) + codes(pairs)
+        assert groups.lookup_group("g", "group:A+B") is not None
+
 
 class TestDiskFailure:
     def test_unusable_root_disables_not_raises(self, tmp_path):
