@@ -36,23 +36,24 @@ Robustness contract (the headline):
   and the caller recomputes — a fully corrupted or version-skewed store
   degrades to an uncached run, never a crash and never a byte different
   from cold;
-* writes go through an advisory file lock with stale-owner detection
-  (owner pid + boot-id probe): a lock left by a ``kill -9``'d process
-  is reclaimed (``CAC003``), a lock held by a *live* process degrades
-  this run to skipping its writes after a bounded wait (``CAC004``) —
-  reads never need the lock (atomic renames make them safe);
+* entries are immutable and named by the hash of their inputs, so
+  neither reads nor stores take a file lock: two runs storing one key
+  each rename a whole, valid file into place and the last one wins, as
+  git writes its loose objects.  The one read-modify-write, folding a
+  run's counters into ``stats.json`` (:meth:`ResultCache.flush_stats`),
+  holds ``flock(2)`` on ``<root>/stats.lock``, which the kernel
+  releases when its holder dies;
 * a failing disk (``ENOSPC``/``OSError``) records ``CAC005`` per write
   and, after a few failures, disables the cache for the rest of the run
   (``CAC001`` "cache disabled, running uncached") — results are always
   recomputed correctly, just not persisted.
 
 Deterministic chaos (``REPRO_CHAOS``) drives the degradation paths in
-CI: ``cache-corrupt`` (a bad-crc entry lands on disk), ``cache-torn``
-(a truncated entry lands on disk, as if the writer died mid-write) and
-``cache-lockhold`` (the advisory lock behaves held by a live process).
+CI: ``cache-corrupt`` (a bad-crc entry lands on disk) and ``cache-torn``
+(a truncated entry lands on disk, as if the writer died mid-write).
 These kinds are ignored by the execution engine's
 :meth:`~repro.exec.chaos.ChaosPlan.strike`; the cache applies them at
-its own ``cache:store:*`` / ``cache:lock`` strike points.
+its own ``cache:store:pair`` / ``cache:store:group`` strike points.
 
 Maintenance (``repro-merge cache <action> ROOT``): :meth:`ResultCache.stats`,
 :meth:`ResultCache.verify` (full integrity sweep), :meth:`ResultCache.prune`
@@ -79,6 +80,11 @@ from repro.sdc.mode import Mode
 from repro.sdc.parser import parse_mode
 from repro.sdc.writer import write_mode
 
+try:
+    import fcntl
+except ImportError:  # no flock(2): stats are advisory, flush unlocked
+    fcntl = None
+
 #: Version of the cache entry layout.  Bump on any incompatible change;
 #: entries with a different version are quarantined, never guessed at.
 CACHE_SCHEMA_VERSION = 1
@@ -92,23 +98,6 @@ STATS_KIND = "repro-cache-stats"
 #: The two entry spaces and their subdirectories.
 SPACES = ("pair", "group")
 _SPACE_DIRS = {"pair": "pairs", "group": "groups"}
-
-#: Advisory write-lock file name inside the cache root.
-LOCK_NAME = "cache.lock"
-
-#: Age after which an empty lock file counts as a dead writer's.
-EMPTY_LOCK_GRACE_SECONDS = 1.0
-
-#: Seconds a writer waits for a live owner's lock before it skips the
-#: write (``CAC004``).
-LOCK_TIMEOUT = 2.0
-
-#: Pair entries :meth:`ResultCache.store_pairs` writes per lock hold: a
-#: few hundred fsync'd files, a fraction of :data:`LOCK_TIMEOUT`.
-PAIR_CHUNK = 256
-
-#: Seconds between a lock waiter's attempts.
-_POLL_SECONDS = 0.02
 
 #: Consecutive write failures (``CAC005``) after which the cache disables
 #: itself for the rest of the run.
@@ -227,135 +216,6 @@ def restore_diagnostics(entry: dict) -> List[Diagnostic]:
             for record in entry.get("diagnostics", ())]
 
 
-def _boot_id() -> str:
-    """This boot's identity, for cross-reboot stale-lock detection."""
-    try:
-        return Path("/proc/sys/kernel/random/boot_id") \
-            .read_text().strip()
-    except OSError:
-        return ""
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
-class CacheLock:
-    """Advisory file lock with stale-owner detection.
-
-    The lock file is created with ``O_CREAT | O_EXCL`` and holds the
-    owner's pid and boot id.  An owner is *stale* when its boot id
-    differs from ours (the machine rebooted) or its pid no longer
-    exists (``kill -9`` mid-write); stale locks are reclaimed.  An
-    empty lock file is an owner between its create and its payload
-    write — live — until it has stayed empty for
-    :data:`EMPTY_LOCK_GRACE_SECONDS`.  A live owner is waited on for
-    ``timeout`` seconds, then the caller degrades (the cache skips its
-    writes — never blocks the merge).  A waiter flags itself in a
-    ``.wait`` file beside the lock, and an owner that takes the lock
-    again and again (the pair-store chunks) hands it over between two
-    holds.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.wait_flag = self.path.with_name(self.path.name + ".wait")
-        self._fd: Optional[int] = None
-        #: how the last acquire ended: "", "acquired", "takeover",
-        #: "contended"
-        self.last_outcome = ""
-
-    def _try_acquire(self) -> bool:
-        payload = json.dumps({"pid": os.getpid(),
-                              "boot_id": _boot_id()}) + "\n"
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.write(fd, payload.encode("utf-8"))
-        self._fd = fd
-        return True
-
-    def _owner_stale(self) -> bool:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return self.path.exists()
-        if not text:
-            # An owner between its create and its payload write; only a
-            # lock that stays empty was left by a writer killed there.
-            try:
-                age = time.time() - self.path.stat().st_mtime
-            except OSError:
-                return False
-            return age > EMPTY_LOCK_GRACE_SECONDS
-        try:
-            owner = json.loads(text)
-        except ValueError:
-            return True  # torn payload: garbage from a dead writer
-        pid = owner.get("pid")
-        if not isinstance(pid, int):
-            return True
-        boot = owner.get("boot_id", "")
-        ours = _boot_id()
-        if boot and ours and boot != ours:
-            return True
-        return not _pid_alive(pid)
-
-    def acquire(self, timeout: float = 2.0) -> bool:
-        """True when the lock is held; False after a bounded wait."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        took_over = False
-        while True:
-            if self._try_acquire():
-                self.last_outcome = "takeover" if took_over \
-                    else "acquired"
-                return True
-            if self._owner_stale():
-                try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
-                took_over = True
-                continue
-            if time.monotonic() >= deadline:
-                self.last_outcome = "contended"
-                return False
-            try:
-                self.wait_flag.touch()
-            except OSError:
-                pass
-            time.sleep(_POLL_SECONDS)
-
-    def hand_over(self) -> None:
-        """Between two holds: when a waiter flagged itself, leave the
-        lock free for two of its polls so that it gets the lock."""
-        try:
-            os.unlink(self.wait_flag)
-        except OSError:
-            return
-        time.sleep(2 * _POLL_SECONDS)
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        try:
-            os.close(self._fd)
-        except OSError:
-            pass
-        self._fd = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-
 class ResultCache:
     """Persistent content-addressed store of pair verdicts and group
     results, safe to share between concurrent runs."""
@@ -396,7 +256,8 @@ class ResultCache:
             cache.root.mkdir(parents=True, exist_ok=True)
             probe = cache.root / ".writable"
             probe.write_text("")
-            probe.unlink()
+            # A concurrent open of the same root may unlink it first.
+            probe.unlink(missing_ok=True)
         except OSError as exc:
             cache.disable(f"cache root {cache.root} is unusable: {exc}")
         return cache
@@ -545,7 +406,7 @@ class ResultCache:
 
     def _store(self, space: str, key: str, payload: dict,
                label: str) -> None:
-        """Atomically persist one entry (caller holds the write lock)."""
+        """Atomically persist one entry; the last writer of a key wins."""
         path = self._entry_path(space, key)
         data = self._entry_bytes(space, key, payload)
         try:
@@ -594,9 +455,6 @@ class ResultCache:
             self.disable(f"{failures} consecutive write failure(s), "
                          f"last: {exc}")
 
-    def _locked(self, strike: bool = True) -> "_LockScope":
-        return _LockScope(self, strike)
-
     # ------------------------------------------------------------------
     # pair verdicts
     # ------------------------------------------------------------------
@@ -644,32 +502,17 @@ class ResultCache:
     def store_pairs(self, items: Sequence[Tuple[str, str, bool, str]]
                     ) -> None:
         """Batch pair store: ``items`` are (key, label, mergeable,
-        reason).
-
-        The lock is held for one chunk of :data:`PAIR_CHUNK` entries at
-        a time and handed over between chunks, so a concurrent run's
-        store waits for a chunk, not the batch.  A contended chunk skips
-        the rest of the batch with one ``CAC004``; the ``cache:lock``
-        chaos strike is taken once per batch.
-        """
+        reason).  Stops once the cache disables itself."""
         if not self._enabled or not items:
             return
-        lock = CacheLock(self.root / LOCK_NAME)
         with current().tracer.span("cache:store", space="pair",
                                    keys=len(items)):
-            for start in range(0, len(items), PAIR_CHUNK):
-                if start:
-                    lock.hand_over()
-                with self._locked(strike=start == 0) as held:
-                    if not held:
-                        return
-                    for key, label, mergeable, reason in \
-                            items[start:start + PAIR_CHUNK]:
-                        if not self._enabled:
-                            return
-                        self._store("pair", key,
-                                    {"mergeable": bool(mergeable),
-                                     "reason": str(reason)}, label)
+            for key, label, mergeable, reason in items:
+                if not self._enabled:
+                    return
+                self._store("pair", key,
+                            {"mergeable": bool(mergeable),
+                             "reason": str(reason)}, label)
 
     # ------------------------------------------------------------------
     # group results
@@ -716,12 +559,9 @@ class ResultCache:
             return
         with current().tracer.span("cache:store", space="group",
                                    key=key[:12]):
-            with self._locked() as held:
-                if not held:
-                    return
-                self._store("group", key,
-                            {"outcomes": list(outcomes),
-                             "diagnostics": list(diagnostics)}, label)
+            self._store("group", key,
+                        {"outcomes": list(outcomes),
+                         "diagnostics": list(diagnostics)}, label)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -784,66 +624,44 @@ class ResultCache:
         """
         evicted = 0
         scanned = 0
-        with self._locked() as held:
-            if not held:
-                return {"scanned": 0, "evicted": 0, "locked": True}
-            now = time.time()
-            by_space: Dict[str, List[Tuple[float, Path]]] = {
-                space: [] for space in SPACES}
-            for space, path in self._iter_entries():
-                scanned += 1
-                try:
-                    mtime = path.stat().st_mtime
-                except OSError:
-                    continue
-                by_space[space].append((mtime, path))
-            for space, entries in by_space.items():
-                entries.sort(reverse=True)  # newest first
-                for index, (mtime, path) in enumerate(entries):
-                    stale = (max_age_seconds is not None
-                             and now - mtime > max_age_seconds)
-                    overflow = keep is not None and index >= keep
-                    if not (stale or overflow):
-                        continue
-                    try:
-                        path.unlink()
-                        evicted += 1
-                    except OSError:
-                        pass
-            qdir = self.root / "quarantine"
-            if qdir.is_dir():
-                for path in qdir.glob("*.json"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-        return {"scanned": scanned, "evicted": evicted, "locked": False}
+        now = time.time()
+        by_space: Dict[str, List[Tuple[float, Path]]] = {
+            space: [] for space in SPACES}
+        for space, path in self._iter_entries():
+            scanned += 1
+            try:
+                mtime = path.stat().st_mtime
+            except OSError:
+                continue
+            by_space[space].append((mtime, path))
+        for entries in by_space.values():
+            entries.sort(reverse=True)  # newest first
+            for index, (mtime, path) in enumerate(entries):
+                stale = (max_age_seconds is not None
+                         and now - mtime > max_age_seconds)
+                overflow = keep is not None and index >= keep
+                if stale or overflow:
+                    evicted += _unlink(path)
+        self._empty_quarantine()
+        return {"scanned": scanned, "evicted": evicted}
 
     def clear(self) -> dict:
-        """Remove every entry (and the stats file); keeps the root."""
-        removed = 0
-        with self._locked() as held:
-            if not held:
-                return {"removed": 0, "locked": True}
-            for _space, path in list(self._iter_entries()):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            qdir = self.root / "quarantine"
-            if qdir.is_dir():
-                for path in qdir.glob("*.json"):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-            try:
-                (self.root / "stats.json").unlink()
-            except OSError:
-                pass
-        return {"removed": removed, "locked": False}
+        """Remove every entry (and the stats file); keeps the root.
+
+        ``stats.lock`` stays: unlinking a locked file would let the next
+        flush lock a new file beside the holder's.
+        """
+        removed = sum(_unlink(path)
+                      for _space, path in list(self._iter_entries()))
+        removed += self._empty_quarantine()
+        _unlink(self.root / "stats.json")
+        return {"removed": removed}
+
+    def _empty_quarantine(self) -> int:
+        qdir = self.root / "quarantine"
+        if not qdir.is_dir():
+            return 0
+        return sum(_unlink(path) for path in qdir.glob("*.json"))
 
     # ------------------------------------------------------------------
     # persistent stats
@@ -861,9 +679,12 @@ class ResultCache:
     def flush_stats(self) -> None:
         """Fold this run's counters into ``<root>/stats.json``.
 
-        Read-modify-write under the advisory lock, written atomically;
-        a contended or failing flush is dropped silently — stats are
-        advisory, results never depend on them.
+        The cache's one read-modify-write, so its one file lock:
+        ``flock(2)`` on ``<root>/stats.lock`` around the read, the fold
+        and the atomic write.  The kernel releases the lock when its
+        holder dies, so a killed run never blocks the next.  A failing
+        flush is dropped silently — stats are advisory, results never
+        depend on them.
         """
         with self._mutex:
             deltas = dict(self.counters)
@@ -872,93 +693,36 @@ class ResultCache:
         current().blackbox.note_state("cache", {
             "root": str(self.root), "enabled": self.enabled,
             "counters": {k: v for k, v in sorted(deltas.items()) if v}})
-        if not any(deltas.values()):
+        if not self._enabled or not any(deltas.values()):
             return
-        with self._locked() as held:
-            if not held:
-                # Fold back so a later flush still reports them.
-                with self._mutex:
-                    for name, value in deltas.items():
-                        self.counters[name] += value
-                return
-            stats = self._read_stats_file()
-            merged = {"kind": STATS_KIND,
-                      "schema_version": CACHE_SCHEMA_VERSION}
-            for name in deltas:
-                merged[name] = int(stats.get(name, 0)) + deltas[name]
-            try:
+        try:
+            with open(self.root / "stats.lock", "a") as lock:
+                if fcntl is not None:
+                    fcntl.flock(lock, fcntl.LOCK_EX)
+                stats = self._read_stats_file()
+                merged = {"kind": STATS_KIND,
+                          "schema_version": CACHE_SCHEMA_VERSION}
+                for name in deltas:
+                    merged[name] = int(stats.get(name, 0)) + deltas[name]
                 write_atomic(self.root / "stats.json",
                              json.dumps(merged, sort_keys=True, indent=2)
                              + "\n")
-            except OSError:
-                pass
+        except OSError:
+            pass
 
 
-class _LockScope:
-    """``with cache._locked() as held:`` — False means degrade, don't
-    block: the merge proceeds, this run just skips persisting."""
-
-    def __init__(self, cache: ResultCache, strike: bool = True):
-        self._cache = cache
-        #: take the ``cache:lock`` chaos strike on entry
-        self._strike = strike
-        self._lock: Optional[CacheLock] = None
-
-    def __enter__(self) -> bool:
-        cache = self._cache
-        if not cache._enabled:
-            return False
-        lock = CacheLock(cache.root / LOCK_NAME)
-        timeout = LOCK_TIMEOUT
-        if self._strike \
-                and cache._cache_fault("cache:lock") == "cache-lockhold":
-            # Behave exactly as if a live process held the lock for the
-            # whole bounded wait.
-            lock.last_outcome = "contended"
-            held = False
-        else:
-            try:
-                held = lock.acquire(timeout)
-            except OSError as exc:
-                cache._write_failed("cache lock", exc)
-                return False
-        if held:
-            self._lock = lock
-            if lock.last_outcome == "takeover":
-                current().metrics.inc("cache.lock_takeovers")
-                if cache.collector is not None:
-                    cache.collector.report(
-                        "CAC003",
-                        f"stale cache lock reclaimed from a dead owner "
-                        f"at {lock.path}",
-                        severity=Severity.INFO, source=str(cache.root))
-            return True
-        obs = current()
-        obs.metrics.inc("cache.lock_contention")
-        if cache.collector is not None:
-            cache.collector.report(
-                "CAC004",
-                f"cache lock at {lock.path} held by a live process "
-                f"after {timeout:.1f}s; skipping cache writes for "
-                f"this operation",
-                severity=Severity.WARNING, source=str(cache.root))
-        ledger = obs.decisions
-        if ledger.enabled:
-            ledger.decide("cache.degraded", f"cache:{cache.root}",
-                          verdict="contended",
-                          evidence=[f"lock held past {timeout:.1f}s"])
-        return False
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
+def _unlink(path: Path) -> int:
+    """1 when ``path`` was removed, 0 when it could not be."""
+    try:
+        path.unlink()
+    except OSError:
+        return 0
+    return 1
 
 
 __all__ = [
     "CACHE_KIND",
     "CACHE_SCHEMA_VERSION",
-    "CacheLock",
     "RestoredMergeResult",
     "ResultCache",
     "content_hash",

@@ -511,7 +511,9 @@ def _version_string() -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-merge",
-        description="Timing-graph based SDC mode merging (DAC 2015 repro)")
+        description="Timing-graph based SDC mode merging (DAC 2015 repro)",
+        # the --version banner is two lines; keep them
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=_version_string())
     parser.add_argument("--trace", default="", metavar="OUT",

@@ -71,8 +71,8 @@ break across releases:
 ``SRV009``   retired with the batch merge service (bad payload); never reuse
 ``CAC001``   result cache disabled; the run continues uncached
 ``CAC002``   corrupt/version-skewed cache entry quarantined, recomputed
-``CAC003``   stale cache lock reclaimed from a dead owner
-``CAC004``   cache lock held by a live process; writes skipped this run
+``CAC003``   retired with the cache write lock (stale lock); never reuse
+``CAC004``   retired with the cache write lock (lock held); never reuse
 ``CAC005``   cache write failed (ENOSPC etc.); result was computed
              but not persisted
 ``CAC006``   merge group restored from the result cache
@@ -250,9 +250,6 @@ _CODE_HINTS = {
               "or fix permissions on the cache root",
     "CAC002": "no action needed; inspect <root>/quarantine, then "
               "'repro-merge cache prune' to discard it",
-    "CAC003": "no action needed; the dead owner's lock was reclaimed",
-    "CAC004": "another run holds the cache lock; results are "
-              "unaffected, this run just did not persist new entries",
     "CAC005": "check disk space on the cache path; the result was "
               "recomputed, not lost",
     "CAC006": "no action needed; delete the cache entry or run without "

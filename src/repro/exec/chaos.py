@@ -52,13 +52,11 @@ from repro.obs.context import current
 FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "corrupt")
 
 #: Storage-fault kinds applied by the result cache (``repro.cache``) at
-#: its own strike points (``cache:store:pair``, ``cache:store:group``,
-#: ``cache:lock``): a bad-crc entry landing on disk, a truncated entry
-#: (writer died mid-write), and an advisory lock that behaves held by a
-#: live process.  The execution engine's :meth:`ChaosPlan.strike`
-#: ignores these kinds entirely.
-CACHE_FAULT_KINDS: Tuple[str, ...] = (
-    "cache-corrupt", "cache-torn", "cache-lockhold")
+#: its own strike points (``cache:store:pair``, ``cache:store:group``):
+#: a bad-crc entry landing on disk and a truncated entry (writer died
+#: mid-write).  The execution engine's :meth:`ChaosPlan.strike` ignores
+#: these kinds entirely.
+CACHE_FAULT_KINDS: Tuple[str, ...] = ("cache-corrupt", "cache-torn")
 
 #: Every kind :class:`ChaosFault` accepts.
 ALL_FAULT_KINDS: Tuple[str, ...] = FAULT_KINDS + CACHE_FAULT_KINDS

@@ -553,11 +553,6 @@ class Supervisor:
             for st in leftovers:
                 if self._outcomes[st.index] is None:
                     self._run_task_in_process(st)
-            # Tasks never reached by the loop above (still unfinished).
-            for st in sorted(set(queue) | set(inflight.values()),
-                             key=lambda s: s.index):
-                if self._outcomes[st.index] is None:
-                    self._run_task_in_process(st)
 
     # ------------------------------------------------------------------
     # shared bookkeeping

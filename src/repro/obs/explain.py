@@ -84,8 +84,8 @@ DECISION_KINDS: Dict[str, str] = {
     "cache.miss": "a result-cache lookup that found no valid entry",
     "cache.quarantined": "a corrupt or version-skewed cache entry "
                          "quarantined and recomputed",
-    "cache.degraded": "the result cache degraded: lock contention or "
-                      "disabled after repeated write failures",
+    "cache.degraded": "the result cache was disabled: an unusable "
+                      "root or repeated write failures",
     # -- execution engine ----------------------------------------------
     "exec.task": "a supervised task recovered from faults or was demoted",
     "exec.retry": "one task attempt retried after an infrastructure fault",

@@ -119,11 +119,6 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "cache writes that failed (ENOSPC etc., CAC005)"),
     "cache.disabled": (
         "counter", "caches disabled mid-run after repeated faults (CAC001)"),
-    "cache.lock_takeovers": (
-        "counter", "stale cache locks reclaimed from dead owners (CAC003)"),
-    "cache.lock_contention": (
-        "counter", "cache lock waits that timed out; writes skipped "
-                   "(CAC004)"),
     # -- STA engine -----------------------------------------------------
     "sta.runs": ("counter", "StaEngine.run invocations"),
     "sta.endpoints": ("counter", "endpoints with a computed slack"),

@@ -417,8 +417,11 @@ def main(argv=None) -> int:
 
     failed = False
     for artifact, path in chosen:
-        with open(path) as handle:
-            problems = artifact.validate(handle.read())
+        try:
+            with open(path) as handle:
+                problems = artifact.validate(handle.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            problems = [f"unreadable: {exc}"]
         if problems:
             failed = True
             print(f"{artifact.name} {path}: INVALID", file=sys.stderr)

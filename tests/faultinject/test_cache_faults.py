@@ -2,14 +2,14 @@
 
 The cache's core invariant, asserted from every angle:
 
-    a corrupted, torn, locked, or unwritable cache NEVER changes the
-    merged output and NEVER crashes a run — it degrades to the uncached
+    a corrupted, torn, or unwritable cache NEVER changes the merged
+    output and NEVER crashes a run — it degrades to the uncached
     pipeline, byte for byte.
 
-Covers the chaos kinds (``cache-corrupt``, ``cache-torn``,
-``cache-lockhold`` — inert for the execution engine, applied only at
-the cache's own strike points) and full-disk degradation of the cache
-(``CAC005``), all through the real CLI surface.
+Covers the chaos kinds (``cache-corrupt`` and ``cache-torn`` — inert
+for the execution engine, applied only at the cache's own strike
+points) and full-disk degradation of the cache (``CAC005``), all
+through the real CLI surface.
 """
 
 import errno
@@ -73,22 +73,15 @@ class TestChaosKinds:
         assert "CAC002" in capsys.readouterr().err
         assert _bytes(tmp / "warm") == reference
 
-    def test_cache_lockhold_skips_writes_never_blocks(self, cli_files,
-                                                      monkeypatch, capsys,
-                                                      reference):
-        # Every store attempt contends: the run completes with CAC004
-        # warnings, nothing is cached, and the output is unchanged.
+    def test_retired_lockhold_kind_is_rejected(self, cli_files,
+                                               monkeypatch, capsys):
+        # The cache has no write lock left to hold: a spec naming the
+        # old ``cache-lockhold`` kind is malformed like any unknown kind.
         tmp, netlist, mode_a, mode_b = cli_files
-        croot = tmp / "cache"
-        spec = ";".join(f"cache-lockhold@cache:lock@{a}"
-                        for a in range(1, 9))
-        monkeypatch.setenv(CHAOS_ENV, spec)
-        assert _merge(netlist, (mode_a, mode_b), tmp / "out", croot) == 1
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        assert "CAC004" in capsys.readouterr().err
-        assert _bytes(tmp / "out") == reference
-        stats = ResultCache.open(croot).stats()
-        assert stats["pair_entries"] == 0 and stats["group_entries"] == 0
+        monkeypatch.setenv(CHAOS_ENV, "cache-lockhold@cache:lock@2")
+        assert _merge(netlist, (mode_a, mode_b), tmp / "out",
+                      tmp / "cache") == 2
+        assert "[EXE009]" in capsys.readouterr().err
 
     def test_seeded_chaos_never_schedules_cache_kinds(self, monkeypatch):
         # ``seed:N:p`` schedules engine faults only; the cache kinds
@@ -97,7 +90,7 @@ class TestChaosKinds:
         from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
         plan = ChaosPlan.from_spec("seed:11:0.9")
         kinds = {fault.kind
-                 for key in ("group:A+B", "scan:A+B", "cache:lock",
+                 for key in ("group:A+B", "scan:A+B", "cache:store:pair",
                              "cache:store:group")
                  for attempt in range(1, 4)
                  for fault in [plan.fault_for(key, attempt)]

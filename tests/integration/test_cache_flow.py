@@ -147,18 +147,25 @@ class TestColdWarmIdentical:
         quarantined = list((croot / "quarantine").glob("*.json"))
         assert len(quarantined) == 5  # 3 pairs + 2 groups
 
-    def test_stale_lock_from_killed_run_is_reclaimed(self, files,
-                                                     capsys):
+    def test_leftover_lock_file_blocks_nothing(self, files, capsys):
+        # Stores take no lock, so a ``cache.lock`` naming a *live*
+        # process (a killed run whose pid the next run reuses, as PID 1
+        # in a container does) neither delays nor skips a store.
         tmp, netlist, paths = files
         croot = tmp / "cache"
         croot.mkdir()
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        (croot / "cache.lock").write_text(json.dumps(
-            {"pid": child.pid, "boot_id": ""}))
-        assert merge_cli(netlist, paths, tmp / "out", croot) == 0
-        assert "CAC003" in capsys.readouterr().err
-        assert ResultCache.open(croot).stats()["pair_entries"] == 3
+        sleeper = subprocess.Popen([sys.executable, "-c",
+                                    "import time; time.sleep(60)"])
+        try:
+            (croot / "cache.lock").write_text(json.dumps(
+                {"pid": sleeper.pid, "boot_id": ""}))
+            assert merge_cli(netlist, paths, tmp / "out", croot) == 0
+        finally:
+            sleeper.kill()
+            sleeper.wait()
+        assert "CAC" not in capsys.readouterr().err
+        stats = ResultCache.open(croot).stats()
+        assert (stats["pair_entries"], stats["group_entries"]) == (3, 2)
 
 
 class TestCacheVerb:

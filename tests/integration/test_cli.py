@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cache import ResultCache
 from repro.cli import main
 from repro.netlist import write_verilog, figure1_circuit
 
@@ -225,13 +226,14 @@ class TestCheckpointResume:
             env=env, capture_output=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL
 
-    def _resume_matches_fresh(self, tmp, netlist, paths, cache, capsys):
+    def _resume_matches_fresh(self, tmp, netlist, paths, cache, capsys,
+                              exit_code=0):
         """Resume on ``cache``; returns its stderr once its merged SDCs
         are checked byte-identical to an uninterrupted uncached run."""
         assert main(self._merge_args(netlist, paths, tmp / "fresh")) == 0
         capsys.readouterr()
         code = main(self._merge_args(netlist, paths, tmp / "resumed", cache))
-        assert code == 0
+        assert code == exit_code
         captured = capsys.readouterr()
         fresh = {p.name: p.read_bytes()
                  for p in (tmp / "fresh").glob("*.sdc")}
@@ -252,21 +254,24 @@ class TestCheckpointResume:
         err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys)
         assert "CAC006" in err  # group {a, b} was replayed
 
-    def test_group_whose_store_was_skipped_recomputes(self, ckpt_files,
-                                                      capsys):
-        """A finished group whose store was skipped (here the cache
-        lock stays held past its bounded wait, CAC004) is lost with the
-        killed run: the resume recomputes it, byte-identically."""
+    def test_group_whose_store_was_torn_recomputes(self, ckpt_files,
+                                                   capsys):
+        """A finished group whose store landed torn (the writer died
+        mid-write, ``cache-torn``) is quarantined by the resume
+        (``CAC002``, exit 1), which recomputes it byte-identically."""
         tmp, netlist, paths = ckpt_files
         cache = tmp / "cache"
-        # Lock attempt 1 stores the pair verdicts, attempt 2 group {a, b}.
         self._kill_at_group_c(tmp, netlist, paths, cache,
-                              chaos="cache-lockhold@cache:lock@2")
+                              chaos="cache-torn@cache:store:group@1")
         assert len(list((cache / "pairs").glob("*.json"))) == 3
-        assert not list((cache / "groups").glob("*.json"))
-        err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys)
+        assert len(list((cache / "groups").glob("*.json"))) == 1
+        err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys,
+                                         exit_code=1)
+        assert "CAC002" in err
         assert "CAC006" not in err  # nothing to replay: {a, b} recomputed
-        assert len(list((cache / "groups").glob("*.json"))) == 2
+        assert len(list((cache / "quarantine").glob("*.json"))) == 1
+        assert ResultCache.open(cache).verify() == {"checked": 5,
+                                                    "quarantined": 0}
 
     def test_checkpoint_option_is_gone(self, ckpt_files, capsys):
         # The result cache is the one resume mechanism: --checkpoint is

@@ -190,6 +190,16 @@ class TestVersionBanner:
         for artifact in ARTIFACT_ZOO.values():
             assert f"{artifact.name}={artifact.version}" in banner
 
+    def test_version_banner_keeps_its_line_breaks(self, capsys):
+        from repro import __version__
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"repro-merge {__version__}"
+        assert lines[1].startswith("artifact schema versions:")
+
 
 class TestDocsTable:
     def test_docs_have_an_artifact_zoo_section(self):

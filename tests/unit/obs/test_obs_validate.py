@@ -108,6 +108,19 @@ class TestMain:
         assert main(["--metrics", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_unreadable_path_is_invalid_not_a_traceback(self, tmp_path,
+                                                        capsys):
+        # The missing trace is reported and the metrics still checked.
+        metrics = tmp_path / "m.json"
+        MetricsRegistry().write(metrics)
+        missing = tmp_path / "missing.json"
+        assert main(["--trace", str(missing),
+                     "--metrics", str(metrics)]) == 1
+        captured = capsys.readouterr()
+        assert f"trace {missing}: INVALID" in captured.err
+        assert "unreadable" in captured.err
+        assert f"metrics {metrics}: ok" in captured.out
+
 
 class TestInstantEventValidation:
     def _with_instant(self):

@@ -2,30 +2,29 @@
 
 Every degradation path is exercised directly at the store layer:
 integrity quarantine (corrupt / torn / version-skewed / misfiled
-entries), the advisory lock's stale-owner takeover and live-owner
-contention, ENOSPC write degradation, and the deterministic
-``cache-*`` chaos kinds.  The invariant throughout: a damaged or
-unusable cache changes *performance*, never results and never bytes.
+entries), ENOSPC write degradation, and the deterministic ``cache-*``
+chaos kinds.  Stores take no lock, so concurrent processes sharing one
+root are tested too: every entry they write verifies, a leftover lock
+file blocks nothing, and the ``stats.json`` fold (the one locked
+read-modify-write) loses no process's counters.  The invariant
+throughout: a damaged or unusable cache changes *performance*, never
+results and never bytes.
 The content hashes that key every entry and the group-record codec
 that replays a cached group byte-identically are tested here too.
 """
 
 import errno
 import json
+import multiprocessing
 import os
-import subprocess
-import sys
-import threading
-import time
+from pathlib import Path
 
 import pytest
 
 from repro.cache import (
     CACHE_KIND,
     CACHE_SCHEMA_VERSION,
-    EMPTY_LOCK_GRACE_SECONDS,
     MAX_WRITE_FAILURES,
-    CacheLock,
     ResultCache,
     content_hash,
     mode_fingerprint,
@@ -61,11 +60,6 @@ def open_cache(tmp_path, **kwargs):
 
 def codes(cache):
     return [d.code for d in cache.collector.diagnostics]
-
-
-@pytest.fixture
-def short_lock_wait(monkeypatch):
-    monkeypatch.setattr("repro.cache.LOCK_TIMEOUT", 0.1)
 
 
 def pipeline_modes():
@@ -297,149 +291,93 @@ class TestQuarantine:
         assert cache.verify() == {"checked": 1, "quarantined": 0}
 
 
-class TestLock:
-    def test_acquire_and_release(self, tmp_path):
-        lock = CacheLock(tmp_path / "l")
-        assert lock.acquire(0.1)
-        assert lock.last_outcome == "acquired"
-        lock.release()
-        assert not (tmp_path / "l").exists()
+def _store_overlapping_batches(root, index, rounds):
+    """One process's share of the concurrent-store test: per round, a
+    batch overlapping its neighbours' plus a group, then a flush."""
+    cache = ResultCache.open(root, collector=DiagnosticCollector(),
+                             chaos=ChaosPlan())
+    totals = dict.fromkeys(cache.counters, 0)
+    for round_ in range(rounds):
+        first = 8 * index + 4 * round_
+        cache.store_pairs([(f"k{n}", f"pair:A,B{n}", n % 3 == 0, f"r{n}")
+                           for n in range(first, first + 24)])
+        cache.lookup_pairs([(f"k{n}", f"pair:A,B{n}")
+                            for n in range(first, first + 8)])
+        cache.store_group(f"g{round_}", f"group:G{round_}",
+                          [{"mode_names": ["A", "B"]}], [])
+        for name, value in cache.counters.items():
+            totals[name] += value
+        cache.flush_stats()
+    codes = [d.code for d in cache.collector.diagnostics]
+    Path(root, f"proc{index}.json").write_text(
+        json.dumps({"totals": totals, "codes": codes}))
 
-    def test_live_owner_wins_bounded_wait(self, tmp_path):
-        first = CacheLock(tmp_path / "l")
-        assert first.acquire(0.1)
-        second = CacheLock(tmp_path / "l")
-        assert not second.acquire(0.1)
-        assert second.last_outcome == "contended"
-        first.release()
 
-    def test_dead_owner_is_taken_over(self, tmp_path):
-        # A pid that is certainly dead: spawn-and-reap a child.
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        (tmp_path / "l").write_text(json.dumps(
-            {"pid": child.pid, "boot_id": ""}))
-        lock = CacheLock(tmp_path / "l")
-        assert lock.acquire(0.1)
-        assert lock.last_outcome == "takeover"
-        lock.release()
+class TestConcurrentStores:
+    """Entries are immutable and renamed into place whole, so stores
+    take no lock; only the ``stats.json`` fold is serialized."""
 
-    def test_foreign_boot_id_is_stale(self, tmp_path):
-        (tmp_path / "l").write_text(json.dumps(
-            {"pid": os.getpid(), "boot_id": "not-this-boot"}))
-        lock = CacheLock(tmp_path / "l")
-        assert lock.acquire(0.1)
-        assert lock.last_outcome == "takeover"
-        lock.release()
-
-    def test_garbage_lock_payload_is_stale(self, tmp_path):
-        (tmp_path / "l").write_text("{torn")
-        lock = CacheLock(tmp_path / "l")
-        assert lock.acquire(0.1)
-        lock.release()
-
-    def test_empty_lock_is_an_owner_mid_create(self, tmp_path):
-        # A waiter that reads the lock between its owner's create and
-        # payload write must wait, not take the lock over.
-        (tmp_path / "l").write_text("")
-        lock = CacheLock(tmp_path / "l")
-        assert not lock.acquire(0.1)
-        assert lock.last_outcome == "contended"
-
-    def test_lock_left_empty_by_a_killed_writer_is_stale(self, tmp_path):
-        path = tmp_path / "l"
-        path.write_text("")
-        old = time.time() - EMPTY_LOCK_GRACE_SECONDS - 5
-        os.utime(path, (old, old))
-        lock = CacheLock(path)
-        assert lock.acquire(0.1)
-        assert lock.last_outcome == "takeover"
-        lock.release()
-
-    def test_threads_never_hold_the_lock_together(self, tmp_path):
-        path = tmp_path / "l"
-        state = {"holders": 0, "overlaps": 0, "takeovers": 0}
-        guard = threading.Lock()
-
-        def worker():
-            for _ in range(150):
-                lock = CacheLock(path)
-                assert lock.acquire(5.0)
-                with guard:
-                    state["holders"] += 1
-                    state["overlaps"] += state["holders"] > 1
-                    state["takeovers"] += lock.last_outcome == "takeover"
-                time.sleep(0.0005)
-                with guard:
-                    state["holders"] -= 1
-                lock.release()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert state == {"holders": 0, "overlaps": 0, "takeovers": 0}
-
-    def test_contended_cache_skips_writes_with_cac004(self, tmp_path,
-                                                      short_lock_wait):
+    def test_leftover_lock_file_blocks_no_store(self, tmp_path):
+        # A lock file naming a live pid (ours) is what a killed run
+        # that shared its pid with the next one would leave behind.
         cache = open_cache(tmp_path)
-        holder = CacheLock(cache.root / "cache.lock")
-        assert holder.acquire(0.1)  # our live pid: genuinely contended
-        try:
-            cache.store_pairs([("k", "pair:A,B", True, "")])
-        finally:
-            holder.release()
-        assert cache.counters["stores"] == 0
-        assert "CAC004" in codes(cache)
-        assert cache.enabled  # degraded for the write, not disabled
-
-    def test_stale_lock_takeover_reports_cac003(self, tmp_path,
-                                                short_lock_wait):
-        cache = open_cache(tmp_path)
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
         (cache.root / "cache.lock").write_text(json.dumps(
-            {"pid": child.pid, "boot_id": ""}))
+            {"pid": os.getpid(), "boot_id": ""}))
         cache.store_pairs([("k", "pair:A,B", True, "")])
-        assert cache.counters["stores"] == 1
-        assert "CAC003" in codes(cache)
+        cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
+                          [])
+        assert codes(cache) == []
+        assert cache.counters["stores"] == 2
+        assert cache.lookup_pairs([("k", "pair:A,B")]) == [(True, "")]
+        assert cache.lookup_group("g", "group:A+B") is not None
 
-    def test_group_store_waits_one_pair_chunk_not_the_batch(
-            self, tmp_path, monkeypatch):
-        # A second run on the same root stores a finished group while
-        # this run writes a long pair batch: it must get the lock
-        # between two chunks instead of timing out (CAC004).
-        pairs = open_cache(tmp_path)
-        groups = open_cache(tmp_path)
-        real_store = ResultCache._store
-        writing = threading.Event()
-
-        def slow_store(self, space, *args):
-            if space != "pair":
-                return real_store(self, space, *args)
-            writing.set()
-            time.sleep(0.001)  # a slow disk: ~1 ms per pair entry
-
-        monkeypatch.setattr(ResultCache, "_store", slow_store)
-        # A chunk of pairs takes a fraction of the lock wait; the whole
-        # batch takes longer than it.
-        monkeypatch.setattr("repro.cache.LOCK_TIMEOUT", 1.0)
-        batch = [(f"k{i}", f"pair:A,B{i}", True, "") for i in range(1536)]
-        writer = threading.Thread(target=pairs.store_pairs, args=(batch,))
-        writer.start()
-        try:
-            assert writing.wait(5)
-            groups.store_group("g", "group:A+B",
-                               [{"mode_names": ["A", "B"]}], [])
-        finally:
-            writer.join(30)
-        assert not writer.is_alive()
-        assert "CAC004" not in codes(groups) + codes(pairs)
-        assert groups.lookup_group("g", "group:A+B") is not None
+    def test_processes_sharing_a_root_lose_no_entry_or_count(
+            self, tmp_path):
+        root = tmp_path / "cache"
+        procs, rounds = 4, 3
+        ctx = multiprocessing.get_context("fork")
+        workers = [ctx.Process(target=_store_overlapping_batches,
+                               args=(root, index, rounds))
+                   for index in range(procs)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+        assert [worker.exitcode for worker in workers] == [0] * procs
+        reports = [json.loads((root / f"proc{index}.json").read_text())
+                   for index in range(procs)]
+        assert all(report["codes"] == [] for report in reports)
+        last = 8 * (procs - 1) + 4 * (rounds - 1) + 24
+        assert open_cache(tmp_path).verify() == {
+            "checked": last + rounds, "quarantined": 0}
+        persisted = json.loads((root / "stats.json").read_text())
+        for name in reports[0]["totals"]:
+            assert persisted[name] == sum(report["totals"][name]
+                                          for report in reports), name
+        assert persisted["stores"] + persisted["skipped_writes"] \
+            == procs * rounds * 25
 
 
 class TestDiskFailure:
+    def test_probe_unlinked_by_a_concurrent_open_keeps_the_cache(
+            self, tmp_path, monkeypatch):
+        # Two runs opening one root write and unlink the same probe
+        # file; losing that race must not disable the cache (CAC001).
+        real_write_text = Path.write_text
+
+        def write_then_vanish(path, *args, **kwargs):
+            written = real_write_text(path, *args, **kwargs)
+            if path.name == ".writable":
+                path.unlink()  # the other run's unlink lands first
+            return written
+
+        monkeypatch.setattr(Path, "write_text", write_then_vanish)
+        collector = DiagnosticCollector()
+        cache = ResultCache.open(tmp_path / "cache", collector=collector,
+                                 chaos=ChaosPlan())
+        assert cache.enabled
+        assert collector.diagnostics == []
+
     def test_unusable_root_disables_not_raises(self, tmp_path):
         blocker = tmp_path / "afile"
         blocker.write_text("")
@@ -528,16 +466,6 @@ class TestChaosKinds:
         assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
         assert cache.counters["quarantined"] == 1
 
-    def test_cache_lockhold_fault_skips_the_write(self, tmp_path):
-        plan = ChaosPlan.from_spec("cache-lockhold@cache:lock@1")
-        cache = open_cache(tmp_path, chaos=plan)
-        cache.store_pairs([("k", "pair:A,B", True, "")])
-        assert cache.counters["stores"] == 0
-        assert "CAC004" in codes(cache)
-        # No lock file was actually planted: the next write succeeds.
-        cache.store_pairs([("k", "pair:A,B", True, "")])
-        assert cache.counters["stores"] == 1
-
 
 class TestMaintenance:
     def fill(self, tmp_path):
@@ -589,3 +517,5 @@ class TestMaintenance:
         assert stats["pair_entries"] == 0
         assert stats["group_entries"] == 0
         assert stats["stores"] == 0  # stats.json removed too
+        # ... but never stats.lock: a flush may hold it right now.
+        assert (cache.root / "stats.lock").exists()

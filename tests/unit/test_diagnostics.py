@@ -113,6 +113,7 @@ class TestRetiredCodes:
         retired = self.retired()
         assert {"SGN007", "SGN008", "SGN009", "EXE008"} <= set(retired)
         assert {f"SRV00{i}" for i in range(1, 10)} <= set(retired)
+        assert {"CAC003", "CAC004"} <= set(retired)
         mapped = {code for _type, code in diagnostics._ERROR_CODES}
         assert not set(retired) & (mapped | set(diagnostics._CODE_HINTS))
 
