@@ -1,15 +1,18 @@
 """Bench: incremental result-cache effectiveness and integrity cost.
 
-Three headline claims about ``repro.cache``, each asserted:
+Four headline claims about ``repro.cache``, each asserted:
 
 1. **warm speedup** — a warm rerun against a populated cache performs at
    least 5x fewer mock merges (``mergeability.pairs_scanned``) than the
    cold run, and its merged SDC output is byte-identical;
-2. **incrementality** — editing one mode re-scans only that mode's
+2. **degradation floor** — a fully corrupted store quarantines every
+   entry file, re-scans every pair and still produces the cold run's
+   bytes exactly;
+3. **incrementality** — editing one mode re-scans only that mode's
    pairs and re-merges only its clique; every untouched clique replays
-   from the cache;
-3. **degradation floor** — a fully corrupted store quarantines every
-   entry and still produces the cold run's bytes exactly.
+   from the (healed) cache;
+4. **layout** — a scan stores its fresh verdicts as one pack: the cold
+   run leaves one file in ``pairs/``, the edit a second.
 
 The synthetic workload is ``CLIQUES`` cliques of ``MODES_PER`` modes
 over one register pipeline: modes within a clique share a clock and
@@ -87,6 +90,10 @@ def _run(netlist, modes, cache_root):
     return run, registry.to_dict()["counters"], elapsed
 
 
+def _pair_files(cache_root):
+    return len(list((cache_root / "pairs").glob("*.json")))
+
+
 def _snapshot(run):
     """The observable product of a run: per-outcome modes/SDC/errors."""
     return sorted(
@@ -114,6 +121,7 @@ def test_cache_cold_warm_edit_corrupt(benchmark, tmp_path):
     cold_scanned = cold_counters["mergeability.pairs_scanned"]
     warm_scanned = warm_counters.get("mergeability.pairs_scanned", 0)
     assert cold_scanned == total_pairs
+    assert _pair_files(croot) == 1  # one pack holds every verdict
     # The acceptance criterion: >= 5x fewer mock merges when warm.
     assert warm_scanned * 5 <= cold_scanned, \
         f"warm rerun scanned {warm_scanned}/{cold_scanned} pairs"
@@ -121,9 +129,23 @@ def test_cache_cold_warm_edit_corrupt(benchmark, tmp_path):
     reference = _snapshot(cold_run)
     assert _snapshot(warm_run) == reference
 
+    # Corrupt every entry file: the run quarantines each one, re-scans
+    # every pair and degrades to the uncached pipeline — byte-identical
+    # to cold, never a crash.  Its stores heal the cache.
+    poisoned = 0
+    for entry in sorted(croot.rglob("*.json")):
+        if entry.parent.name in ("pairs", "groups"):
+            entry.write_bytes(entry.read_bytes()[:-25])
+            poisoned += 1
+    corrupt_run, corrupt_counters, _ = _run(netlist, modes, croot)
+    assert poisoned == 1 + CLIQUES
+    assert corrupt_counters["cache.quarantined"] == poisoned
+    assert corrupt_counters["mergeability.pairs_scanned"] == total_pairs
+    assert _snapshot(corrupt_run) == reference
+
     # One-mode edit: same verdicts (false paths stay mergeable), so
-    # exactly the edited mode's pairs re-scan and only its clique
-    # re-merges; the other cliques replay from the cache.
+    # exactly the edited mode's pairs re-scan, into a second pack, and
+    # only its clique re-merges; the other cliques replay from the cache.
     edited = list(modes)
     edited[0] = _mode(0, 0, CLIQUES * MODES_PER)
     edit_run, edit_counters, _ = _run(netlist, edited, croot)
@@ -131,37 +153,31 @@ def test_cache_cold_warm_edit_corrupt(benchmark, tmp_path):
     assert edit_counters["cache.pair_hits"] \
         == total_pairs - (len(modes) - 1)
     assert edit_counters["cache.group_hits"] == CLIQUES - 1
-
-    # Corrupt every entry: the store quarantines and degrades to the
-    # uncached pipeline — byte-identical to cold, never a crash.
-    poisoned = 0
-    for entry in sorted(croot.rglob("*.json")):
-        if entry.parent.name in ("pairs", "groups"):
-            entry.write_bytes(entry.read_bytes()[:-25])
-            poisoned += 1
-    corrupt_run, corrupt_counters, _ = _run(netlist, modes, croot)
-    assert corrupt_counters["cache.quarantined"] >= total_pairs
-    assert _snapshot(corrupt_run) == reference
+    pair_files = _pair_files(croot)
+    assert pair_files == 2
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(f"\ncache: cold {cold_scanned} pairs in {cold_s:.3f}s, "
           f"warm {warm_scanned} pairs in {warm_s:.3f}s "
-          f"({speedup:.1f}x), edit re-scanned {len(modes) - 1}, "
-          f"corrupt run quarantined {poisoned} entries")
+          f"({speedup:.1f}x), corrupt run quarantined {poisoned} "
+          f"entries, edit re-scanned {len(modes) - 1}, "
+          f"{pair_files} pair pack(s)")
     write_bench_json("cache",
                      cold_pairs_scanned=cold_scanned,
                      warm_pairs_scanned=warm_scanned,
                      edit_pairs_scanned=len(modes) - 1,
                      cold_seconds=cold_s,
                      warm_seconds=warm_s,
-                     quarantined_entries=poisoned)
+                     quarantined_entries=poisoned,
+                     pair_files=pair_files)
 
 
 @pytest.mark.benchmark(group="cache")
 def test_cache_warm_rerun_design_b(benchmark, tmp_path):
     """Cold/warm on the paper suite's design B: a realistic workload
-    (generated in-process: mode fingerprints are hash-seed stable only
-    within one interpreter) still replays entirely from the cache."""
+    still replays entirely from the cache.  Keys are SHA-256 content
+    hashes of the canonical netlist and SDC text, so they would match
+    across interpreters too."""
     workload = get_workload("B")
     croot = tmp_path / "cache-b"
 

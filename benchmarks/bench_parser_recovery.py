@@ -9,8 +9,6 @@ STRICT and PERMISSIVE and asserts the overhead stays under 10%.
 
 import time
 
-import pytest
-
 from bench_common import write_bench_json
 from repro.diagnostics import DegradationPolicy
 from repro.sdc import parse_sdc

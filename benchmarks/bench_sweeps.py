@@ -9,8 +9,6 @@ Two sweeps the paper's evaluation implies but does not tabulate:
   per-group merges — the **mode-count sweep** shows both phases scaling.
 """
 
-import pytest
-
 from bench_common import bench_seed
 from repro.analysis import sweep_mode_count, sweep_tolerance
 from repro.workloads import ModeGroupSpec, WorkloadSpec, generate

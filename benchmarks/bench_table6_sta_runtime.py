@@ -13,14 +13,7 @@ construction, so we typically see 100%).
 
 import pytest
 
-from bench_common import (
-    BENCH_SCALE,
-    get_conformity,
-    get_merge_run,
-    get_sta,
-    get_workload,
-    once,
-)
+from bench_common import BENCH_SCALE, get_conformity, get_sta, once
 from repro.analysis.tables import PAPER_TABLE6
 from repro.workloads.designs import paper_suite
 

@@ -7,11 +7,14 @@ CLI runs (``--cache DIR``) that memoizes the two expensive products of
 a merge run:
 
 * **pair verdicts** — the mergeability scan's mock-merge result for one
-  unordered mode pair, keyed by the two modes' content fingerprints;
+  unordered mode pair, keyed by the two modes' content fingerprints.
+  One scan's fresh verdicts are stored together as one *pack*,
+  ``pairs/<space>-<digest>.json`` (``<digest>`` hashes the pack's
+  verdict map), and a scan reads every pack of its key space once;
 * **group results** — the serialized :class:`~repro.core.mergeability.GroupOutcome`
   list of one analysis group (:func:`serialize_outcome`, whose SDC text
   plus report record round-trips byte-identically), keyed by the sorted
-  member fingerprints.
+  member fingerprints, one entry per group.
 
 Every key mixes the netlist fingerprint, the result-affecting merge
 options (:meth:`~repro.core.merger.MergeOptions.result_fingerprint`)
@@ -26,23 +29,24 @@ finished group, and rerunning it against the same root replays them
 
 Robustness contract (the headline):
 
-* every entry is one JSON file carrying a schema version and a
-  self-checksum (:func:`~repro.durable.record_crc`), written with
-  :func:`~repro.durable.write_atomic` — temp file, ``fsync``,
-  ``os.replace``, directory ``fsync`` — so a torn write can never
-  shadow good bytes with garbage that parses;
+* every entry — a pack or a group — is one JSON file carrying a schema
+  version and a self-checksum (:func:`~repro.durable.record_crc`),
+  written with :func:`~repro.durable.write_atomic` — temp file,
+  ``fsync``, ``os.replace``, directory ``fsync`` — so a torn write can
+  never shadow good bytes with garbage that parses;
 * every read re-verifies kind/version/key/crc; any mismatch moves the
   entry to ``<root>/quarantine/`` (``CAC002``, ``cache.quarantined``)
-  and the caller recomputes — a fully corrupted or version-skewed store
-  degrades to an uncached run, never a crash and never a byte different
-  from cold;
-* entries are immutable and named by the hash of their inputs, so
-  neither reads nor stores take a file lock: two runs storing one key
-  each rename a whole, valid file into place and the last one wins, as
-  git writes its loose objects.  The one read-modify-write, folding a
-  run's counters into ``stats.json`` (:meth:`ResultCache.flush_stats`),
-  holds ``flock(2)`` on ``<root>/stats.lock``, which the kernel
-  releases when its holder dies;
+  and the caller recomputes — for a pack, every verdict in it — so a
+  fully corrupted or version-skewed store degrades to an uncached run,
+  never a crash and never a byte different from cold;
+* entries are immutable and named by the hash of their content (a
+  pack) or inputs (a group), so neither reads nor stores take a file
+  lock: two runs storing one entry each rename a whole, valid file
+  into place and the last one wins, as git writes its loose objects.
+  The one read-modify-write, folding a run's counters into
+  ``stats.json`` (:meth:`ResultCache.flush_stats`), holds ``flock(2)``
+  on ``<root>/stats.lock``, which the kernel releases when its holder
+  dies;
 * a failing disk (``ENOSPC``/``OSError``) records ``CAC005`` per write
   and, after a few failures, disables the cache for the rest of the run
   (``CAC001`` "cache disabled, running uncached") — results are always
@@ -53,12 +57,16 @@ CI: ``cache-corrupt`` (a bad-crc entry lands on disk) and ``cache-torn``
 (a truncated entry lands on disk, as if the writer died mid-write).
 These kinds are ignored by the execution engine's
 :meth:`~repro.exec.chaos.ChaosPlan.strike`; the cache applies them at
-its own ``cache:store:pair`` / ``cache:store:group`` strike points.
+its own ``cache:store:pair`` (once per pack) / ``cache:store:group``
+strike points.
 
 Maintenance (``repro-merge cache <action> ROOT``): :meth:`ResultCache.stats`,
 :meth:`ResultCache.verify` (full integrity sweep), :meth:`ResultCache.prune`
-(last-seen eviction — hits touch the entry's mtime, identical re-stores
-are skipped but touched) and :meth:`ResultCache.clear`.
+(last-seen eviction — a hit touches the mtime of the entry that served
+it, identical re-stores are skipped but touched; nothing else does) and
+:meth:`ResultCache.clear`.  ``stats`` counts cached pair verdicts summed
+over the packs; ``verify``, ``prune`` and the ``stores`` counter count
+entry files, so a pack counts as one.
 """
 
 from __future__ import annotations
@@ -87,7 +95,7 @@ except ImportError:  # no flock(2): stats are advisory, flush unlocked
 
 #: Version of the cache entry layout.  Bump on any incompatible change;
 #: entries with a different version are quarantined, never guessed at.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: ``kind`` field of every entry file.
 CACHE_KIND = "repro-cache-entry"
@@ -373,10 +381,6 @@ class ResultCache:
         if reason:
             self._quarantine(path, reason, label)
             return None
-        try:
-            os.utime(path)  # last-seen touch for prune eviction
-        except OSError:
-            pass
         return entry["payload"]
 
     def _quarantine(self, path: Path, reason: str, label: str) -> None:
@@ -389,17 +393,14 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-        with self._mutex:
-            self.counters["quarantined"] += 1
-        obs = current()
-        obs.metrics.inc("cache.quarantined")
+        self._count("quarantined")
         if self.collector is not None:
             self.collector.report(
                 "CAC002",
                 f"cache entry for {label} quarantined ({reason}); "
                 f"recomputing",
                 severity=Severity.WARNING, source=str(path))
-        ledger = obs.decisions
+        ledger = current().decisions
         if ledger.enabled:
             ledger.decide("cache.quarantined", f"cache:{label}",
                           verdict="quarantined", evidence=[reason])
@@ -412,13 +413,8 @@ class ResultCache:
         try:
             if path.exists() and path.read_bytes() == data:
                 # Identical content: skip the write, refresh last-seen.
-                with self._mutex:
-                    self.counters["skipped_writes"] += 1
-                current().metrics.inc("cache.skipped_writes")
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
+                self._count("skipped_writes")
+                _touch(path)
                 return
         except OSError:
             pass
@@ -436,9 +432,14 @@ class ResultCache:
         except OSError as exc:
             self._write_failed(label, exc)
             return
-        with self._mutex:
-            self.counters["stores"] += 1
-        current().metrics.inc("cache.stores")
+        self._count("stores")
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add to this run's tally and to the ``cache.<name>`` metric."""
+        if amount:
+            with self._mutex:
+                self.counters[name] += amount
+            current().metrics.inc(f"cache.{name}", amount)
 
     def _write_failed(self, label: str, exc: OSError) -> None:
         with self._mutex:
@@ -458,61 +459,75 @@ class ResultCache:
     # ------------------------------------------------------------------
     # pair verdicts
     # ------------------------------------------------------------------
-    def lookup_pairs(self, items: Sequence[Tuple[str, str]]
+    def lookup_pairs(self, space: str, items: Sequence[Tuple[str, str]]
                      ) -> List[Optional[Tuple[bool, str]]]:
-        """Batch pair lookup: ``items`` are (key, label) tuples.
+        """Batch pair lookup in one key space: ``items`` are (key, label).
 
-        Returns one slot per item: ``(mergeable, reason)`` on a verified
-        hit, None on miss/quarantine.
+        Reads and verifies every pack of ``space`` once, then answers
+        each item from the first pack that holds its key.  Returns one
+        slot per item: ``(mergeable, reason)`` on a hit, None on a miss
+        (a quarantined pack's verdicts miss).  Only the packs that
+        served a hit are touched; no verdict map outlives the call.
         """
         if not self._enabled or not items:
             return [None] * len(items)
         obs = current()
-        tracer, ledger, metrics = obs.tracer, obs.decisions, obs.metrics
+        tracer, ledger = obs.tracer, obs.decisions
         out: List[Optional[Tuple[bool, str]]] = []
         with tracer.span("cache:lookup", space="pair",
                          keys=len(items)) as span:
-            hits = 0
+            paths = sorted((self.root / _SPACE_DIRS["pair"])
+                           .glob(f"{space}-*.json"))
+            packs: List[Tuple[Path, dict]] = []
+            for path in paths:
+                payload = self._load("pair", path.stem,
+                                     _file_label("pair", path))
+                if payload is not None \
+                        and isinstance(payload.get("verdicts"), dict):
+                    packs.append((path, payload["verdicts"]))
+            served = set()
             for key, label in items:
-                payload = self._load("pair", key, label)
-                if payload is None or "mergeable" not in payload:
-                    out.append(None)
-                    with self._mutex:
-                        self.counters["pair_misses"] += 1
-                    metrics.inc("cache.pair_misses")
-                    if ledger.enabled:
-                        ledger.decide("cache.miss", f"cache:{label}",
-                                      verdict="miss",
-                                      evidence=[f"key {key[:12]}"])
-                    continue
-                hits += 1
-                out.append((bool(payload["mergeable"]),
-                            str(payload.get("reason", ""))))
-                with self._mutex:
-                    self.counters["pair_hits"] += 1
-                metrics.inc("cache.pair_hits")
+                verdict = None
+                for index, (_path, verdicts) in enumerate(packs):
+                    verdict = verdicts.get(key)
+                    if verdict is not None:
+                        served.add(index)
+                        break
+                out.append(None if verdict is None
+                           else (bool(verdict[0]), str(verdict[1])))
                 if ledger.enabled:
-                    ledger.decide("cache.hit", f"cache:{label}",
-                                  verdict="hit",
+                    fate = "miss" if verdict is None else "hit"
+                    ledger.decide(f"cache.{fate}", f"cache:{label}",
+                                  verdict=fate,
                                   evidence=[f"key {key[:12]}"])
+            for index in served:
+                _touch(packs[index][0])
+            hits = len(out) - out.count(None)
+            self._count("pair_hits", hits)
+            self._count("pair_misses", len(out) - hits)
             if tracer.enabled:
-                span.annotate(hits=hits)
+                span.annotate(hits=hits, packs=len(paths))
         return out
 
-    def store_pairs(self, items: Sequence[Tuple[str, str, bool, str]]
-                    ) -> None:
-        """Batch pair store: ``items`` are (key, label, mergeable,
-        reason).  Stops once the cache disables itself."""
+    def store_pairs(self, space: str,
+                    items: Sequence[Tuple[str, bool, str]]) -> None:
+        """Store one scan's fresh verdicts in ``space`` as one pack:
+        ``items`` are (key, mergeable, reason).
+
+        The pack is named by the hash of its verdict map, so it is never
+        rewritten: storing the same verdicts again is a skipped write.
+        """
         if not self._enabled or not items:
             return
+        verdicts = {key: [bool(mergeable), str(reason)]
+                    for key, mergeable, reason in items}
+        digest = content_hash(json.dumps(verdicts, sort_keys=True,
+                                         separators=(",", ":")))
         with current().tracer.span("cache:store", space="pair",
                                    keys=len(items)):
-            for key, label, mergeable, reason in items:
-                if not self._enabled:
-                    return
-                self._store("pair", key,
-                            {"mergeable": bool(mergeable),
-                             "reason": str(reason)}, label)
+            self._store("pair", f"{space}-{digest}",
+                        {"verdicts": verdicts},
+                        f"{len(verdicts)} pair verdict(s)")
 
     # ------------------------------------------------------------------
     # group results
@@ -525,24 +540,21 @@ class ResultCache:
         if not self._enabled:
             return None
         obs = current()
-        tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
+        tracer, ledger = obs.tracer, obs.decisions
         with tracer.span("cache:lookup", space="group",
                          key=key[:12]) as span:
             payload = self._load("group", key, label)
             if not isinstance(payload, dict) \
                     or "outcomes" not in payload:
-                with self._mutex:
-                    self.counters["group_misses"] += 1
-                metrics.inc("cache.group_misses")
+                self._count("group_misses")
                 if ledger.enabled:
                     ledger.decide("cache.miss", f"cache:{label}",
                                   verdict="miss",
                                   evidence=[f"key {key[:12]}"],
                                   modes=list(modes))
                 return None
-            with self._mutex:
-                self.counters["group_hits"] += 1
-            metrics.inc("cache.group_hits")
+            self._count("group_hits")
+            _touch(self._entry_path("group", key))
             if ledger.enabled:
                 ledger.decide("cache.hit", f"cache:{label}",
                               verdict="hit",
@@ -575,11 +587,17 @@ class ResultCache:
                 yield space, path
 
     def stats(self) -> dict:
-        """Entries / bytes on disk plus cumulative hit counters."""
+        """Entries / bytes on disk plus cumulative hit counters.
+
+        ``pair_entries`` counts cached pair verdicts, summed over the
+        packs; a pack that does not parse counts 0 (:meth:`verify` is
+        the integrity sweep).  ``group_entries`` counts group files.
+        """
         entries = {"pair": 0, "group": 0}
         size = 0
         for space, path in self._iter_entries():
-            entries[space] += 1
+            entries[space] += 1 if space == "group" \
+                else _verdict_count(path)
             try:
                 size += path.stat().st_size
             except OSError:
@@ -604,23 +622,26 @@ class ResultCache:
         }
 
     def verify(self) -> dict:
-        """Full integrity sweep; bad entries are quarantined."""
+        """Full integrity sweep over the entry files (a pack counts as
+        one); bad entries are quarantined, none is touched."""
         checked = 0
         before = self.counters["quarantined"]
         for space, path in list(self._iter_entries()):
             checked += 1
-            self._load(space, path.stem, f"{space}:{path.stem[:12]}")
+            self._load(space, path.stem, _file_label(space, path))
         return {"checked": checked,
                 "quarantined": self.counters["quarantined"] - before}
 
     def prune(self, max_age_seconds: Optional[float] = None,
               keep: Optional[int] = None) -> dict:
-        """Last-seen eviction: drop entries not touched recently.
+        """Last-seen eviction: drop entry files not touched recently.
 
-        ``max_age_seconds`` evicts entries whose mtime (refreshed on
-        every hit and identical re-store) is older; ``keep`` retains
-        only the N most recently seen entries per space.  With neither,
-        only the quarantine directory is emptied.
+        ``max_age_seconds`` evicts entries whose mtime (refreshed when
+        the entry serves a hit and on an identical re-store) is older,
+        so a pack goes once none of its verdicts has been hit within the
+        age; ``keep`` retains only the N most recently seen entry files
+        per space.  With neither, only the quarantine directory is
+        emptied.
         """
         evicted = 0
         scanned = 0
@@ -709,6 +730,28 @@ class ResultCache:
                              + "\n")
         except OSError:
             pass
+
+
+def _touch(path: Path) -> None:
+    """Refresh an entry's last-seen time for :meth:`ResultCache.prune`."""
+    try:
+        os.utime(path)
+    except OSError:
+        pass
+
+
+def _file_label(space: str, path: Path) -> str:
+    """How diagnostics name an entry read by its file (a pack, or any
+    entry :meth:`ResultCache.verify` sweeps)."""
+    return f"{_SPACE_DIRS[space]}/{path.stem[-12:]}"
+
+
+def _verdict_count(path: Path) -> int:
+    """The verdicts in one pack file; 0 when it does not parse."""
+    try:
+        return len(json.loads(path.read_bytes())["payload"]["verdicts"])
+    except (OSError, ValueError, LookupError, TypeError):
+        return 0
 
 
 def _unlink(path: Path) -> int:

@@ -312,11 +312,12 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     is identical at any job count.
 
     ``cache`` (a :class:`~repro.cache.ResultCache`) memoizes per-pair
-    verdicts by content fingerprint: pairs with a verified entry are not
-    checked at all (``cache.pair_hits``), and only pairs that were
+    verdicts by content fingerprint: pairs with a verified verdict are
+    not checked at all (``cache.pair_hits``), and only pairs that were
     checked count into ``mergeability.pairs_scanned`` — editing
-    one mode re-scans only its own pairs.  Engine-failure fallbacks are
-    never cached (they describe the run, not the content).
+    one mode re-scans only its own pairs.  The scan's fresh verdicts
+    are stored as one pack.  Engine-failure fallbacks are never cached
+    (they describe the run, not the content).
     """
     start = time.perf_counter()
     obs = current()
@@ -334,7 +335,7 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                          modes=[m.name for m in mode_list]):
         cached: Dict[Tuple[int, int], Tuple[bool, str]] = {}
         pair_keys: Dict[Tuple[int, int], str] = {}
-        pair_labels: Dict[Tuple[int, int], str] = {}
+        space = ""
         if cache is not None and cache.enabled and pairs:
             from repro.cache import mode_fingerprint
 
@@ -344,16 +345,16 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
             for i, j in pairs:
                 pair_keys[(i, j)] = cache.pair_key(
                     space, fingerprints[i], fingerprints[j])
-                pair_labels[(i, j)] = pair_subject(
-                    mode_list[i].name, mode_list[j].name)
-                items.append((pair_keys[(i, j)], pair_labels[(i, j)]))
-            for pair, payload in zip(pairs, cache.lookup_pairs(items)):
+                items.append((pair_keys[(i, j)], pair_subject(
+                    mode_list[i].name, mode_list[j].name)))
+            for pair, payload in zip(pairs,
+                                     cache.lookup_pairs(space, items)):
                 if payload is not None:
                     cached[pair] = payload
         pending = [pair for pair in pairs if pair not in cached]
 
         computed: Dict[Tuple[int, int], Tuple[int, int, bool, str]] = {}
-        fresh: List[Tuple[str, str, bool, str]] = []
+        fresh: List[Tuple[str, bool, str]] = []
         if pending:
             supervisor = Supervisor(
                 _engine_config(options or MergeOptions(), jobs,
@@ -379,7 +380,6 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                     computed[(i, j)] = tuple(outcome.value)
                     if (i, j) in pair_keys:
                         fresh.append((pair_keys[(i, j)],
-                                      pair_labels[(i, j)],
                                       outcome.value[2],
                                       outcome.value[3]))
                 else:
@@ -390,7 +390,7 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                                         f"{outcome.error}")
         metrics.inc("mergeability.pairs_scanned", len(pending))
         if fresh and cache is not None:
-            cache.store_pairs(fresh)
+            cache.store_pairs(space, fresh)
 
         results = [(i, j) + tuple(cached[(i, j)])
                    if (i, j) in cached else computed[(i, j)]

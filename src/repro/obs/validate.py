@@ -322,7 +322,8 @@ ARTIFACT_ZOO = {artifact.name: artifact for artifact in (
     Artifact(
         "diagnostics", DIAGNOSTICS_SCHEMA_VERSION, "--diagnostics OUT.json"),
     Artifact(
-        "cache", CACHE_SCHEMA_VERSION, "--cache DIR (one file per entry)",
+        "cache", CACHE_SCHEMA_VERSION,
+        "--cache DIR (one pair pack per scan, one file per group)",
         kind=CACHE_KIND),
     Artifact(
         "profile", PROFILE_SCHEMA_VERSION, "--profile OUT.json",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.cli import main
-from repro.netlist import write_verilog, figure1_circuit
 
 NETLIST_V = """
 module chip (clk, din, dout);
@@ -263,14 +262,15 @@ class TestCheckpointResume:
         cache = tmp / "cache"
         self._kill_at_group_c(tmp, netlist, paths, cache,
                               chaos="cache-torn@cache:store:group@1")
-        assert len(list((cache / "pairs").glob("*.json"))) == 3
+        # The scan's three verdicts are one pack.
+        assert len(list((cache / "pairs").glob("*.json"))) == 1
         assert len(list((cache / "groups").glob("*.json"))) == 1
         err = self._resume_matches_fresh(tmp, netlist, paths, cache, capsys,
                                          exit_code=1)
         assert "CAC002" in err
         assert "CAC006" not in err  # nothing to replay: {a, b} recomputed
         assert len(list((cache / "quarantine").glob("*.json"))) == 1
-        assert ResultCache.open(cache).verify() == {"checked": 5,
+        assert ResultCache.open(cache).verify() == {"checked": 3,
                                                     "quarantined": 0}
 
     def test_checkpoint_option_is_gone(self, ckpt_files, capsys):

@@ -9,7 +9,6 @@ from repro.core import (
     check_mode_equivalence,
     merge_all,
 )
-from repro.netlist import validate
 from repro.workloads import (
     ModeGroupSpec,
     WorkloadSpec,

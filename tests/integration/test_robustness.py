@@ -9,12 +9,7 @@ fail with a precise library error — never crash incidentally.
 
 import pytest
 
-from repro.core import (
-    build_mergeability_graph,
-    check_mode_equivalence,
-    merge_all,
-    merge_modes,
-)
+from repro.core import check_mode_equivalence, merge_all, merge_modes
 from repro.netlist import NetlistBuilder
 from repro.sdc import parse_mode
 from repro.timing import BoundMode, RelationshipExtractor, run_sta

@@ -9,7 +9,7 @@ as the ground-truth oracle.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from hypothesis import strategies as st
 

@@ -21,7 +21,6 @@ from circuits import build_random_circuit, build_random_mode, circuit_params
 from repro.core import MergeOptions, combine_strictest, merge_modes
 from repro.timing import BoundMode, enumerate_paths, path_state
 from repro.timing.paths import feasible_edge_pairs
-from repro.timing.states import RelState
 
 
 def _path_states(bound, clock_map=None):

@@ -18,7 +18,6 @@ from repro.timing import (
     RelationshipExtractor,
     build_graph,
     endpoint_states_by_enumeration,
-    named_endpoint_rows,
 )
 
 
@@ -174,8 +173,6 @@ class TestConstantInvariants:
     def test_constants_consistent_with_functions(self, params, mode_seed):
         """Every combinational output's constant equals its function
         evaluated over the input constants."""
-        from repro.netlist.cells import LOGIC_X
-
         seed, gates, regs, mux = params
         netlist = build_random_circuit(seed, gates, regs, mux)
         mode = build_random_mode(netlist, mode_seed, "m",

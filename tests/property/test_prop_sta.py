@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from circuits import build_random_circuit, build_random_mode, circuit_params
 
 from repro.timing import BoundMode, UnitDelayModel, enumerate_paths
-from repro.timing.graph import ARC_LAUNCH
 from repro.timing.sta import StaEngine
 
 UNIT = UnitDelayModel()

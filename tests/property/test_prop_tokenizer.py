@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SdcSyntaxError
-from repro.sdc import TokenKind, tokenize
+from repro.sdc import tokenize
 
 word = st.text(alphabet=string.ascii_letters + string.digits + "_/*.-",
                min_size=1, max_size=8).filter(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import compare_conformity, run_suite
-from repro.analysis.conformity import ConformityReport, EndpointConformity
 from repro.baselines.no_merge import MultiModeStaResult
 from repro.timing.sta import EndpointSlack, StaResult
 from repro.timing.states import VALID

@@ -1,7 +1,5 @@
 """Unit tests for the no-merge and naive-union baselines."""
 
-import pytest
-
 from repro.baselines import naive_merge, run_sta_all_modes
 from repro.core import check_mode_equivalence, merge_modes
 from repro.sdc import parse_mode

@@ -1,7 +1,5 @@
 """Unit tests for standalone equivalence checking."""
 
-import pytest
-
 from repro.core import check_mode_equivalence, merge_modes
 from repro.sdc import parse_mode
 

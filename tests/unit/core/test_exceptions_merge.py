@@ -1,16 +1,8 @@
 """Unit tests for exception intersection + uniquification (3.1.9/3.1.10)."""
 
-import pytest
-
 from repro.core import merge_clocks, merge_exceptions, uniquify_exception
 from repro.core.steps import MergeContext
-from repro.sdc import (
-    ObjectRef,
-    PathSpec,
-    SetFalsePath,
-    SetMulticyclePath,
-    parse_mode,
-)
+from repro.sdc import ObjectRef, PathSpec, SetFalsePath, parse_mode
 
 
 def run_step(netlist, *sdcs):

@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 from repro.core import MergeContext, MergeOptions, merge_modes
-from repro.errors import RefinementError
 from repro.sdc import parse_mode, write_mode
 
 

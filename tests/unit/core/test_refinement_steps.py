@@ -1,7 +1,5 @@
 """Unit tests for clock refinement (3.1.8) and data refinement (3.2a)."""
 
-import pytest
-
 from repro.core import (
     merge_case_analysis,
     merge_clock_exclusivity,

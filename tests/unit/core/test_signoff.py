@@ -1,7 +1,5 @@
 """Unit tests for the sign-off guard (verify -> localize -> repair)."""
 
-import pytest
-
 from repro.core import check_mode_equivalence, merge_all
 from repro.core.merger import MergeOptions
 from repro.core.signoff import GuardedOutcome, SignoffGuard

@@ -19,7 +19,6 @@ from repro.sdc import (
     SetFalsePath,
     SetInputDelay,
     SetInputTransition,
-    SetLoad,
     parse_mode,
 )
 

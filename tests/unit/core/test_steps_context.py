@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.mergeability import merge_all
-from repro.core.steps import Conflict, MergeContext, StepReport
+from repro.core.steps import MergeContext, StepReport
 from repro.sdc import SetCaseAnalysis, ObjectRef, parse_mode
 from repro.timing.context import BoundMode
 from repro.workloads.designs import load_design

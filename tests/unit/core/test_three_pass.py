@@ -1,7 +1,5 @@
 """Unit tests for the 3-pass comparison primitives and refiner."""
 
-import pytest
-
 from repro.core import classify, combine_strictest, effective_state
 from repro.core.three_pass import (
     ThreePassRefiner,
@@ -19,7 +17,6 @@ from repro.sdc import (
     SetFalsePath,
     SetMaxDelay,
     SetMulticyclePath,
-    parse_mode,
 )
 from repro.timing import FALSE, RelState, VALID
 

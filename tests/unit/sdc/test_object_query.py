@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SdcLookupError
-from repro.sdc import ObjectRef, RefKind
+from repro.sdc import ObjectRef
 from repro.sdc.object_query import ObjectResolver
 
 

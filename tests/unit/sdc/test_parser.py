@@ -7,9 +7,7 @@ from repro.sdc import (
     ClockGroupKind,
     CreateClock,
     CreateGeneratedClock,
-    ObjectRef,
     RefKind,
-    SetCaseAnalysis,
     SetClockGroups,
     SetClockLatency,
     SetClockSense,

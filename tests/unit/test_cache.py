@@ -2,8 +2,11 @@
 
 Every degradation path is exercised directly at the store layer:
 integrity quarantine (corrupt / torn / version-skewed / misfiled
-entries), ENOSPC write degradation, and the deterministic ``cache-*``
-chaos kinds.  Stores take no lock, so concurrent processes sharing one
+entries, pair packs included), ENOSPC write degradation, and the
+deterministic ``cache-*`` chaos kinds.  Pair verdicts live in packs,
+one per ``store_pairs`` call: a lookup answers from every pack of its
+key space and touches only the packs that served a hit, so ``prune``
+evicts a pack none of whose verdicts was hit lately.  Stores take no lock, so concurrent processes sharing one
 root are tested too: every entry they write verifies, a leftover lock
 file blocks nothing, and the ``stats.json`` fold (the one locked
 read-modify-write) loses no process's counters.  The invariant
@@ -38,6 +41,8 @@ from repro.core.merger import MergeOptions
 from repro.diagnostics import Diagnostic, DiagnosticCollector, Severity
 from repro.durable import record_crc
 from repro.exec.chaos import ALL_FAULT_KINDS, CACHE_FAULT_KINDS, ChaosPlan
+from repro.obs.context import observing
+from repro.obs.trace import Tracer
 from repro.sdc import parse_mode, write_mode
 
 MODE_A = """
@@ -186,12 +191,21 @@ class TestKeys:
         assert mode_fingerprint(a) != mode_fingerprint(b)
 
 
+def pack_paths(cache, space="s"):
+    return sorted((cache.root / "pairs").glob(f"{space}-*.json"))
+
+
+def age(path, seconds=1_000_000_000):
+    """Set ``path``'s mtime to ``seconds`` (2001 by default)."""
+    os.utime(path, (seconds, seconds))
+
+
 class TestRoundTrip:
     def test_pair_store_and_lookup(self, tmp_path):
         cache = open_cache(tmp_path)
         key = ResultCache.pair_key("s", "fa", "fb")
-        cache.store_pairs([(key, "pair:A,B", False, "blocked clock")])
-        assert cache.lookup_pairs([(key, "pair:A,B")]) \
+        cache.store_pairs("s", [(key, False, "blocked clock")])
+        assert cache.lookup_pairs("s", [(key, "pair:A,B")]) \
             == [(False, "blocked clock")]
         assert cache.counters["stores"] == 1
         assert cache.counters["pair_hits"] == 1
@@ -207,7 +221,7 @@ class TestRoundTrip:
 
     def test_miss_returns_none(self, tmp_path):
         cache = open_cache(tmp_path)
-        assert cache.lookup_pairs([("nope", "pair:A,B")]) == [None]
+        assert cache.lookup_pairs("s", [("nope", "pair:A,B")]) == [None]
         assert cache.lookup_group("nope", "group:A+B") is None
         assert cache.counters["pair_misses"] == 1
         assert cache.counters["group_misses"] == 1
@@ -215,35 +229,153 @@ class TestRoundTrip:
     def test_identical_restore_is_skipped_not_rewritten(self, tmp_path):
         cache = open_cache(tmp_path)
         key = ResultCache.pair_key("s", "fa", "fb")
-        cache.store_pairs([(key, "pair:A,B", True, "")])
-        cache.store_pairs([(key, "pair:A,B", True, "")])
+        cache.store_pairs("s", [(key, True, "")])
+        cache.store_pairs("s", [(key, True, "")])
         assert cache.counters["stores"] == 1
         assert cache.counters["skipped_writes"] == 1
+        assert len(pack_paths(cache)) == 1
 
     def test_entries_carry_schema_version_and_valid_crc(self, tmp_path):
         cache = open_cache(tmp_path)
         key = ResultCache.pair_key("s", "fa", "fb")
-        cache.store_pairs([(key, "pair:A,B", True, "")])
-        entry = json.loads(
-            (tmp_path / "cache" / "pairs" / f"{key}.json").read_text())
+        cache.store_pairs("s", [(key, True, "")])
+        path, = pack_paths(cache)
+        entry = json.loads(path.read_text())
         assert entry["kind"] == CACHE_KIND
-        assert entry["schema_version"] == CACHE_SCHEMA_VERSION
-        assert entry["key"] == key
+        assert entry["schema_version"] == CACHE_SCHEMA_VERSION == 2
+        assert entry["space"] == "pair"
+        assert entry["key"] == path.stem
         assert entry["crc"] == record_crc(entry)
+        # The pack is named by the hash of its canonical verdict map.
+        verdicts = {key: [True, ""]}
+        assert entry["payload"] == {"verdicts": verdicts}
+        assert path.stem == "s-" + content_hash(
+            json.dumps(verdicts, sort_keys=True, separators=(",", ":")))
+
+
+class TestPacks:
+    """One pack per ``store_pairs`` call; lookups read them all."""
+
+    def test_one_store_is_one_pack(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [(f"k{n}", n % 2 == 0, f"r{n}")
+                                for n in range(50)])
+        assert len(pack_paths(cache)) == 1
+        assert cache.counters["stores"] == 1
+        assert cache.stats()["pair_entries"] == 50
+        assert cache.lookup_pairs("s", [("k7", "pair:A,B7"),
+                                        ("k8", "pair:A,B8")]) \
+            == [(False, "r7"), (True, "r8")]
+
+    def test_cold_pack_and_edit_pack_both_serve_hits(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("ab", True, ""), ("ac", False, "x")])
+        # The edit re-scans only its own pairs: a second, smaller pack.
+        cache.store_pairs("s", [("ac2", True, ""), ("bc2", True, "")])
+        assert len(pack_paths(cache)) == 2
+        tracer = Tracer()
+        with observing(tracer=tracer):
+            assert cache.lookup_pairs("s", [("ab", "pair:A,B"),
+                                            ("ac2", "pair:A,C"),
+                                            ("bc2", "pair:B,C")]) \
+                == [(True, ""), (True, ""), (True, "")]
+        assert cache.counters["pair_hits"] == 3
+        span, = tracer.find("cache:lookup")
+        assert (span.attrs["packs"], span.attrs["hits"]) == (2, 3)
+
+    def test_other_spaces_packs_are_not_read(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("k", True, "")])
+        assert cache.lookup_pairs("t", [("k", "pair:A,B")]) == [None]
+        assert cache.counters["quarantined"] == 0
+
+    def test_lookup_touches_only_packs_that_served_a_hit(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("k1", True, "")])
+        cache.store_pairs("s", [("k2", True, "")])
+        for path in pack_paths(cache):
+            age(path)
+        assert cache.lookup_pairs("s", [("k1", "pair:A,B"),
+                                        ("nope", "pair:A,C")]) \
+            == [(True, ""), None]
+        touched = {path.name: path.stat().st_mtime > 1_000_000_000
+                   for path in pack_paths(cache)}
+        assert sorted(touched.values()) == [False, True]
+        served = json.loads(
+            next(p for p in pack_paths(cache)
+                 if touched[p.name]).read_text())
+        assert "k1" in served["payload"]["verdicts"]
+
+    def test_prune_by_age_evicts_a_pack_no_hit_touched(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("k1", True, "")])
+        cache.store_pairs("s", [("k2", True, ""), ("k3", True, "")])
+        for path in pack_paths(cache):
+            age(path)
+        cache.lookup_pairs("s", [("k1", "pair:A,B")])
+        assert cache.prune(max_age_seconds=3600) == {"scanned": 2,
+                                                      "evicted": 1}
+        assert cache.lookup_pairs("s", [("k1", "pair:A,B"),
+                                        ("k2", "pair:A,C")]) \
+            == [(True, ""), None]
+
+    def test_verify_touches_no_entry(self, tmp_path):
+        # A sweep is not a use: entries it verifies stay as stale as
+        # they were, so a later prune by age still evicts them.
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("k", True, "")])
+        cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
+                          [])
+        for _space, path in cache._iter_entries():
+            age(path)
+        assert cache.verify() == {"checked": 2, "quarantined": 0}
+        assert cache.prune(max_age_seconds=3600) == {"scanned": 2,
+                                                      "evicted": 2}
+
+    def test_group_hit_touches_its_entry(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
+                          [])
+        path = cache.root / "groups" / "g.json"
+        age(path)
+        assert cache.lookup_group("g", "group:A+B") is not None
+        assert path.stat().st_mtime > 1_000_000_000
+
+    def test_stats_counts_zero_for_an_unparsable_pack(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.store_pairs("s", [("k1", True, ""), ("k2", True, "")])
+        cache.store_pairs("s", [("k3", True, "")])
+        assert cache.stats()["pair_entries"] == 3
+        path = next(p for p in pack_paths(cache)
+                    if "k3" not in p.read_text())
+        path.write_text("garbage")
+        assert cache.stats()["pair_entries"] == 1
 
 
 class TestQuarantine:
     def store_one(self, cache):
         key = ResultCache.pair_key("s", "fa", "fb")
-        cache.store_pairs([(key, "pair:A,B", True, "")])
-        return key, cache.root / "pairs" / f"{key}.json"
+        other = ResultCache.pair_key("s", "fa", "fc")
+        cache.store_pairs("s", [(key, True, ""), (other, False, "r")])
+        path, = pack_paths(cache)
+        return key, path
 
-    def assert_quarantined(self, cache, key, path):
-        assert cache.lookup_pairs([(key, "pair:A,B")]) == [None]
+    def assert_quarantined(self, cache, key, path, space="s"):
+        # Every verdict of the pack misses, and the pack is moved out
+        # once, however many of its verdicts were asked for.
+        assert cache.lookup_pairs(space, [
+            (key, "pair:A,B"),
+            (ResultCache.pair_key("s", "fa", "fc"), "pair:A,C")]) \
+            == [None, None]
         assert not path.exists()
-        assert (cache.root / "quarantine" / path.name).exists()
+        assert len(list((cache.root / "quarantine").glob("*.json"))) == 1
         assert cache.counters["quarantined"] == 1
-        assert "CAC002" in codes(cache)
+        assert codes(cache) == ["CAC002"]
+        # The scan re-stores its verdicts, and the store heals.
+        cache.store_pairs(space, [(key, True, "")])
+        assert cache.lookup_pairs(space, [(key, "pair:A,B")]) \
+            == [(True, "")]
+        assert cache.counters["quarantined"] == 1
 
     def test_bit_flip_quarantines(self, tmp_path):
         cache = open_cache(tmp_path)
@@ -262,22 +394,38 @@ class TestQuarantine:
         cache = open_cache(tmp_path)
         key, path = self.store_one(cache)
         entry = json.loads(path.read_text())
-        entry["schema_version"] = CACHE_SCHEMA_VERSION + 1
+        entry["schema_version"] = CACHE_SCHEMA_VERSION - 1
         entry.pop("crc")
         entry["crc"] = record_crc(entry)
         path.write_text(json.dumps(entry))
         self.assert_quarantined(cache, key, path)
 
     def test_misfiled_entry_quarantines(self, tmp_path):
-        # A valid entry under the wrong file name must not be trusted.
+        # A valid pack renamed to another key space's prefix must not
+        # be trusted: its key no longer matches its file name.
         cache = open_cache(tmp_path)
         key, path = self.store_one(cache)
-        other = ResultCache.pair_key("s", "fx", "fy")
-        wrong = path.with_name(f"{other}.json")
+        wrong = path.with_name("t" + path.name[1:])
         os.replace(path, wrong)
-        assert cache.lookup_pairs([(other, "pair:X,Y")]) == [None]
-        assert not wrong.exists()
-        assert cache.counters["quarantined"] == 1
+        self.assert_quarantined(cache, key, wrong, space="t")
+
+    def test_old_layout_pair_file_is_never_read(self, tmp_path):
+        # A schema-1 pair entry (one file per pair, named by the pair
+        # key) matches no pack name: lookups miss it, verify
+        # quarantines it as version-skewed.
+        cache = open_cache(tmp_path)
+        key = ResultCache.pair_key("s", "fa", "fb")
+        entry = {"kind": CACHE_KIND, "schema_version": 1, "space": "pair",
+                 "key": key,
+                 "payload": {"mergeable": True, "reason": ""}}
+        entry["crc"] = record_crc(entry)
+        path = cache.root / "pairs" / f"{key}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(entry))
+        assert cache.lookup_pairs("s", [(key, "pair:A,B")]) == [None]
+        assert cache.stats()["pair_entries"] == 0
+        assert cache.verify() == {"checked": 1, "quarantined": 1}
+        assert "schema version 1" in cache.collector.diagnostics[0].message
 
     def test_verify_sweeps_and_counts(self, tmp_path):
         cache = open_cache(tmp_path)
@@ -293,16 +441,17 @@ class TestQuarantine:
 
 def _store_overlapping_batches(root, index, rounds):
     """One process's share of the concurrent-store test: per round, a
-    batch overlapping its neighbours' plus a group, then a flush."""
+    batch overlapping its neighbours' (one pack) plus a group, then a
+    flush."""
     cache = ResultCache.open(root, collector=DiagnosticCollector(),
                              chaos=ChaosPlan())
     totals = dict.fromkeys(cache.counters, 0)
     for round_ in range(rounds):
         first = 8 * index + 4 * round_
-        cache.store_pairs([(f"k{n}", f"pair:A,B{n}", n % 3 == 0, f"r{n}")
-                           for n in range(first, first + 24)])
-        cache.lookup_pairs([(f"k{n}", f"pair:A,B{n}")
-                            for n in range(first, first + 8)])
+        cache.store_pairs("s", [(f"k{n}", n % 3 == 0, f"r{n}")
+                                for n in range(first, first + 24)])
+        cache.lookup_pairs("s", [(f"k{n}", f"pair:A,B{n}")
+                                 for n in range(first, first + 8)])
         cache.store_group(f"g{round_}", f"group:G{round_}",
                           [{"mode_names": ["A", "B"]}], [])
         for name, value in cache.counters.items():
@@ -323,12 +472,12 @@ class TestConcurrentStores:
         cache = open_cache(tmp_path)
         (cache.root / "cache.lock").write_text(json.dumps(
             {"pid": os.getpid(), "boot_id": ""}))
-        cache.store_pairs([("k", "pair:A,B", True, "")])
+        cache.store_pairs("s", [("k", True, "")])
         cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
                           [])
         assert codes(cache) == []
         assert cache.counters["stores"] == 2
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [(True, "")]
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [(True, "")]
         assert cache.lookup_group("g", "group:A+B") is not None
 
     def test_processes_sharing_a_root_lose_no_entry_or_count(
@@ -347,15 +496,24 @@ class TestConcurrentStores:
         reports = [json.loads((root / f"proc{index}.json").read_text())
                    for index in range(procs)]
         assert all(report["codes"] == [] for report in reports)
-        last = 8 * (procs - 1) + 4 * (rounds - 1) + 24
-        assert open_cache(tmp_path).verify() == {
-            "checked": last + rounds, "quarantined": 0}
+        # Batches that start at the same key are the same pack: one
+        # file per distinct batch, plus one per group.
+        firsts = {8 * index + 4 * round_ for index in range(procs)
+                  for round_ in range(rounds)}
+        cache = open_cache(tmp_path)
+        assert cache.verify() == {"checked": len(firsts) + rounds,
+                                  "quarantined": 0}
+        # Every key any process stored is served, with its verdict.
+        last = max(firsts) + 24
+        assert cache.lookup_pairs(
+            "s", [(f"k{n}", f"pair:A,B{n}") for n in range(last)]) \
+            == [(n % 3 == 0, f"r{n}") for n in range(last)]
         persisted = json.loads((root / "stats.json").read_text())
         for name in reports[0]["totals"]:
             assert persisted[name] == sum(report["totals"][name]
                                           for report in reports), name
         assert persisted["stores"] + persisted["skipped_writes"] \
-            == procs * rounds * 25
+            == procs * rounds * 2
 
 
 class TestDiskFailure:
@@ -387,9 +545,9 @@ class TestDiskFailure:
         assert not cache.enabled
         assert [d.code for d in collector.diagnostics] == ["CAC001"]
         # Every surface degrades to a no-op, never an exception.
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [None]
         assert cache.lookup_group("k", "group:A") is None
-        cache.store_pairs([("k", "pair:A,B", True, "")])
+        cache.store_pairs("s", [("k", True, "")])
         cache.store_group("k", "group:A", [], [])
         cache.flush_stats()
 
@@ -401,7 +559,7 @@ class TestDiskFailure:
 
         monkeypatch.setattr("repro.cache.os.replace", full_disk)
         for index in range(MAX_WRITE_FAILURES):
-            cache.store_pairs([(f"k{index}", "pair:A,B", True, "")])
+            cache.store_pairs("s", [(f"k{index}", True, "")])
         assert not cache.enabled
         reported = codes(cache)
         assert reported.count("CAC005") == MAX_WRITE_FAILURES
@@ -414,9 +572,9 @@ class TestDiskFailure:
             "repro.cache.os.replace",
             lambda *a, **k: (_ for _ in ()).throw(
                 OSError(errno.ENOSPC, "full")))
-        cache.store_pairs([("k", "pair:A,B", True, "")])
+        cache.store_pairs("s", [("k", True, "")])
         # Nothing landed, so the lookup is an honest miss — not garbage.
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [None]
 
     def test_failed_writes_leave_no_temp_files(self, tmp_path, monkeypatch):
         # A store that dies at the rename must take its temp file with
@@ -427,7 +585,7 @@ class TestDiskFailure:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr("repro.durable.os.replace", full_disk)
-        cache.store_pairs([("k", "pair:A,B", True, "")])
+        cache.store_pairs("s", [("k", True, "")])
         cache.store_group("g", "group:A+B", [{"mode_names": ["A", "B"]}],
                           [])
         assert codes(cache).count("CAC005") == 2
@@ -448,37 +606,37 @@ class TestChaosKinds:
     def test_cache_corrupt_fault_lands_bad_crc(self, tmp_path):
         plan = ChaosPlan.from_spec("cache-corrupt@cache:store:pair@1")
         cache = open_cache(tmp_path, chaos=plan)
-        cache.store_pairs([("k", "pair:A,B", True, "")])
-        # The poisoned entry is detected on read and quarantined.
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+        cache.store_pairs("s", [("k", True, "")])
+        # The poisoned pack is detected on read and quarantined.
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [None]
         assert cache.counters["quarantined"] == 1
-        # The next store (attempt 2) is clean; the entry heals.
-        cache.store_pairs([("k", "pair:A,B", True, "")])
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [(True, "")]
+        # The next store (attempt 2) is clean; the pack heals.
+        cache.store_pairs("s", [("k", True, "")])
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [(True, "")]
 
     def test_cache_torn_fault_lands_truncated_file(self, tmp_path):
         plan = ChaosPlan.from_spec("cache-torn@cache:store:pair@1")
         cache = open_cache(tmp_path, chaos=plan)
-        cache.store_pairs([("k", "pair:A,B", True, "")])
-        path = cache.root / "pairs" / "k.json"
+        cache.store_pairs("s", [("k", True, "")])
+        path, = pack_paths(cache)
         with pytest.raises(ValueError):
             json.loads(path.read_text())
-        assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+        assert cache.lookup_pairs("s", [("k", "pair:A,B")]) == [None]
         assert cache.counters["quarantined"] == 1
 
 
 class TestMaintenance:
     def fill(self, tmp_path):
         cache = open_cache(tmp_path)
-        for index in range(3):
-            cache.store_pairs([(f"k{index}", f"pair:A,B{index}", True, "")])
+        for index in range(3):  # three packs of one verdict each
+            cache.store_pairs("s", [(f"k{index}", True, "")])
         cache.store_group("g0", "group:A+B", [{"mode_names": ["A", "B"]}],
                           [])
         return cache
 
     def test_stats_counts_entries_and_persists_hits(self, tmp_path):
         cache = self.fill(tmp_path)
-        cache.lookup_pairs([("k0", "pair:A,B0")])
+        cache.lookup_pairs("s", [("k0", "pair:A,B0")])
         stats = cache.stats()
         assert stats["pair_entries"] == 3
         assert stats["group_entries"] == 1
@@ -492,18 +650,17 @@ class TestMaintenance:
     def test_prune_by_keep(self, tmp_path):
         cache = self.fill(tmp_path)
         report = cache.prune(keep=1)
-        assert report["evicted"] == 2  # pairs beyond the newest one
+        assert report["evicted"] == 2  # packs beyond the newest one
         assert cache.stats()["pair_entries"] == 1
         assert cache.stats()["group_entries"] == 1
 
     def test_prune_by_age_and_quarantine_emptied(self, tmp_path):
         cache = self.fill(tmp_path)
-        path = cache.root / "pairs" / "k0.json"
-        old = 1_000_000_000
-        os.utime(path, (old, old))
+        path = next(p for p in pack_paths(cache) if "k0" in p.read_text())
+        age(path)
         path.write_text("garbage")
-        cache.lookup_pairs([("k0", "pair:A,B0")])  # -> quarantine
-        assert (cache.root / "quarantine" / "k0.json").exists()
+        cache.lookup_pairs("s", [("k0", "pair:A,B0")])  # -> quarantine
+        assert (cache.root / "quarantine" / path.name).exists()
         report = cache.prune(max_age_seconds=3600)
         assert report["evicted"] == 0  # the stale one is already gone
         assert not list((cache.root / "quarantine").glob("*.json"))

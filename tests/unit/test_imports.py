@@ -1,8 +1,9 @@
 """The package's import hygiene, checked with the standard library alone.
 
-No linter runs in CI, so this is the one: every module of ``src/`` uses
-what it imports, and imports nothing but the standard library and
-``repro`` itself, which is also all ``pyproject.toml`` may declare.
+No linter runs in CI, so this is the one: every module of ``src/``,
+``tests/`` and ``benchmarks/`` uses what it imports, and every module of
+``src/`` imports nothing but the standard library and ``repro`` itself,
+which is also all ``pyproject.toml`` may declare.
 """
 
 import ast
@@ -14,6 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+#: Every file whose imports must all be used.  A package's
+#: ``__init__.py`` re-exports what it imports and a ``conftest.py`` may
+#: import fixtures that pytest, not the file, uses, so both are skipped.
+CHECKED = sorted(
+    path for tree in (SRC, ROOT / "tests", ROOT / "benchmarks")
+    for path in tree.rglob("*.py")
+    if path.name not in ("__init__.py", "conftest.py"))
 
 
 def _imports(tree):
@@ -60,9 +68,7 @@ def _where(path, node):
 
 def test_modules_use_what_they_import():
     unused = []
-    for path in MODULES:
-        if path.name == "__init__.py":
-            continue  # a package's imports are its re-exports
+    for path in CHECKED:
         tree = ast.parse(path.read_text(), str(path))
         used = _used_names(tree)
         for node in _imports(tree):

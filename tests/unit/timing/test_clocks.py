@@ -1,7 +1,5 @@
 """Unit tests for clock propagation and launch-clock propagation."""
 
-import pytest
-
 from repro.netlist import NetlistBuilder
 from repro.sdc import parse_mode
 from repro.timing import BoundMode, ClockPropagation, propagate_launch_clocks

@@ -1,7 +1,5 @@
 """Unit tests for constant propagation and arc liveness."""
 
-import pytest
-
 from repro.netlist import LOGIC_X, NetlistBuilder
 from repro.netlist.cells import (ArcSpec, CellType, PinDirection, PinSpec,
                                  Unateness, generic_library)

@@ -1,8 +1,5 @@
 """Unit tests for mode binding (BoundMode)."""
 
-import pytest
-
-from repro.netlist import NetlistBuilder
 from repro.sdc import parse_mode
 from repro.timing import BoundMode, RelationshipExtractor
 

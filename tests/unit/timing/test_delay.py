@@ -4,9 +4,7 @@ import pytest
 
 from repro.netlist import NetlistBuilder
 from repro.timing import (
-    ARC_CELL,
     ARC_LAUNCH,
-    ARC_NET,
     DEFAULT_DELAY_MODEL,
     UnitDelayModel,
     WireLoadDelayModel,

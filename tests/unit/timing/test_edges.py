@@ -14,7 +14,7 @@ from repro.timing import (
     run_sta,
     UnitDelayModel,
 )
-from repro.timing.paths import enumerate_paths, feasible_edge_pairs, path_state
+from repro.timing.paths import enumerate_paths, feasible_edge_pairs
 
 
 @pytest.fixture

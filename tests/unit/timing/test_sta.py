@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netlist import NetlistBuilder
 from repro.sdc import parse_mode
 from repro.timing import (
     BoundMode,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import merge_all
 from repro.netlist import validate
-from repro.sdc import CreateGeneratedClock, parse_mode
+from repro.sdc import CreateGeneratedClock
 from repro.timing import BoundMode, ClockPropagation
 from repro.workloads import ModeGroupSpec, WorkloadSpec, generate
 
