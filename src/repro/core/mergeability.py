@@ -609,72 +609,101 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
     the group's trace span and ``merge.group`` decision frame itself, so
     a group merged in a forked worker records exactly the decision shape
     a serially merged group does.  ``options`` is the already-coerced
-    per-group tunables (``strict=False``); the ladder is unchanged from
-    the historical in-line closures: merge -> sign-off guard -> demote
-    the single culprit -> degrade a budget-blown group whole -> bisect.
+    per-group tunables (``strict=False``); the ladder
+    (:class:`_RecoveryLadder`) is: merge -> sign-off guard -> demote the
+    single culprit -> degrade a budget-blown group whole -> bisect.
     Every input mode ends in exactly one returned outcome.
     """
-    policy = DegradationPolicy.coerce(options.policy)
     obs = current()
-    ledger = obs.decisions
-    outcomes: List[GroupOutcome] = []
+    ladder = _RecoveryLadder(netlist, by_name, options, sink)
+    with obs.tracer.span(f"group:{'+'.join(names)}", modes=names), \
+            obs.decisions.frame("merge.group", group_subject(names),
+                                modes=names):
+        ladder.merge_group(list(names))
+    return ladder.outcomes
 
-    def try_merge(group_names: List[str]) -> MergeResult:
-        group_modes = [by_name[n] for n in group_names]
+
+def _budget_exceeded(exc: BaseException) -> Optional[BudgetExceededError]:
+    if isinstance(exc, BudgetExceededError):
+        return exc
+    if isinstance(exc, MergeStepError) \
+            and isinstance(exc.cause, BudgetExceededError):
+        return exc.cause
+    return None
+
+
+class _RecoveryLadder:
+    """The recovery ladder of one :func:`run_merge_group` call.
+
+    Its steps call each other recursively; as methods of one object they
+    do so without the reference cycle that mutually recursive closures
+    form, so a group merge leaves no garbage for the cyclic collector.
+    """
+
+    def __init__(self, netlist: Netlist, by_name: Dict[str, Mode],
+                 options: MergeOptions, sink: DiagnosticCollector):
+        self.netlist = netlist
+        self.by_name = by_name
+        self.options = options
+        self.sink = sink
+        self.policy = DegradationPolicy.coerce(options.policy)
+        self.outcomes: List[GroupOutcome] = []
+
+    def try_merge(self, group_names: List[str]) -> MergeResult:
+        group_modes = [self.by_name[n] for n in group_names]
         name = group_names[0] if len(group_names) == 1 else None
-        return merge_modes(netlist, group_modes, name=name,
-                           options=options)
+        return merge_modes(self.netlist, group_modes, name=name,
+                           options=self.options)
 
-    def guard_group(group_names: List[str], failed: MergeResult) -> bool:
+    def guard_group(self, group_names: List[str],
+                    failed: MergeResult) -> bool:
         """Sign-off guard hook; True when it produced final outcomes."""
         from repro.core.signoff import SignoffGuard
 
-        guard = SignoffGuard(netlist, [by_name[n] for n in group_names],
-                             options, sink)
+        guard = SignoffGuard(self.netlist,
+                             [self.by_name[n] for n in group_names],
+                             self.options, self.sink)
         repaired = guard.repair_group(group_names, failed)
         if repaired is None:
             return False
         for outcome in repaired:
-            outcomes.append(GroupOutcome(
+            self.outcomes.append(GroupOutcome(
                 outcome.mode_names, outcome.result, error=outcome.error,
                 repaired=outcome.repaired))
         return True
 
-    def merge_group(group_names: List[str]) -> None:
+    def merge_group(self, group_names: List[str]) -> None:
         try:
-            result = try_merge(group_names)
+            result = self.try_merge(group_names)
         except Exception as exc:
-            if policy is DegradationPolicy.STRICT:
+            if self.policy is DegradationPolicy.STRICT:
                 raise
-            recover_group(group_names, exc)
+            self.recover_group(group_names, exc)
             return
         if len(group_names) == 1 or result.ok:
-            outcomes.append(GroupOutcome(group_names, result))
+            self.outcomes.append(GroupOutcome(group_names, result))
             return
-        if options.signoff_guard and guard_group(group_names, result):
+        if self.options.signoff_guard \
+                and self.guard_group(group_names, result):
             return
         half = len(group_names) // 2
-        merge_group(group_names[:half])
-        merge_group(group_names[half:])
+        self.merge_group(group_names[:half])
+        self.merge_group(group_names[half:])
 
-    def budget_exceeded(exc: BaseException) -> Optional[BudgetExceededError]:
-        if isinstance(exc, BudgetExceededError):
-            return exc
-        if isinstance(exc, MergeStepError) \
-                and isinstance(exc.cause, BudgetExceededError):
-            return exc.cause
-        return None
-
-    def recover_group(group_names: List[str], exc: BaseException) -> None:
+    def recover_group(self, group_names: List[str],
+                      exc: BaseException) -> None:
         """Demote the offending mode(s) instead of aborting the run."""
+        sink = self.sink
+        ledger = current().decisions
         reason = str(exc)
         if len(group_names) == 1:
             # An individual mode whose (re)construction fails: keep the
             # failure as a structured outcome, never an exception.
             sink.capture(exc, source=group_names[0])
-            outcomes.append(GroupOutcome(group_names, None, error=reason))
+            self.outcomes.append(GroupOutcome(group_names, None,
+                                              error=reason))
             return
-        budget_exc = budget_exceeded(exc)
+        budget_exc = _budget_exceeded(exc)
         if budget_exc is not None:
             # Retrying a budget-blown merge once per member would cost
             # up to N more full budgets; degrade the group wholesale.
@@ -691,12 +720,12 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
                           f"{budget_exc}"],
                 modes=group_names, budget_kind=budget_exc.kind)
             for name in group_names:
-                merge_group([name])
+                self.merge_group([name])
             return
         for i, culprit in enumerate(group_names):
             survivors = group_names[:i] + group_names[i + 1:]
             try:
-                try_merge(survivors)
+                self.try_merge(survivors)
             except Exception:
                 continue
             sink.report(
@@ -710,8 +739,8 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
                 evidence=[f"group without {culprit!r} merges cleanly",
                           reason],
                 modes=group_names, culprit=culprit)
-            merge_group(survivors)
-            merge_group([culprit])
+            self.merge_group(survivors)
+            self.merge_group([culprit])
             return
         # No single demotion rescues the group: bisect.
         sink.report(
@@ -720,14 +749,8 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
             f"({reason}); bisecting",
             severity=Severity.WARNING)
         half = len(group_names) // 2
-        merge_group(group_names[:half])
-        merge_group(group_names[half:])
-
-    with obs.tracer.span(f"group:{'+'.join(names)}", modes=names), \
-            ledger.frame("merge.group", group_subject(names),
-                         modes=names):
-        merge_group(list(names))
-    return outcomes
+        self.merge_group(group_names[:half])
+        self.merge_group(group_names[half:])
 
 
 def merge_all(netlist: Netlist, modes: Sequence[Mode],

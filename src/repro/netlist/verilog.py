@@ -21,9 +21,9 @@ the user can see what to strip.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 
-from repro.errors import VerilogSyntaxError
+from repro.errors import NetlistError, VerilogSyntaxError
 from repro.netlist.cells import CellLibrary, PinDirection
 from repro.netlist.netlist import Netlist
 
@@ -41,16 +41,17 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
-    """Yield (kind, value, line) tokens, skipping comments/whitespace."""
-    line = 1
-    for match in _TOKEN_RE.finditer(text):
+def _tokenize(text: str, pos: int = 0) -> Iterator[Tuple[str, str, int]]:
+    """Yield (kind, value, line) tokens from ``pos``, skipping comments and
+    whitespace."""
+    line = text.count("\n", 0, pos) + 1
+    for match in _TOKEN_RE.finditer(text, pos):
         kind = match.lastgroup
         value = match.group()
         if kind == "newline":
             line += 1
             continue
-        if kind in ("space", None):
+        if kind == "space":
             continue
         if kind == "comment":
             line += value.count("\n")
@@ -62,94 +63,150 @@ def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
         yield kind, value, line
 
 
-class _TokenStream:
-    def __init__(self, text: str):
-        self._tokens = list(_tokenize(text))
-        self._pos = 0
-
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise VerilogSyntaxError("unexpected end of file")
-        self._pos += 1
-        return tok
-
-    def expect(self, value: str) -> Tuple[str, str, int]:
-        tok = self.next()
-        if tok[1] != value:
-            raise VerilogSyntaxError(
-                f"expected {value!r}, found {tok[1]!r}", tok[2]
-            )
-        return tok
-
-    def expect_id(self) -> Tuple[str, int]:
-        tok = self.next()
-        if tok[0] != "id":
-            raise VerilogSyntaxError(f"expected identifier, found {tok[1]!r}", tok[2])
-        return tok[1], tok[2]
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._tokens)
+def _stray_character(text: str) -> Optional[VerilogSyntaxError]:
+    """The error for the first character that starts no token, if any."""
+    try:
+        for _ in _tokenize(text):
+            pass
+    except VerilogSyntaxError as error:
+        return error
+    return None
 
 
-_DIRECTION_KEYWORDS = {"input": PinDirection.INPUT, "output": PinDirection.OUTPUT}
-_STRUCTURAL_KEYWORDS = {"module", "endmodule", "input", "output", "wire", "inout"}
+# ----------------------------------------------------------------------
+# statement patterns
+#
+# Comments are blanked out first, keeping their line breaks, so that the
+# patterns see tokens and whitespace only.  Each statement is then matched
+# whole by one pattern built from the token grammar above.  Tokens compare
+# by value, as the grammar always has: an escaped identifier whose value
+# is a keyword or a punctuation mark (``\wire``, ``\;``) stands for it
+# wherever a keyword or that mark may stand.  Every token ends where the
+# tokenizer would end it (the lookaheads), so a pattern can only accept a
+# statement the tokens spell.
+# ----------------------------------------------------------------------
+#: a comment, or an escaped identifier (which may hold ``//`` or ``/*``)
+_COMMENT = re.compile(r"(\\[^\s]+)|//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+
+def _blank(match: "re.Match[str]") -> str:
+    """An escaped identifier as it is; a comment as its line breaks, or
+    as one space."""
+    if match.group(1) is not None:
+        return match.group(1)
+    return "\n" * match.group().count("\n") or " "
+
+
+#: whitespace between tokens
+_F = r"[ \t\r\n]*"
+#: an identifier; the group is its value, without the backslash of an
+#: escaped one (the lookbehinds tell which form took the backslash)
+_ID = r"\\?((?<=\\)\S+(?!\S)|(?<!\\)[A-Za-z_][\w$]*(?![\w$]))"
+#: the same token without a group
+_ID_TOKEN = r"(?:\\\S+(?!\S)|[A-Za-z_][\w$]*(?![\w$]))"
+
+
+def _value(plain: str) -> str:
+    """A token whose value is ``plain`` (a regex): itself or escaped."""
+    tail = r"(?![\w$])" if plain[-1].isalpha() else ""
+    return rf"(?:(?:{plain}){tail}|\\(?:{plain})(?!\S))"
+
+
+def _connection(identifier: str) -> str:
+    """One item of a connection list: a comma, or ``.PIN(net)`` or
+    ``.PIN()``; ``identifier`` is :data:`_ID` or :data:`_ID_TOKEN`."""
+    return (rf"{_F}(?:{_COMMA}|{_DOT}{_F}{identifier}{_F}{_LP}{_F}"
+            rf"(?:(?!{_RP}){identifier}{_F})?{_RP})")
+
+
+_STRUCTURAL_KEYWORDS = ("module", "endmodule", "input", "output", "wire",
+                        "inout")
+_DIRECTION_KEYWORDS = {"input": PinDirection.INPUT,
+                       "output": PinDirection.OUTPUT}
+
+_LP, _RP, _COMMA, _SEMI, _DOT = (_value(re.escape(mark)) for mark in "(),;.")
+_HEADER = re.compile(
+    rf"{_F}{_value('module')}{_F}{_ID}{_F}"
+    rf"(?:{_LP}((?:{_F}(?:(?!{_RP}){_ID_TOKEN}|,))*){_F}{_RP}{_F})?{_SEMI}")
+#: the groups are a port name, or "" for a comma
+_HEADER_PORT = re.compile(rf"{_F}(?:(?!{_RP}){_ID}|,)")
+
+_STATEMENT = re.compile(
+    # an instance: cell, name and connection list
+    rf"{_F}(?:(?!{_value('|'.join(_STRUCTURAL_KEYWORDS))}){_ID}{_F}{_ID}"
+    rf"{_F}{_LP}((?:{_connection(_ID_TOKEN)})*){_F}{_RP}{_F}{_SEMI}"
+    # a declaration: keyword, first name, the other names
+    rf"|({_value('input|output|wire')}){_F}{_ID}"
+    rf"((?:{_F}{_COMMA}{_F}{_ID_TOKEN})*){_F}{_SEMI}"
+    # the end of the module
+    rf"|{_value('endmodule')})")
+#: the groups are the pin and the net ("" for an unconnected pin), both
+#: "" for a comma
+_CONNECTIONS = re.compile(_connection(_ID))
+_NEXT_NAME = re.compile(rf"{_F}{_COMMA}{_F}{_ID}")
 
 
 def read_verilog(text: str, library: Optional[CellLibrary] = None) -> Netlist:
     """Parse ``text`` (one structural module) into a :class:`Netlist`."""
-    stream = _TokenStream(text)
-    stream.expect("module")
-    name, _ = stream.expect_id()
-    netlist = Netlist(name, library)
+    try:
+        return _read(text, library)
+    except NetlistError:
+        # A character that starts no token is an error wherever it is,
+        # and it is reported ahead of any other.
+        stray = _stray_character(text)
+        if stray is None:
+            raise
+    raise stray from None
 
+
+def _read(text: str, library: Optional[CellLibrary]) -> Netlist:
+    if "/" in text:
+        text = _COMMENT.sub(_blank, text)
+    header = _HEADER.match(text)
+    if header is None:
+        _statement_error(text, 0, None)
+    name, port_list = header.groups()
+    netlist = Netlist(name, library)
     # Port list (names only; directions come from declarations).
     header_ports: List[str] = []
-    tok = stream.next()
-    if tok[1] == "(":
-        while True:
-            tok = stream.next()
-            if tok[1] == ")":
-                break
-            if tok[0] == "id":
-                header_ports.append(tok[1])
-            elif tok[1] != ",":
-                raise VerilogSyntaxError(
-                    f"unexpected {tok[1]!r} in port list", tok[2]
-                )
-        stream.expect(";")
-    elif tok[1] != ";":
-        raise VerilogSyntaxError(f"expected port list or ';', found {tok[1]!r}", tok[2])
+    if port_list:
+        header_ports = [port for port in _HEADER_PORT.findall(port_list)
+                        if port]
 
     declared: Dict[str, PinDirection] = {}
-    wires: List[str] = []
-
+    statement = _STATEMENT.match
+    connections = _CONNECTIONS.findall
+    add_instance = netlist.add_instance
+    get_or_create_net = netlist.get_or_create_net
+    pos = header.end()
     while True:
-        tok = stream.peek()
-        if tok is None:
-            raise VerilogSyntaxError("missing endmodule")
-        value = tok[1]
-        if value == "endmodule":
-            stream.next()
-            break
-        if value in ("input", "output"):
-            stream.next()
-            direction = _DIRECTION_KEYWORDS[value]
-            for port_name in _read_name_list(stream):
-                declared[port_name] = direction
-        elif value == "inout":
-            raise VerilogSyntaxError("inout ports are not supported", tok[2])
-        elif value == "wire":
-            stream.next()
-            wires.extend(_read_name_list(stream))
+        match = statement(text, pos)
+        if match is None:
+            _statement_error(text, pos, netlist)
+        pos = match.end()
+        cell_name, inst_name, conns, keyword, first, others = match.groups()
+        if cell_name is not None:
+            inst = add_instance(inst_name, cell_name)
+            pins = inst.pins
+            for pin_name, net_name in connections(conns):
+                if not net_name:
+                    continue  # a comma or an unconnected pin
+                pin = pins.get(pin_name) or inst.pin(pin_name)
+                net = get_or_create_net(net_name)
+                if pin.spec.is_output:
+                    net.connect_driver(pin)
+                else:
+                    net.connect_load(pin)
+        elif keyword is not None:
+            direction = _DIRECTION_KEYWORDS.get(keyword.lstrip("\\"))
+            if direction is not None:
+                declared[first] = direction
+                for port_name in _NEXT_NAME.findall(others):
+                    declared[port_name] = direction
         else:
-            _read_instance(stream, netlist, declared)
+            break  # endmodule
+    for _ in _tokenize(text, pos):
+        pass  # what follows endmodule is only tokenized
 
     # Materialize ports in header order, then any declared-only ports.
     order = header_ports + [n for n in declared if n not in header_ports]
@@ -160,68 +217,106 @@ def read_verilog(text: str, library: Optional[CellLibrary] = None) -> Netlist:
             )
         netlist.add_port(port_name, declared[port_name])
 
-    _stitch(netlist, declared, wires)
+    _stitch(netlist, declared)
     return netlist
 
 
-def _read_name_list(stream: _TokenStream) -> List[str]:
-    names: List[str] = []
-    while True:
-        name, _ = stream.expect_id()
-        names.append(name)
-        tok = stream.next()
-        if tok[1] == ";":
-            return names
-        if tok[1] != ",":
-            raise VerilogSyntaxError(f"expected ',' or ';', found {tok[1]!r}", tok[2])
+def _statement_error(text: str, pos: int,
+                     netlist: Optional[Netlist]) -> NoReturn:
+    """Raise the error in the statement at ``pos`` (the module header when
+    ``netlist`` is None), which its pattern did not match.
 
+    Walks that statement's tokens as the grammar reads them, so the error
+    names the first token that breaks it, and an instance is added before
+    its connection list is read (an unknown cell is reported first).
+    """
+    tokens = _tokenize(text, pos)
 
-# Instances are collected as (cell, inst, [(pin, net)]) and stitched at the
-# end so net objects are shared regardless of declaration order.
-def _read_instance(stream: _TokenStream, netlist: Netlist,
-                   declared: Dict[str, PinDirection]) -> None:
-    cell_name, line = stream.expect_id()
-    if cell_name in _STRUCTURAL_KEYWORDS:
-        raise VerilogSyntaxError(f"unexpected keyword {cell_name!r}", line)
-    inst_name, _ = stream.expect_id()
-    inst = netlist.add_instance(inst_name, cell_name)
-    stream.expect("(")
-    connections: List[Tuple[str, Optional[str]]] = []
-    while True:
-        tok = stream.next()
-        if tok[1] == ")":
-            break
-        if tok[1] == ",":
-            continue
-        if tok[1] != ".":
+    def take() -> Tuple[str, str, int]:
+        tok = next(tokens, None)
+        if tok is None:
+            raise VerilogSyntaxError("unexpected end of file")
+        return tok
+
+    def expect(value: str) -> None:
+        tok = take()
+        if tok[1] != value:
             raise VerilogSyntaxError(
-                "only named port connections (.PIN(net)) are supported", tok[2]
-            )
-        pin_name, _ = stream.expect_id()
-        stream.expect("(")
-        tok = stream.next()
-        if tok[1] == ")":
-            connections.append((pin_name, None))  # unconnected
-            continue
+                f"expected {value!r}, found {tok[1]!r}", tok[2])
+
+    def expect_id() -> str:
+        tok = take()
         if tok[0] != "id":
-            raise VerilogSyntaxError(f"expected net name, found {tok[1]!r}", tok[2])
-        connections.append((pin_name, tok[1]))
-        stream.expect(")")
-    stream.expect(";")
+            raise VerilogSyntaxError(
+                f"expected identifier, found {tok[1]!r}", tok[2])
+        return tok[1]
 
-    for pin_name, net_name in connections:
-        if net_name is None:
-            continue
-        pin = inst.pin(pin_name)
-        net = netlist.get_or_create_net(net_name)
-        if pin.is_output:
-            net.connect_driver(pin)
+    if netlist is None:
+        expect("module")
+        expect_id()
+        tok = take()
+        if tok[1] == "(":
+            while True:
+                tok = take()
+                if tok[1] == ")":
+                    break
+                if tok[0] != "id" and tok[1] != ",":
+                    raise VerilogSyntaxError(
+                        f"unexpected {tok[1]!r} in port list", tok[2])
+            expect(";")
+        elif tok[1] != ";":
+            raise VerilogSyntaxError(
+                f"expected port list or ';', found {tok[1]!r}", tok[2])
+    else:
+        tok = next(tokens, None)
+        if tok is None:
+            raise VerilogSyntaxError("missing endmodule")
+        kind, value, line = tok
+        if value == "inout":
+            raise VerilogSyntaxError("inout ports are not supported", line)
+        if value in ("input", "output", "wire"):
+            while True:
+                expect_id()
+                tok = take()
+                if tok[1] == ";":
+                    break
+                if tok[1] != ",":
+                    raise VerilogSyntaxError(
+                        f"expected ',' or ';', found {tok[1]!r}", tok[2])
         else:
-            net.connect_load(pin)
+            if kind != "id":
+                raise VerilogSyntaxError(
+                    f"expected identifier, found {value!r}", line)
+            if value in _STRUCTURAL_KEYWORDS:
+                raise VerilogSyntaxError(f"unexpected keyword {value!r}",
+                                         line)
+            netlist.add_instance(expect_id(), value)
+            expect("(")
+            while True:
+                tok = take()
+                if tok[1] == ")":
+                    break
+                if tok[1] == ",":
+                    continue
+                if tok[1] != ".":
+                    raise VerilogSyntaxError(
+                        "only named port connections (.PIN(net)) are "
+                        "supported", tok[2])
+                expect_id()
+                expect("(")
+                tok = take()
+                if tok[1] == ")":
+                    continue  # unconnected
+                if tok[0] != "id":
+                    raise VerilogSyntaxError(
+                        f"expected net name, found {tok[1]!r}", tok[2])
+                expect(")")
+            expect(";")
+    raise AssertionError(
+        f"a valid statement at offset {pos} did not match its pattern")
 
 
-def _stitch(netlist: Netlist, declared: Dict[str, PinDirection],
-            wires: List[str]) -> None:
+def _stitch(netlist: Netlist, declared: Dict[str, PinDirection]) -> None:
     """Attach ports to the nets that carry their names."""
     for port_name, direction in declared.items():
         port = netlist.port(port_name)

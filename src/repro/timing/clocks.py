@@ -18,7 +18,6 @@ exactly these per-node launch-clock sets.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set
 
@@ -33,11 +32,14 @@ class ClockPropagation:
     The clock sets it hands out are frozensets, one object per distinct
     set: an extended binding may share its parent's propagation
     (:meth:`~repro.timing.context.BoundMode.extended`), so no consumer
-    may alter another binding's answer.
+    may alter another binding's answer.  It keeps the graph and the mode
+    name, not the binding, so that the binding that holds it forms no
+    reference cycle with it.
     """
 
     def __init__(self, bound: BoundMode):
-        self.bound = bound
+        self.graph = bound.graph
+        self.mode_name = bound.mode.name
         #: node -> clock names present on the clock network
         self.node_clocks: Dict[int, FrozenSet[str]] = {}
         #: sequential instance name -> clocks arriving at its clock pin
@@ -48,12 +50,11 @@ class ClockPropagation:
             if clock.is_generated and clock.master:
                 for node in clock.source_nodes:
                     self._gen_sources.setdefault(node, set()).add(clock.master)
-        self._propagate()
+        self._propagate(bound)
 
-    def _propagate(self) -> None:
+    def _propagate(self, bound: BoundMode) -> None:
         """One BFS per clock from its sources over live non-launch arcs."""
-        bound = self.bound
-        graph = bound.graph
+        graph = self.graph
         constants = bound.constants
         live = constants.live
         data_fanout = graph.data_fanout
@@ -107,16 +108,6 @@ class ClockPropagation:
             if clocks:
                 self.register_clocks[inst_name] = clocks
 
-    def rebound(self, bound: BoundMode) -> "ClockPropagation":
-        """This propagation as ``bound``'s, sharing its tables.
-
-        Only for a binding whose clocks, clock stops and arc liveness
-        equal this one's, which therefore propagates identically.
-        """
-        clone = copy.copy(self)
-        clone.bound = bound
-        return clone
-
     # ------------------------------------------------------------------
     def clocks_at(self, node: int) -> FrozenSet[str]:
         return self.node_clocks.get(node, frozenset())
@@ -126,12 +117,11 @@ class ClockPropagation:
 
     def clock_network_nodes(self) -> List[int]:
         """Every node any clock reaches, in topological order."""
-        graph = self.bound.graph
-        nodes = [n for n in graph.topo_order if n in self.node_clocks]
+        nodes = [n for n in self.graph.topo_order if n in self.node_clocks]
         return nodes
 
     def __repr__(self) -> str:
-        return (f"ClockPropagation(mode={self.bound.mode.name!r}, "
+        return (f"ClockPropagation(mode={self.mode_name!r}, "
                 f"clocked_nodes={len(self.node_clocks)}, "
                 f"clocked_registers={len(self.register_clocks)})")
 

@@ -261,7 +261,8 @@ class BoundMode:
             clone.between = {}
         elif clone.clock_stops == self.clock_stops \
                 and "_clock_prop" in self.__dict__:
-            clone._clock_prop = self._clock_prop.rebound(clone)
+            # Same clocks, clock stops and arc liveness: the same answer.
+            clone._clock_prop = self._clock_prop
         return clone
 
     # ------------------------------------------------------------------

@@ -17,7 +17,12 @@ binding: the constant-propagation plan (:attr:`TimingGraph.const_plan`),
 per cell arc its side inputs and whether it is sensitizable with every
 side input unknown (:attr:`TimingGraph.arc_sides`), and per node the
 fanout arcs the clock and data walkers follow
-(:attr:`TimingGraph.data_fanout`).
+(:attr:`TimingGraph.data_fanout`).  What of these depends only on the
+cell type (arcs, functions, side inputs, sensitizability, the value with
+every input unknown) is compiled once per cell type and build, by pin
+offset within an instance; an instance's nodes are numbered
+consecutively, so its tables are the cell type's shifted by its first
+node.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from repro.errors import CombinationalLoopError
-from repro.netlist.cells import LOGIC_X, ArcKind, Unateness
+from repro.netlist.cells import LOGIC_X, ArcKind, CellType, Unateness
 from repro.netlist.netlist import Instance, Netlist, Pin
 
 # Arc kinds in the graph.
@@ -95,6 +100,68 @@ class Arc:
         self.instance = instance  # owning instance for cell/launch arcs
 
 
+class _CellTables:
+    """What each instance of one cell type adds to the graph, with its
+    nodes as offsets from the instance's first node (its pins in order).
+
+    * ``arcs`` — per propagation arc: (source, sink, kind, sense, sides),
+      where sides is the :data:`ArcSides` of a cell arc whose output has
+      a function, with side-input offsets, and None otherwise.
+    * ``steps`` — per output pin: its constant-propagation step as (cell
+      function, input pin names, input offsets, value with every input
+      unknown), or None when the pin is always X.
+    * ``seq`` — (clock, data, outputs) offsets of a sequential cell.
+    """
+
+    __slots__ = ("pin_names", "arcs", "steps", "seq")
+
+    def __init__(self, cell: CellType, pin_names: Sequence[str]):
+        self.pin_names = tuple(pin_names)
+        offset = {name: i for i, name in enumerate(self.pin_names)}
+        inputs = [name for name in self.pin_names if cell.pin(name).is_input]
+        self.arcs: List[Tuple[int, int, int, int, Optional[ArcSides]]] = []
+        for spec in cell.arcs:
+            if spec.kind is ArcKind.CHECK:
+                continue
+            if not cell.has_pin(spec.from_pin) or not cell.has_pin(spec.to_pin):
+                continue
+            sides = None
+            if spec.kind is ArcKind.LAUNCH:
+                kind = ARC_LAUNCH
+            else:
+                kind = ARC_CELL
+                func = cell.functions.get(spec.to_pin)
+                if func is not None:  # else assume propagating (latches)
+                    names = tuple(name for name in inputs
+                                  if name != spec.from_pin)
+                    sides = (func, spec.from_pin, names,
+                             tuple(offset[name] for name in names),
+                             sensitizable(func, spec.from_pin, names, {}))
+            self.arcs.append((offset[spec.from_pin], offset[spec.to_pin],
+                              kind, _SENSE_OF[spec.unateness], sides))
+        # A flip-flop output toggles, and an output without a function is
+        # unknown: such a pin is always X unless case-forced.
+        self.steps: Dict[int, Optional[tuple]] = {}
+        names = tuple(inputs)
+        for name in self.pin_names:
+            if not cell.pin(name).is_output:
+                continue
+            func = cell.functions.get(name)
+            if func is None or (cell.is_sequential and not cell.is_latch
+                                and name in cell.output_pins_seq):
+                self.steps[offset[name]] = None
+            else:
+                self.steps[offset[name]] = (
+                    func, names, tuple(offset[pin] for pin in names),
+                    func({pin: LOGIC_X for pin in names}))
+        self.seq: Optional[Tuple[int, List[int], List[int]]] = None
+        if cell.is_sequential:
+            self.seq = (offset[cell.clock_pin],
+                        [offset[p] for p in cell.data_pins if p in offset],
+                        [offset[p] for p in cell.output_pins_seq
+                         if p in offset])
+
+
 class TimingGraph:
     """Timing graph over a netlist.
 
@@ -121,8 +188,6 @@ class TimingGraph:
         # Per-node object (Pin or Port).
         self.node_obj: List[object] = []
         self.arcs: List[Arc] = []
-        self.fanout: List[List[Arc]] = []
-        self.fanin: List[List[Arc]] = []
         self.seq_clock_nodes: Set[int] = set()
         self.seq_data_nodes: Set[int] = set()
         self.seq_output_nodes: Set[int] = set()
@@ -130,81 +195,98 @@ class TimingGraph:
         self.output_port_nodes: Set[int] = set()
         # instance name -> (clock node, [data nodes], [output nodes])
         self.seq_info: Dict[str, Tuple[int, List[int], List[int]]] = {}
-        self._build()
+        self.arc_sides: List[Optional[ArcSides]] = []
+        # cell output node -> its plan step payload, None if always X
+        steps: Dict[int, Optional[tuple]] = {}
+        self._build(steps)
         self.topo_order: List[int] = self._topo_sort()
         self.topo_rank: List[int] = [0] * len(self.node_names)
         for rank, node in enumerate(self.topo_order):
             self.topo_rank[node] = rank
-        self.const_plan: List[PlanStep] = self._compile_plan()
-        self.arc_sides: List[Optional[ArcSides]] = [
-            self._compile_sides(arc) for arc in self.arcs]
-        self.data_fanout: List[Tuple[Arc, ...]] = [
-            tuple(arc for arc in arcs if arc.kind != ARC_LAUNCH)
-            for arcs in self.fanout]
+        self.const_plan: List[PlanStep] = self._compile_plan(steps)
+        self.data_fanout: List[Tuple[Arc, ...]] = list(map(tuple, self.fanout))
+        for node in {arc.src for arc in self.arcs if arc.kind == ARC_LAUNCH}:
+            self.data_fanout[node] = tuple(
+                arc for arc in self.fanout[node] if arc.kind != ARC_LAUNCH)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _add_node(self, name: str, obj: object) -> int:
-        idx = len(self.node_names)
-        self.node_index[name] = idx
-        self.node_names.append(name)
-        self.node_obj.append(obj)
-        self.fanout.append([])
-        self.fanin.append([])
-        return idx
-
-    def _add_arc(self, src: int, dst: int, kind: int, sense: int,
-                 instance: Optional[Instance] = None) -> Arc:
-        arc = Arc(len(self.arcs), src, dst, kind, sense, instance)
-        self.arcs.append(arc)
-        self.fanout[src].append(arc)
-        self.fanin[dst].append(arc)
-        return arc
-
-    def _build(self) -> None:
+    def _build(self, steps: Dict[int, Optional[tuple]]) -> None:
         netlist = self.netlist
+        names = self.node_names
+        objs = self.node_obj
+        node_of: Dict[object, int] = {}  # Pin or Port -> node
         for port in netlist.ports:
-            idx = self._add_node(port.name, port)
+            node_of[port] = len(names)
             if port.is_input:
-                self.input_port_nodes.add(idx)
+                self.input_port_nodes.add(len(names))
             else:
-                self.output_port_nodes.add(idx)
+                self.output_port_nodes.add(len(names))
+            names.append(port.name)
+            objs.append(port)
+        tables: Dict[int, _CellTables] = {}  # id(cell type) -> tables
+        placed: List[Tuple[Instance, int, _CellTables]] = []
         for inst in netlist.instances:
-            for pin in inst.pins.values():
-                self._add_node(pin.full_name, pin)
+            pins = inst.pins
+            table = tables.get(id(inst.cell))
+            if table is None:
+                table = tables[id(inst.cell)] = _CellTables(inst.cell, pins)
+            base = len(names)
+            placed.append((inst, base, table))
+            prefix = inst.name + "/"
+            names.extend([prefix + name for name in table.pin_names])
+            objs.extend(pins.values())
+            node_of.update(zip(pins.values(), range(base, len(names))))
+        self.node_index.update(zip(names, range(len(names))))
+        fanout = self.fanout = [[] for _ in names]
+        fanin = self.fanin = [[] for _ in names]
+        arcs = self.arcs
 
         # Net arcs.
         for net in netlist.nets:
             if net.driver is None:
                 continue
-            src = self.node_index[net.driver.full_name]
+            src = node_of[net.driver]
+            out = fanout[src]
             for load in net.loads:
-                dst = self.node_index[load.full_name]
-                self._add_arc(src, dst, ARC_NET, SENSE_POS)
+                dst = node_of[load]
+                arc = Arc(len(arcs), src, dst, ARC_NET, SENSE_POS, None)
+                arcs.append(arc)
+                out.append(arc)
+                fanin[dst].append(arc)
+        arc_sides = self.arc_sides
+        arc_sides.extend([None] * len(arcs))
 
         # Cell arcs.
-        for inst in netlist.instances:
-            cell = inst.cell
-            for spec in cell.arcs:
-                if spec.kind is ArcKind.CHECK:
-                    continue
-                if not cell.has_pin(spec.from_pin) or not cell.has_pin(spec.to_pin):
-                    continue
-                src = self.node_index[f"{inst.name}/{spec.from_pin}"]
-                dst = self.node_index[f"{inst.name}/{spec.to_pin}"]
-                kind = ARC_LAUNCH if spec.kind is ArcKind.LAUNCH else ARC_CELL
-                self._add_arc(src, dst, kind, _SENSE_OF[spec.unateness], inst)
-            if cell.is_sequential:
-                clock_node = self.node_index[f"{inst.name}/{cell.clock_pin}"]
-                data_nodes = [self.node_index[f"{inst.name}/{p}"]
-                              for p in cell.data_pins if cell.has_pin(p)]
-                out_nodes = [self.node_index[f"{inst.name}/{p}"]
-                             for p in cell.output_pins_seq if cell.has_pin(p)]
-                self.seq_clock_nodes.add(clock_node)
+        for inst, base, table in placed:
+            for src, dst, kind, sense, sides in table.arcs:
+                src += base
+                dst += base
+                arc = Arc(len(arcs), src, dst, kind, sense, inst)
+                arcs.append(arc)
+                fanout[src].append(arc)
+                fanin[dst].append(arc)
+                if sides is not None:
+                    func, in_name, side_names, offsets, live = sides
+                    sides = (func, in_name, side_names,
+                             tuple([base + o for o in offsets]), live)
+                arc_sides.append(sides)
+            for offset, step in table.steps.items():
+                if step is not None:
+                    func, in_names, offsets, idle = step
+                    step = (func, in_names,
+                            tuple([base + o for o in offsets]), idle)
+                steps[base + offset] = step
+            if table.seq is not None:
+                clock, data, outs = table.seq
+                data_nodes = [base + o for o in data]
+                out_nodes = [base + o for o in outs]
+                self.seq_clock_nodes.add(base + clock)
                 self.seq_data_nodes.update(data_nodes)
                 self.seq_output_nodes.update(out_nodes)
-                self.seq_info[inst.name] = (clock_node, data_nodes, out_nodes)
+                self.seq_info[inst.name] = (base + clock, data_nodes,
+                                            out_nodes)
 
     # ------------------------------------------------------------------
     # ordering
@@ -233,52 +315,27 @@ class TimingGraph:
     # ------------------------------------------------------------------
     # compiled tables
     # ------------------------------------------------------------------
-    def _compile_plan(self) -> List[PlanStep]:
+    def _compile_plan(self, steps: Dict[int, Optional[tuple]]
+                      ) -> List[PlanStep]:
         """How each node's constant value follows from its inputs.
 
-        A flip-flop output toggles, and a cell output without a function
-        or a node without a net driver is unknown: such a node is always
-        X unless case-forced, and has no step.
+        A cell output evaluates its function (``steps``; None when it is
+        always X unless case-forced); any other node copies its net
+        driver, and a node without one is always X and has no step.
         """
         plan: List[PlanStep] = []
-        node_index = self.node_index
+        fanin = self.fanin
         for node in self.topo_order:
-            obj = self.node_obj[node]
-            if isinstance(obj, Pin) and obj.is_output:
-                inst = obj.instance
-                cell = inst.cell
-                if cell.is_sequential and obj.name in cell.output_pins_seq \
-                        and not cell.is_latch:
-                    continue
-                func = cell.functions.get(obj.name)
-                if func is None:
-                    continue
-                pins = inst.input_pins()
-                names = tuple(pin.name for pin in pins)
-                idle = func({name: LOGIC_X for name in names})
-                plan.append((node, -1, func, names,
-                             tuple(node_index[pin.full_name] for pin in pins),
-                             idle))
+            if node in steps:
+                step = steps[node]
+                if step is not None:
+                    plan.append((node, -1) + step)
                 continue
-            for arc in self.fanin[node]:
+            for arc in fanin[node]:
                 if arc.kind == ARC_NET:
                     plan.append((node, arc.src, None, (), (), LOGIC_X))
                     break
         return plan
-
-    def _compile_sides(self, arc: Arc) -> Optional[ArcSides]:
-        if arc.kind != ARC_CELL or arc.instance is None:
-            return None
-        inst = arc.instance
-        func = inst.cell.functions.get(self.node_obj[arc.dst].name)
-        if func is None:
-            return None  # no function: assume propagating (e.g. latches)
-        in_name = self.node_obj[arc.src].name
-        sides = [pin for pin in inst.input_pins() if pin.name != in_name]
-        names = tuple(pin.name for pin in sides)
-        return (func, in_name, names,
-                tuple(self.node_index[pin.full_name] for pin in sides),
-                sensitizable(func, in_name, names, {}))
 
     # ------------------------------------------------------------------
     # lookup helpers
@@ -338,11 +395,7 @@ def build_graph(netlist: Netlist) -> TimingGraph:
     its graph was built gets a new one.
     """
     graph = netlist.derived.get("timing_graph")
-    if graph is None or graph.node_count != _expected_nodes(netlist):
+    if graph is None or graph.node_count != netlist.connectable_count:
         graph = TimingGraph(netlist)
         netlist.derived["timing_graph"] = graph
     return graph
-
-
-def _expected_nodes(netlist: Netlist) -> int:
-    return len(netlist.ports) + sum(len(i.pins) for i in netlist.instances)

@@ -73,3 +73,26 @@ def reconvergent_netlist():
     rE = b.dff("rE", d=join.out, clk="clk")
     b.output("out1", rE.q)
     return b.build()
+
+
+@pytest.fixture(scope="module")
+def design_netlists():
+    """Designs A-F, their held-out instances (the same structure from
+    other generator seeds, as the benchmark's ``--held-out`` draws them)
+    and one design of each adversarial family, by name."""
+    import dataclasses
+
+    from repro.workloads.designs import paper_suite
+    from repro.workloads.families import build_family, family_names
+    from repro.workloads.generator import generate
+    from repro.workloads.seeding import stable_seed
+
+    netlists = {}
+    for letter, design in paper_suite().items():
+        netlists[letter] = generate(design.spec).netlist
+        held_out = dataclasses.replace(
+            design.spec, seed=stable_seed("perfbench", "held-out", letter))
+        netlists[f"{letter}-held-out"] = generate(held_out).netlist
+    for family in family_names():
+        netlists[family] = build_family(family, 0).netlist
+    return netlists

@@ -8,8 +8,9 @@ The cache's core invariant, asserted from every angle:
 
 Covers the chaos kinds (``cache-corrupt`` and ``cache-torn`` — inert
 for the execution engine, applied only at the cache's own strike
-points) and full-disk degradation of the cache (``CAC005``), all
-through the real CLI surface.
+points) and full-disk degradation of the cache (``CAC005``), through
+the real CLI surface, plus one ``merge_all`` whose cache is opened from
+the ambient ``REPRO_CHAOS``, as the CLI opens it.
 """
 
 import errno
@@ -18,7 +19,11 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.cli import main
-from repro.exec.chaos import CHAOS_ENV
+from repro.core.mergeability import merge_all
+from repro.diagnostics import DiagnosticCollector
+from repro.exec.chaos import CACHE_FAULT_KINDS, CHAOS_ENV, ChaosPlan
+from repro.netlist import read_verilog
+from repro.sdc import parse_mode, write_mode
 
 pytestmark = pytest.mark.faultinject
 
@@ -87,7 +92,6 @@ class TestChaosKinds:
         # ``seed:N:p`` schedules engine faults only; the cache kinds
         # fire solely from explicit clauses, so seeded CI rows cannot
         # silently skew cache behaviour.
-        from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
         plan = ChaosPlan.from_spec("seed:11:0.9")
         kinds = {fault.kind
                  for key in ("group:A+B", "scan:A+B", "cache:store:pair",
@@ -96,6 +100,41 @@ class TestChaosKinds:
                  for fault in [plan.fault_for(key, attempt)]
                  if fault is not None}
         assert not (kinds & set(CACHE_FAULT_KINDS))
+
+
+class TestAmbientChaos:
+    """The cache opened from ``REPRO_CHAOS`` itself, as the CLI opens it,
+    so that a chaos run's cache clauses strike these stores."""
+
+    def test_cold_run_under_ambient_chaos_heals_on_warm_run(self,
+                                                           cli_files):
+        tmp, netlist_v, mode_a, mode_b = cli_files
+        netlist = read_verilog(netlist_v.read_text())
+        modes = [parse_mode(path.read_text(), path.stem)
+                 for path in (mode_a, mode_b)]
+        # The cold run stores one pair pack and one group entry, each on
+        # its strike key's first attempt; a cache clause aimed there
+        # poisons that entry.  A malformed spec raises here.
+        plan = ChaosPlan.from_env()
+        poisoned = 0 if plan is None else sum(
+            getattr(plan.fault_for(key, 1), "kind", None)
+            in CACHE_FAULT_KINDS
+            for key in ("cache:store:pair", "cache:store:group"))
+        root = tmp / "cache"
+        merge_all(netlist, modes, cache=ResultCache.open(root))
+
+        collector = DiagnosticCollector()
+        warm = merge_all(netlist, modes, collector=collector,
+                         cache=ResultCache.open(root, collector=collector,
+                                                chaos=ChaosPlan()))
+        codes = [d.code for d in collector.diagnostics]
+        assert codes.count("CAC002") == poisoned
+        assert len(list((root / "quarantine").glob("*.json"))) == poisoned
+        assert _merged_sdc(warm) == _merged_sdc(merge_all(netlist, modes))
+
+
+def _merged_sdc(run):
+    return [write_mode(outcome.result.merged) for outcome in run.outcomes]
 
 
 class TestFullDisk:

@@ -17,6 +17,7 @@ from repro.exec.chaos import CHAOS_ENV
 from repro.obs.context import observing
 from repro.obs.metrics import MetricsRegistry
 from repro.sdc import parse_mode
+from repro.workloads.designs import load_design
 from repro.workloads.families import build_family
 
 CLK = "create_clock -name c -period 10 [get_ports clk]\n"
@@ -153,6 +154,25 @@ class TestLifetime:
         del design, run
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_merge_all_leaves_no_cyclic_garbage(self):
+        # Bindings and their clock propagations, and the group recovery
+        # ladder, form no reference cycles: what one merge_all drops is
+        # freed by reference counting, not left to the cyclic collector.
+        design = load_design("B")
+        flags = gc.get_debug()
+        gc.collect()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            run = merge_all(design.netlist, design.modes)
+            assert run.outcomes
+            del run
+            gc.collect()
+            garbage = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert not garbage & {"BoundMode", "ClockPropagation", "function"}
 
     def test_netlist_is_freed_after_a_pooled_scan_rerun_in_process(
             self, monkeypatch):

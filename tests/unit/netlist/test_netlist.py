@@ -82,6 +82,29 @@ class TestNets:
         net = empty.get_or_create_net("n1")
         assert empty.get_or_create_net("n1") is net
 
+    @pytest.mark.parametrize("fanout", [1, 7, 8, 30])
+    def test_connecting_a_load_twice_lists_it_once(self, empty, fanout):
+        # Below and past the fanout at which a net indexes its loads.
+        empty.add_instance("drv", "BUF")
+        loads = [empty.add_instance(f"u{i}", "INV").pin("A")
+                 for i in range(fanout)]
+        net = empty.connect("n1", "drv/Z", *[p.full_name for p in loads])
+        for pin in loads + loads[::-1]:
+            net.connect_load(pin)
+        empty.connect("n1", loads[0].full_name, loads[-1].full_name)
+        assert net.loads == loads
+        assert all(pin.net is net for pin in loads)
+
+    def test_a_load_moved_back_is_still_listed_once(self, empty):
+        empty.add_instance("u1", "INV")
+        pin = empty.instance("u1").pin("A")
+        first, second = empty.add_net("n1"), empty.add_net("n2")
+        first.connect_load(pin)
+        second.connect_load(pin)
+        first.connect_load(pin)
+        assert first.loads == [pin] and second.loads == [pin]
+        assert pin.net is first
+
 
 class TestLookups:
     def test_find_pin(self, empty):
@@ -103,6 +126,14 @@ class TestStats:
         assert stats["sequential"] == 6
         assert stats["instances"] == stats["sequential"] + stats["combinational"]
         assert figure1.cell_count == stats["instances"]
+
+    def test_connectable_count_is_ports_plus_pins(self, figure1):
+        assert figure1.connectable_count == len(figure1.ports) + sum(
+            len(inst.pins) for inst in figure1.instances)
+        before = figure1.connectable_count
+        figure1.add_instance("extra", "AND3")
+        figure1.add_port("extra_in", PinDirection.INPUT)
+        assert figure1.connectable_count == before + 4 + 1
 
     def test_all_pins_iteration(self, figure1):
         names = list(figure1.iter_pin_names())

@@ -105,3 +105,72 @@ class TestRoundTrip:
                 mirrored = parsed.find_pin(pin.full_name)
                 assert mirrored.net.driver.full_name \
                     == pin.net.driver.full_name
+
+
+def _structure(netlist):
+    """Ports, instances and nets in order; each net with its driver and
+    its loads in order; each pin with its net."""
+    def name(obj):
+        return None if obj is None else obj.full_name
+
+    return ([(p.name, p.direction) for p in netlist.ports],
+            [(i.name, i.cell.name) for i in netlist.instances],
+            [(n.name, name(n.driver), [name(l) for l in n.loads])
+             for n in netlist.nets],
+            [(p.full_name, p.net and p.net.name) for p in netlist.all_pins()])
+
+
+def _read_back(netlist):
+    """The structure ``read_verilog(write_verilog(netlist))`` must have.
+
+    The writer emits a port's net under the port's name, and the reader
+    attaches each port to the net of its own name.  Nets are created at
+    their first reference, instance by instance and pin by pin, then by
+    the port declarations (inputs, then outputs); loads join their net in
+    the same order.
+    """
+    emitted = {}
+    for port in netlist.ports:
+        if port.net is not None:
+            emitted.setdefault(port.net.name, port.name)
+    nets = {}
+    pins = []
+    for inst in netlist.instances:
+        for pin in inst.pins.values():
+            if pin.net is None:
+                pins.append((pin.full_name, None))
+                continue
+            net_name = emitted.get(pin.net.name, pin.net.name)
+            entry = nets.setdefault(net_name, [None, []])
+            if pin.is_output:
+                entry[0] = pin.full_name
+            else:
+                entry[1].append(pin.full_name)
+            pins.append((pin.full_name, net_name))
+    for port in netlist.input_ports() + netlist.output_ports():
+        entry = nets.setdefault(port.name, [None, []])
+        if port.is_input:
+            entry[0] = port.name
+        else:
+            entry[1].append(port.name)
+    return ([(p.name, p.direction) for p in netlist.ports],
+            [(i.name, i.cell.name) for i in netlist.instances],
+            [(name, driver, loads) for name, (driver, loads) in nets.items()],
+            pins)
+
+
+@pytest.mark.parametrize("design", [
+    "A", "B", "C", "D", "E", "F",
+    "A-held-out", "B-held-out", "C-held-out", "D-held-out", "E-held-out",
+    "F-held-out",
+    "scan-pairs", "genclock-deep", "exception-stack", "lowpower-retention"])
+def test_design_round_trip(design_netlists, design):
+    """Port, instance, net, driver and load order survive a round trip,
+    and a netlist read back is a fixed point of the next one."""
+    source = design_netlists[design]
+    netlist = read_verilog(write_verilog(source))
+    assert _structure(netlist) == _read_back(source)
+    assert _structure(read_verilog(write_verilog(netlist))) \
+        == _structure(netlist)
+    assert netlist.connectable_count == len(netlist.ports) + sum(
+        len(inst.pins) for inst in netlist.instances)

@@ -406,7 +406,9 @@ def _check_clock_propagation(bound, live):
         assert prop.register_clocks == register_clocks, bound.mode.name
         assert all(isinstance(names, frozenset)
                    for names in prop.node_clocks.values())
-    assert bound.clock_propagation().bound is bound
+    own = bound.clock_propagation()
+    assert own.graph is bound.graph
+    assert own.mode_name == bound.mode.name
 
 
 def _check_initial_active(bound):

@@ -1,10 +1,14 @@
 """Unit tests for timing-graph construction."""
 
+from itertools import product
+
 import pytest
 
 from repro.errors import CombinationalLoopError
-from repro.netlist import NetlistBuilder
+from repro.netlist import (LOGIC_X, ArcKind, NetlistBuilder, Pin, PinDirection,
+                           Unateness)
 from repro.timing import ARC_CELL, ARC_LAUNCH, ARC_NET, TimingGraph, build_graph
+from repro.timing.graph import SENSE_NEG, SENSE_NON_UNATE, SENSE_POS
 
 
 class TestConstruction:
@@ -70,3 +74,133 @@ class TestCaching:
         second = build_graph(pipeline_netlist)
         assert second is not first
         assert second.node_of("extra/A") is not None
+
+    def test_cache_invalidated_by_a_new_port(self, pipeline_netlist):
+        first = build_graph(pipeline_netlist)
+        pipeline_netlist.add_port("extra_in", PinDirection.INPUT)
+        second = build_graph(pipeline_netlist)
+        assert second is not first
+        assert second.node_of("extra_in") in second.input_port_nodes
+        assert build_graph(pipeline_netlist) is second
+
+
+def reference_tables(netlist):
+    """The graph's tables built the plain way: nodes looked up by name,
+    and every arc, plan step and sensitization worked out on its own."""
+    objs = list(netlist.ports) + list(netlist.all_pins())
+    names = [obj.full_name for obj in objs]
+    index = {name: node for node, name in enumerate(names)}
+    sense_of = {Unateness.POSITIVE: SENSE_POS, Unateness.NEGATIVE: SENSE_NEG,
+                Unateness.NON_UNATE: SENSE_NON_UNATE}
+    arcs = []  # (src, dst, kind, sense, instance name)
+    for net in netlist.nets:
+        if net.driver is not None:
+            arcs.extend((index[net.driver.full_name], index[load.full_name],
+                         ARC_NET, SENSE_POS, None) for load in net.loads)
+    seq_info = {}
+    for inst in netlist.instances:
+        cell = inst.cell
+        for spec in cell.arcs:
+            if spec.kind is ArcKind.CHECK or not cell.has_pin(spec.from_pin) \
+                    or not cell.has_pin(spec.to_pin):
+                continue
+            arcs.append((index[f"{inst.name}/{spec.from_pin}"],
+                         index[f"{inst.name}/{spec.to_pin}"],
+                         ARC_LAUNCH if spec.kind is ArcKind.LAUNCH
+                         else ARC_CELL,
+                         sense_of[spec.unateness], inst.name))
+        if cell.is_sequential:
+            seq_info[inst.name] = (
+                index[f"{inst.name}/{cell.clock_pin}"],
+                [index[f"{inst.name}/{p}"] for p in cell.data_pins
+                 if cell.has_pin(p)],
+                [index[f"{inst.name}/{p}"] for p in cell.output_pins_seq
+                 if cell.has_pin(p)])
+    fanout = [[] for _ in names]
+    fanin = [[] for _ in names]
+    for i, arc in enumerate(arcs):
+        fanout[arc[0]].append(i)
+        fanin[arc[1]].append(i)
+
+    indegree = [len(arcs_in) for arcs_in in fanin]
+    order = [node for node in range(len(names)) if indegree[node] == 0]
+    for node in order:  # grows while it is walked: first in, first out
+        for i in fanout[node]:
+            indegree[arcs[i][1]] -= 1
+            if indegree[arcs[i][1]] == 0:
+                order.append(arcs[i][1])
+
+    def input_pins(inst):
+        return [pin for pin in inst.pins.values() if pin.is_input]
+
+    plan = []
+    for node in order:
+        obj = objs[node]
+        if isinstance(obj, Pin) and obj.is_output:
+            cell = obj.instance.cell
+            func = cell.functions.get(obj.name)
+            if func is None or (cell.is_sequential and not cell.is_latch
+                                and obj.name in cell.output_pins_seq):
+                continue
+            pins = input_pins(obj.instance)
+            plan.append((node, -1, func, tuple(p.name for p in pins),
+                         tuple(index[p.full_name] for p in pins),
+                         func({p.name: LOGIC_X for p in pins})))
+            continue
+        drivers = [arcs[i][0] for i in fanin[node] if arcs[i][2] == ARC_NET]
+        if drivers:
+            plan.append((node, drivers[0], None, (), (), LOGIC_X))
+
+    def sensitizable(func, in_name, side_names):
+        for values in product((0, 1), repeat=len(side_names)):
+            inputs = dict(zip(side_names, values))
+            if func({**inputs, in_name: 0}) != func({**inputs, in_name: 1}):
+                return True
+        return False
+
+    sides = []
+    for src, dst, kind, _sense, inst_name in arcs:
+        func = None
+        if kind == ARC_CELL:
+            inst = netlist.instance(inst_name)
+            func = inst.cell.functions.get(objs[dst].name)
+        if func is None:
+            sides.append(None)
+            continue
+        in_name = objs[src].name
+        side_pins = [p for p in input_pins(inst) if p.name != in_name]
+        side_names = tuple(p.name for p in side_pins)
+        sides.append((func, in_name, side_names,
+                      tuple(index[p.full_name] for p in side_pins),
+                      sensitizable(func, in_name, side_names)))
+    data_fanout = [[i for i in out if arcs[i][2] != ARC_LAUNCH]
+                   for out in fanout]
+    return {"node_names": names, "arcs": arcs, "topo_order": order,
+            "const_plan": plan, "arc_sides": sides,
+            "data_fanout": data_fanout, "seq_info": seq_info}
+
+
+@pytest.mark.parametrize("design", [
+    "A", "B", "C", "D", "E", "F",
+    "A-held-out", "B-held-out", "C-held-out", "D-held-out", "E-held-out",
+    "F-held-out",
+    "scan-pairs", "genclock-deep", "exception-stack", "lowpower-retention"])
+def test_tables_equal_the_plain_construction(design_netlists, design):
+    netlist = design_netlists[design]
+    graph = TimingGraph(netlist)
+    got = {
+        "node_names": graph.node_names,
+        "arcs": [(a.src, a.dst, a.kind, a.sense,
+                  a.instance.name if a.instance else None)
+                 for a in graph.arcs],
+        "topo_order": graph.topo_order,
+        "const_plan": graph.const_plan,
+        "arc_sides": graph.arc_sides,
+        "data_fanout": [[a.index for a in out] for out in graph.data_fanout],
+        "seq_info": graph.seq_info,
+    }
+    assert [a.index for a in graph.arcs] == list(range(graph.arc_count))
+    assert graph.node_obj == list(netlist.ports) + list(netlist.all_pins())
+    want = reference_tables(netlist)
+    for table, value in want.items():
+        assert got[table] == value, table
