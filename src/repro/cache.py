@@ -95,7 +95,7 @@ except ImportError:  # no flock(2): stats are advisory, flush unlocked
 
 #: Version of the cache entry layout.  Bump on any incompatible change;
 #: entries with a different version are quarantined, never guessed at.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: ``kind`` field of every entry file.
 CACHE_KIND = "repro-cache-entry"

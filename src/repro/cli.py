@@ -141,6 +141,7 @@ from repro.obs.context import ObsContext, current, observing
 from repro.obs.explain import DecisionLedger, format_chains
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
+from repro.obs.provenance import lineage_line
 from repro.obs.trace import Tracer
 from repro.sdc import Mode, parse_mode, write_mode
 
@@ -297,12 +298,7 @@ def _print_provenance(result) -> None:
     name = result.merged.name
     print(f"provenance {name}: {len(records)} constraint(s)")
     for record in records:
-        sources = ",".join(record.get("source_modes", ())) or "-"
-        line = (f"  {record.get('constraint', '?')}  "
-                f"<= {record.get('rule', '?')} [{sources}]")
-        if record.get("detail"):
-            line += f" ({record['detail']})"
-        print(line)
+        print(f"  {lineage_line(record)}")
 
 
 def cmd_audit(args: argparse.Namespace, policy: DegradationPolicy,

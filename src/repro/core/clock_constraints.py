@@ -98,7 +98,8 @@ def merge_clock_constraints(context: MergeContext,
                             tolerance: float = DEFAULT_TOLERANCE
                             ) -> StepReport:
     """Run step 3.1.2 over all clock-attached constraint classes."""
-    report = context.report("clock-based constraints (3.1.2)")
+    report = context.report("clock-based constraints (3.1.2)",
+                            "clock_constraints")
 
     rows: List[Row] = []
     mode_clocks: Dict[str, Set[str]] = {}
@@ -111,38 +112,29 @@ def merge_clock_constraints(context: MergeContext,
             mapped = constraint.rename_clocks(mapping)
             rows.append((mode.name, mapped, mapped.key()))
 
-    for key, entries, missing, conflicts, kept in clock_constraint_verdicts(
+    for _key, entries, missing, conflicts, kept in clock_constraint_verdicts(
             context.mode_names(), rows, mode_clocks, tolerance):
         sample = entries[0][1]
-        present_modes = {name for name, _ in entries}
-        report.conflicts.extend(conflicts)
+        present_modes = sorted({name for name, _ in entries})
         if isinstance(sample, SetPropagatedClock):
             if kept is None:
-                for name, constraint in entries:
-                    report.drop(name, constraint)
+                report.record("dropped", None, RULE_INTERSECTION,
+                              present_modes, dropped=entries,
+                              conflicts=conflicts)
             else:
-                report.add(context.merged.add(kept))
-                context.provenance.record(
-                    kept, RULE_INTERSECTION, sorted(present_modes),
-                    step="clock_constraints",
-                    detail="present in every relevant mode")
+                report.record("kept", kept, RULE_INTERSECTION,
+                              present_modes, "present in every relevant mode",
+                              conflicts=conflicts)
             continue
 
         values = [c.value for _, c in entries]
-        if missing:
-            report.note(
-                f"{sample.command} (key={key}) missing in modes {missing}; "
-                f"added with worst-case value")
         merged_value = min(values) if getattr(sample, "is_min", False) \
             else max(values)
-        merged = replace(sample, value=merged_value)
-        report.add(context.merged.add(merged))
-        context.provenance.record(
-            merged, RULE_TOLERANCE, sorted(present_modes),
-            step="clock_constraints",
-            detail=f"worst-case {merged_value:g} of {sorted(set(values))}")
-        if merged_value != values[0] or len(set(values)) > 1:
-            report.note(
-                f"{sample.command} merged value {merged_value:g} from "
-                f"{sorted(set(values))}")
+        detail = f"worst-case {merged_value:g} of {sorted(set(values))}"
+        if missing:
+            detail += f"; missing in modes {missing}"
+        report.record("merged" if missing or len(set(values)) > 1
+                      else "kept", replace(sample, value=merged_value),
+                      RULE_TOLERANCE, present_modes, detail,
+                      conflicts=conflicts)
     return report

@@ -49,7 +49,8 @@ def _mode_exclusive_pairs(mode: Mode) -> Set[FrozenSet[str]]:
 
 
 def merge_clock_exclusivity(context: MergeContext) -> StepReport:
-    report = context.report("clock exclusivity (3.1.7)")
+    report = context.report("clock exclusivity (3.1.7)",
+                            "clock_exclusivity")
 
     coexist: Set[FrozenSet[str]] = set()
     for mode in context.modes:
@@ -72,15 +73,9 @@ def merge_clock_exclusivity(context: MergeContext) -> StepReport:
 
     for pair in sorted(exclusive, key=sorted):
         a, b = sorted(pair)
-        constraint = SetClockGroups(
-            groups=((a,), (b,)),
-            name=f"{a}_{b}_excl",
-        )
-        report.add(context.merged.add(constraint))
-        context.provenance.record(
-            constraint, RULE_DERIVED, list(context.mode_names()),
-            step="clock_exclusivity",
-            detail=f"clocks {a} and {b} never co-exist in any mode")
-        report.note(f"clocks {a} and {b} never co-exist in any individual "
-                    f"mode; marked physically exclusive")
+        report.record(
+            "exclusive", SetClockGroups(groups=((a,), (b,)),
+                                        name=f"{a}_{b}_excl"),
+            RULE_DERIVED, context.mode_names(),
+            f"clocks {a} and {b} never co-exist in any mode")
     return report

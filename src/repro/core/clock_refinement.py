@@ -26,7 +26,6 @@ from repro.netlist.netlist import Port
 from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
 from repro.sdc.commands import ObjectRef, SetClockSense, SetDisableTiming
-from repro.timing.clocks import ClockPropagation
 from repro.timing.graph import ARC_LAUNCH
 
 
@@ -41,13 +40,13 @@ def _ref_for_node(graph, node: int) -> ObjectRef:
 def infer_disables_from_dropped_cases(context: MergeContext,
                                       report: StepReport) -> None:
     """Job 1: disable pins that are constant in every individual mode."""
-    if not context.dropped_cases:
+    dropped_cases = context.dropped_cases
+    if not dropped_cases:
         return
     graph = context.graph
-    ledger = current().decisions
     bounds = context.bound_individuals()
     emitted: Set[int] = set()
-    for _mode_name, constraint in context.dropped_cases:
+    for _mode_name, constraint in dropped_cases:
         # Re-resolve the dropped case's objects against the design.
         nodes: Set[int] = set()
         for name in bounds[0].resolver.resolve_to_pin_like(constraint.objects):
@@ -59,33 +58,30 @@ def infer_disables_from_dropped_cases(context: MergeContext,
                 continue
             if all(b.constants.is_constant(node) for b in bounds):
                 emitted.add(node)
-                disable = SetDisableTiming(objects=_ref_for_node(graph, node))
-                report.add(context.merged.add(disable))
-                context.provenance.record(
-                    disable, RULE_DERIVED, list(context.mode_names()),
-                    step="clock_refinement",
-                    detail=f"{graph.name(node)} constant in every mode; "
-                           f"disable inferred from dropped cases")
-                report.note(
-                    f"{graph.name(node)} is constant in every individual "
-                    f"mode; inferred set_disable_timing")
-                if ledger.enabled:
-                    ledger.decide(
-                        "refinement.inferred_disable",
-                        f"pin:{graph.name(node)}",
-                        verdict="disabled",
-                        evidence=["constant in every individual mode",
-                                  "case dropped in 3.1.4; disable "
-                                  "inferred in its place"])
+                name = graph.name(node)
+                report.record(
+                    "disabled",
+                    SetDisableTiming(objects=_ref_for_node(graph, node)),
+                    RULE_DERIVED, context.mode_names(),
+                    f"{name} constant in every mode; disable inferred "
+                    f"from dropped cases",
+                    kind="refinement.inferred_disable", subject=f"pin:{name}",
+                    attrs={})
 
 
-def find_extra_clock_frontier(graph, merged_prop: ClockPropagation,
+def find_extra_clock_frontier(graph, merged_clocks: Dict[int, Set[str]],
                               union_ind: Dict[int, Set[str]],
                               merged_constants) -> List[Tuple[int, str]]:
-    """Frontier (node, clock) pairs where the merged mode propagates a
-    clock no individual mode has — shared by clock and data refinement."""
+    """Frontier (node, clock) pairs where the merged mode has a clock no
+    individual mode has there -- shared by clock and data refinement.
+
+    ``merged_clocks`` and ``union_ind`` map nodes to clock names: the
+    merged mode's, and the union of the individual modes' in merged
+    names.  A pair is on the frontier unless a live fanin (launch arcs
+    aside) already carries the extra clock.
+    """
     extra: Dict[int, Set[str]] = {}
-    for node, clocks in merged_prop.node_clocks.items():
+    for node, clocks in merged_clocks.items():
         missing = clocks - union_ind.get(node, set())
         if missing:
             extra[node] = missing
@@ -109,10 +105,10 @@ def find_extra_clock_frontier(graph, merged_prop: ClockPropagation,
 def refine_clock_network(context: MergeContext,
                          budget: Optional[WatchdogBudget] = None
                          ) -> StepReport:
-    report = context.report("clock refinement (3.1.8)")
+    report = context.report("clock refinement (3.1.8)", "clock_refinement")
     graph = context.graph
     obs = current()
-    metrics, tracer, ledger = obs.metrics, obs.tracer, obs.decisions
+    metrics, tracer = obs.metrics, obs.tracer
     if budget is not None:
         # The per-mode propagation walks below visit every graph node;
         # refuse up front once the merge has spent its budget.
@@ -134,35 +130,21 @@ def refine_clock_network(context: MergeContext,
     merged_bound = context.bind_merged()
     merged_prop = merged_bound.clock_propagation()
     nodes_visited += len(merged_prop.node_clocks)
-    frontier = find_extra_clock_frontier(graph, merged_prop, union_ind,
-                                         merged_bound.constants)
+    frontier = find_extra_clock_frontier(graph, merged_prop.node_clocks,
+                                         union_ind, merged_bound.constants)
     for node, clock_name in frontier:
-        stop = SetClockSense(
-            pins=_ref_for_node(graph, node),
-            clocks=ObjectRef.clocks(clock_name),
-            stop_propagation=True,
-        )
-        report.add(context.merged.add(stop))
-        context.provenance.record(
-            stop, RULE_DERIVED, list(context.mode_names()),
-            step="clock_refinement",
-            detail=f"clock {clock_name} reaches {graph.name(node)} only "
-                   f"in the merged mode")
-        report.note(
-            f"clock {clock_name} reaches {graph.name(node)} only in the "
-            f"merged mode; stopped with set_clock_sense")
-        if ledger.enabled:
-            ledger.decide(
-                "refinement.clock_stop",
-                f"clock:{clock_name}@{graph.name(node)}",
-                verdict="stopped",
-                evidence=[f"clock {clock_name} reaches {graph.name(node)} "
-                          f"only in the merged mode",
-                          "frontier node: no live fanin already carries "
-                          "the extra clock"],
-                clock=clock_name, node=graph.name(node))
+        name = graph.name(node)
+        report.record(
+            "stopped",
+            SetClockSense(pins=_ref_for_node(graph, node),
+                          clocks=ObjectRef.clocks(clock_name),
+                          stop_propagation=True),
+            RULE_DERIVED, context.mode_names(),
+            f"clock {clock_name} reaches {name} only in the merged mode",
+            kind="refinement.clock_stop",
+            subject=f"clock:{clock_name}@{name}",
+            attrs={"clock": clock_name, "node": name})
     metrics.inc("clock_refinement.nodes_visited", nodes_visited)
-    metrics.inc("clock_refinement.stops", len(frontier))
     if tracer.enabled:
         tracer.annotate(clock_nodes_visited=nodes_visited,
                         clock_stops=len(frontier))

@@ -134,39 +134,31 @@ def union_clocks(signatures: Sequence[Tuple[str, ClockSignatures]],
 
 def merge_clocks(context: MergeContext) -> StepReport:
     """Run the clock-union step, filling ``context.clock_maps``."""
-    report = context.report("clock union (3.1.1)")
+    report = context.report("clock union (3.1.1)", "clock_union")
     signatures = [(mode.name, clock_signatures(context.netlist, mode))
                   for mode in context.modes]
     # merged clock name -> constraint added
     merged_clocks: Dict[str, object] = {}
     for entry in union_clocks(signatures, context.clock_maps):
         clock, name = entry.clock, entry.merged_name
-        generated = isinstance(clock, CreateGeneratedClock)
         if entry.duplicate:
             context.reverse_clock_map[name].append((entry.mode, clock.name))
-            context.provenance.record(
-                merged_clocks[name], RULE_UNION, [entry.mode],
-                step="clock_union")
-            if not generated:
-                report.note(
-                    f"clock {clock.name!r} of mode {entry.mode!r} is a "
-                    f"duplicate of merged clock {name!r}")
+            report.record("added", merged_clocks[name], RULE_UNION,
+                          [entry.mode])
             continue
-        if generated:
+        if isinstance(clock, CreateGeneratedClock):
             merged = replace(clock, name=name, master_clock=entry.master,
                              add=True)
+            kind = "generated clock"
         else:
             if name != clock.name:
                 report.note(
                     f"clock {clock.name!r} of mode {entry.mode!r} renamed "
                     f"to {name!r} in the merged mode")
             merged = replace(clock, name=name, add=True)
-        context.merged.add(merged)
-        report.add(merged)
-        kind = "generated clock" if generated else "clock"
-        context.provenance.record(
-            merged, RULE_UNION, [entry.mode], step="clock_union",
-            detail=f"from {kind} {clock.name!r}")
+            kind = "clock"
+        report.record("added", merged, RULE_UNION, [entry.mode],
+                      f"from {kind} {clock.name!r}")
         merged_clocks[name] = merged
         context.reverse_clock_map[name] = [(entry.mode, clock.name)]
     return report

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set
 
-from repro.core.clock_refinement import _ref_for_node
+from repro.core.clock_refinement import (
+    _ref_for_node,
+    find_extra_clock_frontier,
+)
 from repro.core.steps import MergeContext, StepReport
-from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
 from repro.sdc.commands import ObjectRef, PathSpec, SetFalsePath
 from repro.timing.clocks import propagate_launch_clocks
-from repro.timing.graph import ARC_LAUNCH
 
 
 def refine_data_clocks(context: MergeContext) -> StepReport:
-    report = context.report("data refinement: launch clocks (3.2a)")
+    report = context.report("data refinement: launch clocks (3.2a)",
+                            "data_refinement")
     graph = context.graph
-    ledger = current().decisions
 
     union_ind: Dict[int, Set[str]] = {}
     for mode, bound in zip(context.modes, context.bound_individuals()):
@@ -47,50 +48,18 @@ def refine_data_clocks(context: MergeContext) -> StepReport:
                 bucket |= names
 
     merged_bound = context.bind_merged()
-    merged_launches = propagate_launch_clocks(merged_bound)
-    constants = merged_bound.constants
-
-    extra: Dict[int, Set[str]] = {}
-    for node, clocks in merged_launches.items():
-        missing = clocks - union_ind.get(node, set())
-        if missing:
-            extra[node] = missing
-
-    for node in sorted(extra, key=lambda n: graph.topo_rank[n]):
-        for clock_name in sorted(extra[node]):
-            covered = False
-            for arc in graph.fanin[node]:
-                if arc.kind == ARC_LAUNCH:
-                    continue
-                if not constants.arc_is_live(arc):
-                    continue
-                if clock_name in extra.get(arc.src, ()):
-                    covered = True
-                    break
-            if covered:
-                continue
-            fix = SetFalsePath(spec=PathSpec(
+    for node, clock_name in find_extra_clock_frontier(
+            graph, propagate_launch_clocks(merged_bound), union_ind,
+            merged_bound.constants):
+        name = graph.name(node)
+        report.record(
+            "falsified",
+            SetFalsePath(spec=PathSpec(
                 from_refs=(ObjectRef.clocks(clock_name),),
-                through_refs=(_ref_for_node(graph, node),),
-            ))
-            report.add(context.merged.add(fix))
-            context.provenance.record(
-                fix, RULE_DERIVED, list(context.mode_names()),
-                step="data_refinement",
-                detail=f"launch clock {clock_name} reaches "
-                       f"{graph.name(node)} only in the merged mode")
-            report.note(
-                f"launch clock {clock_name} reaches {graph.name(node)} only "
-                f"in the merged mode; falsified with set_false_path "
-                f"-from/-through")
-            if ledger.enabled:
-                ledger.decide(
-                    "refinement.data_false_path",
-                    f"clock:{clock_name}@{graph.name(node)}",
-                    verdict="falsified",
-                    evidence=[f"launch clock {clock_name} reaches "
-                              f"{graph.name(node)} only in the merged mode",
-                              "set_false_path -from/-through added"],
-                    clock=clock_name, node=graph.name(node))
-    current().metrics.inc("data_refinement.false_paths", len(report.added))
+                through_refs=(_ref_for_node(graph, node),))),
+            RULE_DERIVED, context.mode_names(),
+            f"launch clock {clock_name} reaches {name} only in the merged "
+            f"mode", kind="refinement.data_false_path",
+            subject=f"clock:{clock_name}@{name}",
+            attrs={"clock": clock_name, "node": name})
     return report

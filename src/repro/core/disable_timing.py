@@ -12,23 +12,20 @@ from repro.obs.provenance import RULE_INTERSECTION
 
 
 def merge_disable_timing(context: MergeContext) -> StepReport:
-    report = context.report("disable timing (3.1.5)")
+    report = context.report("disable timing (3.1.5)", "disable_timing")
     mode_count = len(context.modes)
     groups = group_rows((mode.name, constraint, constraint.key())
                         for mode in context.modes
                         for constraint in mode.disable_timings())
     for entries in groups.values():
-        present = {name for name, _ in entries}
+        present = sorted({name for name, _ in entries})
         if len(present) == mode_count:
-            report.add(context.merged.add(entries[0][1]))
-            context.provenance.record(
-                entries[0][1], RULE_INTERSECTION, sorted(present),
-                step="disable_timing", detail="disabled in every mode")
+            report.record("kept", entries[0][1], RULE_INTERSECTION, present,
+                          "disabled in every mode")
         else:
             missing = [m.name for m in context.modes if m.name not in present]
-            report.note(
-                f"disable on {entries[0][1].objects} only in "
-                f"{sorted(present)} (missing in {missing}); dropped")
-            for name, constraint in entries:
-                report.drop(name, constraint)
+            report.record(
+                "dropped", None, RULE_INTERSECTION, present,
+                f"disable on {entries[0][1].objects} only in {present} "
+                f"(missing in {missing}); dropped", dropped=entries)
     return report

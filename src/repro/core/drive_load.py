@@ -64,33 +64,28 @@ def drive_load_verdicts(mode_names: Sequence[str], rows: Iterable[Row],
 
 def merge_drive_load(context: MergeContext,
                      tolerance: float = DEFAULT_TOLERANCE) -> StepReport:
-    report = context.report("drive/load constraints (3.1.6)")
+    report = context.report("drive/load constraints (3.1.6)", "drive_load")
     rows = [(mode.name, constraint, constraint.key())
             for mode in context.modes
             for constraint in mode.of_type(*DRIVE_LOAD_TYPES)]
     for _key, entries, _missing, conflicts, kept in drive_load_verdicts(
             context.mode_names(), rows, tolerance):
         sample = entries[0][1]
-        present = {name for name, _ in entries}
-        report.conflicts.extend(conflicts)
-        if len(present) != len(context.modes):
-            report.note(
-                f"{sample.command} on {sample.objects} not common to all "
-                f"modes; added with present values (worst case)")
+        present = sorted({name for name, _ in entries})
         if kept is None:
-            continue
-        if isinstance(sample, SetDrivingCell):
-            report.add(context.merged.add(sample))
-            context.provenance.record(
-                sample, RULE_TOLERANCE, sorted(present),
-                step="drive_load", detail="same driving cell in all modes")
-            continue
-        values = [c.value for _, c in entries]
-        merged_value = min(values) if getattr(sample, "is_min", False) \
-            else max(values)
-        merged = replace(sample, value=merged_value)
-        report.add(context.merged.add(merged))
-        context.provenance.record(
-            merged, RULE_TOLERANCE, sorted(present), step="drive_load",
-            detail=f"worst-case {merged_value:g} of {sorted(set(values))}")
+            report.record("dropped", None, RULE_TOLERANCE, present,
+                          conflicts=conflicts)
+        elif isinstance(sample, SetDrivingCell):
+            report.record("kept", sample, RULE_TOLERANCE, present,
+                          "same driving cell in all modes",
+                          conflicts=conflicts)
+        else:
+            values = [c.value for _, c in entries]
+            merged_value = min(values) if getattr(sample, "is_min", False) \
+                else max(values)
+            report.record(
+                "merged" if len(set(values)) > 1 else "kept",
+                replace(sample, value=merged_value), RULE_TOLERANCE, present,
+                f"worst-case {merged_value:g} of {sorted(set(values))}",
+                conflicts=conflicts)
     return report

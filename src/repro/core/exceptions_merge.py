@@ -34,7 +34,6 @@ from repro.core.steps import (
     StepReport,
     group_rows,
 )
-from repro.obs.context import current
 from repro.obs.provenance import RULE_INTERSECTION, RULE_UNIQUIFIED
 from repro.sdc.commands import (
     Constraint,
@@ -159,17 +158,9 @@ def exception_verdicts(mode_names: Sequence[str], rows: Iterable[Row],
 
 
 def merge_exceptions(context: MergeContext) -> StepReport:
-    report = context.report("exceptions (3.1.9/3.1.10)")
-    obs = current()
-    metrics, ledger = obs.metrics, obs.decisions
-    mode_count = len(context.modes)
+    report = context.report("exceptions (3.1.9/3.1.10)", "exceptions")
     mode_clocks = {mode.name: set(context.mapped_clocks(mode))
                    for mode in context.modes}
-
-    def _subject(constraint: Constraint) -> str:
-        from repro.sdc.writer import write_constraint
-
-        return f"constraint:{write_constraint(constraint)}"
 
     rows: List[Row] = []
     for mode in context.modes:
@@ -180,69 +171,31 @@ def merge_exceptions(context: MergeContext) -> StepReport:
 
     for _key, entries, missing, conflicts, uniquified in \
             exception_verdicts(context.mode_names(), rows, mode_clocks):
-        present = {name for name, _ in entries}
+        present = sorted({name for name, _ in entries})
         sample = entries[0][1]
-        if len(present) == mode_count:
-            report.add(context.merged.add(sample))
-            context.provenance.record(
-                sample, RULE_INTERSECTION, sorted(present),
-                step="exceptions", detail="exception common to all modes")
-            metrics.inc("exceptions.intersected")
-            if ledger.enabled:
-                ledger.decide(
-                    "exception.merge", _subject(sample),
-                    verdict="intersected",
-                    evidence=["exception common to all modes"],
-                    modes=sorted(present))
-            continue
-
-        if uniquified is not None:
+        if not missing:
+            report.record("intersected", sample, RULE_INTERSECTION, present,
+                          "exception common to all modes",
+                          kind="exception.merge", subject=sample)
+        elif uniquified is sample:
+            report.record("uniquified", sample, RULE_UNIQUIFIED, present,
+                          "already unique through its clocks",
+                          kind="exception.merge", subject=sample)
+        elif uniquified is not None:
             own_clocks, other_clocks = _own_and_other_clocks(
-                context.mode_names(), mode_clocks, present)
-            restrict = sorted(own_clocks - other_clocks)
-            report.add(context.merged.add(uniquified))
-            context.provenance.record(
-                uniquified, RULE_UNIQUIFIED, sorted(present),
-                step="exceptions",
-                detail="clock-restricted to its source modes"
-                if uniquified is not sample
-                else "already unique through its clocks")
-            metrics.inc("exceptions.uniquified")
-            if ledger.enabled:
-                ledger.decide(
-                    "exception.merge", _subject(sample),
-                    verdict="uniquified",
-                    evidence=[f"restricted to clocks {restrict} of "
-                              f"modes {sorted(present)}"
-                              if uniquified is not sample
-                              else "already unique through its clocks",
-                              f"became {_subject(uniquified)[11:]}"],
-                    modes=sorted(present))
-            if uniquified is not sample:
-                report.note(
-                    f"{sample.command} of modes {sorted(present)} uniquified "
-                    f"by restricting to clocks {restrict}")
-            continue
-
-        # No sound rewrite.
-        report.conflicts.extend(conflicts)
-        for name, constraint in entries:
-            report.drop(name, constraint)
-        metrics.inc("exceptions.dropped", len(entries))
-        if ledger.enabled:
-            ledger.decide(
-                "exception.merge", _subject(sample),
-                verdict="dropped",
-                evidence=[f"not uniquifiable: clocks of modes "
-                          f"{sorted(present)} overlap those of {missing}",
-                          "refinement will attempt precise replacements"],
-                modes=sorted(present))
-        if isinstance(sample, SetFalsePath):
-            report.note(
-                f"false path of modes {sorted(present)} not uniquifiable "
-                f"(clock overlap with {missing}); dropped for refinement")
+                context.mode_names(), mode_clocks, set(present))
+            report.record(
+                "uniquified", uniquified, RULE_UNIQUIFIED, present,
+                f"restricted to clocks {sorted(own_clocks - other_clocks)} "
+                f"of modes {present}",
+                kind="exception.merge", subject=sample)
         else:
-            report.note(
-                f"{sample.command} of modes {sorted(present)} dropped; "
-                f"refinement will attempt clock/endpoint-restricted fixes")
+            # No sound rewrite: a false path is left to refinement, any
+            # other exception is a conflict.
+            report.record(
+                "dropped", None, RULE_UNIQUIFIED, present,
+                f"{sample.command} of modes {present} not uniquifiable "
+                f"(clock overlap with {missing}); dropped for refinement",
+                dropped=entries, conflicts=conflicts,
+                kind="exception.merge", subject=sample)
     return report

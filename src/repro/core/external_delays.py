@@ -18,7 +18,7 @@ from repro.sdc.commands import SetInputDelay, SetOutputDelay
 
 
 def merge_external_delays(context: MergeContext) -> StepReport:
-    report = context.report("external delays (3.1.3)")
+    report = context.report("external delays (3.1.3)", "external_delays")
     # identity -> emitted merged constraint (for source accumulation)
     seen: Dict[Tuple, object] = {}
     # (command, normalized port ref) -> first constraint already emitted?
@@ -30,19 +30,13 @@ def merge_external_delays(context: MergeContext) -> StepReport:
             mapped = constraint.rename_clocks(mapping)
             identity = (mapped.key(), round(mapped.value, 9))
             emitted = seen.get(identity)
-            if emitted is not None:
-                context.provenance.record(
-                    emitted, RULE_UNION, [mode.name],
-                    step="external_delays")
-                continue
-            port_key = (mapped.command, mapped.objects.normalized(),
-                        mapped.min_flag, mapped.max_flag)
-            if port_key in first_on_port:
-                mapped = replace(mapped, add_delay=True)
-            else:
-                first_on_port.add(port_key)
-            seen[identity] = mapped
-            report.add(context.merged.add(mapped))
-            context.provenance.record(
-                mapped, RULE_UNION, [mode.name], step="external_delays")
+            if emitted is None:
+                port_key = (mapped.command, mapped.objects.normalized(),
+                            mapped.min_flag, mapped.max_flag)
+                if port_key in first_on_port:
+                    mapped = replace(mapped, add_delay=True)
+                else:
+                    first_on_port.add(port_key)
+                emitted = seen[identity] = mapped
+            report.record("added", emitted, RULE_UNION, [mode.name])
     return report

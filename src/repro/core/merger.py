@@ -35,7 +35,6 @@ from repro.errors import MergeStepError, RefinementError
 from repro.netlist.netlist import Netlist
 from repro.obs.context import current
 from repro.obs.explain import group_subject
-from repro.obs.provenance import RULE_UNION
 from repro.sdc.mode import Mode
 
 
@@ -243,11 +242,6 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
                          context, budget)
             result.validated = True
             result.validation_mismatches = check.mismatches
-
-        # Safety net: every merged-mode constraint must answer a
-        # provenance query even if an instrumentation site missed it.
-        context.provenance.backfill(context.merged, rule=RULE_UNION,
-                                    source_modes=mode_names)
 
         result.runtime_seconds = time.perf_counter() - start
         if metrics.enabled:

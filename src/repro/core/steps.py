@@ -7,6 +7,13 @@ merged mode under construction) and records what it did in a
 mergeability analysis (Section 3's mock run) uses to declare mode pairs
 non-mergeable.
 
+A step records each decision once, with :meth:`StepReport.record`: the
+verdict, the constraint it puts into the merged mode (if any), the merge
+rule, the source modes, one detail text, and the entries it dropped and
+the conflicts it found.  The report's ``added``, ``dropped``, ``notes``
+and ``conflicts``, the context's provenance view, the step counters and
+the leaf decisions of an enabled ledger are all read from those records.
+
 The three steps that can conflict (3.1.2, 3.1.6, 3.1.9) judge each set of
 corresponding constraints with a *rule*: a generator of
 :class:`RuleVerdict` that the step acts on and that the mergeability
@@ -15,17 +22,41 @@ pre-check reads only up to its first conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.netlist.netlist import Netlist
-from repro.obs.provenance import ProvenanceLedger
+from repro.obs.context import current
+from repro.obs.provenance import ProvenanceLedger, ProvenanceRecord
 from repro.sdc.commands import Constraint
 from repro.sdc.mode import Mode
+from repro.sdc.writer import write_constraint
 from repro.timing.graph import TimingGraph, build_graph
 
 #: (mode name, constraint, identity key) -- one rule input row
 Row = Tuple[str, Constraint, Tuple]
+
+#: The step counters, read from the decisions as they are recorded:
+#: step -> verdict -> counter.  A decision adds one to its counter, or
+#: the number of entries it dropped.
+_STEP_COUNTERS: Dict[str, Dict[str, str]] = {
+    "exceptions": {"intersected": "exceptions.intersected",
+                   "uniquified": "exceptions.uniquified",
+                   "dropped": "exceptions.dropped"},
+    "clock_refinement": {"stopped": "clock_refinement.stops"},
+    "data_refinement": {"falsified": "data_refinement.false_paths"},
+    "three_pass": {"synthesized": "three_pass.fixes",
+                   "unresolved": "three_pass.residuals"},
+}
+
+#: Verdicts of the decisions that carry a mode's constraint into the
+#: merged mode as it is.
+_AS_IS = ("added", "kept", "intersected")
+
+#: Steps that report their counters on every run, at zero when they
+#: count nothing; the exception counters appear once they count.
+_COUNTED_PER_RUN = ("clock_refinement", "data_refinement", "three_pass")
 
 
 @dataclass
@@ -40,27 +71,112 @@ class Conflict:
 
 
 @dataclass
+class StepDecision(ProvenanceRecord):
+    """One decision of a merge step, recorded once.
+
+    The lineage fields say which rule decided, from which modes, in which
+    step and why; ``constraint`` is what the decision put into the merged
+    mode, None when it put nothing there.
+    """
+
+    verdict: str = ""
+    #: (mode name, constraint) entries the decision left out
+    dropped: Tuple[Tuple[str, Constraint], ...] = ()
+    conflicts: Tuple[Conflict, ...] = ()
+
+
 class StepReport:
-    """What one merge step did."""
+    """What one merge step decided: its :class:`StepDecision` records."""
 
-    name: str
-    added: List[Constraint] = field(default_factory=list)
-    dropped: List[Tuple[str, Constraint]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    conflicts: List[Conflict] = field(default_factory=list)
+    def __init__(self, name: str, step: str, merged: Mode,
+                 lineage: Dict[int, StepDecision]):
+        self.name = name
+        #: the pipeline stage key (``clock_union``, ``exceptions``, ...)
+        self.step = step
+        self.decisions: List[StepDecision] = []
+        #: notes that record no decision (clock renames, iterations)
+        self._plain_notes: List[str] = []
+        #: the context's merged mode and lineage map (not the context
+        #: itself, which holds its reports)
+        self._merged = merged
+        self._lineage = lineage
+        if step in _COUNTED_PER_RUN:
+            metrics = current().metrics
+            for counter in _STEP_COUNTERS[step].values():
+                metrics.inc(counter, 0)
 
-    def add(self, constraint: Constraint) -> Constraint:
-        self.added.append(constraint)
-        return constraint
+    def record(self, verdict: str, constraint: Optional[Constraint],
+               rule: str, sources: Sequence[str], detail: str = "", *,
+               dropped: Sequence[Tuple[str, Constraint]] = (),
+               conflicts: Sequence[Conflict] = (),
+               kind: str = "", subject: Union[str, Constraint] = "",
+               attrs: Optional[dict] = None) -> StepDecision:
+        """Record one decision, and put ``constraint`` into the merged mode.
 
-    def drop(self, mode_name: str, constraint: Constraint) -> None:
-        self.dropped.append((mode_name, constraint))
+        Recording a constraint that a decision of this merge already put
+        there adds ``sources`` to that decision instead (a duplicate clock
+        or external delay of another mode).  With a ledger ``kind``, an
+        enabled ledger gets a leaf decision on ``subject``, with
+        ``detail`` as evidence and ``attrs``, by default the source modes;
+        a constraint subject is written as ``constraint:<sdc>`` only then.
+        """
+        lineage = self._lineage
+        if constraint is not None:
+            earlier = lineage.get(id(constraint))
+            if earlier is not None:
+                for name in sources:
+                    earlier.add_source(name)
+                if detail and not earlier.detail:
+                    earlier.detail = detail
+                return earlier
+            self._merged.add(constraint)
+        decision = StepDecision(
+            rule=rule, source_modes=list(sources), step=self.step,
+            detail=detail, constraint=constraint, verdict=verdict,
+            dropped=tuple(dropped), conflicts=tuple(conflicts))
+        self.decisions.append(decision)
+        if constraint is not None:
+            lineage[id(constraint)] = decision
+        obs = current()
+        counter = _STEP_COUNTERS.get(self.step, {}).get(verdict)
+        if counter is not None:
+            obs.metrics.inc(counter, len(decision.dropped) or 1)
+        if kind and obs.decisions.enabled:
+            if isinstance(subject, Constraint):
+                subject = f"constraint:{write_constraint(subject)}"
+            obs.decisions.decide(
+                kind, subject, verdict=verdict, evidence=[detail],
+                **({"modes": list(sources)} if attrs is None else attrs))
+        return decision
 
     def note(self, text: str) -> None:
-        self.notes.append(text)
+        """A note that records no decision."""
+        self._plain_notes.append(text)
 
-    def conflict(self, modes: Tuple[str, ...], reason: str) -> None:
-        self.conflicts.append(Conflict(modes, reason))
+    @property
+    def added(self) -> List[Constraint]:
+        return [d.constraint for d in self.decisions
+                if d.constraint is not None]
+
+    @property
+    def dropped(self) -> List[Tuple[str, Constraint]]:
+        return [entry for d in self.decisions for entry in d.dropped]
+
+    @property
+    def conflicts(self) -> List[Conflict]:
+        return [c for d in self.decisions for c in d.conflicts]
+
+    @property
+    def notes(self) -> List[str]:
+        """The details of the decisions that changed or left out a mode's
+        constraint without a conflict, then the plain notes.
+
+        A constraint kept as it is shows in the provenance only, and a
+        conflict reads in ``conflicts``.
+        """
+        return [d.detail for d in self.decisions
+                if d.verdict not in _AS_IS and not d.conflicts] \
+            + self._plain_notes
 
     def summary(self) -> str:
         return (f"{self.name}: +{len(self.added)} constraints, "
@@ -120,10 +236,10 @@ class MergeContext:
         #: merged clock name -> list of (mode name, original clock name)
         self.reverse_clock_map: Dict[str, List[Tuple[str, str]]] = {}
         self.reports: List[StepReport] = []
-        #: case-analysis constraints dropped in step 3.1.4 (mode, constraint)
-        self.dropped_cases: List[Tuple[str, Constraint]] = []
-        #: lineage of every merged-mode constraint (source modes + rule)
-        self.provenance = ProvenanceLedger()
+        #: id(constraint) -> the decision that put it into the merged mode
+        self.lineage: Dict[int, StepDecision] = {}
+        #: the per-constraint view of those decisions
+        self.provenance = ProvenanceLedger(self.lineage)
         #: the last binding of the merged mode (see bind_merged)
         self._binding = None
         #: the 3-pass's individual-mode rows and the merged binding they
@@ -178,10 +294,18 @@ class MergeContext:
         self._binding = None
         self.individual_rows = None
 
-    def report(self, name: str) -> StepReport:
-        report = StepReport(name)
+    def report(self, name: str, step: str = "") -> StepReport:
+        """A new report of pipeline stage ``step``, in pipeline order."""
+        report = StepReport(name, step, self.merged, self.lineage)
         self.reports.append(report)
         return report
+
+    @property
+    def dropped_cases(self) -> List[Tuple[str, Constraint]]:
+        """The case-analysis constraints step 3.1.4 dropped (mode, case)."""
+        return [entry for report in self.reports
+                if report.step == "case_analysis"
+                for entry in report.dropped]
 
     def clock_map(self, mode_name: str) -> Dict[str, str]:
         return self.clock_maps[mode_name]

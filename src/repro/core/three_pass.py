@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import Conflict, MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
 from repro.obs.context import current
 from repro.obs.provenance import RULE_DERIVED
@@ -239,12 +239,18 @@ class ComparisonEntry:
 class ThreePassOutcome:
     """Everything the 3-pass refinement produced."""
 
-    added: List[Constraint] = field(default_factory=list)
     residuals: List[str] = field(default_factory=list)
     iterations: int = 0
     pass1_entries: List[ComparisonEntry] = field(default_factory=list)
     pass2_entries: List[ComparisonEntry] = field(default_factory=list)
     pass3_entries: List[ComparisonEntry] = field(default_factory=list)
+    #: the fix loop's step report; None for a checking refiner
+    report: Optional[StepReport] = None
+
+    @property
+    def added(self) -> List[Constraint]:
+        """The fix constraints, in the order the loop synthesized them."""
+        return self.report.added if self.report is not None else []
 
     @property
     def clean(self) -> bool:
@@ -419,7 +425,13 @@ class ThreePassRefiner:
         #: with apply_fixes=False the refiner only *checks* (equivalence
         #: mode): mismatches become residuals instead of fix constraints.
         self.apply_fixes = apply_fixes
-        self.outcome = ThreePassOutcome()
+        #: the fix loop's step report, which records each fix and each
+        #: residual; a checking refiner reports only its outcome
+        self.report: Optional[StepReport] = None
+        if apply_fixes:
+            self.report = context.report("3-pass refinement (3.2b)",
+                                         "three_pass")
+        self.outcome = ThreePassOutcome(report=self.report)
         # A checking refiner adopts the rows a fix loop left on the
         # context while they still hold; the merged side is recomputed
         # from the final merged mode in every iteration either way.
@@ -465,6 +477,18 @@ class ThreePassRefiner:
             collect = False  # tables reflect the first (paper-like) pass
             if len(self.outcome.added) == added_before:
                 break
+        if self.report is not None:
+            # An iteration that added fixes is compared again, so only
+            # the last iteration's residuals stand.
+            modes = self.context.mode_names()
+            detail = (f"after {self.outcome.iterations} iteration(s) with "
+                      f"{len(self.outcome.added)} fix(es)")
+            for residual in self.outcome.residuals:
+                self.report.record(
+                    "unresolved", None, RULE_DERIVED, modes, detail,
+                    conflicts=[Conflict(modes, residual)],
+                    kind="refinement.residual",
+                    subject=f"residual:{residual}")
         return self.outcome
 
 
@@ -622,27 +646,13 @@ class ThreePassRefiner:
                 return True
             if self._validate(target, rows, matcher):
                 target_label = target.label() if target is not None else "-"
-                ledger = current().decisions
                 for fix in fixes:
-                    self.context.merged.add(fix)
-                    self.outcome.added.append(fix)
-                    self.context.provenance.record(
-                        fix, RULE_DERIVED,
-                        list(self.context.mode_names()), step="three_pass",
-                        detail=f"fix restoring individual requirement "
-                               f"{target_label}")
-                    if ledger.enabled:
-                        from repro.sdc.writer import write_constraint
-
-                        ledger.decide(
-                            "refinement.fix",
-                            f"constraint:{write_constraint(fix)}",
-                            verdict="synthesized",
-                            evidence=[f"restores individual requirement "
-                                      f"{target_label}",
-                                      f"merged bundle was "
-                                      f"{states_label(merged)}"],
-                            modes=list(self.context.mode_names()))
+                    self.report.record(
+                        "synthesized", fix, RULE_DERIVED,
+                        self.context.mode_names(),
+                        f"fix restoring individual requirement "
+                        f"{target_label}",
+                        kind="refinement.fix", subject=fix)
                 return True
         return False
 
@@ -806,25 +816,8 @@ class ThreePassRefiner:
 def run_three_pass(context: MergeContext,
                    budget: Optional[WatchdogBudget] = None
                    ) -> Tuple[StepReport, ThreePassOutcome]:
-    report = context.report("3-pass refinement (3.2b)")
     refiner = ThreePassRefiner(context, budget=budget)
     outcome = refiner.run()
-    for constraint in outcome.added:
-        report.added.append(constraint)
-    for residual in outcome.residuals:
-        report.conflict(context.mode_names(), residual)
-    report.note(f"{outcome.iterations} refinement iteration(s)")
-    obs = current()
-    obs.metrics.inc("three_pass.iterations", outcome.iterations)
-    obs.metrics.inc("three_pass.fixes", len(outcome.added))
-    obs.metrics.inc("three_pass.residuals", len(outcome.residuals))
-    ledger = obs.decisions
-    if ledger.enabled:
-        for residual in outcome.residuals:
-            ledger.decide(
-                "refinement.residual", f"residual:{residual}",
-                verdict="unresolved",
-                evidence=[f"after {outcome.iterations} iteration(s) with "
-                          f"{len(outcome.added)} fix(es)"],
-                modes=list(context.mode_names()))
-    return report, outcome
+    refiner.report.note(f"{outcome.iterations} refinement iteration(s)")
+    current().metrics.inc("three_pass.iterations", outcome.iterations)
+    return refiner.report, outcome

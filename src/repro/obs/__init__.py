@@ -23,8 +23,9 @@ layer is free when disabled:
   ``blackbox.json`` only when a run dies abnormally (``repro-merge
   doctor`` renders the forensics).
 
-:mod:`repro.obs.provenance` records per-constraint merge lineage
-(source modes + merge rule), surfaced by ``repro report --provenance``.
+:mod:`repro.obs.provenance` is the per-constraint view of merge lineage
+(source modes + merge rule) over the merge steps' decision records,
+surfaced by ``repro report --provenance``.
 :mod:`repro.obs.report_html` stitches the layers into a self-contained
 HTML run report, :mod:`repro.obs.bench_diff` compares two benchmark
 snapshots, and :mod:`repro.obs.validate` holds the artifact zoo: one

@@ -5,29 +5,33 @@ Every constraint in a merged mode got there via one of five merge rules:
 * ``union`` — carried over from one or more source modes as-is (clock
   union, external delays);
 * ``tolerance-window`` — several per-mode values collapsed into one
-  representative within the engine tolerance (clock uncertainty/latency,
-  drive/load values);
+  worst-case value within the engine tolerance (clock transition,
+  latency and uncertainty; drive/load values and driving cells);
 * ``intersection`` — present in (and identical across) every source mode
-  (case analysis, disable timing, exceptions common to all modes);
+  (propagated clocks, case analysis, disable timing, exceptions common
+  to all modes);
 * ``uniquified`` — restricted to its source modes by clock scoping so it
   cannot leak onto other modes' paths (mode-specific exceptions);
 * ``derived`` — synthesized by the pipeline itself rather than copied
-  from any mode (clock-exclusivity groups, clock-sense stops, data
+  from any mode (conflicting cases translated to false paths, clock
+  exclusivity groups, inferred disables, clock-sense stops, data
   refinement false paths, 3-pass fix constraints).
 
-The :class:`ProvenanceLedger` lives on the per-group ``MergeContext`` and
-maps each merged-mode constraint to a :class:`ProvenanceRecord`.  SDC
-constraints are frozen dataclasses with *structural* equality — two equal
-constraints from different origins are distinct objects — so the ledger
-keys by ``id()`` and keeps a reference to every recorded constraint to
-pin those ids for the ledger's lifetime.
+A merge step records each decision once
+(:meth:`repro.core.steps.StepReport.record`); the record of a decision
+that put a constraint into the merged mode is that constraint's
+:class:`ProvenanceRecord`.  The :class:`ProvenanceLedger` on the
+per-group ``MergeContext`` is the read side: a per-constraint view over
+those records, in the order the steps made them.  SDC constraints are
+frozen dataclasses with *structural* equality — two equal constraints
+from different origins are distinct objects — so the view keys by
+``id()``, and each record holds its constraint, which pins the id.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 #: Version of the provenance record schema (in reports and diagnostics).
 PROVENANCE_SCHEMA_VERSION = 1
@@ -51,6 +55,20 @@ def _constraint_text(constraint) -> str:
         return write_constraint(constraint)
     except Exception:
         return repr(constraint)
+
+
+def lineage_line(record: dict) -> str:
+    """``<sdc>  <= rule [modes] (detail)`` for one serialized record.
+
+    Live records and the serialized ones that cache-restored and
+    ``--jobs`` results carry render through this one function.
+    """
+    sources = ",".join(record.get("source_modes", ())) or "-"
+    line = (f"{record.get('constraint', '?')}  "
+            f"<= {record.get('rule', '?')} [{sources}]")
+    if record.get("detail"):
+        line += f" ({record['detail']})"
+    return line
 
 
 @dataclass
@@ -88,74 +106,28 @@ class ProvenanceRecord:
         }
 
     def __str__(self) -> str:
-        sources = ",".join(self.source_modes) or "-"
-        text = _constraint_text(self.constraint)
-        out = f"{text}  <= {self.rule} [{sources}]"
-        if self.detail:
-            out += f" ({self.detail})"
-        return out
+        return lineage_line(self.to_dict())
 
 
 class ProvenanceLedger:
-    """id-keyed map from merged-mode constraints to their lineage."""
+    """Read-only, id-keyed view from merged-mode constraints to their
+    lineage records."""
 
-    def __init__(self) -> None:
-        self._records: Dict[int, ProvenanceRecord] = {}
-        #: insertion-ordered constraint refs; pins ids and drives export
-        self._order: List[Any] = []
+    def __init__(self, records: Optional[Dict[int, ProvenanceRecord]] = None
+                 ) -> None:
+        #: id(constraint) -> record, in recording order; the merge steps
+        #: fill it, the view only reads it
+        self._records = {} if records is None else records
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def record(self, constraint, rule: str,
-               source_modes: Optional[Sequence[str]] = None,
-               step: str = "", detail: str = "") -> ProvenanceRecord:
-        """Record (or update) the lineage of one constraint.
-
-        Re-recording the same constraint object merges the source-mode
-        lists and keeps the first rule — steps that touch a constraint
-        twice (e.g. clock union finding the same clock in a second mode)
-        accumulate sources instead of clobbering lineage.
-        """
-        existing = self._records.get(id(constraint))
-        if existing is not None:
-            for name in (source_modes or ()):
-                existing.add_source(name)
-            if detail and not existing.detail:
-                existing.detail = detail
-            return existing
-        rec = ProvenanceRecord(rule=rule,
-                               source_modes=list(source_modes or ()),
-                               step=step, detail=detail,
-                               constraint=constraint)
-        self._records[id(constraint)] = rec
-        self._order.append(constraint)
-        return rec
 
     def lookup(self, constraint) -> Optional[ProvenanceRecord]:
         return self._records.get(id(constraint))
 
     def records(self) -> List[ProvenanceRecord]:
-        """All records in insertion order."""
-        return [self._records[id(c)] for c in self._order]
-
-    def backfill(self, constraints: Iterable[Any], rule: str = RULE_UNION,
-                 source_modes: Optional[Sequence[str]] = None,
-                 step: str = "backfill") -> int:
-        """Record a default lineage for any constraint not yet covered.
-
-        The safety net ``merge_modes`` runs after the pipeline: every
-        merged-mode constraint must answer a provenance query even if an
-        instrumentation site was missed.  Returns how many records were
-        created.
-        """
-        created = 0
-        for constraint in constraints:
-            if id(constraint) not in self._records:
-                self.record(constraint, rule, source_modes, step=step,
-                            detail="lineage backfilled")
-                created += 1
-        return created
+        """All records in recording order."""
+        return list(self._records.values())
 
     def lineage_of(self, constraints: Iterable[Any]) -> List[str]:
         """One-line lineage strings for ``constraints`` (for diagnostics).
@@ -182,9 +154,6 @@ class ProvenanceLedger:
             "records": [rec.to_dict() for rec in self.records()],
             "by_rule": self.by_rule(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def format(self, limit: int = 0) -> str:
         """Human-readable listing (all records, or the first ``limit``)."""

@@ -60,7 +60,10 @@ set_clock_uncertainty 6 [get_clocks CK]
 
 
 @pytest.fixture
-def files(tmp_path):
+def files(tmp_path, monkeypatch):
+    # These runs must exit 0 and stay byte-identical; an ambient seeded
+    # chaos plan (the chaos CI job's) would add EXE warnings.
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     netlist = tmp_path / "chip.v"
     netlist.write_text(NETLIST_V)
     paths = []

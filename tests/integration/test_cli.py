@@ -30,7 +30,10 @@ set_false_path -from [get_pins stage1/CP]
 
 
 @pytest.fixture
-def files(tmp_path):
+def files(tmp_path, monkeypatch):
+    # These runs assert exit codes; an ambient seeded chaos plan (the
+    # chaos CI job's) would add EXE warnings.
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     netlist = tmp_path / "chip.v"
     netlist.write_text(NETLIST_V)
     mode_a = tmp_path / "modeA.sdc"
@@ -169,7 +172,8 @@ class TestCheckpointResume:
     """A killed ``merge`` resumes from its ``--cache`` root."""
 
     @pytest.fixture
-    def ckpt_files(self, tmp_path):
+    def ckpt_files(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         netlist = tmp_path / "chip.v"
         netlist.write_text(NETLIST_V)
         paths = []
@@ -217,6 +221,7 @@ class TestCheckpointResume:
         driver.write_text(KILLED_DRIVER)
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        env.pop("REPRO_CHAOS", None)
         if chaos:
             env["REPRO_CHAOS"] = chaos
         proc = subprocess.run(

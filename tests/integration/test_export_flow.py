@@ -40,7 +40,11 @@ class TestExport:
             reparsed = parse_mode(written[mode.name].read_text(), mode.name)
             assert reparsed.constraints == mode.constraints
 
-    def test_cli_merge_on_exported_files(self, workload, tmp_path, capsys):
+    def test_cli_merge_on_exported_files(self, workload, tmp_path, capsys,
+                                         monkeypatch):
+        # The run must exit 0; an ambient seeded chaos plan (the chaos
+        # CI job's) would add EXE warnings.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         written = export_workload(workload, tmp_path / "case")
         sdc_paths = [str(written[m.name]) for m in workload.modes]
         out = tmp_path / "merged"

@@ -95,6 +95,16 @@ REDONE_IN_WORKERS = {
 }
 
 
+def _timeless(value):
+    """A JSON report without its runtime and seconds keys."""
+    if isinstance(value, dict):
+        return {key: _timeless(item) for key, item in value.items()
+                if "runtime" not in key and "seconds" not in key}
+    if isinstance(value, list):
+        return [_timeless(item) for item in value]
+    return value
+
+
 def _work_counters(metrics_path):
     counters = json.loads(Path(metrics_path).read_text())["counters"]
     return {name: value for name, value in counters.items()
@@ -171,6 +181,24 @@ class TestParallelEquivalence:
         serial = _work_counters(tmp / "serial.json")
         assert serial["profile.mock_merges"] == 1  # by a scan worker
         assert _work_counters(tmp / "par.json") == serial
+
+    def test_parallel_json_report_and_provenance_match_serial(self, files,
+                                                              capsys):
+        tmp, netlist, paths = files
+        reports, lineage = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp / f"jobs{jobs}"
+            assert main(["--jobs", jobs, "merge", str(netlist)]
+                        + [str(p) for p in paths]
+                        + ["-o", str(out), "--json", "--provenance"]) == 0
+            reports[jobs] = _timeless(
+                json.loads((out / "merge_report.json").read_text()))
+            lineage[jobs] = [line for line in
+                             capsys.readouterr().out.splitlines()
+                             if line.startswith("provenance ")
+                             or "  <= " in line]
+        assert reports["2"] == reports["1"]
+        assert lineage["1"] and lineage["2"] == lineage["1"]
 
     def test_parallel_report_graph_is_identical(self, files, capsys):
         tmp, netlist, paths = files

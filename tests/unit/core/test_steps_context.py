@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.mergeability import merge_all
-from repro.core.steps import MergeContext, StepReport
+from repro.core.steps import Conflict, MergeContext
+from repro.obs.provenance import RULE_INTERSECTION, RULE_UNIQUIFIED
 from repro.sdc import SetCaseAnalysis, ObjectRef, parse_mode
 from repro.timing.context import BoundMode
 from repro.workloads.designs import load_design
@@ -27,15 +28,25 @@ def assert_same_binding(got, fresh):
 
 
 class TestStepReport:
-    def test_add_drop_note_conflict(self):
-        report = StepReport("step")
+    def test_add_drop_note_conflict(self, pipeline_netlist):
+        ctx = MergeContext(pipeline_netlist,
+                           [parse_mode(CLK, "A"), parse_mode(CLK, "B")])
+        report = ctx.report("step", "case_analysis")
         constraint = SetCaseAnalysis(0, ObjectRef.ports("x"))
-        report.add(constraint)
-        report.drop("A", constraint)
+        dropped = SetCaseAnalysis(1, ObjectRef.ports("y"))
+        report.record("kept", constraint, RULE_INTERSECTION, ["A", "B"])
+        report.record("dropped", None, RULE_INTERSECTION, ["A"],
+                      "y only in A", dropped=[("A", dropped)])
+        report.record("dropped", None, RULE_UNIQUIFIED, ["A", "B"],
+                      "not uniquifiable",
+                      conflicts=[Conflict(("A", "B"), "bad")])
         report.note("hello")
-        report.conflict(("A", "B"), "bad")
         assert report.added == [constraint]
-        assert report.dropped == [("A", constraint)]
+        assert list(ctx.merged) == [constraint]
+        assert report.dropped == [("A", dropped)]
+        assert ctx.dropped_cases == [("A", dropped)]
+        # Kept constraints show in provenance, conflicts in conflicts.
+        assert report.notes == ["y only in A", "hello"]
         assert "step" in report.summary()
         assert "+1" in report.summary()
         assert str(report.conflicts[0]) == "[A, B] bad"
@@ -82,8 +93,9 @@ class TestMergeContext:
 
     def test_all_conflicts_aggregates(self, pipeline_netlist):
         ctx = MergeContext(pipeline_netlist, [parse_mode(CLK, "A")])
-        ctx.report("s1").conflict(("A",), "one")
-        ctx.report("s2").conflict(("A",), "two")
+        for name, reason in (("s1", "one"), ("s2", "two")):
+            ctx.report(name).record("dropped", None, RULE_UNIQUIFIED, ["A"],
+                                    conflicts=[Conflict(("A",), reason)])
         assert [c.reason for c in ctx.all_conflicts()] == ["one", "two"]
 
     def test_mapped_clocks(self, pipeline_netlist):

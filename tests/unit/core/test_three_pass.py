@@ -145,3 +145,37 @@ class TestRefinerCheckMode:
         assert outcome.clean
         assert len(outcome.added) == 3    # the paper's CSTR1-CSTR3
         assert outcome.iterations >= 2    # fix pass + clean verify pass
+
+
+class TestResidualRecord:
+    """A mismatch the fix loop cannot repair is recorded once: as a
+    residual of the outcome, a conflict of the step report, a
+    ``refinement.residual`` decision and the ``three_pass.residuals``
+    count."""
+
+    def test_unfixable_mismatch_is_one_residual(self, figure1):
+        from repro.core.three_pass import run_three_pass
+        from repro.obs.context import observing
+        from repro.obs.explain import DecisionLedger
+        from repro.obs.metrics import MetricsRegistry
+        from repro.sdc import parse_mode
+
+        clock = "create_clock -p 10 -name clkA [get_port clk1]\n"
+        ctx = MergeContext(figure1, [parse_mode(clock, "A"),
+                                     parse_mode(clock, "B")])
+        merge_clocks(ctx)
+        # A false path no mode has: the merged mode under-times rX/D.
+        ctx.merged.add(
+            parse_mode("set_false_path -to rX/D\n", "x").constraints[0])
+        ledger = DecisionLedger(strict_kinds=True)
+        metrics = MetricsRegistry(strict_names=True)
+        with observing(decisions=ledger, metrics=metrics):
+            report, outcome = run_three_pass(ctx)
+        assert len(outcome.residuals) == 1
+        residual = outcome.residuals[0]
+        decisions = ledger.by_kind("refinement.residual")
+        assert [d.verdict for d in decisions] == ["unresolved"]
+        assert decisions[0].subject == f"residual:{residual}"
+        assert residual in [c.reason for c in report.conflicts]
+        assert metrics.counter("three_pass.residuals") == 1
+        assert not outcome.clean

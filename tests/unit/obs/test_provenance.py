@@ -9,6 +9,7 @@ from repro.obs.provenance import (
     RULE_UNION,
     ProvenanceLedger,
     ProvenanceRecord,
+    lineage_line,
 )
 from repro.sdc.commands import ObjectRef, SetCaseAnalysis
 
@@ -29,6 +30,9 @@ class TestRecord:
         assert "set_case_analysis 0" in text
         assert "<= union [A,B]" in text
         assert "(as-is)" in text
+        # The CLI renders cache-restored and --jobs results from the
+        # serialized record: the same line.
+        assert lineage_line(record.to_dict()) == text
 
     def test_to_dict_renders_constraint_text(self):
         record = ProvenanceRecord(rule=RULE_DERIVED, constraint=_case())
@@ -37,35 +41,45 @@ class TestRecord:
         assert payload["constraint"].startswith("set_case_analysis")
 
 
+@pytest.fixture
+def step(pipeline_netlist):
+    """(context, report) of an empty two-mode merge."""
+    from repro.core.steps import MergeContext
+    from repro.sdc import parse_mode
+
+    mode = "create_clock -name c -period 10 [get_ports clk]\n"
+    context = MergeContext(pipeline_netlist, [parse_mode(mode, "A"),
+                                              parse_mode(mode, "B")])
+    return context, context.report("case analysis (3.1.4)", "case_analysis")
+
+
 class TestLedger:
-    def test_identity_keyed_not_equality_keyed(self):
+    def test_identity_keyed_not_equality_keyed(self, step):
         """Two structurally equal constraints keep distinct lineages."""
-        ledger = ProvenanceLedger()
+        context, report = step
         first, second = _case(), _case()
         assert first == second and first is not second
-        ledger.record(first, RULE_UNION, ["A"])
-        ledger.record(second, RULE_DERIVED, ["B"])
+        report.record("kept", first, RULE_UNION, ["A"])
+        report.record("kept", second, RULE_DERIVED, ["B"])
+        ledger = context.provenance
         assert len(ledger) == 2
         assert ledger.lookup(first).rule == RULE_UNION
         assert ledger.lookup(second).rule == RULE_DERIVED
+        assert len(context.merged) == 2
 
-    def test_rerecord_accumulates_sources_keeps_first_rule(self):
-        ledger = ProvenanceLedger()
+    def test_rerecord_accumulates_sources_keeps_first_rule(self, step):
+        context, report = step
         constraint = _case()
-        ledger.record(constraint, RULE_UNION, ["A"])
-        ledger.record(constraint, RULE_INTERSECTION, ["B"])
-        record = ledger.lookup(constraint)
+        report.record("added", constraint, RULE_UNION, ["A"])
+        again = report.record("added", constraint, RULE_INTERSECTION, ["B"],
+                              "second detail")
+        record = context.provenance.lookup(constraint)
+        assert again is record
         assert record.rule == RULE_UNION
         assert record.source_modes == ["A", "B"]
-
-    def test_backfill_covers_only_missing(self):
-        ledger = ProvenanceLedger()
-        recorded, missing = _case("a"), _case("b")
-        ledger.record(recorded, RULE_INTERSECTION, ["A"])
-        created = ledger.backfill([recorded, missing], source_modes=["A"])
-        assert created == 1
-        assert ledger.lookup(missing).detail == "lineage backfilled"
-        assert ledger.lookup(recorded).rule == RULE_INTERSECTION
+        assert record.detail == "second detail"  # fills an empty detail
+        assert report.added == [constraint]
+        assert len(context.merged) == 1
 
     def test_lineage_of_falls_back_to_text(self):
         ledger = ProvenanceLedger()
@@ -73,77 +87,68 @@ class TestLedger:
         lines = ledger.lineage_of([unknown])
         assert lines == ["set_case_analysis 0 [get_ports cfg0]"]
 
-    def test_by_rule_and_to_dict(self):
-        ledger = ProvenanceLedger()
-        ledger.record(_case("a"), RULE_UNION, ["A"])
-        ledger.record(_case("b"), RULE_UNION, ["A", "B"])
-        ledger.record(_case("c"), RULE_DERIVED)
+    def test_by_rule_and_to_dict(self, step):
+        context, report = step
+        report.record("kept", _case("a"), RULE_UNION, ["A"])
+        report.record("kept", _case("b"), RULE_UNION, ["A", "B"])
+        report.record("translated", _case("c"), RULE_DERIVED, [])
+        report.record("dropped", None, RULE_INTERSECTION, ["A"], "d only in A")
+        ledger = context.provenance
         assert ledger.by_rule() == {RULE_UNION: 2, RULE_DERIVED: 1}
         payload = ledger.to_dict()
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 3
 
-    def test_format_limit(self):
-        ledger = ProvenanceLedger()
+    def test_format_limit(self, step):
+        context, report = step
         for i in range(5):
-            ledger.record(_case(f"p{i}"), RULE_UNION, ["A"])
-        text = ledger.format(limit=2)
+            report.record("kept", _case(f"p{i}"), RULE_UNION, ["A"])
+        text = context.provenance.format(limit=2)
         assert "p0" in text and "p1" in text
         assert "... (3 more)" in text
 
 
-class TestEndToEnd:
-    def test_every_merged_constraint_answers_provenance(
-            self, pipeline_netlist):
-        """Acceptance: full rule/source coverage after a real merge."""
-        from repro.core import merge_modes
-        from repro.sdc import parse_mode
+def _merge_results(name, pipeline_netlist):
+    """Every merge result of one input: a two-mode pipeline merge, or
+    the group merges of a paper design."""
+    from repro.core import merge_all, merge_modes
+    from repro.sdc import parse_mode
+    from repro.workloads.designs import load_design
 
+    if name == "pipeline":
         mode_a = parse_mode(
             "create_clock -name c -period 10 [get_ports clk]\n"
             "set_case_analysis 0 [get_ports in2]\n", "A")
         mode_b = parse_mode(
             "create_clock -name c -period 10 [get_ports clk]\n"
             "set_case_analysis 0 [get_ports in2]\n", "B")
-        result = merge_modes(pipeline_netlist, [mode_a, mode_b])
-        ledger = result.context.provenance
-        for constraint in result.merged:
-            record = ledger.lookup(constraint)
-            assert record is not None, constraint
-            assert record.rule in MERGE_RULES
-            assert record.source_modes or record.rule == RULE_DERIVED
-        assert "provenance" in result.to_dict()
+        return [merge_modes(pipeline_netlist, [mode_a, mode_b])]
+    design = load_design(name)
+    run = merge_all(design.netlist, design.modes)
+    results = [o.result for o in run.outcomes
+               if o.result is not None and len(o.mode_names) > 1]
+    assert results
+    return results
 
 
-class TestBackfillSafetyNet:
-    """merger.py backfills lineage for any constraint a step forgot."""
-
-    def test_untracked_step_output_gets_backfilled(self, pipeline_netlist,
-                                                   monkeypatch):
-        from repro.core import merge_modes
-        from repro.core.merger import MergeOptions
-        import repro.core.merger as merger
-        from repro.sdc import parse_mode
-        from repro.sdc.commands import ObjectRef, SetCaseAnalysis
-
-        sneaky = SetCaseAnalysis(value=0, objects=ObjectRef.ports("in2"))
-        real = merger.merge_exceptions
-
-        def forgetful(context):
-            out = real(context)
-            # A buggy step adds to merged without recording provenance.
-            context.merged.add(sneaky)
-            return out
-
-        monkeypatch.setattr("repro.core.merger.merge_exceptions", forgetful)
-        mode = "create_clock -name c -period 10 [get_ports clk]\n"
-        result = merge_modes(pipeline_netlist,
-                             [parse_mode(mode, "A"), parse_mode(mode, "B")],
-                             options=MergeOptions(validate=False))
-        record = result.context.provenance.lookup(sneaky)
-        assert record is not None
-        assert record.detail == "lineage backfilled"
-        assert record.source_modes == ["A", "B"]
+class TestEndToEnd:
+    def test_every_merged_constraint_answers_provenance(
+            self, pipeline_netlist):
+        """Acceptance: full rule/source coverage after a real merge (a
+        two-mode pipeline merge and the group merges of designs B-F), and
+        the view lists the steps' additions in the order they made them."""
+        results = [result for name in ("pipeline", "B", "C", "D", "E", "F")
+                   for result in _merge_results(name, pipeline_netlist)]
+        for result in results:
+            ledger = result.context.provenance
+            for constraint in result.merged:
+                record = ledger.lookup(constraint)
+                assert record is not None, constraint
+                assert record.rule in MERGE_RULES
+                assert record.source_modes or record.rule == RULE_DERIVED
+            added = [c for report in result.reports for c in report.added]
+            assert [rec.constraint for rec in ledger.records()] == added
+            assert "provenance" in result.to_dict()
 
 
 class TestUnanalyzedPairReason:

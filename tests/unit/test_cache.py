@@ -242,7 +242,7 @@ class TestRoundTrip:
         path, = pack_paths(cache)
         entry = json.loads(path.read_text())
         assert entry["kind"] == CACHE_KIND
-        assert entry["schema_version"] == CACHE_SCHEMA_VERSION == 2
+        assert entry["schema_version"] == CACHE_SCHEMA_VERSION == 3
         assert entry["space"] == "pair"
         assert entry["key"] == path.stem
         assert entry["crc"] == record_crc(entry)
