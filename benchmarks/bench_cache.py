@@ -30,7 +30,7 @@ import time
 
 import pytest
 
-from bench_common import BENCH_SCALE, get_workload, once, write_bench_json
+from bench_common import get_workload, once, write_bench_json
 from repro.cache import ResultCache
 from repro.core.mergeability import merge_all
 from repro.core.merger import MergeOptions
@@ -193,7 +193,7 @@ def test_cache_warm_rerun_design_b(benchmark, tmp_path):
     assert cold_scanned > 0
     assert warm_scanned * 5 <= cold_scanned
     assert _snapshot(warm_run) == _snapshot(cold_run)
-    print(f"\ncache[design B, scale {BENCH_SCALE}]: "
+    print(f"\ncache[design B]: "
           f"cold {cold_scanned} pairs in {cold_s:.3f}s, "
           f"warm {warm_scanned} in {warm_s:.3f}s")
     write_bench_json("cache_design_b",

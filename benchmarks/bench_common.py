@@ -1,21 +1,16 @@
-"""Shared fixtures and caches for the benchmark suite.
+"""Shared helpers for the overhead benches.
 
-Benchmarks regenerate the paper's tables: each bench measures the relevant
-computation with pytest-benchmark and prints the corresponding table to
-stdout (run with ``-s`` or see the captured output) so a bench run doubles
-as the reproduction artifact.
+Each bench bounds one infrastructure cost that no other harness
+measures (recovery parsing, the sign-off guard, observability, the
+profiler, the result cache, the execution engine, the fuzz harness) and
+snapshots its headline numbers with :func:`write_bench_json`.  The
+paper's own outcomes are asserted by the tier-1 tests, and their times
+are measured by ``perfbench/run.py``.
 
-Heavy artifacts (the design suite, merge runs, STA runs) are cached at
-module scope so Table 5 and Table 6 benches share one flow per design.
-``REPRO_BENCH_SCALE`` (default 1.0) scales the synthetic designs; use
-e.g. ``REPRO_BENCH_SCALE=0.5`` for a quick pass.
-
-Reproducibility and artifacts: every bench that needs an RNG seed takes
-it from :func:`bench_seed` (one place to reseed the whole suite via
-``REPRO_BENCH_SEED``), and every cached merge/STA run records into
-``BENCH_REGISTRY`` — the same :class:`~repro.obs.metrics.MetricsRegistry`
-the pipeline uses — so :func:`write_bench_json` artifacts
-(``BENCH_*.json``) share the pipeline's schema-versioned metrics layout.
+Snapshots record into ``BENCH_REGISTRY`` — the same
+:class:`~repro.obs.metrics.MetricsRegistry` the pipeline uses — so
+``BENCH_*.json`` artifacts share the pipeline's schema-versioned
+metrics layout.
 """
 
 from __future__ import annotations
@@ -23,55 +18,18 @@ from __future__ import annotations
 import json
 import os
 import platform
-import random
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.analysis.conformity import ConformityReport, compare_conformity
-from repro.baselines.no_merge import MultiModeStaResult, run_sta_all_modes
-from repro.core.mergeability import MergingRun, merge_all
-from repro.obs.context import observing
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.designs import paper_suite
 from repro.workloads.generator import Workload, generate
-from repro.workloads.seeding import derive_seed, seed_override
 
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Optional suite-wide reseed; empty (default) keeps each site's stable
-#: default seed so default runs reproduce checked-in numbers exactly.
-#: (Kept for back-compat; the derivation itself lives in
-#: ``repro.workloads.seeding`` so generator families share it.)
-BENCH_SEED = seed_override()
-
-#: One registry for the whole bench session: the cached merge and STA
-#: runs below record their pipeline metrics here, and
-#: :func:`write_bench_json` snapshots it into ``BENCH_*.json`` files.
+#: One registry for the whole bench session: :func:`write_bench_json`
+#: snapshots it into ``BENCH_*.json`` files.
 BENCH_REGISTRY = MetricsRegistry()
 
 _workloads: Dict[str, Workload] = {}
-_runs: Dict[str, MergingRun] = {}
-_sta: Dict[Tuple[str, str], MultiModeStaResult] = {}
-
-
-def bench_seed(site: str, default: int) -> int:
-    """The RNG seed for one benchmark site.
-
-    All benchmark seeding goes through here so a run is reproducible
-    run-to-run: with ``REPRO_BENCH_SEED`` unset the site's stable
-    ``default`` is used (bit-for-bit the historical workloads); setting
-    it derives a distinct deterministic seed per site from the one
-    environment value, reseeding the whole suite coherently.  Delegates
-    to :func:`repro.workloads.seeding.derive_seed` (bit-compatible with
-    the historical derivation) so workload generator families and the
-    bench suite reseed from the same source.
-    """
-    return derive_seed(site, default)
-
-
-def bench_rng(site: str, default: int) -> random.Random:
-    """A ``random.Random`` seeded via :func:`bench_seed`."""
-    return random.Random(bench_seed(site, default))
 
 
 def bench_meta() -> Dict[str, object]:
@@ -79,14 +37,11 @@ def bench_meta() -> Dict[str, object]:
 
     ``bench_diff`` warns when two snapshots disagree on these, and
     ``repro.obs.trends`` marks the step as a comparability *break* —
-    a "regression" across a seed/scale/interpreter change is suspect,
-    not actionable.
+    a "regression" across an interpreter change is suspect, not
+    actionable.
     """
     return {
-        "bench_seed": BENCH_SEED or "default",
-        "bench_scale": BENCH_SCALE,
         "python": platform.python_version(),
-        "jobs": int(os.environ.get("REPRO_BENCH_JOBS", "1") or 1),
         "schema_version": 1,
     }
 
@@ -95,10 +50,9 @@ def write_bench_json(stem: str, directory: Optional[str] = None,
                      **gauges) -> Path:
     """Write ``BENCH_<stem>.json`` in the metrics-registry schema.
 
-    The artifact is a snapshot of :data:`BENCH_REGISTRY` (every pipeline
-    counter/histogram the cached runs emitted) plus the bench's own
-    headline numbers as ``bench.<stem>.<name>`` gauges, so all
-    ``BENCH_*.json`` files validate against the same schema as
+    The artifact is a snapshot of :data:`BENCH_REGISTRY` plus the
+    bench's own headline numbers as ``bench.<stem>.<name>`` gauges, so
+    all ``BENCH_*.json`` files validate against the same schema as
     ``repro-merge --metrics`` output and diff run-to-run with
     ``python -m repro.obs.bench_diff``.  A ``bench_meta`` block
     (:func:`bench_meta`) records the run environment for the
@@ -120,40 +74,10 @@ def write_bench_json(stem: str, directory: Optional[str] = None,
 
 
 def get_workload(name: str) -> Workload:
+    """Design ``name`` of the paper suite, generated once per session."""
     if name not in _workloads:
-        design = paper_suite(BENCH_SCALE)[name]
-        _workloads[name] = generate(design.spec)
+        _workloads[name] = generate(paper_suite()[name].spec)
     return _workloads[name]
-
-
-def get_merge_run(name: str) -> MergingRun:
-    if name not in _runs:
-        workload = get_workload(name)
-        with observing(metrics=BENCH_REGISTRY):
-            _runs[name] = merge_all(workload.netlist, workload.modes)
-    return _runs[name]
-
-
-def get_sta(name: str, which: str) -> MultiModeStaResult:
-    key = (name, which)
-    if key not in _sta:
-        workload = get_workload(name)
-        if which == "individual":
-            modes = workload.modes
-        else:
-            modes = get_merge_run(name).merged_modes()
-        # Best of two runs: wall-clock noise on the smaller designs can
-        # otherwise dominate the borderline comparisons (design F).
-        with observing(metrics=BENCH_REGISTRY):
-            runs = [run_sta_all_modes(workload.netlist, modes)
-                    for _ in range(2)]
-        _sta[key] = min(runs, key=lambda r: r.total_runtime_seconds)
-    return _sta[key]
-
-
-def get_conformity(name: str) -> ConformityReport:
-    return compare_conformity(get_sta(name, "individual"),
-                              get_sta(name, "merged"))
 
 
 def once(benchmark, func, *args, **kwargs):

@@ -10,17 +10,16 @@ Two headline claims about ``repro.fuzz``, each asserted:
    within its predicate-evaluation budget and returns a case no larger
    than the input.
 
-Everything is seeded through :func:`bench_seed`, so a run is
-reproducible and ``REPRO_BENCH_SEED`` reseeds the whole bench
-coherently.  Headline gauges snapshot to ``BENCH_fuzz.json`` for
-run-to-run diffing with ``python -m repro.obs.bench_diff``.
+Every seed is a fixed constant, so a run is reproducible.  Headline
+gauges snapshot to ``BENCH_fuzz.json`` for run-to-run diffing with
+``python -m repro.obs.bench_diff``.
 """
 
 import time
 
 import pytest
 
-from bench_common import bench_seed, once, write_bench_json
+from bench_common import once, write_bench_json
 from repro.fuzz import BREAK_ENV
 from repro.fuzz.generator import fuzz_families, generate_case
 from repro.fuzz.oracles import OracleBattery
@@ -34,7 +33,7 @@ MIN_CASES_PER_SECOND = 0.2
 @pytest.mark.benchmark(group="fuzz")
 def test_battery_throughput(benchmark):
     """One battery pass per family; prints the per-family verdict."""
-    seed = bench_seed("bench:fuzz:battery", 17)
+    seed = 17
     battery = OracleBattery(jobs=2)
     families = fuzz_families()
 
@@ -71,7 +70,7 @@ def test_battery_throughput(benchmark):
 def test_shrinker_bounded(benchmark, monkeypatch):
     """Shrinking an injected failure respects its evaluation budget."""
     monkeypatch.setenv(BREAK_ENV, "permutation")
-    seed = bench_seed("bench:fuzz:shrink", 23)
+    seed = 23
     case = generate_case(seed, 0, "scan-pairs")
     battery = OracleBattery(jobs=2)
 
@@ -99,7 +98,7 @@ def test_shrinker_bounded(benchmark, monkeypatch):
 def test_runner_smoke(benchmark, tmp_path, monkeypatch):
     """A tiny end-to-end loop through the real runner (clean build)."""
     monkeypatch.delenv(BREAK_ENV, raising=False)
-    config = FuzzConfig(seed=bench_seed("bench:fuzz:runner", 29),
+    config = FuzzConfig(seed=29,
                         max_cases=len(fuzz_families()),
                         corpus_dir=str(tmp_path / "corpus"))
 

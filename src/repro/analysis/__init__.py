@@ -1,4 +1,4 @@
-"""Result analysis: conformity metrics and the paper's result tables."""
+"""Result analysis: the conformity metric and the parameter sweeps."""
 
 from repro.analysis.conformity import (
     ConformityReport,
@@ -11,27 +11,13 @@ from repro.analysis.sweeps import (
     sweep_mode_count,
     sweep_tolerance,
 )
-from repro.analysis.tables import (
-    PAPER_TABLE6,
-    SuiteResults,
-    Table5Row,
-    Table6Row,
-    run_design,
-    run_suite,
-)
 
 __all__ = [
     "ConformityReport",
     "EndpointConformity",
     "ModeCountSweep",
     "ToleranceSweep",
-    "PAPER_TABLE6",
-    "SuiteResults",
-    "Table5Row",
-    "Table6Row",
     "compare_conformity",
-    "run_design",
-    "run_suite",
     "sweep_mode_count",
     "sweep_tolerance",
 ]

@@ -62,10 +62,6 @@ class FuzzOutcome:
     payload: dict
     new_bundles: List[str] = field(default_factory=list)
 
-    @property
-    def violation_count(self) -> int:
-        return int(self.payload["summary"]["violations"])
-
 
 class FuzzRunner:
     """Generate → check → shrink → bundle, until budget or case cap."""

@@ -76,10 +76,6 @@ class Pin:
     def is_output(self) -> bool:
         return self.spec.is_output
 
-    @property
-    def is_clock_pin(self) -> bool:
-        return self.spec.is_clock
-
     def __repr__(self) -> str:
         return f"Pin({self.full_name})"
 

@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         for key in set(old_meta) | set(new_meta)
         if old_meta.get(key) != new_meta.get(key))
     if mismatched:
-        # Advisory only: a seed/scale/interpreter change makes deltas
+        # Advisory only: an interpreter change makes deltas
         # suspect, but gating on it would turn every intentional
         # re-baseline into a red build.
         print("warning: bench environments differ ("

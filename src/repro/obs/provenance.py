@@ -31,7 +31,7 @@ from different origins are distinct objects — so the view keys by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Version of the provenance record schema (in reports and diagnostics).
 PROVENANCE_SCHEMA_VERSION = 1
@@ -128,19 +128,6 @@ class ProvenanceLedger:
     def records(self) -> List[ProvenanceRecord]:
         """All records in recording order."""
         return list(self._records.values())
-
-    def lineage_of(self, constraints: Iterable[Any]) -> List[str]:
-        """One-line lineage strings for ``constraints`` (for diagnostics).
-
-        Constraints without a record render as bare SDC text so a guard
-        repair can always name what it cut.
-        """
-        lines: List[str] = []
-        for constraint in constraints:
-            rec = self.lookup(constraint)
-            lines.append(str(rec) if rec is not None
-                         else _constraint_text(constraint))
-        return lines
 
     def by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

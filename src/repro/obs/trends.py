@@ -17,7 +17,7 @@ name marks it regression-gated (``seconds``, ``runtime``,
 ``diagnostics``, ...) is marked ``"regression"`` when it worsens past
 the threshold and ``"improvement"`` when it recovers by as much;
 neutral metrics are plotted but never marked.  Snapshots whose
-embedded ``bench_meta`` (seed, scale, python, jobs) differs from the
+embedded ``bench_meta`` (python, schema version) differs from the
 previous snapshot are flagged as comparability *breaks* so a "20%
 regression" across a machine change reads as suspect, not actionable.
 
@@ -40,8 +40,7 @@ TRENDS_SCHEMA_VERSION = 1
 TRENDS_HTML_MARKER = "<!-- repro-trends"
 
 #: ``bench_meta`` keys whose change breaks run-to-run comparability.
-META_BREAK_KEYS = ("bench_seed", "bench_scale", "python", "jobs",
-                   "schema_version")
+META_BREAK_KEYS = ("python", "schema_version")
 
 
 class TrendsError(ValueError):

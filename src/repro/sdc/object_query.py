@@ -192,9 +192,6 @@ class Resolution:
         return not (self.ports or self.pins or self.cells or self.nets
                     or self.clocks)
 
-    def all_names(self) -> List[str]:
-        return self.ports + self.pins + self.cells + self.nets + self.clocks
-
     def __repr__(self) -> str:
         parts = []
         for label, names in (("ports", self.ports), ("pins", self.pins),

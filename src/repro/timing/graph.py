@@ -360,9 +360,6 @@ class TimingGraph:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    def is_endpoint_node(self, node: int) -> bool:
-        return node in self.seq_data_nodes or node in self.output_port_nodes
-
     def is_startpoint_node(self, node: int) -> bool:
         return node in self.seq_clock_nodes or node in self.input_port_nodes
 

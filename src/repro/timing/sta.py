@@ -142,10 +142,6 @@ class StaResult:
         """Total negative slack."""
         return sum(min(e.slack, 0.0) for e in self.endpoint_slacks.values())
 
-    def slack_of(self, endpoint: str) -> Optional[float]:
-        row = self.endpoint_slacks.get(endpoint)
-        return row.slack if row else None
-
 
 # (launch clock, launch active edge, active exceptions, data edge).
 Tag = Tuple[str, str, Tuple[Tuple[int, int], ...], str]

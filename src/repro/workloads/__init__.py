@@ -14,24 +14,15 @@ from repro.workloads.generator import (
     WorkloadSpec,
     generate,
 )
-from repro.workloads.seeding import (
-    SEED_ENV,
-    derive_rng,
-    derive_seed,
-    stable_rng,
-    stable_seed,
-)
+from repro.workloads.seeding import stable_rng, stable_seed
 
 __all__ = [
     "FAMILIES",
     "ModeGroupSpec",
     "PaperDesign",
-    "SEED_ENV",
     "Workload",
     "WorkloadSpec",
     "build_family",
-    "derive_rng",
-    "derive_seed",
     "export_workload",
     "family_names",
     "figure2_modes",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.workloads.generator import ModeGroupSpec, Workload, WorkloadSpec, generate
-from repro.workloads.seeding import derive_seed
 
 
 @dataclass
@@ -66,7 +65,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["A"] = PaperDesign(
         "A", 0.2, 95, 16, 83.1,
         WorkloadSpec(
-            name="designA", seed=derive_seed("designs:A", 101),
+            name="designA", seed=101,
             n_domains=dim(3), banks_per_domain=dim(4),
             regs_per_bank=dim(8), cloud_gates=dim(36),
             n_config_bits=5, n_data_inputs=4,
@@ -76,7 +75,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["B"] = PaperDesign(
         "B", 0.2, 3, 1, 66.6,
         WorkloadSpec(
-            name="designB", seed=derive_seed("designs:B", 202),
+            name="designB", seed=202,
             n_domains=dim(3), banks_per_domain=dim(4),
             regs_per_bank=dim(8), cloud_gates=dim(36),
             n_config_bits=4, n_data_inputs=4,
@@ -90,7 +89,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["C"] = PaperDesign(
         "C", 0.3, 12, 3, 75.0,
         WorkloadSpec(
-            name="designC", seed=derive_seed("designs:C", 303),
+            name="designC", seed=303,
             n_domains=dim(3), banks_per_domain=dim(5),
             regs_per_bank=dim(10), cloud_gates=dim(40),
             n_config_bits=5, n_data_inputs=5,
@@ -103,7 +102,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["D"] = PaperDesign(
         "D", 1.4, 3, 1, 66.6,
         WorkloadSpec(
-            name="designD", seed=derive_seed("designs:D", 404),
+            name="designD", seed=404,
             n_domains=dim(4), banks_per_domain=dim(6),
             regs_per_bank=dim(14), cloud_gates=dim(60),
             n_config_bits=5, n_data_inputs=6,
@@ -114,7 +113,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["E"] = PaperDesign(
         "E", 1.6, 5, 1, 80.0,
         WorkloadSpec(
-            name="designE", seed=derive_seed("designs:E", 505),
+            name="designE", seed=505,
             n_domains=dim(4), banks_per_domain=dim(6),
             regs_per_bank=dim(16), cloud_gates=dim(64),
             n_config_bits=5, n_data_inputs=6,
@@ -125,7 +124,7 @@ def paper_suite(scale: float = 1.0) -> Dict[str, PaperDesign]:
     suite["F"] = PaperDesign(
         "F", 2.8, 3, 2, 33.3,
         WorkloadSpec(
-            name="designF", seed=derive_seed("designs:F", 606),
+            name="designF", seed=606,
             n_domains=dim(5), banks_per_domain=dim(7),
             regs_per_bank=dim(18), cloud_gates=dim(72),
             n_config_bits=5, n_data_inputs=6,
@@ -145,7 +144,7 @@ def figure2_modes() -> WorkloadSpec:
     """A 9-mode family whose mergeability graph matches the paper's
     Figure 2 shape: three cliques (4 + 3 + 2 modes)."""
     return WorkloadSpec(
-        name="figure2", seed=derive_seed("designs:figure2", 42),
+        name="figure2", seed=42,
         n_domains=2, banks_per_domain=2, regs_per_bank=4, cloud_gates=12,
         n_config_bits=3, n_data_inputs=3,
         groups=_groups([4, 3, 2], kinds=["func", "func", "scan"]),

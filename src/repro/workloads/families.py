@@ -19,11 +19,10 @@ lightly:
   case analysis on the gate enables must be dropped and re-derived.
 
 Every family is a function ``(seed) -> Workload`` registered in
-:data:`FAMILIES`.  Seeding is routed through
-:func:`repro.workloads.seeding.derive_seed` so ``REPRO_BENCH_SEED``
-reseeds every family coherently, and all internal randomness derives
-from :func:`~repro.workloads.seeding.stable_rng` — never ``hash()`` —
-so one seed means the same workload in every process.
+:data:`FAMILIES`.  All internal randomness derives from the seed
+argument alone, through :func:`~repro.workloads.seeding.stable_rng` —
+never ``hash()`` and never the environment — so one seed means the same
+workload in every process.
 """
 
 from __future__ import annotations
@@ -40,18 +39,12 @@ from repro.workloads.generator import (
     WorkloadSpec,
     generate,
 )
-from repro.workloads.seeding import derive_seed, stable_rng
+from repro.workloads.seeding import stable_rng
 
 
 def _family_rng(family: str, seed: int) -> random.Random:
-    """Family-local RNG: ``REPRO_BENCH_SEED``-aware, process-stable.
-
-    The seed is part of the derivation *site*, so an override reseeds
-    every ``(family, seed)`` pair to a distinct-but-deterministic value
-    (the fuzzer draws many seeds per family; they must stay distinct).
-    """
-    return stable_rng("workloads.families", family,
-                      derive_seed(f"workloads:{family}:{seed}", seed))
+    """Family-local, process-stable RNG for one ``(family, seed)``."""
+    return stable_rng("workloads.families", family, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +62,7 @@ def scan_pairs(seed: int) -> Workload:
     )
     spec = WorkloadSpec(
         name=f"scanpairs_s{seed}",
-        seed=derive_seed(f"workloads:scan-pairs:{seed}", seed),
+        seed=seed,
         n_domains=rng.choice([2, 3]),
         banks_per_domain=2, regs_per_bank=4, cloud_gates=10,
         n_config_bits=3, n_data_inputs=3, cross_domain_paths=1,
@@ -149,7 +142,7 @@ def genclock_deep(seed: int) -> Workload:
             group_of[mode_name] = f"g{g}"
 
     spec = WorkloadSpec(
-        name=name, seed=derive_seed(f"workloads:genclock-deep:{seed}", seed),
+        name=name, seed=seed,
         groups=tuple(ModeGroupSpec(f"g{g}", size)
                      for g, size in enumerate(group_sizes)))
     return Workload(spec=spec, netlist=netlist, modes=modes,
@@ -218,7 +211,7 @@ def exception_stack(seed: int) -> Workload:
             group_of[mode_name] = f"g{g}"
 
     spec = WorkloadSpec(
-        name=name, seed=derive_seed(f"workloads:exception-stack:{seed}", seed),
+        name=name, seed=seed,
         groups=tuple(ModeGroupSpec(f"g{g}", size)
                      for g, size in enumerate(group_sizes)))
     return Workload(spec=spec, netlist=netlist, modes=modes,
@@ -274,7 +267,7 @@ def lowpower_retention(seed: int) -> Workload:
             group_of[mode_name] = f"g{g}"
 
     spec = WorkloadSpec(
-        name=name, seed=derive_seed(f"workloads:lowpower-retention:{seed}", seed),
+        name=name, seed=seed,
         groups=tuple(ModeGroupSpec(f"g{g}", size)
                      for g, size in enumerate(group_sizes)))
     return Workload(spec=spec, netlist=netlist, modes=modes,

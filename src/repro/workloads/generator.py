@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.netlist import Netlist
-from repro.sdc.mode import Mode, ModeSet
+from repro.sdc.mode import Mode
 from repro.sdc.parser import parse_mode
 from repro.workloads.seeding import stable_rng
 
@@ -365,7 +365,3 @@ def _build_mode(spec: WorkloadSpec, group: ModeGroupSpec, index: int,
                  f"[get_clocks {clock_names}]")
 
     return parse_mode("\n".join(lines), name)
-
-
-def modes_as_set(workload: Workload) -> ModeSet:
-    return ModeSet(workload.modes)

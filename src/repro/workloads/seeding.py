@@ -1,58 +1,20 @@
-"""Shared deterministic seeding for every workload generator family.
+"""Process-stable seeding for every workload generator family.
 
-All RNG seeding in the workload zoo and the benchmark suite goes
-through this module so one environment variable — ``REPRO_BENCH_SEED``
-— reseeds everything coherently:
+Each generator takes its seed as an argument and reads nothing from the
+environment, so a seed (a design letter's fixed seed, a family's case
+seed, a fuzz ``--seed``) always means the same bytes.
 
-* :func:`derive_seed` maps a *site* label (one generator family, one
-  benchmark, one design) to its RNG seed.  With ``REPRO_BENCH_SEED``
-  unset the site's stable ``default`` is returned, so default runs
-  reproduce the historical workloads bit-for-bit; when it is set, a
-  distinct deterministic seed per site is derived from the one
-  environment value.
-* :func:`stable_seed` folds arbitrary labelled parts (ints, strings)
-  into one seed via SHA-256.  Generators must use this instead of
-  ``hash()``/``tuple.__hash__`` — Python salts string hashing per
-  process (``PYTHONHASHSEED``), so a ``hash()``-derived seed silently
-  breaks cross-process reproducibility.
-
-``benchmarks/bench_common.py`` delegates its ``bench_seed``/``bench_rng``
-helpers here, and the derivation is kept bit-compatible with the
-historical bench helper so existing ``BENCH_*.json`` numbers do not
-shift.
+:func:`stable_seed` folds arbitrary labelled parts (ints, strings) into
+one seed via SHA-256.  Generators must use this instead of
+``hash()``/``tuple.__hash__`` — Python salts string hashing per process
+(``PYTHONHASHSEED``), so a ``hash()``-derived seed silently breaks
+cross-process reproducibility.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-
-#: One environment variable reseeds the whole workload/benchmark suite.
-SEED_ENV = "REPRO_BENCH_SEED"
-
-
-def seed_override() -> str:
-    """The suite-wide reseed value ("" = use per-site defaults)."""
-    return os.environ.get(SEED_ENV, "")
-
-
-def derive_seed(site: str, default: int) -> int:
-    """The RNG seed for one generator/benchmark site.
-
-    Reads :data:`SEED_ENV` lazily on every call so tests (and fuzz
-    reruns) can flip the environment without re-importing modules.
-    """
-    override = seed_override()
-    if not override:
-        return default
-    digest = hashlib.sha256(f"{override}:{site}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-def derive_rng(site: str, default: int) -> random.Random:
-    """A ``random.Random`` seeded via :func:`derive_seed`."""
-    return random.Random(derive_seed(site, default))
 
 
 def stable_seed(*parts: object) -> int:

@@ -9,6 +9,7 @@ from repro.core import (
     check_mode_equivalence,
     merge_all,
 )
+from repro.timing import TYPICAL_CORNERS, run_scenarios, scenario_reduction
 from repro.workloads import (
     ModeGroupSpec,
     WorkloadSpec,
@@ -80,6 +81,26 @@ class TestFigure2Flow:
             for _ in range(3))
         # 9 runs vs 3 runs: merged must be well under the individual total.
         assert merged < individual
+
+    def test_scenario_matrix_shrinks_and_keeps_worst_slacks(
+            self, figure2_workload, figure2_run):
+        """The introduction's arithmetic, scenarios = #modes x #corners:
+        27 scenarios become 9, and the sign-off answer across the matrix
+        is kept."""
+        before = run_scenarios(figure2_workload.netlist,
+                               figure2_workload.modes)
+        after = run_scenarios(figure2_workload.netlist,
+                              figure2_run.merged_modes())
+        n_before, n_after, pct = scenario_reduction(
+            figure2_run.individual_count, figure2_run.merged_count,
+            len(TYPICAL_CORNERS))
+        assert (before.scenario_count, after.scenario_count) \
+            == (n_before, n_after) == (27, 9)
+        assert pct > 50.0
+        worst_after = after.worst_endpoint_slacks()
+        for endpoint, slack in before.worst_endpoint_slacks().items():
+            # 1% of the slowest clock period (40).
+            assert abs(worst_after[endpoint] - slack) <= 0.4, endpoint
 
 
 class TestNaiveBaselineComparison:

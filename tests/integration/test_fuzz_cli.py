@@ -17,7 +17,6 @@ from repro.obs.validate import validate_fuzz
 def clean_env(monkeypatch, tmp_path):
     monkeypatch.delenv(BREAK_ENV, raising=False)
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
 
 

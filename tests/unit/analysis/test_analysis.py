@@ -1,8 +1,8 @@
-"""Unit tests for conformity metrics and suite tables."""
+"""Unit tests for the conformity metric."""
 
 import pytest
 
-from repro.analysis import compare_conformity, run_suite
+from repro.analysis import compare_conformity
 from repro.baselines.no_merge import MultiModeStaResult
 from repro.timing.sta import EndpointSlack, StaResult
 from repro.timing.states import VALID
@@ -69,34 +69,3 @@ class TestCompareConformity:
         report = compare_conformity(ind, merged)
         assert report.rows[0].individual_slack == 2.0
         assert report.percent == 100.0
-
-
-class TestSuiteTables:
-    @pytest.fixture(scope="class")
-    def small_suite(self):
-        # Tiny scale so the whole flow runs in seconds.
-        return run_suite(designs=["B"], scale=0.5, run_sta=True)
-
-    def test_table5_shape(self, small_suite):
-        text = small_suite.format_table5()
-        assert "Table 5" in text
-        assert any(line.startswith("B ") for line in text.splitlines())
-        assert "Average" in text
-
-    def test_table5_reduction_matches_paper_structure(self, small_suite):
-        row = small_suite.table5[0]
-        assert row.individual_modes == 3
-        assert row.merged_modes == 1
-        assert row.reduction_pct == pytest.approx(66.7, abs=0.1)
-
-    def test_table6_recorded(self, small_suite):
-        assert small_suite.table6
-        row = small_suite.table6[0]
-        assert row.individual_sta_s > row.merged_sta_s
-        assert row.conformity_pct >= 99.0
-        assert "Table 6" in small_suite.format_table6()
-
-    def test_runs_validated(self, small_suite):
-        run = small_suite.runs["B"]
-        assert all(o.result is not None and o.result.ok
-                   for o in run.outcomes)

@@ -48,6 +48,11 @@ class TestModeCountSweep:
             assert point.analysis_seconds >= 0
             assert point.reduction_percent > 0
 
+    def test_every_default_point_halves_the_modes(self):
+        sweep = sweep_mode_count()  # counts (2, 4, 8, 16), seed 77
+        assert [p.mode_count for p in sweep.points] == [2, 4, 8, 16]
+        assert all(p.reduction_percent >= 50.0 for p in sweep.points)
+
     def test_reduction_consistent_with_grouping(self):
         sweep = sweep_mode_count(counts=(8,), seed=5, groups_of=4)
         # 8 modes in 2 groups of 4 -> 75% reduction.

@@ -146,6 +146,20 @@ class TestRefinerCheckMode:
         assert len(outcome.added) == 3    # the paper's CSTR1-CSTR3
         assert outcome.iterations >= 2    # fix pass + clean verify pass
 
+    def test_preliminary_merge_alone_leaves_mismatches(self, figure1,
+                                                       cs6_modes):
+        """Section 3.1 alone is a superset, not an equivalence: all nine
+        preliminary steps leave CS6's mismatches, which only the
+        Section 3.2 refinement closes."""
+        from repro.core import MergeOptions, merge_modes
+        from repro.core.mergeability import _preliminary_merge
+
+        ctx = _preliminary_merge(figure1, list(cs6_modes), MergeOptions())
+        assert ThreePassRefiner(ctx, apply_fixes=False).run().residuals
+        full = merge_modes(figure1, list(cs6_modes))
+        assert len(full.outcome.added) == 3
+        assert full.ok
+
 
 class TestResidualRecord:
     """A mismatch the fix loop cannot repair is recorded once: as a

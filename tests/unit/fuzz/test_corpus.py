@@ -21,7 +21,6 @@ from repro.fuzz.oracles import OracleBattery, Violation
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(BREAK_ENV, raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
 
 
 class TestFailureSignature:

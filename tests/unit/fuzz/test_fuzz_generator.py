@@ -13,7 +13,6 @@ from repro.fuzz.generator import (
     generate_case,
 )
 from repro.workloads import family_names
-from repro.workloads.seeding import SEED_ENV
 
 
 class TestFamilies:
@@ -28,12 +27,10 @@ class TestFamilies:
 
 class TestDeterminism:
     @pytest.mark.parametrize("family", fuzz_families())
-    def test_same_triple_same_case(self, family, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_same_triple_same_case(self, family):
         assert generate_case(7, 3, family) == generate_case(7, 3, family)
 
-    def test_seed_index_and_family_all_matter(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_seed_index_and_family_all_matter(self):
         base = generate_case(7, 3, "scan-pairs")
         assert base != generate_case(8, 3, "scan-pairs")
         assert base != generate_case(7, 4, "scan-pairs")
@@ -53,7 +50,6 @@ class TestDeterminism:
         digests = set()
         for hash_seed in ("0", "7", "123456"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env.pop(SEED_ENV, None)
             env.pop("REPRO_FUZZ_BREAK", None)
             out = subprocess.run(
                 [sys.executable, "-c", code, src],
@@ -64,8 +60,7 @@ class TestDeterminism:
 
 
 class TestMutator:
-    def test_mutated_case_differs_from_some_base(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_mutated_case_differs_from_some_base(self):
         mutated = generate_case(7, 0, MUTATE_FAMILY)
         assert mutated.family == MUTATE_FAMILY
         bases = {generate_case(7, 0, family).mode_texts
@@ -73,8 +68,7 @@ class TestMutator:
         assert mutated.mode_texts not in bases, \
             "the mutator produced an unmutated workload"
 
-    def test_mutations_vary_with_index(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_mutations_vary_with_index(self):
         texts = {generate_case(7, index, MUTATE_FAMILY).mode_texts
                  for index in range(4)}
         assert len(texts) == 4

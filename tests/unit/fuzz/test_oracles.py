@@ -11,7 +11,6 @@ from repro.fuzz.oracles import OracleBattery, Violation
 @pytest.fixture(autouse=True)
 def no_ambient_break(monkeypatch):
     monkeypatch.delenv(BREAK_ENV, raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
 
 
 @pytest.fixture(scope="module")

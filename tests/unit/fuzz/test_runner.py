@@ -11,7 +11,6 @@ from repro.fuzz.runner import FuzzConfig, FuzzRunner
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch, tmp_path):
     monkeypatch.delenv(BREAK_ENV, raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
 
 

@@ -61,7 +61,6 @@ class TestDdmin:
 
 @pytest.fixture
 def broken_equivalence(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
     monkeypatch.setenv(BREAK_ENV, "equivalence")
 
 
@@ -81,7 +80,6 @@ class TestShrinkCase:
 
     def test_non_failing_case_returned_unchanged(self, monkeypatch):
         monkeypatch.delenv(BREAK_ENV, raising=False)
-        monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
         case = generate_case(7, 0, "scan-pairs")
         assert shrink_case(case, "equivalence") == case
 

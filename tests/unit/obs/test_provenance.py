@@ -7,7 +7,6 @@ from repro.obs.provenance import (
     RULE_DERIVED,
     RULE_INTERSECTION,
     RULE_UNION,
-    ProvenanceLedger,
     ProvenanceRecord,
     lineage_line,
 )
@@ -80,12 +79,6 @@ class TestLedger:
         assert record.detail == "second detail"  # fills an empty detail
         assert report.added == [constraint]
         assert len(context.merged) == 1
-
-    def test_lineage_of_falls_back_to_text(self):
-        ledger = ProvenanceLedger()
-        unknown = _case("cfg0")
-        lines = ledger.lineage_of([unknown])
-        assert lines == ["set_case_analysis 0 [get_ports cfg0]"]
 
     def test_by_rule_and_to_dict(self, step):
         context, report = step

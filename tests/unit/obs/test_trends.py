@@ -28,8 +28,7 @@ def _snapshot_dir(tmp_path, label, gauges, meta=None):
     return directory
 
 
-META = {"bench_seed": "default", "bench_scale": 1.0,
-        "python": "3.11.9", "jobs": 1, "schema_version": 1}
+META = {"python": "3.11.9", "schema_version": 1}
 
 
 @pytest.fixture
@@ -116,13 +115,14 @@ class TestBuildTrends:
         assert series["markers"] == [None]
 
     def test_meta_change_marks_comparability_break(self, tmp_path):
-        changed = dict(META, python="3.12.1", jobs=4)
+        changed = dict(META, python="3.12.1", schema_version=2)
         dirs = [_snapshot_dir(tmp_path, "a", {"bench.x.n": 1.0}, META),
                 _snapshot_dir(tmp_path, "b", {"bench.x.n": 1.0},
                               changed)]
         payload = build_trends([load_snapshot(p) for p in dirs])
         assert payload["breaks"] == [{"index": 1,
-                                      "changed": ["jobs", "python"]}]
+                                      "changed": ["python",
+                                                  "schema_version"]}]
 
     def test_fewer_than_two_snapshots_raises(self, series_dirs):
         with pytest.raises(TrendsError):
@@ -138,7 +138,7 @@ class TestOutputs:
         assert validate_trends_html(html_path.read_text()) == []
 
     def test_html_marks_regression_and_break(self, tmp_path):
-        changed = dict(META, bench_seed="42")
+        changed = dict(META, python="3.12.1")
         dirs = [_snapshot_dir(tmp_path, "a",
                               {"bench.x.run_seconds": 1.0}, META),
                 _snapshot_dir(tmp_path, "b",
@@ -146,7 +146,7 @@ class TestOutputs:
         html = render_trends_html(
             build_trends([load_snapshot(p) for p in dirs]))
         assert "class='num regression'" in html
-        assert "bench_seed" in html
+        assert "python" in html
         assert "<svg" in html
 
     def test_embedded_payload_round_trips(self, series_dirs):

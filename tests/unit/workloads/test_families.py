@@ -5,7 +5,6 @@ import pytest
 from repro.sdc.writer import write_mode
 from repro.workloads import FAMILIES, build_family, family_names
 from repro.workloads.generator import ModeGroupSpec, WorkloadSpec, generate
-from repro.workloads.seeding import SEED_ENV
 
 
 def _fingerprint(workload):
@@ -30,32 +29,16 @@ class TestRegistry:
 
 class TestDeterminism:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_same_seed_same_bytes(self, family, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_same_seed_same_bytes(self, family):
         assert _fingerprint(build_family(family, 11)) \
             == _fingerprint(build_family(family, 11))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_different_seeds_differ(self, family, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_different_seeds_differ(self, family):
         prints = {_fingerprint(build_family(family, seed))
                   for seed in (1, 2, 3, 4)}
         assert len(prints) > 1, \
             f"{family} ignores its seed entirely"
-
-    def test_bench_seed_override_reseeds_without_collapsing(
-            self, monkeypatch):
-        """REPRO_BENCH_SEED must reseed the family coherently while
-        keeping distinct per-case seeds distinct — the fuzzer draws
-        many seeds per family per run."""
-        monkeypatch.delenv(SEED_ENV, raising=False)
-        base = _fingerprint(build_family("scan-pairs", 5))
-        monkeypatch.setenv(SEED_ENV, "77")
-        reseeded = {_fingerprint(build_family("scan-pairs", seed))
-                    for seed in (5, 6, 7)}
-        assert base not in reseeded
-        assert len(reseeded) == 3, \
-            "override collapsed distinct seeds onto one workload"
 
 
 class TestFamilyShapes:

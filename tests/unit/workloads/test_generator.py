@@ -95,6 +95,13 @@ class TestSuite:
         # percentage and the table average — see EXPERIMENTS.md.
         assert [suite[k].paper_merged for k in "ABCDEF"] \
             == [16, 1, 3, 1, 1, 2]
+        # Table 5's percentages follow from its counts and average 67.5%.
+        reductions = [100.0 * (d.paper_modes - d.paper_merged)
+                      / d.paper_modes for d in suite.values()]
+        assert [d.paper_reduction_pct for d in suite.values()] \
+            == pytest.approx(reductions, abs=0.2)
+        assert sum(reductions) / len(reductions) \
+            == pytest.approx(67.5, abs=0.05)
 
     def test_group_structure_matches_expected_merged(self):
         suite = paper_suite()

@@ -2,76 +2,22 @@
 
 Two properties matter and both are pinned here:
 
-* ``REPRO_BENCH_SEED`` coherence — every generator site derives its
-  seed from one environment override, and an unset override means the
-  site's stable default (so historical artifacts stay bit-identical).
 * process stability — no derivation may route through ``hash()``,
   which is salted per-process by ``PYTHONHASHSEED``; the cross-process
   test below fails if anyone reintroduces it.
+* no ambient input — generators read their seed from their arguments
+  only, so no environment variable changes a generated byte.
 """
 
-import hashlib
 import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.workloads.seeding import (
-    SEED_ENV,
-    derive_rng,
-    derive_seed,
-    seed_override,
-    stable_rng,
-    stable_seed,
-)
-
-
-class TestSeedOverride:
-    def test_unset_means_empty(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
-        assert seed_override() == ""
-
-    def test_set_passes_through(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "1234")
-        assert seed_override() == "1234"
-
-
-class TestDeriveSeed:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV, raising=False)
-        assert derive_seed("designs:A", 101) == 101
-
-    def test_override_is_deterministic_and_site_local(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "99")
-        a1 = derive_seed("designs:A", 101)
-        a2 = derive_seed("designs:A", 101)
-        b = derive_seed("designs:B", 101)
-        assert a1 == a2
-        assert a1 != b, "two sites must not collapse to one stream"
-        assert a1 != 101, "override must actually reseed the site"
-
-    def test_override_formula_is_pinned(self, monkeypatch):
-        """The exact derivation is a compatibility surface: benchmark
-        artifacts recorded under an override must stay comparable."""
-        monkeypatch.setenv(SEED_ENV, "7")
-        digest = hashlib.sha256(b"7:designs:A").digest()
-        expected = int.from_bytes(digest[:4], "big")
-        assert derive_seed("designs:A", 101) == expected
-
-    def test_distinct_overrides_distinct_streams(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "1")
-        one = derive_seed("designs:A", 101)
-        monkeypatch.setenv(SEED_ENV, "2")
-        two = derive_seed("designs:A", 101)
-        assert one != two
-
-    def test_derive_rng_matches_derive_seed(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "31")
-        import random
-
-        expected = random.Random(derive_seed("site", 5)).random()
-        assert derive_rng("site", 5).random() == expected
+from repro.fuzz.generator import generate_case
+from repro.netlist.verilog import write_verilog
+from repro.workloads.designs import paper_suite
+from repro.workloads.generator import generate
+from repro.workloads.seeding import stable_rng, stable_seed
 
 
 class TestStableSeed:
@@ -94,7 +40,6 @@ class TestStableSeed:
         values = set()
         for hash_seed in ("0", "1", "424242"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env.pop(SEED_ENV, None)
             out = subprocess.run(
                 [sys.executable, "-c", code, src],
                 capture_output=True, text=True, env=env, check=True)
@@ -103,26 +48,27 @@ class TestStableSeed:
             f"stable_seed varies with PYTHONHASHSEED: {values}"
 
 
-class TestBenchCommonDelegates:
-    """``benchmarks/bench_common.py`` must stay bit-compatible — it
-    re-exports the shared helper instead of hand-rolling sha256."""
+class TestGeneratorsIgnoreEnvironment:
+    """Generated bytes depend on the generator's arguments only: setting
+    any of the former ``REPRO_BENCH_*`` reseed knobs changes none of
+    them, so a fuzz ``--seed`` and a design letter always mean the same
+    workload."""
 
-    @pytest.fixture
-    def bench_common(self):
-        import importlib
-        import pathlib
+    FORMER_KNOBS = tuple(f"REPRO_BENCH_{knob}"
+                         for knob in ("SEED", "SCALE", "JOBS"))
 
-        bench_dir = str(pathlib.Path(__file__).parents[3] / "benchmarks")
-        sys.path.insert(0, bench_dir)
-        try:
-            module = importlib.import_module("bench_common")
-            yield importlib.reload(module)
-        finally:
-            sys.path.remove(bench_dir)
+    @staticmethod
+    def _generated():
+        case = generate_case(11, 0, "scan-pairs")
+        design_b = generate(paper_suite()["B"].spec).netlist
+        return (case.netlist_text, case.mode_texts), write_verilog(design_b)
 
-    def test_bench_seed_is_derive_seed(self, bench_common, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "55")
-        assert bench_common.bench_seed("bench:merge", 9) \
-            == derive_seed("bench:merge", 9)
-        monkeypatch.delenv(SEED_ENV)
-        assert bench_common.bench_seed("bench:merge", 9) == 9
+    def test_former_reseed_knobs_change_no_byte(self, monkeypatch):
+        for name in self.FORMER_KNOBS:
+            monkeypatch.delenv(name, raising=False)
+        unset_case, unset_design_b = self._generated()
+        for name in self.FORMER_KNOBS:
+            monkeypatch.setenv(name, "5")
+        case, design_b = self._generated()
+        assert case == unset_case
+        assert design_b == unset_design_b
