@@ -7,27 +7,27 @@ snapshots its headline numbers with :func:`write_bench_json`.  The
 paper's own outcomes are asserted by the tier-1 tests, and their times
 are measured by ``perfbench/run.py``.
 
-Snapshots record into ``BENCH_REGISTRY`` — the same
-:class:`~repro.obs.metrics.MetricsRegistry` the pipeline uses — so
-``BENCH_*.json`` artifacts share the pipeline's schema-versioned
-metrics layout.
+Each snapshot is written from a fresh
+:class:`~repro.obs.metrics.MetricsRegistry` — the registry the pipeline
+uses — holding only that bench's gauges, so ``BENCH_*.json`` artifacts
+share the pipeline's schema-versioned metrics layout and do not depend
+on which other benches ran in the same session.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import statistics
+import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.designs import paper_suite
 from repro.workloads.generator import Workload, generate
-
-#: One registry for the whole bench session: :func:`write_bench_json`
-#: snapshots it into ``BENCH_*.json`` files.
-BENCH_REGISTRY = MetricsRegistry()
 
 _workloads: Dict[str, Workload] = {}
 
@@ -50,9 +50,9 @@ def write_bench_json(stem: str, directory: Optional[str] = None,
                      **gauges) -> Path:
     """Write ``BENCH_<stem>.json`` in the metrics-registry schema.
 
-    The artifact is a snapshot of :data:`BENCH_REGISTRY` plus the
-    bench's own headline numbers as ``bench.<stem>.<name>`` gauges, so
-    all ``BENCH_*.json`` files validate against the same schema as
+    The artifact holds the bench's own headline numbers as
+    ``bench.<stem>.<name>`` gauges and nothing else, so all
+    ``BENCH_*.json`` files validate against the same schema as
     ``repro-merge --metrics`` output and diff run-to-run with
     ``python -m repro.obs.bench_diff``.  A ``bench_meta`` block
     (:func:`bench_meta`) records the run environment for the
@@ -64,13 +64,44 @@ def write_bench_json(stem: str, directory: Optional[str] = None,
     """
     if directory is None:
         directory = os.environ.get("REPRO_BENCH_DIR", ".")
+    registry = MetricsRegistry()
     for name, value in gauges.items():
-        BENCH_REGISTRY.set_gauge(f"bench.{stem}.{name}", float(value))
+        registry.set_gauge(f"bench.{stem}.{name}", float(value))
     path = Path(directory) / f"BENCH_{stem}.json"
-    record = BENCH_REGISTRY.to_dict()
+    record = registry.to_dict()
     record["bench_meta"] = bench_meta()
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def paired_ratio(base: Callable[[], object],
+                 variant: Callable[[], object],
+                 pairs: int) -> Tuple[float, float, float]:
+    """Time ``base`` and ``variant`` back to back, ``pairs`` times.
+
+    Which side runs first alternates from pair to pair, so a change of
+    host speed between calls falls on both sides of a pair instead of
+    reading as overhead.  As in :mod:`timeit`, each call starts from a
+    collected heap and runs with the cyclic collector off, so one
+    call's garbage is not charged to the next.  Returns the median of
+    the per-pair variant/base ratios, then the median seconds of
+    ``base`` and of ``variant``.
+    """
+    ratios, base_seconds, variant_seconds = [], [], []
+    for pair in range(pairs):
+        sides = [(base, base_seconds), (variant, variant_seconds)]
+        for fn, seconds in (sides if pair % 2 == 0 else sides[::-1]):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                fn()
+                seconds.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        ratios.append(variant_seconds[-1] / base_seconds[-1])
+    return (statistics.median(ratios), statistics.median(base_seconds),
+            statistics.median(variant_seconds))
 
 
 def get_workload(name: str) -> Workload:

@@ -19,7 +19,8 @@ import time
 
 import pytest
 
-from bench_common import get_workload, once, write_bench_json
+from bench_common import get_workload, once, paired_ratio, \
+    write_bench_json
 from repro.core import mergeability
 from repro.core.merger import MergeOptions
 from repro.exec import Supervisor, SupervisorConfig
@@ -78,9 +79,8 @@ def test_supervision_overhead_bound(benchmark, scan_workload):
     # Same verdicts, same order, before any timing matters.
     assert [o.value for o in supervised()] == bare()
 
-    bare_s = _best_of(bare)
-    supervised_s = _best_of(supervised)
-    overhead = supervised_s / bare_s - 1.0
+    ratio, bare_s, supervised_s = paired_ratio(bare, supervised, 15)
+    overhead = ratio - 1.0
 
     print(f"\nbare loop:   {bare_s * 1000:8.1f} ms ({len(pairs)} pairs)")
     print(f"supervised:  {supervised_s * 1000:8.1f} ms")
@@ -93,7 +93,7 @@ def test_supervision_overhead_bound(benchmark, scan_workload):
                      pairs_checked=len(pairs),
                      bare_seconds=bare_s,
                      supervised_seconds=supervised_s,
-                     overhead_ratio=supervised_s / bare_s)
+                     overhead_ratio=ratio)
 
     once(benchmark, supervised)
 

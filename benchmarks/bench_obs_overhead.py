@@ -13,10 +13,10 @@ nobody is collecting and cheap when everybody is:
    everything ``--report-html`` enables) against the default run, which
    must stay under 10% on the generated workload;
 4. the always-on flight recorder (repro.obs.blackbox): the per-event
-   recording cost times a generous over-count of the events one run
-   produces must stay under the same 2% disabled-layer bound — the
-   recorder runs on EVERY run, so this bound is what keeps "always on"
-   an honest claim.
+   cost of a frame through ``ObsContext.frame`` times a generous
+   over-count of the events one run produces must stay under the same
+   2% disabled-layer bound — the recorder runs on EVERY run, so this
+   bound is what keeps "always on" an honest claim.
 """
 
 import time
@@ -85,8 +85,8 @@ def test_disabled_overhead_bound(benchmark, workload):
 def test_always_on_recorder_overhead_bound(benchmark, workload):
     """The flight recorder's per-event cost stays under 2% of a run.
 
-    The recorder sees frame opens/closes (O(groups), via its
-    FlightLedger stand-in), diagnostics, chaos strikes, and state
+    The recorder sees frame opens/closes (O(groups), through
+    ``ObsContext.frame``), diagnostics, chaos strikes, and state
     notes — NOT the O(pairs) leaf decisions, which stay behind
     ``ledger.enabled`` guards.  Bound the whole-run cost by the
     recorded-event count (with a 10x miscount margin) times the
@@ -105,14 +105,16 @@ def test_always_on_recorder_overhead_bound(benchmark, workload):
         run()
     events = counting._seq
 
-    # Per-event cost: the frame open/close pair is the recorder's hot
-    # path (every pipeline frame goes through it on every run).
-    recorder = BlackboxRecorder()
-    ledger = recorder.flight_ledger()
+    # Per-event cost: one region through ObsContext.frame on a
+    # recorder-only context, the path every pipeline region of every
+    # CLI run takes.
+    obs = ObsContext.build(blackbox=BlackboxRecorder())
+    modes = ["a", "b"]
     n = 50_000
     start = time.perf_counter()
     for _ in range(n):
-        with ledger.frame("merge.step", "bench"):
+        with obs.frame("merge.step", "step:bench", span="step:bench",
+                       modes=modes):
             pass
     per_event = (time.perf_counter() - start) / n / 2  # open + close
 

@@ -7,9 +7,7 @@ healthy.  This bench parses a large well-formed constraint deck under
 STRICT and PERMISSIVE and asserts the overhead stays under 10%.
 """
 
-import time
-
-from bench_common import write_bench_json
+from bench_common import paired_ratio, write_bench_json
 from repro.diagnostics import DegradationPolicy
 from repro.sdc import parse_sdc
 
@@ -30,17 +28,6 @@ set_load 0.4 [get_ports dout{i}]
 DECK = "".join(DECK_BLOCK.format(i=i) for i in range(100))
 
 
-def _best_of(fn, repeats=7, loops=3):
-    """Minimum wall-clock of ``loops`` calls, over ``repeats`` samples."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_recovery_mode_overhead(benchmark):
     strict = lambda: parse_sdc(DECK)
     permissive = lambda: parse_sdc(DECK, policy=DegradationPolicy.PERMISSIVE)
@@ -49,10 +36,10 @@ def test_recovery_mode_overhead(benchmark):
     assert len(strict().mode) == len(permissive().mode) == 1000
     assert permissive().diagnostics == []
 
-    # Warm both paths, then compare best-of timings (min filters noise).
-    strict_s = _best_of(strict)
-    permissive_s = _best_of(permissive)
-    overhead = permissive_s / strict_s - 1.0
+    # Both paths are warm; the median of interleaved pairs filters both
+    # noise and drift in host speed.
+    ratio, strict_s, permissive_s = paired_ratio(strict, permissive, 21)
+    overhead = ratio - 1.0
 
     print(f"\nstrict:     {strict_s * 1000:8.2f} ms")
     print(f"permissive: {permissive_s * 1000:8.2f} ms")

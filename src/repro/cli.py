@@ -821,10 +821,8 @@ def _run_command(args: argparse.Namespace, policy: DegradationPolicy,
                  ) -> Tuple[int, Optional[dict]]:
     """Run the verb under the installed context: (exit code, the reason
     to flush the flight recorder or None)."""
-    obs = current()
-    with obs.tracer.span("run", command=args.command), \
-            obs.decisions.frame("run", f"run:{args.command}",
-                                command=args.command):
+    with current().frame("run", f"run:{args.command}", span="run",
+                         command=args.command):
         try:
             return args.func(args, policy, collector), None
         except _HardFailure:
@@ -872,11 +870,11 @@ def main(argv=None) -> int:
     ledger = DecisionLedger() \
         if (args.explain or want_all) else None
     profiler = Profiler() if want_profile else None
-    # The flight recorder is always on: when a real tracer/ledger is
-    # installed it mirrors their events; with no flags it still sees the
-    # pipeline's frames through its FlightLedger stand-in, plus the
-    # diagnostics/watchdog/chaos chokepoints.  A clean run writes
-    # nothing; an abnormal exit flushes blackbox.json.
+    # The flight recorder is always on: whatever the flags, it sees
+    # every pipeline frame (``ObsContext.frame``) and the
+    # diagnostics/watchdog/chaos chokepoints, plus the leaf decisions
+    # when a ledger is installed.  A clean run writes nothing; an
+    # abnormal exit flushes blackbox.json.
     recorder = BlackboxRecorder()
     obs = ObsContext.build(tracer=tracer, metrics=metrics, decisions=ledger,
                            profiler=profiler, blackbox=recorder)

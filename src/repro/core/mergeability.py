@@ -328,11 +328,10 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     pairs = [(i, j) for i in range(len(mode_list))
              for j in range(i + 1, len(mode_list))]
 
-    with tracer.span("mergeability", modes=[m.name for m in mode_list],
-                     pairs=len(pairs), jobs=jobs), \
-            ledger.frame("mergeability.scan",
-                         f"scan:{len(mode_list)} modes",
-                         modes=[m.name for m in mode_list]):
+    with obs.frame("mergeability.scan", f"scan:{len(mode_list)} modes",
+                   span="mergeability",
+                   modes=[m.name for m in mode_list]) as scan:
+        scan.span.annotate(pairs=len(pairs), jobs=jobs)
         cached: Dict[Tuple[int, int], Tuple[bool, str]] = {}
         pair_keys: Dict[Tuple[int, int], str] = {}
         space = ""
@@ -616,9 +615,8 @@ def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
     """
     obs = current()
     ladder = _RecoveryLadder(netlist, by_name, options, sink)
-    with obs.tracer.span(f"group:{'+'.join(names)}", modes=names), \
-            obs.decisions.frame("merge.group", group_subject(names),
-                                modes=names):
+    with obs.frame("merge.group", group_subject(names),
+                   span=f"group:{'+'.join(names)}", modes=names):
         ladder.merge_group(list(names))
     return ladder.outcomes
 
@@ -868,9 +866,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
             """
             names = plan["names"]
             entry = plan["entry"]
-            with tracer.span(f"group:{'+'.join(names)}", modes=names), \
-                    ledger.frame("merge.group", group_subject(names),
-                                 modes=names):
+            with obs.frame("merge.group", group_subject(names),
+                           span=f"group:{'+'.join(names)}", modes=names):
                 for stored in entry["outcomes"]:
                     run.outcomes.append(GroupOutcome(
                         *restore_outcome(stored), restored=True))
@@ -887,9 +884,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
             """A group whose engine task failed even after retries:
             demote it to individual modes instead of losing the run."""
             names = plan["names"]
-            with tracer.span(f"group:{'+'.join(names)}", modes=names), \
-                    ledger.frame("merge.group", group_subject(names),
-                                 modes=names):
+            with obs.frame("merge.group", group_subject(names),
+                           span=f"group:{'+'.join(names)}", modes=names):
                 sink.report(
                     "MRG002",
                     f"group {{{', '.join(names)}}} demoted to individual "

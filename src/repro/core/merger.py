@@ -167,7 +167,7 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
     policy = DegradationPolicy.coerce(opts.policy)
     mode_names = [m.name for m in modes]
     obs = current()
-    tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
+    tracer, metrics = obs.tracer, obs.metrics
 
     def step(step_name, fn, *args):
         """Run one pipeline stage with per-step fault isolation.
@@ -179,16 +179,16 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
         stage runs under a ``step:<name>`` span carrying the constraint
         count so far and the watchdog budget remaining.
         """
-        with tracer.span(f"step:{step_name}") as span, \
-                ledger.frame("merge.step", f"step:{step_name}",
-                             modes=mode_names):
+        region = f"step:{step_name}"
+        with obs.frame("merge.step", region, span=region,
+                       modes=mode_names) as frame:
             if tracer.enabled:
                 attrs = {"constraints_before": len(context.merged)}
                 if budget is not None:
                     remaining = budget.remaining_seconds()
                     if remaining is not None:
                         attrs["budget_remaining_s"] = round(remaining, 3)
-                span.annotate(**attrs)
+                frame.span.annotate(**attrs)
             if policy is DegradationPolicy.STRICT:
                 out = fn(*args)
             else:
@@ -199,7 +199,7 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
                 except Exception as exc:
                     raise MergeStepError(step_name, mode_names, exc) from exc
             if tracer.enabled:
-                span.annotate(constraints_after=len(context.merged))
+                frame.span.annotate(constraints_after=len(context.merged))
             return out
 
     start = time.perf_counter()
@@ -207,11 +207,9 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
     context = MergeContext(netlist, list(modes), name)
     metrics.inc("merge.runs")
 
-    with tracer.span("merge", merged_mode=context.merged_name,
-                     modes=mode_names), \
-            ledger.frame("merge.mode", group_subject(mode_names),
-                         modes=mode_names,
-                         merged_mode=context.merged_name) as mframe:
+    with obs.frame("merge.mode", group_subject(mode_names), span="merge",
+                   modes=mode_names,
+                   merged_mode=context.merged_name) as mode_frame:
         # --- preliminary mode merging (3.1) ---
         step("clock_union", merge_clocks, context)
         step("clock_constraints", merge_clock_constraints, context,
@@ -261,9 +259,10 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
                             ok=result.ok,
                             runtime_ms=round(result.runtime_seconds * 1e3,
                                              3))
-        if ledger.enabled:
-            mframe.verdict = "merged" if result.ok else "incomplete"
-            mframe.evidence.append(
+        decision = mode_frame.decision
+        if decision is not None:
+            decision.verdict = "merged" if result.ok else "incomplete"
+            decision.evidence.append(
                 f"{len(context.merged)} constraints from "
                 f"{len(mode_names)} mode(s)")
     # The result keeps its context, which must not pin the last binding

@@ -320,7 +320,7 @@ class SignoffGuard:
         back to its usual bisection).
         """
         obs = current()
-        tracer, metrics, ledger = obs.tracer, obs.metrics, obs.decisions
+        tracer, metrics = obs.tracer, obs.metrics
         self._failed_ledger = getattr(
             getattr(failed, "context", None), "provenance", None)
         metrics.inc("signoff.guard_engaged")
@@ -334,12 +334,9 @@ class SignoffGuard:
             severity=Severity.WARNING, source="+".join(names))
         attempts_before = self.attempts
         try:
-            with tracer.span("signoff:guard", modes=list(names),
-                             mismatches=len(problems)) as guard_span, \
-                    ledger.frame(
-                        "signoff.guard", group_subject(names),
-                        modes=list(names),
-                        mismatches=len(problems)) as guard_frame:
+            with obs.frame("signoff.guard", group_subject(names),
+                           span="signoff:guard", modes=list(names),
+                           mismatches=len(problems)) as guard:
                 with tracer.span("signoff:bisect", modes=list(names)) as span:
                     subset = self._localize_modes(list(names))
                     span.annotate(culprit_modes=list(subset))
@@ -365,17 +362,17 @@ class SignoffGuard:
                         repaired = self._repair_constraints(
                             names, mode_name, culprits)
                     if repaired is not None:
-                        guard_span.annotate(outcome="repaired")
-                        if ledger.enabled:
-                            guard_frame.verdict = "repaired"
+                        guard.span.annotate(outcome="repaired")
+                        if guard.decision is not None:
+                            guard.decision.verdict = "repaired"
                         return repaired
                 with tracer.span("signoff:repair", modes=list(subset)):
                     outcomes = self._demote(names, subset)
                 outcome_label = \
                     "demoted" if outcomes is not None else "gave-up"
-                guard_span.annotate(outcome=outcome_label)
-                if ledger.enabled:
-                    guard_frame.verdict = outcome_label
+                guard.span.annotate(outcome=outcome_label)
+                if guard.decision is not None:
+                    guard.decision.verdict = outcome_label
                 return outcomes
         except _AttemptsExhausted:
             self.sink.report(

@@ -31,7 +31,7 @@ from repro.fuzz import BUNDLE_KIND, FUZZ_SCHEMA_VERSION, ORACLE_NAMES
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.oracles import OracleBattery, Violation
 from repro.obs.blackbox import BlackboxRecorder
-from repro.obs.context import current
+from repro.obs.context import ObsContext, current
 
 #: Name of the manifest inside each bundle.
 MANIFEST_NAME = "repro.json"
@@ -115,9 +115,8 @@ def _write_blackbox(root: Path, manifest: dict) -> None:
                     family=manifest["family"],
                     root_seed=manifest["root_seed"],
                     case_seed=manifest["case_seed"])
-    with recorder.flight_ledger().frame("fuzz-oracle",
-                                        manifest["oracle"],
-                                        verdict="violated"):
+    with ObsContext.build(blackbox=recorder).frame("fuzz-oracle",
+                                                   manifest["oracle"]):
         recorder.record("fuzz.violation", oracle=manifest["oracle"],
                         detail=manifest["detail"][:500],
                         modes=manifest["violation_modes"])

@@ -18,10 +18,10 @@ layer is free when disabled:
 * :mod:`repro.obs.profile` — cProfile function tables attributed to the
   pipeline's phase spans, plus hot-loop counters;
 * :mod:`repro.obs.blackbox` — an **always-on flight recorder**: a
-  bounded ring of recent frames, spans, decisions, diagnostics, and
-  chaos strikes that costs nothing to keep and is flushed as
-  ``blackbox.json`` only when a run dies abnormally (``repro-merge
-  doctor`` renders the forensics).
+  bounded ring of recent pipeline frames, diagnostics, chaos strikes
+  and (with a ledger) leaf decisions that costs nothing to keep and is
+  flushed as ``blackbox.json`` only when a run dies abnormally
+  (``repro-merge doctor`` renders the forensics).
 
 :mod:`repro.obs.provenance` is the per-constraint view of merge lineage
 (source modes + merge rule) over the merge steps' decision records,

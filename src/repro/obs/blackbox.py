@@ -8,28 +8,23 @@ closes that gap: a fixed-size ring buffer that is active on **every**
 run with no flags, fed by
 
 * coarse pipeline **frames** (run, mergeability scan, per-group merges,
-  sign-off repairs) recorded through a :class:`FlightLedger` that
-  ``ObsContext.build`` installs as the context's decision ledger when no
-  real :class:`~repro.obs.explain.DecisionLedger` was requested — frame
-  call sites are unguarded, so the recorder sees them at O(groups) cost
-  while the guarded O(pairs) leaf-decision sites stay off;
+  modes, steps, sign-off repairs): ``ObsContext.frame`` opens each
+  region in every enabled layer at once, so the recorder sees the same
+  frames at O(groups) cost whatever else is enabled;
 * **diagnostics** (the :class:`~repro.diagnostics.DiagnosticCollector`
   bridge mirrors every structured finding into the ring);
-* **decisions** mirrored from a real ledger when one *is* installed
+* leaf **decisions** mirrored from a real ledger when one is installed
   (the recorder attaches via ``DecisionLedger.add_listener``);
-* **span open/close** events mirrored from a real tracer when one is
-  installed (the recorder implements the tracer-listener protocol);
 * explicit chokepoint events: watchdog budget trips, chaos strikes,
-  execution-engine faults, cache state notes.
+  cache state notes.
 
 On abnormal exit the ring is flushed atomically
 (:func:`repro.durable.write_atomic`) as a schema-versioned
-``blackbox.json`` carrying the ring contents, the open frame/span
-stacks, the last cache state, an environment fingerprint and — when a
-registry is passed in — a metrics snapshot.  ``repro-merge doctor
-blackbox.json`` renders the forensic report; ``python -m
-repro.obs.validate --blackbox`` checks the artifact.  A clean run
-writes nothing.
+``blackbox.json`` carrying the ring contents, the open frames, the last
+cache state, an environment fingerprint and — when a registry is passed
+in — a metrics snapshot.  ``repro-merge doctor blackbox.json`` renders
+the forensic report; ``python -m repro.obs.validate --blackbox`` checks
+the artifact.  A clean run writes nothing.
 
 The recorder is one field of the observability context
 (:mod:`repro.obs.context`).  A pooled attempt records into a fresh ring,
@@ -52,11 +47,10 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.durable import write_atomic
-from repro.obs.explain import NullDecisions
 
 #: Version of the blackbox.json artifact.  Bump on incompatible layout
 #: changes; downstream tooling dispatches on this field.
-BLACKBOX_SCHEMA_VERSION = 1
+BLACKBOX_SCHEMA_VERSION = 2
 
 #: The artifact's ``kind`` discriminator.
 BLACKBOX_KIND = "repro-blackbox"
@@ -106,13 +100,6 @@ class NullBlackbox:
     def note_state(self, key: str, value: Any) -> None:
         return None
 
-    # tracer-listener protocol
-    def span_opened(self, span) -> None:
-        return None
-
-    def span_closed(self, span) -> None:
-        return None
-
     # ledger-listener protocol
     def decision_recorded(self, decision) -> None:
         return None
@@ -131,50 +118,6 @@ class NullBlackbox:
         return False
 
 
-class _FlightFrame:
-    """Context manager recording one pipeline frame's open/close."""
-
-    __slots__ = ("_recorder", "_kind", "_subject", "_start")
-
-    def __init__(self, recorder: "BlackboxRecorder", kind: str,
-                 subject: str):
-        self._recorder = recorder
-        self._kind = kind
-        self._subject = subject
-        self._start = 0.0
-
-    def __enter__(self) -> "_FlightFrame":
-        self._start = time.perf_counter()
-        self._recorder._frame_opened(self._kind, self._subject)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        seconds = time.perf_counter() - self._start
-        error = exc_type.__name__ if exc_type is not None else ""
-        self._recorder._frame_closed(self._kind, self._subject, seconds,
-                                     error)
-
-
-class FlightLedger(NullDecisions):
-    """A decision-ledger stand-in that feeds frames to the recorder.
-
-    The context's ledger when the user requested no
-    ``--explain``/``--report-html``: ``enabled`` stays ``False`` so every
-    guarded leaf-decision site (and the ``merge_all`` record slicing)
-    behaves exactly as with the null ledger, while the unguarded
-    ``frame(...)`` chokepoints land in the flight recorder's ring.
-    """
-
-    enabled = False
-
-    def __init__(self, recorder: "BlackboxRecorder"):
-        self._recorder = recorder
-
-    def frame(self, kind: str, subject: str, verdict: str = "",
-              **attrs: Any) -> _FlightFrame:
-        return _FlightFrame(self._recorder, kind, subject)
-
-
 class BlackboxRecorder(NullBlackbox):
     """Bounded ring of the run's last N observability events."""
 
@@ -191,11 +134,8 @@ class BlackboxRecorder(NullBlackbox):
         self._state: Dict[str, Any] = {}
         #: open pipeline frames as (kind, subject), outermost first
         self._frames: List[tuple] = []
-        #: open trace spans mirrored from the tracer listener
-        self._open_spans: List[str] = []
         #: cumulative seconds per closed frame kind (phase timings)
         self._frame_seconds: Dict[str, float] = {}
-        self._epoch = time.time()
         self._t0 = time.perf_counter()
 
     @property
@@ -233,55 +173,38 @@ class BlackboxRecorder(NullBlackbox):
         with self._lock:
             self._state[key] = value
 
-    def flight_ledger(self) -> FlightLedger:
-        """A :class:`FlightLedger` feeding this recorder."""
-        return FlightLedger(self)
-
-    # -- frame chokepoints (via FlightLedger) ---------------------------
+    # -- frame chokepoints (via ObsContext.frame) -----------------------
     # These run on every pipeline frame of every run, so both build the
-    # event dict in a single literal (no kwargs repack through record)
-    # and defer rounding to export time.
-    def _frame_opened(self, kind: str, subject: str) -> None:
+    # event dict in a single literal (no kwargs repack through record),
+    # read the clock once, and defer rounding to export time.
+    def open_frame(self, kind: str, subject: str) -> float:
+        """Record a frame opening; returns its start time."""
+        now = time.perf_counter()
         self._frames.append((kind, subject))
         self._ring.append({
             "kind": "frame.open", "frame": kind, "subject": subject,
-            "seq": next(self._counter),
-            "t": time.perf_counter() - self._t0})
+            "seq": next(self._counter), "t": now - self._t0})
+        return now
 
-    def _frame_closed(self, kind: str, subject: str, seconds: float,
-                      error: str) -> None:
+    def close_frame(self, kind: str, subject: str, start: float,
+                    error: str = "") -> None:
+        """Record a frame closing, with the exception that left it."""
+        now = time.perf_counter()
         frames = self._frames
         for i in range(len(frames) - 1, -1, -1):
             if frames[i] == (kind, subject):
                 del frames[i]
                 break
+        seconds = now - start
         self._frame_seconds[kind] = \
             self._frame_seconds.get(kind, 0.0) + seconds
         event: Dict[str, Any] = {
             "kind": "frame.close", "frame": kind, "subject": subject,
             "seconds": seconds, "seq": next(self._counter),
-            "t": time.perf_counter() - self._t0}
+            "t": now - self._t0}
         if error:
             event["error"] = error
         self._ring.append(event)
-
-    # -- tracer-listener protocol ---------------------------------------
-    def span_opened(self, span) -> None:
-        self._open_spans.append(span.name)
-        self.record("span.open", span=span.name)
-
-    def span_closed(self, span) -> None:
-        for i in range(len(self._open_spans) - 1, -1, -1):
-            if self._open_spans[i] == span.name:
-                del self._open_spans[i]
-                break
-        event: Dict[str, Any] = {"span": span.name}
-        if span.end is not None:
-            event["seconds"] = round(span.duration, 6)
-        error = span.attrs.get("error")
-        if error:
-            event["error"] = error
-        self.record("span.close", **event)
 
     # -- ledger-listener protocol ---------------------------------------
     def decision_recorded(self, decision) -> None:
@@ -344,12 +267,10 @@ class BlackboxRecorder(NullBlackbox):
 
     # -- export / flush -------------------------------------------------
     def failing_phase(self) -> str:
-        """The innermost open frame (or span) — where the run died."""
+        """The innermost open frame — where the run died."""
         if self._frames:
             kind, subject = self._frames[-1]
             return f"{kind} {subject}".strip()
-        if self._open_spans:
-            return self._open_spans[-1]
         return ""
 
     def export(self, reason: Optional[dict] = None, metrics=None) -> dict:
@@ -369,7 +290,6 @@ class BlackboxRecorder(NullBlackbox):
                 "dropped": self.dropped,
                 "open_frames": [{"kind": k, "subject": s}
                                 for (k, s) in self._frames],
-                "open_spans": list(self._open_spans),
                 "failing_phase": "",
                 "frame_seconds": {
                     k: round(v, 6)
@@ -445,15 +365,23 @@ def causal_chain(payload: dict) -> List[str]:
     Open frames give the skeleton (run -> scan/group -> step); the
     failure reason is the final link.  Frames that closed with an error
     before the flush are appended so a demoted group names itself even
-    after its frame unwound.
+    after its frame unwound.  One unwind closes its frames innermost
+    first, with no other frame opening or closing cleanly in between;
+    each unwind is listed outermost first.
     """
     chain = [f"[{f.get('kind', '?')}] {f.get('subject', '')}".strip()
              for f in payload.get("open_frames", ())]
+    unwind: List[str] = []
     for event in payload.get("events", ()):
-        if event.get("kind") == "frame.close" and event.get("error"):
-            chain.append(f"[{event.get('frame', '?')}] "
-                         f"{event.get('subject', '')} "
-                         f"!{event['error']}")
+        kind = event.get("kind")
+        if kind == "frame.close" and event.get("error"):
+            unwind.insert(0, f"[{event.get('frame', '?')}] "
+                             f"{event.get('subject', '')} "
+                             f"!{event['error']}")
+        elif kind in ("frame.open", "frame.close"):
+            chain.extend(unwind)
+            unwind = []
+    chain.extend(unwind)
     reason = payload.get("reason", {})
     detail = reason.get("detail", "")
     chain.append(f"[{reason.get('kind', 'unknown')}] {detail}".strip())
@@ -516,7 +444,7 @@ def format_doctor_report(payload: dict) -> str:
             lines.append("  " + text)
     notable = [e for e in events
                if e.get("kind") in ("diagnostic", "chaos", "watchdog",
-                                    "exec.fault", "signal")]
+                                    "signal")]
     if notable:
         lines.append("")
         lines.append("diagnostics / faults / strikes:")

@@ -18,6 +18,10 @@ layers swapped; a layer given as ``None`` is switched off, which is how
 mock merges keep out of the ledger (``observing(decisions=None)``).
 :meth:`ObsContext.build` wires the layers to one another once.
 
+A pipeline region (the run, the scan, a group, a mode, a step, the
+sign-off guard) is one :meth:`ObsContext.frame`, which opens and closes
+the trace span, the frame decision and the recorder's frame together.
+
 A forked worker cannot write into its parent's collectors.  The
 supervisor therefore runs each pooled attempt under
 :meth:`ObsContext.for_worker` (fresh collectors for the enabled layers),
@@ -31,14 +35,14 @@ recorded them had it run in-process.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.blackbox import BlackboxRecorder, NullBlackbox
 from repro.obs.explain import DecisionLedger, NullDecisions
 from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.profile import NullProfiler, Profiler
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import _NULL_SPAN, NullTracer, Tracer
 
 #: Each layer's disabled implementation: a field's default, and what a
 #: layer passed to :class:`observing` as ``None`` becomes.
@@ -61,6 +65,16 @@ class ObsContext:
     decisions: NullDecisions = _NULLS["decisions"]
     profiler: NullProfiler = _NULLS["profiler"]
     blackbox: NullBlackbox = _NULLS["blackbox"]
+    #: (tracer, ledger, recorder), None for each disabled one, or None
+    #: when all three are off: the layers :meth:`frame` opens a region in
+    _frame_layers: Optional[tuple] = field(default=None, init=False,
+                                           repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        layers = (self.tracer, self.decisions, self.blackbox)
+        if any(layer.enabled for layer in layers):
+            object.__setattr__(self, "_frame_layers", tuple(
+                layer if layer.enabled else None for layer in layers))
 
     @classmethod
     def build(cls, tracer: Optional[Tracer] = None,
@@ -70,23 +84,18 @@ class ObsContext:
               blackbox: Optional[BlackboxRecorder] = None) -> "ObsContext":
         """A context of the given layers (None = off), wired together.
 
-        The profiler and the recorder listen on the tracer, and the
-        recorder on the ledger.  The ledger names each decision after
-        the tracer's innermost open span.  With the recorder on but no
-        ledger, a :class:`~repro.obs.blackbox.FlightLedger` stands in so
-        that the pipeline's frames still reach the recorder's ring.
+        The profiler listens on the tracer, and the recorder on the
+        ledger's leaf decisions.  The ledger names each decision after
+        the tracer's innermost open span.  Frames reach the recorder
+        through :meth:`frame`, whatever else is enabled.
         """
-        if tracer is not None:
-            for listener in (profiler, blackbox):
-                if listener is not None:
-                    tracer.add_listener(listener)
+        if tracer is not None and profiler is not None:
+            tracer.add_listener(profiler)
         if decisions is not None:
             if tracer is not None:
                 decisions.tracer = tracer
             if blackbox is not None:
                 decisions.add_listener(blackbox)
-        elif blackbox is not None:
-            decisions = blackbox.flight_ledger()
         layers = dict(tracer=tracer, metrics=metrics, decisions=decisions,
                       profiler=profiler, blackbox=blackbox)
         return cls(**{name: layer for name, layer in layers.items()
@@ -98,6 +107,23 @@ class ObsContext:
         return (self.tracer.enabled or self.metrics.enabled
                 or self.decisions.enabled or self.profiler.enabled
                 or self.blackbox.enabled)
+
+    def frame(self, kind: str, subject: str, span: str = "",
+              **attrs):
+        """Open one pipeline region in every enabled layer.
+
+        Like ``open()``, the call opens the region and the handle's
+        ``with`` block closes it: the span named ``span`` (if any), then
+        the ``kind`` frame decision on ``subject`` (both carry
+        ``attrs``), then the recorder's frame; they close in reverse
+        order, each recording an exception that leaves the region.  The
+        handle's ``span`` and ``decision`` (None without a ledger) are
+        there to annotate.  With none of the three layers enabled it is
+        one shared no-op handle.
+        """
+        if self._frame_layers is None:
+            return _NULL_FRAME
+        return _Frame(self._frame_layers, kind, subject, span, attrs)
 
     # -- crossing the fork ----------------------------------------------
     def for_worker(self) -> "ObsContext":
@@ -133,8 +159,8 @@ class ObsContext:
 
         Spans attach under the current span and decisions under the
         current frame; counters, profile rows and ring events add up.
-        Listeners are not notified again: the worker's own recorder and
-        profiler already saw its spans and decisions.
+        Listeners are not notified again: the worker's own profiler and
+        recorder already saw its spans and decisions.
         """
         if not payload:
             return
@@ -149,6 +175,44 @@ class ObsContext:
         if self.blackbox.enabled and "blackbox" in payload:
             self.blackbox.merge_payload(payload["blackbox"])
 
+
+class _Frame:
+    """One region opened by :meth:`ObsContext.frame`."""
+
+    __slots__ = ("_layers", "_kind", "_subject", "_start", "span",
+                 "decision")
+
+    def __init__(self, layers: tuple, kind: str, subject: str,
+                 span_name: str, attrs: dict) -> None:
+        self._layers = layers
+        self._kind = kind
+        self._subject = subject
+        tracer, ledger, recorder = layers
+        # The span opens first so that the frame decision names it.
+        self.span = tracer.open_span(span_name, attrs) \
+            if span_name and tracer is not None else _NULL_SPAN
+        self.decision = ledger.open_frame(kind, subject, attrs) \
+            if ledger is not None else None
+        self._start = recorder.open_frame(kind, subject) \
+            if recorder is not None else 0.0
+
+    def __enter__(self) -> "_Frame":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer, ledger, recorder = self._layers
+        error = exc_type.__name__ if exc_type is not None else ""
+        if recorder is not None:
+            recorder.close_frame(self._kind, self._subject, self._start,
+                                 error)
+        if ledger is not None:
+            ledger.close_frame(self.decision, error)
+        if self.span is not _NULL_SPAN:
+            tracer.close_span(self.span, error)
+
+
+#: The shared region of a context with none of the three layers.
+_NULL_FRAME = _Frame((None, None, None), "", "", "", {})
 
 #: The installed context; every layer null unless someone installs one.
 _CURRENT = ObsContext()

@@ -12,7 +12,9 @@ decision carries its full causal chain back to the run root.
 
 The ledger is one field of the observability context
 (:mod:`repro.obs.context`), and free when disabled: the default
-:class:`NullDecisions` makes every ``decide``/``frame`` call a no-op.
+:class:`NullDecisions` makes every ``decide`` call a no-op.  Pipeline
+code opens its frames with ``ObsContext.frame``, which opens the trace
+span, the frame decision and the flight recorder's frame together.
 Mock merges switch it off for their scope with
 ``observing(decisions=None)``.
 
@@ -164,21 +166,6 @@ def group_subject(names: Iterable[str]) -> str:
     return "group:" + "+".join(sorted(names))
 
 
-class _NullFrame:
-    """Shared no-op frame handle (mirrors the tracer's null span)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullFrame":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_FRAME = _NullFrame()
-
-
 class NullDecisions:
     """The disabled ledger: every operation is a no-op."""
 
@@ -188,10 +175,6 @@ class NullDecisions:
                evidence: Optional[Sequence[str]] = None,
                **attrs: Any) -> Optional[Decision]:
         return None
-
-    def frame(self, kind: str, subject: str, verdict: str = "",
-              **attrs: Any):
-        return _NULL_FRAME
 
 
 class _FrameHandle:
@@ -208,12 +191,9 @@ class _FrameHandle:
         return self._decision
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._decision.attrs.setdefault("error", exc_type.__name__)
-        stack = self._ledger._stack
-        while stack:
-            if stack.pop() is self._decision:
-                break
+        self._ledger.close_frame(
+            self._decision, exc_type.__name__ if exc_type is not None
+            else "")
 
 
 class DecisionLedger(NullDecisions):
@@ -251,10 +231,9 @@ class DecisionLedger(NullDecisions):
             raise KeyError(f"decision kind {kind!r} is not in "
                            f"DECISION_KINDS")
 
-    def decide(self, kind: str, subject: str, verdict: str = "",
-               evidence: Optional[Sequence[str]] = None,
-               **attrs: Any) -> Decision:
-        """Record one decision under the current frame."""
+    def _record(self, kind: str, subject: str, verdict: str,
+                evidence: Optional[Sequence[str]],
+                attrs: Dict[str, Any]) -> Decision:
         self._check(kind)
         span = self.tracer.current
         decision = Decision(
@@ -265,6 +244,13 @@ class DecisionLedger(NullDecisions):
             span=span.name if span is not None else "",
             attrs=dict(attrs))
         self.records.append(decision)
+        return decision
+
+    def decide(self, kind: str, subject: str, verdict: str = "",
+               evidence: Optional[Sequence[str]] = None,
+               **attrs: Any) -> Decision:
+        """Record one decision under the current frame."""
+        decision = self._record(kind, subject, verdict, evidence, attrs)
         for listener in self._listeners:
             listener.decision_recorded(decision)
         return decision
@@ -274,6 +260,25 @@ class DecisionLedger(NullDecisions):
         """Record a decision and make it the parent of nested decisions."""
         return _FrameHandle(self, self.decide(kind, subject, verdict,
                                               **attrs))
+
+    def open_frame(self, kind: str, subject: str,
+                   attrs: Dict[str, Any]) -> Decision:
+        """Record a frame decision as the current parent, for
+        ``ObsContext.frame``; listeners are not notified, since the
+        flight recorder records the region as frame events itself."""
+        decision = self._record(kind, subject, "", None, attrs)
+        self._stack.append(decision)
+        return decision
+
+    def close_frame(self, decision: Decision, error: str = "") -> None:
+        """Close ``decision``'s frame, ``error`` naming the exception
+        that left it (``attrs.error``)."""
+        if error:
+            decision.attrs.setdefault("error", error)
+        stack = self._stack
+        while stack:
+            if stack.pop() is decision:
+                break
 
     @property
     def current(self) -> Optional[Decision]:

@@ -99,13 +99,12 @@ class _SpanHandle:
         self._span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer._open(self._name, self._attrs)
+        self._span = self._tracer.open_span(self._name, self._attrs)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and self._span is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._close(self._span)
+        self._tracer.close_span(
+            self._span, exc_type.__name__ if exc_type is not None else "")
 
 
 class _NullSpanHandle:
@@ -184,7 +183,8 @@ class Tracer(NullTracer):
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
         return _SpanHandle(self, name, attrs)
 
-    def _open(self, name: str, attrs: Dict[str, Any]) -> Span:
+    def open_span(self, name: str, attrs: Dict[str, Any]) -> Span:
+        """Open a span under the innermost open one."""
         parent = self._stack[-1] if self._stack else None
         span = Span(name, time.perf_counter() - self._t0, parent, attrs)
         if parent is not None:
@@ -197,10 +197,14 @@ class Tracer(NullTracer):
                 listener.span_opened(span)
         return span
 
-    def _close(self, span: Optional[Span]) -> None:
+    def close_span(self, span: Optional[Span], error: str = "") -> None:
+        """Close ``span``, ``error`` naming the exception that left it
+        (``attrs.error``)."""
         end = time.perf_counter() - self._t0
         if span is None:
             return
+        if error:
+            span.attrs.setdefault("error", error)
         span.end = end
         # Tolerate mis-nested exits: pop up to and including the span.
         closed: List[Span] = []

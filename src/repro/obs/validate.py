@@ -361,7 +361,7 @@ ARTIFACT_ZOO = {artifact.name: artifact for artifact in (
                 "environment": {"version": ANY, "python": ANY, "pid": ANY,
                                 "argv": ANY},
                 "events": [{"kind": NON_EMPTY, "t": NON_NEGATIVE}],
-                "open_frames": list, "open_spans": list,
+                "open_frames": list,
                 "frame_seconds": dict, "dropped": COUNT,
                 "uptime_seconds": NUMBER}),
     Artifact(

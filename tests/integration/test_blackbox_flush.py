@@ -62,6 +62,17 @@ def _merge(netlist, paths, out, *extra, pre=()):
                 + list(extra))
 
 
+#: The global flags the recorder must flush the same forensics under,
+#: keyed by a short test id (none, explain, trace, both); a bare
+#: argument is a file name in the test's directory.
+FLAG_SETS = {
+    "nil": (),
+    "exp": ("--explain", "decisions.json"),
+    "trc": ("--trace", "trace.jsonl"),
+    "all": ("--trace", "trace.jsonl", "--explain", "decisions.json"),
+}
+
+
 def _assert_valid(path):
     assert path.is_file(), f"expected a flushed blackbox at {path}"
     assert validate_blackbox(path.read_text()) == []
@@ -78,18 +89,27 @@ class TestCleanRuns:
 
 
 class TestBudgetTrip:
-    def test_budget_trip_flushes_a_valid_blackbox(self, files, capsys):
+    @pytest.mark.parametrize("flags", FLAG_SETS.values(),
+                             ids=FLAG_SETS.keys())
+    def test_budget_trip_flushes_a_valid_blackbox(self, files, capsys,
+                                                  flags):
         tmp, netlist, paths = files
         out = tmp / "out"
+        pre = [flag if flag.startswith("--") else str(tmp / flag)
+               for flag in flags]
         code = _merge(netlist, paths, out,
-                      "--budget-seconds", "0.00000001")
+                      "--budget-seconds", "0.00000001", pre=pre)
         assert code == 2
         captured = capsys.readouterr()
         assert "wrote" in captured.err and "doctor" in captured.err
         payload = _assert_valid(out / "blackbox.json")
         assert payload["reason"]["kind"] == "budget"
         assert "budget" in payload["reason"]["detail"]
-        assert payload["failing_phase"]
+        assert payload["failing_phase"] == \
+            "merge.step step:clock_refinement"
+        assert payload["frame_seconds"]
+        assert not [e for e in payload["events"]
+                    if e["kind"].startswith("span.")]
 
     def test_doctor_names_the_failing_phase(self, files, capsys):
         tmp, netlist, paths = files
@@ -103,6 +123,12 @@ class TestBudgetTrip:
         assert "reason: budget" in report
         assert "failing phase:" in report
         assert "causal chain to failure:" in report
+        chain = report.split("causal chain to failure:\n")[1]
+        links = [line.split("-> ", 1)[1]
+                 for line in chain.split("\n\n")[0].splitlines()]
+        assert [link.split()[0] for link in links] == [
+            "[merge.group]", "[merge.mode]", "[merge.step]", "[budget]"]
+        assert links[2].startswith("[merge.step] step:clock_refinement")
 
     def test_doctor_json_mode_round_trips(self, files, capsys):
         tmp, netlist, paths = files

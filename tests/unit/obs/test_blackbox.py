@@ -8,15 +8,24 @@ from repro.obs.blackbox import (
     BLACKBOX_KIND,
     BLACKBOX_SCHEMA_VERSION,
     BlackboxRecorder,
-    FlightLedger,
     NullBlackbox,
     causal_chain,
     format_doctor_report,
     load_blackbox,
 )
-from repro.obs.context import current, observing
+from repro.core import merge_all
+from repro.obs.context import ObsContext, current, observing
+from repro.obs.explain import DecisionLedger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.obs.validate import validate_blackbox
+from repro.workloads import figure2_modes, generate
+
+
+def _recording(recorder):
+    """A context whose only layer is ``recorder``: what a CLI run with no
+    flags installs."""
+    return ObsContext.build(blackbox=recorder)
 
 
 class TestRing:
@@ -46,20 +55,12 @@ class TestRing:
         assert recorder.export()["state"]["checkpoint"] == {"groups": 5}
 
 
-class TestFlightLedger:
-    def test_ledger_stays_disabled(self):
-        recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
-        assert isinstance(ledger, FlightLedger)
-        assert ledger.enabled is False
-        # Guarded leaf sites never fire; decide must be a no-op.
-        assert ledger.decide("mergeability.pair", "a,b") is None
-
+class TestFrames:
     def test_frames_feed_the_ring_and_phase_timings(self):
         recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
-        with ledger.frame("run", "run:merge"):
-            with ledger.frame("merge.group", "group:a+b"):
+        obs = _recording(recorder)
+        with obs.frame("run", "run:merge"):
+            with obs.frame("merge.group", "group:a+b"):
                 pass
         kinds = [(e["kind"], e.get("frame")) for e in recorder._ring]
         assert kinds == [
@@ -75,33 +76,60 @@ class TestFlightLedger:
 
     def test_open_frame_is_the_failing_phase(self):
         recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
-        frame = ledger.frame("merge.step", "step:clock_refinement")
+        frame = _recording(recorder).frame("merge.step",
+                                           "step:clock_refinement")
         frame.__enter__()
         assert recorder.failing_phase() == \
             "merge.step step:clock_refinement"
 
     def test_frame_error_is_recorded_on_close(self):
         recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
         with pytest.raises(RuntimeError):
-            with ledger.frame("merge.group", "group:a+b"):
+            with _recording(recorder).frame("merge.group", "group:a+b"):
                 raise RuntimeError("boom")
         close = list(recorder._ring)[-1]
         assert close["kind"] == "frame.close"
         assert close["error"] == "RuntimeError"
 
+    def test_same_frames_under_every_layer_set(self):
+        """The tracer adds nothing to the ring and the ledger adds only
+        its leaf decisions: the frames are the same whatever is on."""
+        workload = generate(figure2_modes())
+
+        def ring(**layers):
+            recorder = BlackboxRecorder(capacity=100_000)
+            with observing(ObsContext.build(blackbox=recorder, **layers)):
+                merge_all(workload.netlist, workload.modes)
+            events = list(recorder._ring)
+            frames = [(e["kind"], e["frame"], e["subject"])
+                      for e in events if e["kind"].startswith("frame.")]
+            others = [e for e in events
+                      if not e["kind"].startswith("frame.")]
+            return frames, others
+
+        frames, others = ring()
+        assert frames and others == []
+        traced, traced_others = ring(tracer=Tracer())
+        assert traced == frames and traced_others == []
+        explained, leaves = ring(decisions=DecisionLedger())
+        assert explained == frames
+        frame_kinds = {kind for _, kind, _ in frames}
+        assert leaves
+        assert all(e["kind"] == "decision"
+                   and e["decision"] not in frame_kinds for e in leaves)
+
 
 class TestWorkerFolding:
     def test_merge_payload_tags_events_with_worker_pid(self):
         worker = BlackboxRecorder()
-        with worker.flight_ledger().frame("merge.group", "group:a+b"):
-            worker.record("exec.fault", detail="killed")
+        with _recording(worker).frame("merge.group", "group:a+b"):
+            worker.record("diagnostic", code="EXE006")
         parent = BlackboxRecorder()
         parent.merge_payload(worker.to_payload())
-        faults = [e for e in parent._ring if e["kind"] == "exec.fault"]
-        assert len(faults) == 1
-        assert faults[0]["worker"] == worker.to_payload()["pid"]
+        assert [e["kind"] for e in parent._ring] == [
+            "frame.open", "diagnostic", "frame.close"]
+        assert all(e["worker"] == worker.to_payload()["pid"]
+                   for e in parent._ring)
         # Frame timings accumulate across the fold.
         assert "merge.group" in parent.export()["frame_seconds"]
 
@@ -143,10 +171,10 @@ class TestExportAndFlush:
         # Exceptions unwind every frame before the flush; the innermost
         # errored close (recorded first) must still name the phase.
         recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
+        obs = _recording(recorder)
         with pytest.raises(ValueError):
-            with ledger.frame("run", "run:merge"):
-                with ledger.frame("merge.step", "step:graph"):
+            with obs.frame("run", "run:merge"):
+                with obs.frame("merge.step", "step:graph"):
                     raise ValueError("bad graph")
         assert recorder.export()["failing_phase"] == \
             "merge.step step:graph"
@@ -179,11 +207,9 @@ class TestExportAndFlush:
 class TestDoctorRendering:
     def _payload(self):
         recorder = BlackboxRecorder()
-        ledger = recorder.flight_ledger()
-        frame = ledger.frame("run", "run:merge")
-        frame.__enter__()
-        inner = ledger.frame("merge.group", "group:a+b")
-        inner.__enter__()
+        obs = _recording(recorder)
+        obs.frame("run", "run:merge").__enter__()
+        obs.frame("merge.group", "group:a+b").__enter__()
         recorder.record("diagnostic", code="EXE006",
                         message="worker died")
         return recorder.export(reason={"kind": "worker-fault",
@@ -194,6 +220,26 @@ class TestDoctorRendering:
         assert chain[0] == "[run] run:merge"
         assert chain[1] == "[merge.group] group:a+b"
         assert chain[-1] == "[worker-fault] EXE006"
+
+    def test_causal_chain_lists_each_unwind_outermost_first(self):
+        recorder = BlackboxRecorder()
+        obs = _recording(recorder)
+        for group in ("group:a+b", "group:c+d"):
+            with pytest.raises(ValueError):
+                with obs.frame("merge.group", group):
+                    with obs.frame("merge.mode", group):
+                        with obs.frame("merge.step", "step:graph"):
+                            raise ValueError("bad graph")
+        chain = causal_chain(recorder.export(reason={"kind": "crash"}))
+        assert chain == [
+            "[merge.group] group:a+b !ValueError",
+            "[merge.mode] group:a+b !ValueError",
+            "[merge.step] step:graph !ValueError",
+            "[merge.group] group:c+d !ValueError",
+            "[merge.mode] group:c+d !ValueError",
+            "[merge.step] step:graph !ValueError",
+            "[crash]",
+        ]
 
     def test_report_names_phase_chain_and_faults(self):
         report = format_doctor_report(self._payload())

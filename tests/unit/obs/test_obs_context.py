@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 import repro.obs
 from repro.obs import blackbox, explain, metrics, profile, trace
-from repro.obs.blackbox import BlackboxRecorder, FlightLedger, NullBlackbox
+from repro.obs.blackbox import BlackboxRecorder, NullBlackbox
 from repro.obs.context import ObsContext, current, observing
 from repro.obs.explain import DecisionLedger, NullDecisions
 from repro.obs.metrics import MetricsRegistry, NullMetrics
@@ -68,7 +70,7 @@ class TestObserving:
 class TestBuild:
     def test_listeners_are_wired_once(self):
         obs = _full_context()
-        assert obs.tracer._listeners == [obs.profiler, obs.blackbox]
+        assert obs.tracer._listeners == [obs.profiler]
         assert obs.decisions._listeners == [obs.blackbox]
         assert obs.decisions.tracer is obs.tracer
 
@@ -79,14 +81,59 @@ class TestBuild:
         assert decision.span == "merge"
         assert DecisionLedger().decide("merge.mode", "x").span == ""
 
-    def test_flight_ledger_stands_in_for_a_missing_ledger(self):
+    def test_frames_reach_the_ring_with_no_ledger(self):
         recorder = BlackboxRecorder()
         obs = ObsContext.build(blackbox=recorder)
-        assert isinstance(obs.decisions, FlightLedger)
-        with obs.decisions.frame("merge.group", "group:a+b"):
+        assert not obs.decisions.enabled
+        with obs.frame("merge.group", "group:a+b", span="group:a+b"):
             pass
         assert [e["kind"] for e in recorder._ring] == ["frame.open",
                                                        "frame.close"]
+
+
+class TestFrame:
+    def test_no_frame_layer_means_one_shared_no_op_handle(self):
+        obs = ObsContext.build(metrics=MetricsRegistry(),
+                               profiler=Profiler())
+        handle = obs.frame("run", "run:merge", span="run", command="merge")
+        assert handle is ObsContext().frame("merge.step", "step:x")
+        with handle as frame:
+            frame.span.annotate(constraints=1)
+            assert frame.decision is None
+
+    def test_one_region_opens_in_every_layer(self):
+        obs = _full_context()
+        with obs.frame("merge.group", "group:a+b", span="group:a+b",
+                       modes=["a", "b"]) as frame:
+            assert obs.tracer.current is frame.span
+            assert obs.decisions.current is frame.decision
+            obs.decisions.decide("merge.demotion", "group:a+b")
+        assert frame.span.name == "group:a+b"
+        assert frame.span.attrs == {"modes": ["a", "b"]}
+        assert frame.decision.kind == "merge.group"
+        assert frame.decision.span == "group:a+b"
+        assert frame.decision.attrs == {"modes": ["a", "b"]}
+        leaf = obs.decisions.by_kind("merge.demotion")[0]
+        assert leaf.parent is frame.decision
+        # The ring holds the frame once, as frame events, plus the leaf
+        # decision; no span event and no decision repeating the frame.
+        assert [(e["kind"], e.get("frame") or e.get("decision"))
+                for e in obs.blackbox._ring] == [
+            ("frame.open", "merge.group"),
+            ("decision", "merge.demotion"),
+            ("frame.close", "merge.group")]
+        assert obs.tracer.current is None and obs.decisions.current is None
+
+    def test_an_error_is_recorded_in_every_layer(self):
+        obs = _full_context()
+        with pytest.raises(ValueError):
+            with obs.frame("merge.step", "step:graph",
+                           span="step:graph") as frame:
+                raise ValueError("bad graph")
+        assert frame.span.attrs["error"] == "ValueError"
+        assert frame.decision.attrs["error"] == "ValueError"
+        assert list(obs.blackbox._ring)[-1]["error"] == "ValueError"
+        assert obs.blackbox.failing_phase() == ""
 
 
 class TestForWorker:
@@ -102,7 +149,7 @@ class TestForWorker:
         assert worker.metrics is not parent.metrics
         assert worker.metrics.enabled
         assert worker.blackbox is not parent.blackbox
-        assert isinstance(worker.decisions, FlightLedger)
+        assert not worker.decisions.enabled
         assert not worker.tracer.enabled and not worker.profiler.enabled
 
 
@@ -110,36 +157,37 @@ class TestFold:
     def _worker_payload(self, parent):
         worker = parent.for_worker()
         with observing(worker):
-            with worker.tracer.span("merge"):
+            with worker.frame("merge.group", "group:a+b", span="merge"):
                 worker.metrics.inc("merge.runs")
-                with worker.decisions.frame("merge.group", "group:a+b"):
-                    worker.decisions.decide("merge.mode", "group:a+b")
+                worker.decisions.decide("merge.mode", "group:a+b")
         return json.loads(json.dumps(worker.payload()))
 
     def test_records_land_under_the_current_span_and_frame(self):
         parent = _full_context()
         payload = self._worker_payload(parent)
         parent.metrics.inc("merge.runs")
-        with parent.tracer.span("merge_all") as span, \
-                parent.decisions.frame("run", "run:merge") as frame:
+        with parent.frame("run", "run:merge", span="merge_all") as frame:
             parent.fold(payload)
         assert parent.metrics.counter("merge.runs") == 2
-        assert [child.name for child in span.children] == ["merge"]
+        assert [child.name for child in frame.span.children] == ["merge"]
         group, mode = parent.decisions.by_kind("merge.group") \
             + parent.decisions.by_kind("merge.mode")
-        assert group.parent is frame and mode.parent is group
+        assert group.parent is frame.decision and mode.parent is group
         assert mode.span == "merge"
 
     def test_worker_events_reach_the_ring_once(self):
         parent = _full_context()
         payload = self._worker_payload(parent)
         parent.fold(payload)
-        folded = [e for e in parent.blackbox._ring
-                  if e.get("kind") == "decision"]
-        # One per worker decision, tagged with the worker's pid: the
-        # ledger graft does not echo them into the ring a second time.
-        assert len(folded) == 2
-        assert all("worker" in event for event in folded)
+        folded = [(e["kind"], e.get("frame") or e.get("decision"))
+                  for e in parent.blackbox._ring]
+        # The worker's frame and its leaf decision, each once and tagged
+        # with the worker's pid: the ledger graft does not echo the
+        # decision into the ring a second time.
+        assert folded == [("frame.open", "merge.group"),
+                          ("decision", "merge.mode"),
+                          ("frame.close", "merge.group")]
+        assert all("worker" in event for event in parent.blackbox._ring)
 
     def test_folding_nothing_is_a_no_op(self):
         parent = _full_context()
