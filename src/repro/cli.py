@@ -58,8 +58,10 @@ over the supervised execution engine (``repro.exec``): per-task
 deadlines, bounded retry, crash isolation, serial degradation — with
 results flushed in a deterministic order, so ``--jobs 4`` output is
 byte-identical to a serial run's, and its trace, metrics and decisions
-match a serial run's.  ``jobs`` must be >= 1 (a bad value is
-an input error: usage message, exit 2, no traceback).
+match a serial run's.  ``REPRO_CHAOS`` injects faults into those
+forked workers only; a ``--jobs 1`` run calls each task once.
+``jobs`` must be >= 1 (a bad value is an input error: usage message,
+exit 2, no traceback).
 
 ``--explain OUT.json`` records every pipeline decision (mergeability
 verdicts, case/exception merges, refinement stops, sign-off repairs)
@@ -79,13 +81,12 @@ tasks and the merged profile is deterministic.
 
 Every run also carries an always-on bounded flight recorder
 (``repro.obs.blackbox``) — no flag needed.  Clean exits discard it;
-abnormal exits (uncaught exceptions, budget trips, SIGTERM/SIGINT,
-worker crash demotions) atomically flush a schema-versioned
-``blackbox.json`` next to the merge output (override the target with
-``--blackbox PATH``/``$REPRO_BLACKBOX``, or disable with
-``--blackbox off``).  The ``doctor`` verb renders the forensic report
-— failing phase, causal event chain, last-known state — from any such
-artifact::
+abnormal exits (uncaught exceptions, budget trips, SIGTERM/SIGINT)
+atomically flush a schema-versioned ``blackbox.json`` next to the
+merge output (override the target with ``--blackbox PATH`` or
+``$REPRO_BLACKBOX``, or disable with ``--blackbox off``).  The
+``doctor`` verb renders the forensic report — failing phase, causal
+event chain, last-known state — from any such artifact::
 
     repro-merge doctor blackbox.json [--json]
 
@@ -271,16 +272,6 @@ def cmd_merge(args: argparse.Namespace, policy: DegradationPolicy,
             if outcome.result is None:
                 continue
             _print_provenance(outcome.result)
-    for diagnostic in collector:
-        if diagnostic.code == "EXE006":
-            # A worker task exhausted its retries (crash/hang/fault) and
-            # the group was demoted — infrastructure trouble, not an
-            # input problem, so mark the run for a flight-recorder
-            # flush on exit.
-            args._blackbox_reason = {
-                "kind": "worker-fault",
-                "detail": diagnostic.message[:240]}
-            break
     if failures:
         return 1
     # exit_code() centralizes the 0/1/2 contract; a completed-but-degraded
@@ -925,8 +916,7 @@ def main(argv=None) -> int:
             except (ValueError, OSError):  # pragma: no cover
                 pass
     if flush_reason is None:
-        # cmd_merge marks runs whose groups were demoted by worker
-        # crashes or other infrastructure faults.
+        # cmd_fuzz marks runs that found an invariant violation.
         flush_reason = getattr(args, "_blackbox_reason", None)
     if flush_reason is not None:
         _flush(flush_reason)

@@ -44,7 +44,7 @@ from repro.core.report import (
     format_merging_run,
     format_pass_table,
 )
-from repro.core.signoff import GuardedOutcome, SignoffGuard
+from repro.core.signoff import SignoffGuard
 from repro.core.steps import Conflict, MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
 from repro.core.three_pass import (
@@ -63,7 +63,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "EquivalenceReport",
     "GroupOutcome",
-    "GuardedOutcome",
     "MergeContext",
     "MergeOptions",
     "MergeResult",

@@ -305,11 +305,11 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
     ``jobs > 1`` distributes the O(#modes^2) pair checks over the
     supervised execution engine (the paper ran its engine on 4 cores):
     a hung, crashed, or corrupted pair check is retried and, as a last
-    resort, the pair is conservatively recorded non-mergeable with an
-    ``EXE`` diagnostic — a pool failure can no longer crash the scan.
-    Falls back to serial on platforms without ``fork``.  Results are
-    flushed in submission order, so the graph (and everything downstream)
-    is identical at any job count.
+    resort, rerun in-process (``EXE`` diagnostics); a pair whose check
+    raises is conservatively recorded non-mergeable — a failure can no
+    longer crash the scan.  Falls back to serial on platforms without
+    ``fork``.  Results are flushed in submission order, so the graph
+    (and everything downstream) is identical at any job count.
 
     ``cache`` (a :class:`~repro.cache.ResultCache`) memoizes per-pair
     verdicts by content fingerprint: pairs with a verified verdict are
@@ -593,12 +593,6 @@ def _group_payload_error(value) -> str:
     return f"malformed group-merge payload of type {type(value).__name__}"
 
 
-def _direct_payload_error(value) -> str:
-    if isinstance(value, list):
-        return ""
-    return f"malformed group-merge payload of type {type(value).__name__}"
-
-
 def run_merge_group(netlist: Netlist, by_name: Dict[str, Mode],
                     names: List[str], options: MergeOptions,
                     sink: DiagnosticCollector) -> List[GroupOutcome]:
@@ -664,10 +658,7 @@ class _RecoveryLadder:
         repaired = guard.repair_group(group_names, failed)
         if repaired is None:
             return False
-        for outcome in repaired:
-            self.outcomes.append(GroupOutcome(
-                outcome.mode_names, outcome.result, error=outcome.error,
-                repaired=outcome.repaired))
+        self.outcomes.extend(repaired)
         return True
 
     def merge_group(self, group_names: List[str]) -> None:
@@ -798,8 +789,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
     failure propagates (in-process with its original exception type,
     from a pooled worker as a
     :class:`~repro.errors.TaskFailedError`); under a recovery policy a
-    group whose task fails even after retries is demoted to individual
-    modes with ``EXE``/``MRG002`` diagnostics.
+    group whose task raises is demoted to individual modes with an
+    ``MRG002`` diagnostic.
     """
     opts = options or MergeOptions()
     policy = DegradationPolicy.coerce(opts.policy)
@@ -881,8 +872,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                     tracer.annotate(restored=True, cached=True)
 
         def demote(plan: dict, task_outcome) -> None:
-            """A group whose engine task failed even after retries:
-            demote it to individual modes instead of losing the run."""
+            """A group whose engine task failed: demote it to
+            individual modes instead of losing the run."""
             names = plan["names"]
             with obs.frame("merge.group", group_subject(names),
                            span=f"group:{'+'.join(names)}", modes=names):
@@ -977,15 +968,14 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                                          for o in outcomes],
                             "diagnostics": [d.to_dict() for d in
                                             worker_sink.diagnostics]}
-
-                validate = _group_payload_error
             else:
                 def task(names):
                     return run_merge_group(netlist, by_name, list(names),
                                            group_opts, sink)
-
-                validate = _direct_payload_error
-            supervisor.run(task, tasks, keys=keys, validate=validate,
+            # Only pooled payloads are validated: the serial task's list
+            # never crosses a pipe.
+            supervisor.run(task, tasks, keys=keys,
+                           validate=_group_payload_error,
                            label="merge.groups", on_result=on_result)
         flush()  # trailing restored groups
         if metrics.enabled:

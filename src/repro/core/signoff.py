@@ -29,12 +29,13 @@ namespace, and the whole loop is bounded by a re-merge attempt budget
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.equivalence import check_mode_equivalence
 from repro.core.exceptions_merge import uniquify_exception
 from repro.core.merger import MergeOptions, MergeResult, merge_modes
+from repro.core.mergeability import GroupOutcome
 from repro.diagnostics import DiagnosticCollector, Severity
 from repro.obs.context import current
 from repro.obs.explain import group_subject
@@ -46,17 +47,6 @@ from repro.sdc.writer import write_constraint
 
 class _AttemptsExhausted(Exception):
     """Internal: the guard's re-merge budget ran out mid-localization."""
-
-
-@dataclass
-class GuardedOutcome:
-    """One final outcome the guard hands back to ``merge_all``."""
-
-    mode_names: List[str]
-    result: Optional[MergeResult]
-    error: str = ""
-    #: True when this outcome exists because the guard changed something
-    repaired: bool = False
 
 
 class SignoffGuard:
@@ -245,7 +235,7 @@ class SignoffGuard:
 
     def _repair_constraints(self, names: List[str], mode_name: str,
                             culprits: List[Constraint]
-                            ) -> Optional[List[GuardedOutcome]]:
+                            ) -> Optional[List[GroupOutcome]]:
         texts = "; ".join(write_constraint(c) for c in culprits)
         lineage = self._lineage_details(mode_name, culprits)
         uniquified = self._uniquify_variant(mode_name, culprits)
@@ -260,7 +250,7 @@ class SignoffGuard:
                     severity=Severity.WARNING, source=mode_name,
                     details=dict(lineage, repair="uniquified"))
                 current().metrics.inc("signoff.repairs")
-                return [GuardedOutcome(list(names), result, repaired=True)]
+                return [GroupOutcome(list(names), result, repaired=True)]
         dropped = self._removal_variant(self.by_name[mode_name], culprits)
         result = self._try_repaired_merge(names, mode_name, dropped)
         if result is not None:
@@ -272,11 +262,11 @@ class SignoffGuard:
                 severity=Severity.WARNING, source=mode_name,
                 details=dict(lineage, repair="dropped"))
             current().metrics.inc("signoff.repairs")
-            return [GuardedOutcome(list(names), result, repaired=True)]
+            return [GroupOutcome(list(names), result, repaired=True)]
         return None
 
     def _demote(self, names: List[str], subset: List[str]
-                ) -> Optional[List[GuardedOutcome]]:
+                ) -> Optional[List[GroupOutcome]]:
         """Last resort: pull one culprit mode out of the group."""
         for culprit in subset:
             survivors = [n for n in names if n != culprit]
@@ -296,12 +286,12 @@ class SignoffGuard:
                 details=self._lineage_details(culprit, []))
             current().metrics.inc("signoff.demotions")
             single = self._merge([self.by_name[culprit]], name=culprit)
-            outcomes = [GuardedOutcome(survivors, result, repaired=True)]
+            outcomes = [GroupOutcome(survivors, result, repaired=True)]
             if single is not None:
-                outcomes.append(GuardedOutcome([culprit], single,
-                                               repaired=True))
+                outcomes.append(GroupOutcome([culprit], single,
+                                             repaired=True))
             else:
-                outcomes.append(GuardedOutcome(
+                outcomes.append(GroupOutcome(
                     [culprit], None,
                     error="demoted by sign-off guard; individual merge "
                           "failed", repaired=True))
@@ -312,7 +302,7 @@ class SignoffGuard:
     # entry point
     # ------------------------------------------------------------------
     def repair_group(self, names: List[str], failed: MergeResult
-                     ) -> Optional[List[GuardedOutcome]]:
+                     ) -> Optional[List[GroupOutcome]]:
         """Localize and repair one failing group.
 
         Returns the final outcomes for every mode of ``names``, or None

@@ -56,7 +56,7 @@ break across releases:
 ``EXE003``   a task returned a corrupted payload (rejected and retried)
 ``EXE004``   pooled attempts exhausted; task re-run serially in-process
 ``EXE005``   the worker pool degraded to serial in-process execution
-``EXE006``   a supervised task failed after all retry attempts (demoted)
+``EXE006``   a pooled task body raised under --policy strict (TaskFailedError)
 ``EXE007``   deterministic chaos injection is active for this run
 ``EXE008``   retired with the batch merge service (stop request); never reuse
 ``EXE009``   the REPRO_CHAOS spec is malformed (unknown kind / bad clause)
@@ -241,8 +241,8 @@ _CODE_HINTS = {
               "longer",
     "EXE005": "the run continues serially; results are unaffected, only "
               "slower",
-    "EXE006": "the failed task's work unit is demoted, not lost; see the "
-              "accompanying MRG002 diagnostics",
+    "EXE006": "the task body raised in a forked worker; rerun with "
+              "--jobs 1 to see the error with its original type",
     "EXE007": "unset REPRO_CHAOS to disable fault injection",
     "EXE009": "fix the REPRO_CHAOS spec: kind@key-glob@attempt[@seconds] "
               "or seed:<int>[:<rate>], ';'-separated",

@@ -3,12 +3,14 @@
 Robustness claims are only as good as the faults they were tested
 against.  This module injects the three infrastructure faults the
 :class:`~repro.exec.supervisor.Supervisor` must contain — a worker
-**crash** (SIGKILL / in-process :class:`ChaosCrashError`), a **hang**
-(sleeping past the task deadline so the supervisor has to kill the
-worker), and a **corrupt** payload (a :class:`CorruptPayload` sentinel
-returned instead of the task's real result) — at *deterministically
-chosen* (task key, attempt) points, so a chaos run is reproducible
-bit-for-bit and CI can pin seeds.
+**crash** (the worker SIGKILLs itself), a **hang** (sleeping past the
+task deadline so the supervisor has to kill the worker), and a
+**corrupt** payload (a :class:`CorruptPayload` sentinel returned
+instead of the task's real result) — at *deterministically chosen*
+(task key, attempt) points, so a chaos run is reproducible bit-for-bit
+and CI can pin seeds.  These are faults only a forked worker can have,
+so chaos strikes pooled attempts only: a serial batch, and every
+in-process call of a pooled one, runs exactly as without a plan.
 
 Two ways to build a plan:
 
@@ -29,10 +31,11 @@ Two ways to build a plan:
   run executes, never *what* it produces.
 
 The ambient plan comes from the ``REPRO_CHAOS`` environment variable
-(read by :meth:`ChaosPlan.from_env`); the supervisor picks it up
-automatically so ``REPRO_CHAOS="seed:11:0.3" repro-merge merge ...``
-chaos-tests the real CLI.  An explicit ``SupervisorConfig(chaos=...)``
-always wins over the environment.
+(read by :meth:`ChaosPlan.from_env`); the supervisor picks it up for
+every pooled batch, so ``REPRO_CHAOS="seed:11:0.3" repro-merge --jobs 2
+merge ...`` chaos-tests the real CLI.  An explicit
+``SupervisorConfig(chaos=...)`` always wins over the environment, and
+an empty ``ChaosPlan()`` runs a batch fault-free.
 """
 
 from __future__ import annotations
@@ -67,15 +70,6 @@ CHAOS_ENV = "REPRO_CHAOS"
 #: Seeded faults never fire past this attempt, so a seeded plan can
 #: always be outrun by an engine with more attempts than this.
 SEEDED_MAX_ATTEMPT = 2
-
-
-class ChaosCrashError(RuntimeError):
-    """Simulated worker crash for in-process execution.
-
-    Pooled workers crash for real (``SIGKILL`` on themselves); the
-    serial path raises this instead so the supervisor can treat it as
-    the same retryable crash fault without losing its own process.
-    """
 
 
 class CorruptPayload:
@@ -241,15 +235,13 @@ class ChaosPlan:
 
     # -- injection ------------------------------------------------------
     def strike(self, key: str, attempt: int,
-               deadline: Optional[float] = None,
-               in_process: bool = False) -> Optional[CorruptPayload]:
-        """Apply any scheduled fault before the task body runs.
+               deadline: Optional[float] = None) -> Optional[CorruptPayload]:
+        """Apply any scheduled fault in a pooled worker, before the task
+        body runs.
 
-        * ``crash`` — SIGKILL the worker process, or raise
-          :class:`ChaosCrashError` when ``in_process``;
-        * ``hang`` — sleep (pooled: past the deadline so the supervisor
-          must kill the worker; in-process: a bounded nuisance delay,
-          since nothing can preempt the caller's own process);
+        * ``crash`` — SIGKILL the worker process;
+        * ``hang`` — sleep past the deadline so the supervisor must kill
+          the worker;
         * ``corrupt`` — return a :class:`CorruptPayload` the caller
           must use *instead of* running the task body.
 
@@ -263,25 +255,17 @@ class ChaosPlan:
             # strike points; to the execution engine they are inert.
             return None
         current().blackbox.record("chaos", fault=fault.kind, key=key,
-                                  attempt=attempt, in_process=in_process)
+                                  attempt=attempt)
         if fault.kind == "crash":
-            if in_process:
-                raise ChaosCrashError(
-                    f"chaos: simulated crash of {key!r} attempt {attempt}")
             os.kill(os.getpid(), signal.SIGKILL)
             raise AssertionError("unreachable")  # pragma: no cover
         if fault.kind == "hang":
-            time.sleep(self._hang_seconds(fault, deadline, in_process))
+            time.sleep(self._hang_seconds(fault, deadline))
             return None
         return CorruptPayload(key, attempt)
 
     @staticmethod
-    def _hang_seconds(fault: ChaosFault, deadline: Optional[float],
-                      in_process: bool) -> float:
-        if in_process:
-            # Nothing can preempt our own process: keep the nuisance
-            # delay bounded so a chaos run can never hang the caller.
-            return min(fault.seconds or 0.25, 0.5)
+    def _hang_seconds(fault: ChaosFault, deadline: Optional[float]) -> float:
         if fault.seconds:
             return fault.seconds
         # Sleep comfortably past the deadline so the supervisor's kill

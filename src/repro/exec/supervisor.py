@@ -18,14 +18,21 @@ with:
 * **bounded retry** with exponential backoff plus deterministic jitter
   (hash-derived, so reruns schedule identically);
 * **last-resort in-process rerun** — a task that exhausts its pooled
-  attempts runs once more serially in the supervisor's own process,
-  where no pool pathology can touch it (``EXE004``);
+  attempts is called once more in the supervisor's own process, where
+  no pool pathology can touch it (``EXE004``);
 * **graceful degradation** — too many crashes, a failed fork, or a
   platform without the ``fork`` start method degrade the whole batch to
   serial in-process execution instead of failing it (``EXE005``);
 * **deterministic result ordering** — outcomes are emitted strictly in
   submission order regardless of completion order, so a parallel run is
   byte-identical to a serial one.
+
+Only a forked worker can crash, hang past a deadline or corrupt its
+payload on the pipe, so only pooled attempts are supervised: chaos
+strikes them, their payloads are validated and they are retried.  Every
+in-process execution — a serial batch (``jobs=1``), the leftovers of a
+degraded batch and the ``EXE004`` rerun — is one plain call of the task
+body.
 
 Every event is wired into the observability stack: ``EXE`` diagnostics,
 ``exec.*`` metrics, ``exec:task``/``exec:retry`` trace spans, and
@@ -38,9 +45,9 @@ observability across the fork: a pooled attempt records into
 :meth:`~repro.obs.context.ObsContext.for_worker` collectors and ships
 their payload beside its value, and the parent folds the accepted
 attempt's payload into its context, in submission order, just before
-``on_result``.  A parallel run's spans, metrics, decisions, profile and
-flight-recorder events are therefore those of a serial run, and a
-rejected attempt's never count.
+the task's ``exec:task`` span and ``on_result``.  A parallel run's
+spans, metrics, decisions, profile and flight-recorder events are
+therefore those of a serial run, and a rejected attempt's never count.
 
 Error semantics: only *infrastructure* faults (timeout, crash, corrupt
 payload) are retried.  An ordinary exception raised by the task body is
@@ -48,7 +55,7 @@ deterministic — retrying it wastes the budget — so it fails the task
 immediately: with ``propagate_errors`` the exception propagates to the
 caller (in-process with its original type, from a pooled worker as a
 :class:`~repro.errors.TaskFailedError`), otherwise the task's outcome
-carries the error and an ``EXE006`` demotion diagnostic.
+carries the error and the caller applies its own fallback.
 """
 
 from __future__ import annotations
@@ -60,11 +67,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import DiagnosticCollector, Severity
 from repro.errors import TaskFailedError
-from repro.exec.chaos import ChaosCrashError, ChaosPlan, CorruptPayload
+from repro.exec.chaos import ChaosPlan, CorruptPayload
 from repro.obs.context import current, observing
 
-#: Attempts per task, counting the first (infra faults only).  A task
-#: that exhausts them in the pool gets one more, in-process (``EXE004``).
+#: Pooled attempts per task, counting the first (infra faults only).  A
+#: task that exhausts them gets one more, in-process (``EXE004``).
 MAX_ATTEMPTS = 3
 #: Base and ceiling (seconds) of the exponential backoff between attempts.
 BACKOFF_BASE = 0.05
@@ -77,28 +84,18 @@ POLL_INTERVAL = 0.05
 class SupervisorConfig:
     """Tunables of one supervised batch."""
 
-    #: worker processes; 1 = serial in-process (still supervised:
-    #: chaos, validation and retry apply on every path)
+    #: worker processes; 1 = serial in-process, one plain call per task
     jobs: int = 1
     #: wall-clock seconds one pooled attempt may run before its worker
     #: is killed and the task requeued (None = no deadline; in-process
     #: execution is never preempted — the in-merge watchdog governs it)
     deadline_seconds: Optional[float] = None
-    #: explicit chaos plan; None consults ``REPRO_CHAOS`` (see
-    #: ``use_env_chaos``)
+    #: the chaos plan pooled workers run under; None reads
+    #: ``REPRO_CHAOS``, and an empty ``ChaosPlan()`` runs them fault-free
     chaos: Optional[ChaosPlan] = None
-    #: with chaos=None, read the ambient plan from ``REPRO_CHAOS``
-    use_env_chaos: bool = True
     #: re-raise task-body exceptions (in-process: original type; pooled:
-    #: TaskFailedError) instead of demoting the task
+    #: TaskFailedError) instead of finishing the task failed
     propagate_errors: bool = False
-
-    def resolved_chaos(self) -> Optional[ChaosPlan]:
-        if self.chaos is not None:
-            return self.chaos
-        if self.use_env_chaos:
-            return ChaosPlan.from_env()
-        return None
 
 
 @dataclass
@@ -120,7 +117,8 @@ class TaskOutcome:
 
 class _TaskState:
     __slots__ = ("index", "key", "args", "attempt", "faults", "not_before",
-                 "deadline", "deadline_at", "first_start")
+                 "deadline", "deadline_at", "first_start", "seconds",
+                 "payload")
 
     def __init__(self, index: int, key: str, args: tuple):
         self.index = index
@@ -132,6 +130,11 @@ class _TaskState:
         self.deadline: Optional[float] = None
         self.deadline_at: Optional[float] = None
         self.first_start: Optional[float] = None
+        #: wall clock from the first attempt's start to the finish
+        self.seconds = 0.0
+        #: observability payload of the accepted pooled attempt, folded
+        #: into the current context when the outcome is flushed
+        self.payload: Optional[dict] = None
 
 
 class _Worker:
@@ -243,10 +246,10 @@ class Supervisor:
 
         ``keys`` are the stable per-task identities chaos schedules and
         diagnostics refer to (default ``label:i``).  ``validate`` maps a
-        task's return value to an error string ("" = valid); rejected
-        payloads are retried like crashes.  ``on_result`` is invoked
-        once per task, strictly in submission order, as soon as the
-        ordered prefix completes — this is what keeps parallel output
+        pooled attempt's return value to an error string ("" = valid);
+        rejected payloads are retried like crashes.  ``on_result`` is
+        invoked once per task, strictly in submission order, as soon as
+        the ordered prefix completes — this is what keeps parallel output
         deterministic.  Workers inherit ``fn`` through the fork, so a
         closure over the batch's shared inputs needs no pickling.
         """
@@ -260,90 +263,52 @@ class Supervisor:
         self._validate = validate
         self._on_result = on_result
         self._label = label
-        self._chaos = self.config.resolved_chaos()
         self._outcomes: List[Optional[TaskOutcome]] = [None] * n
-        #: observability payload of each pooled task's final attempt,
-        #: folded into the current context when its outcome is flushed
-        self._payloads: List[Optional[dict]] = [None] * n
+        self._states = [_TaskState(i, key_list[i], tasks[i])
+                        for i in range(n)]
         self._cursor = 0
         if n == 0:
             return []
         current().metrics.inc("exec.tasks", n)
-        if self._chaos is not None:
-            self.collector.report(
-                "EXE007",
-                f"deterministic chaos injection active for batch "
-                f"{label!r} ({self._chaos.to_spec()})",
-                severity=Severity.INFO, source=label)
-        states = [_TaskState(i, key_list[i], tasks[i]) for i in range(n)]
         jobs = max(1, self.config.jobs)
         ctx = _fork_context() if jobs > 1 else None
         if jobs > 1 and ctx is None:
             self._note_degrade("the 'fork' start method is unavailable "
                                "on this platform")
-        if ctx is not None and jobs > 1:
-            self._run_pooled(ctx, states, jobs)
+        if ctx is not None:
+            self._run_pooled(ctx, jobs)
         else:
-            self._run_serial(states)
+            for st in self._states:
+                self._call(st)
         return [o for o in self._outcomes if o is not None]
 
     # ------------------------------------------------------------------
-    # serial / in-process execution
+    # in-process execution
     # ------------------------------------------------------------------
-    def _run_serial(self, states: List["_TaskState"]) -> None:
-        for st in states:
-            if self._outcomes[st.index] is None:
-                self._run_task_in_process(st)
+    def _call(self, st: "_TaskState") -> None:
+        """Call the task body once in this process and finish the task.
 
-    def _attempt_in_process(self, st: "_TaskState"
-                            ) -> Optional[Tuple[str, str]]:
-        """One in-process attempt; returns an infra fault or None.
-
-        Task-body exceptions either propagate (``propagate_errors``) or
-        finish the task failed; neither is an infra fault.
+        A plain call cannot crash a worker, hang past a deadline or
+        corrupt a pipe, so there is no chaos, validation or retry.  A
+        body exception propagates under ``propagate_errors`` and
+        otherwise finishes the task failed.
         """
         st.attempt += 1
         if st.first_start is None:
             st.first_start = time.perf_counter()
         try:
-            corrupted = self._chaos.strike(
-                st.key, st.attempt, self.config.deadline_seconds,
-                in_process=True) if self._chaos is not None else None
-        except ChaosCrashError as exc:
-            return ("crash", str(exc))
-        if corrupted is not None:
-            value = corrupted
-        else:
-            try:
-                value = self._fn(*st.args)
-            except Exception as exc:
-                if self.config.propagate_errors:
-                    raise
-                self._finish(st, ok=False,
-                             error=f"{type(exc).__name__}: {exc}",
-                             in_process=True)
-                return None
-        reason = self._invalid_reason(value)
-        if reason:
-            return ("corrupt", reason)
+            value = self._fn(*st.args)
+        except Exception as exc:
+            if self.config.propagate_errors:
+                raise
+            self._finish(st, ok=False, error=f"{type(exc).__name__}: {exc}",
+                         in_process=True)
+            return
         self._finish(st, ok=True, value=value, in_process=True)
-        return None
-
-    def _run_task_in_process(self, st: "_TaskState") -> None:
-        """Serial execution of one task with the full retry ladder."""
-        while True:
-            fault = self._attempt_in_process(st)
-            if fault is None:
-                return
-            if st.attempt >= MAX_ATTEMPTS:
-                self._fail(st, fault, in_process=True)
-                return
-            self._record_fault(st, fault)
-            time.sleep(self._backoff(st.key, st.attempt))
 
     def _final_in_process(self, st: "_TaskState",
                           last_fault: Tuple[str, str]) -> None:
-        """Last resort: one serial rerun after pooled attempts ran out."""
+        """Last resort: one plain call after pooled attempts ran out."""
         self.collector.report(
             "EXE004",
             f"task {st.key!r} exhausted its {st.attempt} pooled "
@@ -351,22 +316,27 @@ class Supervisor:
             severity=Severity.INFO, source=st.key)
         current().metrics.inc("exec.in_process_reruns")
         self._record_fault(st, last_fault)
-        fault = self._attempt_in_process(st)
-        if fault is not None:
-            self._fail(st, fault, in_process=True)
+        self._call(st)
 
     # ------------------------------------------------------------------
     # pooled execution
     # ------------------------------------------------------------------
-    def _run_pooled(self, ctx, states: List["_TaskState"],
-                    jobs: int) -> None:
+    def _run_pooled(self, ctx, jobs: int) -> None:
         from collections import deque
         from multiprocessing import connection as mpc
 
-        chaos_spec = self._chaos.to_spec() if self._chaos else ""
+        chaos = self.config.chaos if self.config.chaos is not None \
+            else ChaosPlan.from_env()
+        chaos_spec = chaos.to_spec() if chaos is not None else ""
+        if chaos_spec:
+            self.collector.report(
+                "EXE007",
+                f"deterministic chaos injection active for batch "
+                f"{self._label!r} ({chaos_spec})",
+                severity=Severity.INFO, source=self._label)
         max_crashes = 2 * jobs + 2
         crashes = 0
-        queue = deque(states)
+        queue = deque(self._states)
         inflight: dict = {}
         idle: List[_Worker] = []
         workers: List[_Worker] = []
@@ -417,7 +387,7 @@ class Supervisor:
                 self._final_in_process(st, fault)
 
         try:
-            for _ in range(min(jobs, len(states))):
+            for _ in range(min(jobs, len(self._states))):
                 if spawn() is None:
                     break
             if not workers:
@@ -547,12 +517,11 @@ class Supervisor:
             raise pending_error
         if degrade_reason:
             self._note_degrade(degrade_reason)
-            leftovers = sorted(
-                list(queue) + list(inflight.values()),
-                key=lambda s: s.index)
-            for st in leftovers:
-                if self._outcomes[st.index] is None:
-                    self._run_task_in_process(st)
+            # The queued and in-flight tasks are exactly the unfinished
+            # ones.
+            for st in sorted(list(queue) + list(inflight.values()),
+                             key=lambda s: s.index):
+                self._call(st)
 
     # ------------------------------------------------------------------
     # shared bookkeeping
@@ -599,22 +568,6 @@ class Supervisor:
                                  attempt=st.attempt):
                 pass
 
-    def _fail(self, st: "_TaskState", fault: Tuple[str, str],
-              in_process: bool = False) -> None:
-        """Attempts exhausted: clean EXE006-coded demotion."""
-        kind, detail = fault
-        st.faults.append((kind, detail))
-        self.collector.report(
-            "EXE006",
-            f"task {st.key!r} failed after {st.attempt} attempt(s); "
-            f"last fault: {kind} ({detail})",
-            severity=Severity.WARNING, source=st.key,
-            details={"attempts": st.attempt, "fault": kind})
-        self._finish(st, ok=False,
-                     error=f"failed after {st.attempt} attempt(s); "
-                           f"last fault: {kind} ({detail})",
-                     in_process=in_process)
-
     def _note_degrade(self, reason: str) -> None:
         obs = current()
         obs.metrics.inc("exec.degraded")
@@ -630,16 +583,15 @@ class Supervisor:
     def _finish(self, st: "_TaskState", ok: bool, value: Any = None,
                 error: str = "", in_process: bool = False,
                 payload: Optional[dict] = None) -> None:
-        outcome = TaskOutcome(
+        self._outcomes[st.index] = TaskOutcome(
             key=st.key, index=st.index, ok=ok, value=value, error=error,
             attempts=st.attempt, faults=list(st.faults),
             in_process=in_process)
-        self._outcomes[st.index] = outcome
-        self._payloads[st.index] = payload
+        st.payload = payload
         obs = current()
-        elapsed = time.perf_counter() - st.first_start \
+        st.seconds = time.perf_counter() - st.first_start \
             if st.first_start is not None else 0.0
-        obs.metrics.observe("exec.task_seconds", elapsed)
+        obs.metrics.observe("exec.task_seconds", st.seconds)
         if not ok:
             obs.metrics.inc("exec.task_failures")
         # Clean tasks record nothing: a fault-free parallel run keeps
@@ -651,17 +603,20 @@ class Supervisor:
                 evidence=[f"{kind}: {detail}"
                           for kind, detail in st.faults] or [error],
                 attempts=st.attempt, in_process=in_process)
-        if obs.tracer.enabled:
-            with obs.tracer.span("exec:task", key=st.key, ok=ok,
-                                 attempts=st.attempt, seconds=round(
-                                     elapsed, 6)):
-                pass
+        # Flush the finished prefix in submission order: each task's
+        # records, then its span, then its outcome.
         while self._cursor < len(self._outcomes) \
                 and self._outcomes[self._cursor] is not None:
             done = self._outcomes[self._cursor]
-            obs.fold(self._payloads[self._cursor])
-            self._payloads[self._cursor] = None
+            flushed = self._states[self._cursor]
             self._cursor += 1
+            obs.fold(flushed.payload)
+            flushed.payload = None
+            if obs.tracer.enabled:
+                with obs.tracer.span("exec:task", key=done.key, ok=done.ok,
+                                     attempts=done.attempts,
+                                     seconds=round(flushed.seconds, 6)):
+                    pass
             if self._on_result is not None:
                 self._on_result(done)
 

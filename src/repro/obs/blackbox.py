@@ -13,10 +13,12 @@ run with no flags, fed by
   frames at O(groups) cost whatever else is enabled;
 * **diagnostics** (the :class:`~repro.diagnostics.DiagnosticCollector`
   bridge mirrors every structured finding into the ring);
-* leaf **decisions** mirrored from a real ledger when one is installed
-  (the recorder attaches via ``DecisionLedger.add_listener``);
 * explicit chokepoint events: watchdog budget trips, chaos strikes,
   cache state notes.
+
+The ring never depends on which other layers are on: the decision
+ledger's leaf decisions stay in ``decisions.json``, so ``--explain``
+cannot crowd frames out of the ring.
 
 On abnormal exit the ring is flushed atomically
 (:func:`repro.durable.write_atomic`) as a schema-versioned
@@ -60,10 +62,6 @@ BLACKBOX_KIND = "repro-blackbox"
 #: small enough that the resident cost is a few hundred small dicts.
 DEFAULT_CAPACITY = 512
 
-#: Evidence/detail strings are clipped so one pathological message
-#: cannot blow the bounded-memory promise.
-_MAX_TEXT = 240
-
 
 def environment_fingerprint() -> Dict[str, Any]:
     """Enough environment to reproduce: interpreter, platform, argv."""
@@ -82,13 +80,6 @@ def environment_fingerprint() -> Dict[str, Any]:
     }
 
 
-def _clip(text: str) -> str:
-    text = str(text)
-    if len(text) > _MAX_TEXT:
-        return text[:_MAX_TEXT - 3] + "..."
-    return text
-
-
 class NullBlackbox:
     """The disabled recorder: every operation is a no-op."""
 
@@ -98,10 +89,6 @@ class NullBlackbox:
         return None
 
     def note_state(self, key: str, value: Any) -> None:
-        return None
-
-    # ledger-listener protocol
-    def decision_recorded(self, decision) -> None:
         return None
 
     def to_payload(self) -> Optional[dict]:
@@ -205,16 +192,6 @@ class BlackboxRecorder(NullBlackbox):
         if error:
             event["error"] = error
         self._ring.append(event)
-
-    # -- ledger-listener protocol ---------------------------------------
-    def decision_recorded(self, decision) -> None:
-        event: Dict[str, Any] = {"decision": decision.kind,
-                                 "subject": decision.subject}
-        if decision.verdict:
-            event["verdict"] = decision.verdict
-        if decision.evidence:
-            event["evidence"] = _clip(decision.evidence[0])
-        self.record("decision", **event)
 
     # -- worker folding -------------------------------------------------
     def to_payload(self) -> dict:
@@ -418,30 +395,20 @@ def format_doctor_report(payload: dict) -> str:
                                     key=lambda kv: -kv[1]):
             lines.append(f"  {kind:<24} {seconds:.4f}s")
     events = payload.get("events", [])
-    decisions = [e for e in events if e.get("kind") in ("decision",
-                                                        "frame.open",
-                                                        "frame.close")]
-    if decisions:
+    frames = [e for e in events if e.get("kind") in ("frame.open",
+                                                     "frame.close")]
+    if frames:
         lines.append("")
-        lines.append(f"last decisions ({len(decisions)} in the ring):")
-        for event in decisions[-12:]:
-            if event.get("kind") == "decision":
-                text = (f"[{event.get('decision')}] "
-                        f"{event.get('subject', '')}")
-                if event.get("verdict"):
-                    text += f" -> {event['verdict']}"
-                if event.get("evidence"):
-                    text += f"  ({event['evidence']})"
-            else:
-                marker = "open" if event["kind"] == "frame.open" \
-                    else "close"
-                text = (f"[{event.get('frame')}] "
-                        f"{event.get('subject', '')} ({marker}"
-                        + (f", {event['seconds']:.4f}s"
-                           if "seconds" in event else "")
-                        + (f", error={event['error']}"
-                           if event.get("error") else "") + ")")
-            lines.append("  " + text)
+        lines.append(f"last frames ({len(frames)} in the ring):")
+        for event in frames[-12:]:
+            marker = "open" if event["kind"] == "frame.open" else "close"
+            lines.append(
+                f"  [{event.get('frame')}] {event.get('subject', '')} "
+                f"({marker}"
+                + (f", {event['seconds']:.4f}s" if "seconds" in event
+                   else "")
+                + (f", error={event['error']}" if event.get("error")
+                   else "") + ")")
     notable = [e for e in events
                if e.get("kind") in ("diagnostic", "chaos", "watchdog",
                                     "signal")]

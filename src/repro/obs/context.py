@@ -84,18 +84,15 @@ class ObsContext:
               blackbox: Optional[BlackboxRecorder] = None) -> "ObsContext":
         """A context of the given layers (None = off), wired together.
 
-        The profiler listens on the tracer, and the recorder on the
-        ledger's leaf decisions.  The ledger names each decision after
-        the tracer's innermost open span.  Frames reach the recorder
-        through :meth:`frame`, whatever else is enabled.
+        The profiler listens on the tracer, and the ledger names each
+        decision after the tracer's innermost open span.  The recorder
+        hears from no other layer: frames reach it through
+        :meth:`frame`, so its ring is the same whatever else is enabled.
         """
         if tracer is not None and profiler is not None:
             tracer.add_listener(profiler)
-        if decisions is not None:
-            if tracer is not None:
-                decisions.tracer = tracer
-            if blackbox is not None:
-                decisions.add_listener(blackbox)
+        if tracer is not None and decisions is not None:
+            decisions.tracer = tracer
         layers = dict(tracer=tracer, metrics=metrics, decisions=decisions,
                       profiler=profiler, blackbox=blackbox)
         return cls(**{name: layer for name, layer in layers.items()
@@ -159,8 +156,8 @@ class ObsContext:
 
         Spans attach under the current span and decisions under the
         current frame; counters, profile rows and ring events add up.
-        Listeners are not notified again: the worker's own profiler and
-        recorder already saw its spans and decisions.
+        The profiler is not notified again: the worker's own profiler
+        already saw its spans.
         """
         if not payload:
             return

@@ -207,20 +207,9 @@ class DecisionLedger(NullDecisions):
         self.strict_kinds = strict_kinds
         self.records: List[Decision] = []
         self._stack: List[Decision] = []
-        self._listeners: List[Any] = []
         #: the tracer whose innermost open span names each decision
         #: (wired by ``ObsContext.build``; a null tracer names none)
         self.tracer: NullTracer = NullTracer()
-
-    def add_listener(self, listener: Any) -> None:
-        """Register an observer notified of every recorded decision.
-
-        Mirrors ``Tracer.add_listener``: ``listener.decision_recorded``
-        is called once per :meth:`decide`.  The flight recorder
-        (:mod:`repro.obs.blackbox`) uses this to keep the last N
-        decisions in its ring.
-        """
-        self._listeners.append(listener)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -231,9 +220,10 @@ class DecisionLedger(NullDecisions):
             raise KeyError(f"decision kind {kind!r} is not in "
                            f"DECISION_KINDS")
 
-    def _record(self, kind: str, subject: str, verdict: str,
-                evidence: Optional[Sequence[str]],
-                attrs: Dict[str, Any]) -> Decision:
+    def decide(self, kind: str, subject: str, verdict: str = "",
+               evidence: Optional[Sequence[str]] = None,
+               **attrs: Any) -> Decision:
+        """Record one decision under the current frame."""
         self._check(kind)
         span = self.tracer.current
         decision = Decision(
@@ -242,17 +232,8 @@ class DecisionLedger(NullDecisions):
             parent=self._stack[-1] if self._stack else None,
             id=len(self.records),
             span=span.name if span is not None else "",
-            attrs=dict(attrs))
+            attrs=attrs)
         self.records.append(decision)
-        return decision
-
-    def decide(self, kind: str, subject: str, verdict: str = "",
-               evidence: Optional[Sequence[str]] = None,
-               **attrs: Any) -> Decision:
-        """Record one decision under the current frame."""
-        decision = self._record(kind, subject, verdict, evidence, attrs)
-        for listener in self._listeners:
-            listener.decision_recorded(decision)
         return decision
 
     def frame(self, kind: str, subject: str, verdict: str = "",
@@ -264,9 +245,8 @@ class DecisionLedger(NullDecisions):
     def open_frame(self, kind: str, subject: str,
                    attrs: Dict[str, Any]) -> Decision:
         """Record a frame decision as the current parent, for
-        ``ObsContext.frame``; listeners are not notified, since the
-        flight recorder records the region as frame events itself."""
-        decision = self._record(kind, subject, "", None, attrs)
+        ``ObsContext.frame``."""
+        decision = self.decide(kind, subject, **attrs)
         self._stack.append(decision)
         return decision
 
@@ -295,8 +275,6 @@ class DecisionLedger(NullDecisions):
         map, and roots (``parent is None`` in the worker) attach to the
         current frame — exactly where the decisions would have landed
         had the work run in-process.  Span names are preserved verbatim.
-        Listeners are not notified: the worker's own recorder saw the
-        decisions, and its ring comes home with the worker's payload.
         """
         id_map: Dict[int, Decision] = {}
         grafted: List[Decision] = []

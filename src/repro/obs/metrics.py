@@ -139,7 +139,7 @@ METRIC_CONTRACT: Dict[str, Tuple[str, str]] = {
         "counter", "batches degraded from pooled to serial execution"),
     "exec.workers_spawned": ("counter", "worker processes forked"),
     "exec.task_failures": (
-        "counter", "tasks that failed after all attempts"),
+        "counter", "tasks whose body raised (the caller falls back)"),
     "exec.task_seconds": (
         "histogram", "wall-clock seconds per supervised task (all attempts)"),
     # -- profiler hot-loop counters (repro.obs.profile) ----------------

@@ -32,7 +32,8 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs.bench_diff import _flatten, regression_direction
+from repro.obs.bench_diff import MetricDelta, _flatten, \
+    regression_direction
 
 TRENDS_SCHEMA_VERSION = 1
 
@@ -69,9 +70,10 @@ def load_snapshot(path: Union[str, Path]) -> dict:
     """One snapshot (directory of ``BENCH_*.json`` or a single file)
     flattened to ``{label, path, metrics, meta}``.
 
-    In a directory every ``BENCH_*.json`` contributes its metrics
-    (sorted filename order, later files win name collisions — benign,
-    since each bench writes a snapshot of the same shared registry).
+    In a directory every ``BENCH_*.json`` contributes its metrics, in
+    sorted filename order.  Each file holds only its own bench's
+    ``bench.<stem>.*`` gauges, so their names never collide; the later
+    file's ``bench_meta`` keys win.
     """
     target = Path(path)
     if target.is_dir():
@@ -102,18 +104,13 @@ def load_snapshot(path: Union[str, Path]) -> dict:
 
 def _step_marker(name: str, old: Optional[float], new: Optional[float],
                  threshold_percent: float) -> Optional[str]:
-    """bench_diff semantics applied to one adjacent snapshot pair."""
-    if old is None or new is None or regression_direction(name) == 0:
-        return None
-    if old == 0:
-        percent = None if new == 0 else float("inf")
-    else:
-        percent = (new - old) / abs(old) * 100.0
-    if percent is None:
-        return None
-    if percent > threshold_percent:
+    """bench_diff's :class:`MetricDelta` rule on one adjacent snapshot
+    pair; an improvement is the mirror image of a regression."""
+    delta = MetricDelta(name, old, new)
+    if delta.is_regression(threshold_percent):
         return "regression"
-    if percent < -threshold_percent:
+    if regression_direction(name) and delta.percent is not None \
+            and delta.percent < -threshold_percent:
         return "improvement"
     return None
 

@@ -5,9 +5,13 @@ at ``jobs=2`` while the chaos harness crashes workers, hangs tasks past
 their deadline and corrupts result payloads, and asserts the engine's
 core invariant from every angle:
 
-    every injected fault ends in either a retry that succeeds or a
-    clean ``EXE``-coded demotion — never a hung run, a zombie worker,
+    every injected fault ends in a retry that succeeds or in the plain
+    in-process rerun (``EXE004``) — never a hung run, a zombie worker,
     or a corrupted ``MergeResult``.
+
+A task body that raises is the one failure the engine hands back: the
+group is demoted (``MRG002``) and the pair recorded non-mergeable.  At
+``jobs=1`` there is no worker to strike, and a plan changes nothing.
 
 The last test uses the ambient ``REPRO_CHAOS`` seed (the CI chaos
 matrix pins several) and proves seeded chaos perturbs *how* the run
@@ -20,7 +24,7 @@ import time
 
 import pytest
 
-from repro.core import merge_all
+from repro.core import merge_all, mergeability
 from repro.core.mergeability import build_mergeability_graph
 from repro.core.merger import MergeOptions
 from repro.diagnostics import DegradationPolicy, DiagnosticCollector
@@ -134,21 +138,43 @@ class TestInjectedGroupFaults:
         assert "EXE003" in codes
 
     def test_persistent_fault_demotes_cleanly(self, pipeline_netlist,
-                                              monkeypatch):
-        # Corrupt every attempt including the in-process rerun: the
-        # group must be demoted to individual modes with EXE006 +
-        # MRG002, and the disjoint group C must be untouched.
-        spec = ";".join(f"corrupt@group:A+B@{a}" for a in range(1, 6))
+                                              monkeypatch, clean_reference):
+        # Corrupt every pooled attempt: the plain in-process rerun,
+        # which chaos cannot strike, rescues the group.
+        spec = ";".join(f"corrupt@group:A+B@{a}" for a in (1, 2, 3))
         run, codes = _chaos_run(pipeline_netlist, spec, monkeypatch)
+        assert _snapshot(run) == clean_reference
+        assert codes.count("EXE003") == 3 and "EXE004" in codes
+        # A group task whose body raises is demoted to individual modes
+        # (MRG002), and the disjoint group C must be untouched.
+        real = mergeability.run_merge_group
+
+        def failing_group(netlist, by_name, names, options, sink):
+            if len(names) > 1:
+                raise RuntimeError("group merge blew up")
+            return real(netlist, by_name, names, options, sink)
+
+        monkeypatch.setattr(mergeability, "run_merge_group", failing_group)
+        run, codes = _chaos_run(pipeline_netlist, "", monkeypatch)
         produced = sorted(n for o in run.outcomes for n in o.mode_names)
         assert produced == ["A", "B", "C"]
         singles = {tuple(o.mode_names) for o in run.outcomes}
         assert ("A",) in singles and ("B",) in singles
-        assert "EXE006" in codes and "MRG002" in codes
+        assert "MRG002" in codes and "EXE006" not in codes
         # Group C merged on its own, unharmed.
         c_outcome = next(o for o in run.outcomes
                          if tuple(o.mode_names) == ("C",))
         assert c_outcome.result is not None
+
+    def test_serial_run_is_never_struck(self, pipeline_netlist, monkeypatch,
+                                        clean_reference):
+        # The plan that exhausts a pooled task's attempts: at jobs=1 each
+        # group is one plain call, so nothing changes.
+        spec = ";".join(f"crash@group:A+B@{a}" for a in (1, 2, 3))
+        run, codes = _chaos_run(pipeline_netlist, spec, monkeypatch,
+                                jobs=1)
+        assert _snapshot(run) == clean_reference
+        assert not [code for code in codes if code.startswith("EXE")]
 
 
 class TestInjectedScanFaults:
@@ -167,17 +193,23 @@ class TestInjectedScanFaults:
 
     def test_scan_exhaustion_is_conservative(self, pipeline_netlist,
                                              monkeypatch):
-        # A pair check that fails every attempt is recorded
-        # non-mergeable — the scan never crashes and never guesses.
-        spec = ";".join(f"corrupt@scan:A+B@{a}" for a in range(1, 6))
-        monkeypatch.setenv(CHAOS_ENV, spec)
+        # A pair check that raises is recorded non-mergeable — the scan
+        # never crashes and never guesses.
+        real = mergeability.pair_mergeable
+
+        def failing_pair(netlist, a, b, *args):
+            if {a.name, b.name} == {"A", "B"}:
+                raise RuntimeError("pair check blew up")
+            return real(netlist, a, b, *args)
+
+        monkeypatch.setattr(mergeability, "pair_mergeable", failing_pair)
         collector = DiagnosticCollector()
         analysis = build_mergeability_graph(
             pipeline_netlist, _modes(), jobs=2, collector=collector)
         _assert_no_children()
         assert not analysis.mergeable("A", "B")
         assert "mergeability check failed" in analysis.reason("A", "B")
-        assert "EXE006" in [d.code for d in collector.diagnostics]
+        assert "EXE006" not in [d.code for d in collector.diagnostics]
 
 
 class TestSeededChaosInvariant:

@@ -1,8 +1,8 @@
 """Integration tests for the always-on flight recorder's flush paths.
 
 The recorder's contract: a clean run writes nothing, while every
-abnormal exit — watchdog budget trip, worker-crash demotion, SIGTERM
-mid-merge, uncaught crash — leaves a valid ``blackbox.json`` whose
+abnormal exit — watchdog budget trip, SIGTERM mid-merge, uncaught
+crash — leaves a valid ``blackbox.json`` whose
 ``repro-merge doctor`` report names the failing phase.
 """
 
@@ -140,26 +140,6 @@ class TestBudgetTrip:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"]["kind"] == "budget"
-
-
-class TestWorkerFault:
-    def test_worker_crash_demotion_flushes_worker_fault(self, files,
-                                                        monkeypatch,
-                                                        capsys):
-        tmp, netlist, paths = files
-        out = tmp / "out"
-        # Crash every supervised attempt: the a+b group exhausts its
-        # retries and is demoted (EXE006), which the run records as an
-        # infrastructure fault worth forensics.
-        monkeypatch.setenv("REPRO_CHAOS",
-                           "crash@*@1;crash@*@2;crash@*@3;crash@*@4")
-        code = _merge(netlist, paths, out, pre=("--jobs", "2"))
-        capsys.readouterr()
-        assert code != 0
-        payload = _assert_valid(out / "blackbox.json")
-        assert payload["reason"]["kind"] == "worker-fault"
-        assert "EXE006" in str(payload["reason"]["detail"]) \
-            or payload["reason"]["detail"]
 
 
 class TestTargetOverrides:

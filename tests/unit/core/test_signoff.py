@@ -2,7 +2,8 @@
 
 from repro.core import check_mode_equivalence, merge_all
 from repro.core.merger import MergeOptions
-from repro.core.signoff import GuardedOutcome, SignoffGuard
+from repro.core.mergeability import GroupOutcome
+from repro.core.signoff import SignoffGuard
 from repro.diagnostics import DegradationPolicy, DiagnosticCollector
 from repro.sdc import parse_mode
 
@@ -32,7 +33,7 @@ def _break_uniquification(monkeypatch):
 
 class TestGuardedOutcome:
     def test_defaults(self):
-        outcome = GuardedOutcome(["A"], None)
+        outcome = GroupOutcome(["A"], None)
         assert outcome.error == ""
         assert not outcome.repaired
 

@@ -8,7 +8,6 @@ from repro.exec.chaos import (
     CHAOS_ENV,
     FAULT_KINDS,
     SEEDED_MAX_ATTEMPT,
-    ChaosCrashError,
     ChaosFault,
     ChaosPlan,
     CorruptPayload,
@@ -119,28 +118,18 @@ class TestSeededSchedule:
 
 
 class TestStrike:
-    def test_crash_in_process_raises(self):
-        plan = ChaosPlan(faults=[ChaosFault(kind="crash", pattern="k")])
-        with pytest.raises(ChaosCrashError):
-            plan.strike("k", 1, in_process=True)
-
     def test_corrupt_returns_sentinel(self):
         plan = ChaosPlan(faults=[ChaosFault(kind="corrupt", pattern="k")])
-        payload = plan.strike("k", 1, in_process=True)
+        payload = plan.strike("k", 1)
         assert payload == CorruptPayload("k", 1)
-
-    def test_hang_in_process_is_bounded(self):
-        plan = ChaosPlan(
-            faults=[ChaosFault(kind="hang", pattern="k", seconds=60.0)])
-        assert plan._hang_seconds(plan.faults[0], None, True) <= 0.5
 
     def test_hang_pooled_outlives_deadline(self):
         fault = ChaosFault(kind="hang", pattern="k")
-        assert ChaosPlan._hang_seconds(fault, 0.2, False) > 0.2
+        assert ChaosPlan._hang_seconds(fault, 0.2) > 0.2
 
     def test_no_fault_no_effect(self):
         plan = ChaosPlan(faults=[ChaosFault(kind="crash", pattern="other")])
-        assert plan.strike("k", 1, in_process=True) is None
+        assert plan.strike("k", 1) is None
 
 
 class TestCorruptPayload:

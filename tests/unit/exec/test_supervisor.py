@@ -48,13 +48,17 @@ def observed_then_raise(x):
     raise ValueError(f"boom {x}")
 
 
-def observed_then_rejected(marker):
-    """``observed_task``, returning a payload the validate hook rejects
-    on the first call in any process."""
+def negative_once(marker, x):
+    """``x``, but -1 (a payload the validate hook rejects) on the first
+    call in any process."""
     first = not os.path.exists(marker)
     open(marker, "a").close()
-    value = observed_task(7)
-    return -1 if first else value
+    return -1 if first else x
+
+
+def observed_then_rejected(marker):
+    """``observed_task``, rejected on the first call in any process."""
+    return negative_once(marker, observed_task(7))
 
 
 def codes(collector):
@@ -81,33 +85,56 @@ def assert_no_children():
 
 class TestSerial:
     def test_values_in_order(self):
-        outcomes = run_squares(SupervisorConfig(jobs=1, use_env_chaos=False))
+        outcomes = run_squares(SupervisorConfig(jobs=1))
         assert [o.value for o in outcomes] == [0, 1, 4, 9, 16, 25]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert [o.index for o in outcomes] == list(range(6))
 
     def test_empty_batch(self):
-        sup = Supervisor(SupervisorConfig(use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig())
         assert sup.run(square, []) == []
 
     def test_keys_must_match_tasks(self):
-        sup = Supervisor(SupervisorConfig(use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig())
         with pytest.raises(ValueError, match="one-to-one"):
             sup.run(square, [(1,), (2,)], keys=["only-one"])
 
     def test_default_keys_use_label(self):
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=1, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="mywork:1")]))
         outcomes = run_squares(config, collector, n=2, label="mywork")
         assert outcomes[1].ok and outcomes[1].faults[0][0] == "corrupt"
         assert "EXE003" in codes(collector)
+        assert_no_children()
+
+    def test_is_never_struck_by_chaos(self):
+        # Faults on every attempt a task could get: a serial batch has no
+        # worker to crash, hang or corrupt, so each body runs once.
+        collector = DiagnosticCollector()
+        calls = []
+
+        def body(x):
+            calls.append(x)
+            return x * x
+
+        config = SupervisorConfig(jobs=1, chaos=ChaosPlan(faults=[
+            ChaosFault(kind=kind, pattern="*", attempt=attempt)
+            for attempt, kind in ((1, "crash"), (2, "hang"),
+                                  (3, "corrupt"))]))
+        outcomes = Supervisor(config, collector).run(
+            body, [(i,) for i in range(4)])
+        assert calls == [0, 1, 2, 3]
+        assert [o.value for o in outcomes] == [0, 1, 4, 9]
+        assert all(o.ok and o.attempts == 1 and o.faults == []
+                   for o in outcomes)
+        assert collector.diagnostics == []
 
     def test_task_body_error_demotes_without_retry(self):
         collector = DiagnosticCollector()
-        sup = Supervisor(SupervisorConfig(jobs=1, use_env_chaos=False),
+        sup = Supervisor(SupervisorConfig(jobs=1),
                          collector)
         outcomes = sup.run(raise_value_error, [(7,)])
         assert not outcomes[0].ok
@@ -115,16 +142,15 @@ class TestSerial:
         assert "ValueError: boom 7" in outcomes[0].error
 
     def test_task_body_error_propagates_original_type(self):
-        sup = Supervisor(SupervisorConfig(jobs=1, use_env_chaos=False,
-                                          propagate_errors=True))
+        sup = Supervisor(SupervisorConfig(jobs=1, propagate_errors=True))
         with pytest.raises(ValueError, match="boom 7"):
             sup.run(raise_value_error, [(7,)])
 
 
 class TestParallel:
     def test_values_match_serial(self):
-        serial = run_squares(SupervisorConfig(jobs=1, use_env_chaos=False))
-        pooled = run_squares(SupervisorConfig(jobs=2, use_env_chaos=False))
+        serial = run_squares(SupervisorConfig(jobs=1))
+        pooled = run_squares(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
         assert [o.value for o in pooled] == [o.value for o in serial]
         assert_no_children()
 
@@ -132,7 +158,7 @@ class TestParallel:
         # Task 0 is slow, task 1 fast: completion order inverts
         # submission order, emitted order must not.
         seen = []
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
         outcomes = sup.run(
             sleep_then_return, [(0.4, "slow"), (0.0, "fast")],
             on_result=lambda o: seen.append(o.key))
@@ -142,14 +168,14 @@ class TestParallel:
 
     def test_on_result_gets_final_outcomes(self):
         got = []
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
         sup.run(square, [(i,) for i in range(5)],
                 on_result=got.append)
         assert all(isinstance(o, TaskOutcome) for o in got)
         assert [o.value for o in got] == [0, 1, 4, 9, 16]
 
     def test_unpicklable_result_demoted_cleanly(self):
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
         outcomes = sup.run(lambda: (lambda: 1), [()])
         assert not outcomes[0].ok
         assert outcomes[0].attempts == 1  # a task-body error, not retried
@@ -157,7 +183,7 @@ class TestParallel:
         assert_no_children()
 
     def test_task_body_error_propagates_as_task_failed(self):
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan(),
                                           propagate_errors=True))
         with pytest.raises(TaskFailedError) as excinfo:
             sup.run(raise_value_error, [(7,)])
@@ -175,7 +201,7 @@ class TestFaultRecovery:
     def test_pooled_crash_retried(self):
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="crash", pattern="task:0")]))
         outcome = self._run_one(config, collector)
@@ -187,7 +213,7 @@ class TestFaultRecovery:
     def test_pooled_hang_killed_and_retried(self):
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False, deadline_seconds=0.3,
+            jobs=2, deadline_seconds=0.3,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="hang", pattern="task:0")]))
         outcome = self._run_one(config, collector)
@@ -198,7 +224,7 @@ class TestFaultRecovery:
     def test_pooled_corrupt_payload_rejected(self):
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="task:0")]))
         outcome = self._run_one(config, collector)
@@ -206,20 +232,9 @@ class TestFaultRecovery:
         assert outcome.faults[0][0] == "corrupt"
         assert "EXE003" in codes(collector)
 
-    def test_in_process_crash_retried(self):
-        collector = DiagnosticCollector()
-        config = SupervisorConfig(
-            jobs=1, use_env_chaos=False,
-            chaos=ChaosPlan(faults=[
-                ChaosFault(kind="crash", pattern="task:0")]))
-        outcome = self._run_one(config, collector)
-        assert outcome.ok and outcome.attempts == 2
-        assert "EXE002" in codes(collector)
-
     def test_chaos_active_reports_exe007(self):
         collector = DiagnosticCollector()
-        config = SupervisorConfig(
-            jobs=1, use_env_chaos=False, chaos=ChaosPlan.seeded(1, 0.0))
+        config = SupervisorConfig(jobs=2, chaos=ChaosPlan.seeded(1, 0.0))
         self._run_one(config, collector)
         assert "EXE007" in codes(collector)
 
@@ -228,7 +243,7 @@ class TestFaultRecovery:
         # (attempt 4, past every scheduled fault) is what saves the task.
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="crash", pattern="task:0", attempt=a)
                 for a in (1, 2, 3)]))
@@ -237,35 +252,17 @@ class TestFaultRecovery:
         assert outcome.attempts == 4
         assert "EXE004" in codes(collector)
 
-    def test_persistent_fault_demoted_with_exe006(self, fast_backoff):
+    def test_validate_hook_rejection_retried(self, tmp_path, fast_backoff):
         collector = DiagnosticCollector()
-        config = SupervisorConfig(
-            jobs=1, use_env_chaos=False,
-            chaos=ChaosPlan(faults=[
-                ChaosFault(kind="corrupt", pattern="task:0", attempt=a)
-                for a in (1, 2, 3)]))
-        outcome = self._run_one(config, collector)
-        assert not outcome.ok
-        assert outcome.attempts == 3
-        assert "corrupt" in outcome.error
-        assert "EXE006" in codes(collector)
-
-    def test_validate_hook_rejection_retried(self, fast_backoff):
-        collector = DiagnosticCollector()
-        sup = Supervisor(SupervisorConfig(jobs=1, use_env_chaos=False),
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()),
                          collector=collector)
-        attempts = []
-
-        def flaky(x):
-            attempts.append(x)
-            return -1 if len(attempts) == 1 else x
-
         outcomes = sup.run(
-            flaky, [(5,)],
+            negative_once, [(str(tmp_path / "marker"), 5)],
             validate=lambda v: "negative payload" if v < 0 else "")
         assert outcomes[0].ok and outcomes[0].value == 5
         assert outcomes[0].faults[0] == ("corrupt", "negative payload")
         assert "EXE003" in codes(collector)
+        assert_no_children()
 
 
 class TestDegradation:
@@ -275,7 +272,7 @@ class TestDegradation:
         # the rest of the batch runs serially in-process.
         collector = DiagnosticCollector()
         config = SupervisorConfig(
-            jobs=2, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="crash", pattern="task:*")]))
         outcomes = run_squares(config, collector, n=7)
@@ -291,14 +288,14 @@ class TestDegradation:
 
 class TestDeterminism:
     def test_backoff_is_deterministic(self):
-        sup = Supervisor(SupervisorConfig(use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig())
         assert sup._backoff("k", 1) == sup._backoff("k", 1)
         assert sup._backoff("k", 1) != sup._backoff("k2", 1)
         assert sup._backoff("k", 3) > sup._backoff("k", 1)
 
     def test_backoff_respects_cap(self, monkeypatch):
         monkeypatch.setattr("repro.exec.supervisor.BACKOFF_CAP", 0.2)
-        sup = Supervisor(SupervisorConfig(use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig())
         assert sup._backoff("k", 50) <= 0.2 + 0.05
 
     def test_clean_run_records_no_decisions_or_diagnostics(self):
@@ -307,7 +304,7 @@ class TestDeterminism:
         registry = MetricsRegistry()
         with observing(decisions=ledger, metrics=registry):
             with ledger.frame("run", "test"):
-                run_squares(SupervisorConfig(jobs=2, use_env_chaos=False),
+                run_squares(SupervisorConfig(jobs=2, chaos=ChaosPlan()),
                             collector)
         kinds = {r.kind for r in ledger.records}
         assert not any(k.startswith("exec.") for k in kinds)
@@ -320,7 +317,7 @@ class TestDeterminism:
         collector = DiagnosticCollector()
         ledger = DecisionLedger()
         config = SupervisorConfig(
-            jobs=1, use_env_chaos=False,
+            jobs=2,
             chaos=ChaosPlan(faults=[
                 ChaosFault(kind="corrupt", pattern="task:1")]))
         with observing(decisions=ledger):
@@ -342,7 +339,7 @@ class TestObservabilityAcrossTheFork:
 
     def test_pooled_records_fold_under_parent_frame_and_span_in_order(self):
         obs = self._context()
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False))
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
         with observing(obs), obs.tracer.span("batch") as batch, \
                 obs.decisions.frame("run", "test") as frame:
             # Task 0 finishes last: folding must still follow submission
@@ -359,9 +356,22 @@ class TestObservabilityAcrossTheFork:
                                                    "work:2"]
         assert_no_children()
 
+    def test_task_spans_follow_submission_order(self):
+        # Task t0 finishes last; its span must still come first.
+        obs = ObsContext.build(tracer=Tracer())
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()))
+        with observing(obs):
+            sup.run(sleep_then_return,
+                    [(0.4, 0), (0.0, 1), (0.0, 2), (0.0, 3)],
+                    keys=["t0", "t1", "t2", "t3"])
+        spans = obs.tracer.find("exec:task")
+        assert [s.attrs["key"] for s in spans] == ["t0", "t1", "t2", "t3"]
+        assert spans[0].attrs["seconds"] >= 0.4
+        assert_no_children()
+
     def test_failing_task_records_fold_before_its_error_propagates(self):
         obs = self._context()
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False,
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan(),
                                           propagate_errors=True))
         with observing(obs), pytest.raises(TaskFailedError):
             sup.run(observed_then_raise, [(3,)])
@@ -373,7 +383,7 @@ class TestObservabilityAcrossTheFork:
                                                       fast_backoff):
         obs = self._context()
         collector = DiagnosticCollector()
-        sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False),
+        sup = Supervisor(SupervisorConfig(jobs=2, chaos=ChaosPlan()),
                          collector)
         with observing(obs):
             outcomes = sup.run(

@@ -71,8 +71,10 @@ class TestBuild:
     def test_listeners_are_wired_once(self):
         obs = _full_context()
         assert obs.tracer._listeners == [obs.profiler]
-        assert obs.decisions._listeners == [obs.blackbox]
         assert obs.decisions.tracer is obs.tracer
+        # The recorder hears from no other layer.
+        obs.decisions.decide("merge.mode", "group:a+b")
+        assert list(obs.blackbox._ring) == []
 
     def test_decisions_are_named_after_the_open_span(self):
         obs = _full_context()
@@ -115,12 +117,10 @@ class TestFrame:
         assert frame.decision.attrs == {"modes": ["a", "b"]}
         leaf = obs.decisions.by_kind("merge.demotion")[0]
         assert leaf.parent is frame.decision
-        # The ring holds the frame once, as frame events, plus the leaf
-        # decision; no span event and no decision repeating the frame.
-        assert [(e["kind"], e.get("frame") or e.get("decision"))
-                for e in obs.blackbox._ring] == [
+        # The ring holds the frame once, as frame events: no span event
+        # and no decision.
+        assert [(e["kind"], e["frame"]) for e in obs.blackbox._ring] == [
             ("frame.open", "merge.group"),
-            ("decision", "merge.demotion"),
             ("frame.close", "merge.group")]
         assert obs.tracer.current is None and obs.decisions.current is None
 
@@ -179,13 +179,11 @@ class TestFold:
         parent = _full_context()
         payload = self._worker_payload(parent)
         parent.fold(payload)
-        folded = [(e["kind"], e.get("frame") or e.get("decision"))
-                  for e in parent.blackbox._ring]
-        # The worker's frame and its leaf decision, each once and tagged
-        # with the worker's pid: the ledger graft does not echo the
-        # decision into the ring a second time.
+        folded = [(e["kind"], e["frame"]) for e in parent.blackbox._ring]
+        # The worker's frame once, tagged with the worker's pid: neither
+        # the worker's leaf decision nor the ledger graft reaches the
+        # ring.
         assert folded == [("frame.open", "merge.group"),
-                          ("decision", "merge.mode"),
                           ("frame.close", "merge.group")]
         assert all("worker" in event for event in parent.blackbox._ring)
 

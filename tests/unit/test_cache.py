@@ -601,7 +601,7 @@ class TestChaosKinds:
 
     def test_engine_strike_ignores_cache_kinds(self):
         plan = ChaosPlan.from_spec("cache-corrupt@*@1")
-        assert plan.strike("scan:a+b", 1, in_process=True) is None
+        assert plan.strike("scan:a+b", 1) is None
 
     def test_cache_corrupt_fault_lands_bad_crc(self, tmp_path):
         plan = ChaosPlan.from_spec("cache-corrupt@cache:store:pair@1")
